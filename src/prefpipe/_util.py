@@ -1,10 +1,14 @@
-"""Small shared helpers: stable seeds, token counting, JSONL io."""
+"""Small shared helpers: stable seeds, token counting, JSONL io, ordered fan-out."""
 
 import hashlib
 import json
 import os
 import re
-from typing import Any, Callable, Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -99,3 +103,25 @@ def even_boundaries(n: int, k: int) -> list[int]:
     ends = [base * i for i in range(1, k)]
     ends.append(n)
     return ends
+
+
+def ordered_map(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> list[R]:
+    """``[fn(x) for x in items]``, with up to ``jobs`` calls running at once.
+
+    Results come back in input order whatever the scheduling, so callers emit
+    the same bytes at any ``jobs``. With ``jobs <= 1`` or fewer than two items
+    every call runs inline in the caller's thread. Otherwise the first
+    exception in input order cancels the calls not yet started and is
+    re-raised, the same exception the inline loop would raise.
+    """
+    items = list(items)
+    if jobs <= 1 or len(items) < 2:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+        futures = [pool.submit(fn, x) for x in items]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            for f in futures:
+                f.cancel()
+            raise

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 stage failure (categorized message on stderr),
 
 import argparse
 import datetime
+import hashlib
 import json
 import logging
 import os
@@ -19,7 +20,7 @@ import sys
 import yaml
 
 from . import core, curriculum, evalharness, rlengine, simlab, streamer, synthpipe, transferbench
-from ._util import derive_seed, json_dumps, read_jsonl, sha256_file, atomic_write_text, write_jsonl
+from ._util import derive_seed, json_dumps, ordered_map, read_jsonl, sha256_file, atomic_write_text, write_jsonl
 from .errors import ConfigError, PipelineError
 from .modelio import ModelClient, ModelEndpoint
 
@@ -56,7 +57,7 @@ class ManifestWriter:
             "command": self.command,
             "seed": self.seed,
             "config": self.config,
-            "config_digest": __import__("hashlib").sha256(json_dumps(self.config).encode()).hexdigest(),
+            "config_digest": hashlib.sha256(json_dumps(self.config).encode()).hexdigest(),
             "inputs": self.inputs,
             "outputs": self.outputs,
             "stats": self.stats,
@@ -284,7 +285,7 @@ def cmd_stream_infer(args: argparse.Namespace) -> int:
     generator = _endpoint_client(args.generator)
     histories = core.load_histories(args.histories)
     os.makedirs(args.state_dir, exist_ok=True)
-    states = [streamer.infer_streaming(generator, h, args.chunks) for h in histories]
+    states = ordered_map(lambda h: streamer.infer_streaming(generator, h, args.chunks), histories, args.jobs)
     states_path = os.path.join(args.state_dir, "states.jsonl")
     summaries_path = os.path.join(args.state_dir, "summaries.jsonl")
     streamer.save_states(states_path, states)
@@ -314,7 +315,7 @@ def cmd_build_transfer(args: argparse.Namespace) -> int:
             i.user_id: core.InteractionTriple(index=0, chosen=i.item_a, rejected=i.item_b, context=i.context)
             for i in inst_a + inst_b
         }
-        pairs = transferbench.match_users(client, trimmed_a, trimmed_b, args.top_k)
+        pairs = transferbench.match_users(client, trimmed_a, trimmed_b, args.top_k, jobs=args.jobs)
         instances, stats = transferbench.swap_targets(pairs, targets)
         write_jsonl(args.out, instances)
         if args.out_histories:
@@ -377,7 +378,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     instances = evalharness.load_eval_instances(args.instances)
     report, outcomes = evalharness.evaluate_selection(
         downstream, summaries, instances,
-        seed=derive_seed(args.seed, "evaluate"), strict=args.strict, label=args.label,
+        seed=derive_seed(args.seed, "evaluate"), strict=args.strict, label=args.label, jobs=args.jobs,
     )
     atomic_write_text(args.out, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     if args.outcomes:
@@ -415,7 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Preference-reasoning pipeline engine: synthesis, pruning, rollouts, streaming, benchmarks.",
     )
     parser.add_argument("--seed", type=int, default=0, help="global seed; stages derive their own from it")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for per-user stages")
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help="how many independent model calls may run at once at each fan-out level (users, then the "
+        "calls within one user); each endpoint's max_in_flight still bounds its requests, and outputs "
+        "are byte-identical at any --jobs",
+    )
     parser.add_argument("--log-level", default="warning", choices=["debug", "info", "warning", "error"])
     sub = parser.add_subparsers(dest="command", required=True)
 

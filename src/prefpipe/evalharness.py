@@ -8,7 +8,7 @@ import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ._util import derive_seed, read_jsonl, write_jsonl
+from ._util import derive_seed, ordered_map, read_jsonl, write_jsonl
 from .core import PreferenceSummary, UserHistory
 from .errors import BackendError, GenerationError, JudgeError, ValidationError
 from .modelio import ModelClient, parse_selection
@@ -115,21 +115,25 @@ def evaluate_selection(
     seed: int = 0,
     strict: bool = False,
     label: str = "eval",
+    jobs: int = 1,
 ) -> tuple[EvalReport, list[EvalOutcome]]:
-    """Judge every instance once.
+    """Judge every instance once, up to ``jobs`` at once.
 
     Presentation order is randomized per instance from (seed, label, user, slot)
     so reruns are reproducible. Unparseable replies and failed calls both count
-    as incorrect; instances whose user has no summary are dropped with a log
-    line (they are not failures of the summary under test).
+    as incorrect; instances whose user has no summary are dropped and counted in
+    one log line (they are not failures of the summary under test). Outcomes
+    keep slot order regardless of scheduling.
     """
-    outcomes = []
-    correct = parse_failures = call_failures = 0
-    for slot, inst in enumerate(instances):
-        summary = summaries.get(inst.user_id)
-        if summary is None:
-            logger.warning("instance %d: no summary for user %s, dropped", slot, inst.user_id)
-            continue
+    kept = [(slot, inst) for slot, inst in enumerate(instances) if summaries.get(inst.user_id) is not None]
+    if len(kept) < len(instances):
+        logger.warning(
+            "%d of %d instance(s) dropped: no summary for user", len(instances) - len(kept), len(instances)
+        )
+
+    def judge(slot_inst: tuple[int, EvalInstance]) -> EvalOutcome:
+        slot, inst = slot_inst
+        summary = summaries[inst.user_id]
         summary_text = summary.text if isinstance(summary, PreferenceSummary) else summary
         # The shuffle depends on (seed, user, slot) only, never the label, so
         # protocol comparisons ask byte-identical questions.
@@ -148,21 +152,16 @@ def evaluate_selection(
         except (BackendError, GenerationError, JudgeError) as exc:
             logger.warning("instance %d (%s): call failed: %s", slot, inst.user_id, exc)
             failed = True
-            call_failures += 1
         parsed, ok = _judge_outcome(reply, swapped, inst.truth, strict)
-        if reply is not None and parsed is None:
-            parse_failures += 1
-        if ok:
-            correct += 1
-        outcomes.append(
-            EvalOutcome(instance=inst, swapped=swapped, reply=reply, parsed=parsed, correct=ok, failed=failed)
-        )
+        return EvalOutcome(instance=inst, swapped=swapped, reply=reply, parsed=parsed, correct=ok, failed=failed)
+
+    outcomes = ordered_map(judge, kept, jobs)
     report = EvalReport(
         label=label,
         n=len(outcomes),
-        correct=correct,
-        parse_failures=parse_failures,
-        call_failures=call_failures,
+        correct=sum(o.correct for o in outcomes),
+        parse_failures=sum(o.reply is not None and o.parsed is None for o in outcomes),
+        call_failures=sum(o.failed for o in outcomes),
     )
     return report, outcomes
 

@@ -59,7 +59,14 @@ class HttpBackend:
 
     def __init__(self, endpoint: ModelEndpoint, session: requests.Session | None = None):
         self.endpoint = endpoint
-        self.session = session or requests.Session()
+        if session is None:
+            # The client lets max_in_flight requests run at once; a smaller
+            # pool (requests' default is 10) would drop the extra connections.
+            session = requests.Session()
+            adapter = requests.adapters.HTTPAdapter(pool_maxsize=endpoint.max_in_flight)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self.session = session
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}

@@ -28,8 +28,20 @@ JUDGE_LABELS = ("Item A", "Item B")
 
 
 def label_probability(lp_first: float, lp_second: float) -> float:
-    """Probability of the first label under a two-way softmax of label logprobs."""
-    return 1.0 / (1.0 + math.exp(lp_second - lp_first))
+    """Probability of the first label under a two-way softmax of label logprobs.
+
+    Servers report -9999-style sentinels for labels outside their top-k, so a
+    gap too wide for ``exp`` falls back to e^-gap, which is what
+    1 / (1 + e^gap) equals at double precision there. Non-finite logprobs
+    carry no verdict and raise JudgeError.
+    """
+    if not (math.isfinite(lp_first) and math.isfinite(lp_second)):
+        raise JudgeError(f"non-finite label logprobs ({lp_first}, {lp_second})")
+    gap = lp_second - lp_first
+    try:
+        return 1.0 / (1.0 + math.exp(gap))
+    except OverflowError:
+        return math.exp(-gap)
 
 
 @dataclass(frozen=True)
@@ -85,23 +97,24 @@ class ModelClient:
             self.stats[key] += n
 
     def _with_retries(self, op: str, fn: Callable):
-        """Run a backend call under the in-flight limiter, retrying retryable
-        transport failures with exponential backoff up to the endpoint's budget."""
+        """Run a backend call, retrying retryable transport failures with
+        exponential backoff up to the endpoint's budget. Each attempt holds one
+        in-flight slot; a call sleeping in backoff holds none."""
         attempt = 0
-        with self._sem:
-            while True:
-                self._bump("attempts")
-                try:
+        while True:
+            try:
+                with self._sem:
+                    self._bump("attempts")
                     return fn()
-                except BackendError as exc:
-                    if not exc.retryable or attempt >= self.endpoint.retry_limit:
-                        logger.error("%s: giving up after %d attempt(s): %s", op, attempt + 1, exc)
-                        raise
-                    delay = self.endpoint.backoff_base * (2**attempt)
-                    logger.warning("%s: retryable failure (%s); backing off %.2fs", op, exc, delay)
-                    self._bump("retries")
-                    self._sleep(delay)
-                    attempt += 1
+            except BackendError as exc:
+                if not exc.retryable or attempt >= self.endpoint.retry_limit:
+                    logger.error("%s: giving up after %d attempt(s): %s", op, attempt + 1, exc)
+                    raise
+                delay = self.endpoint.backoff_base * (2**attempt)
+                logger.warning("%s: retryable failure (%s); backing off %.2fs", op, exc, delay)
+                self._bump("retries")
+                self._sleep(delay)
+                attempt += 1
 
     def prepare_prompt(self, text: str) -> str:
         """Left-truncate to the endpoint's prompt budget, keeping the newest tail."""

@@ -13,13 +13,12 @@ the token-level clipped surrogate averaged per sequence, then per batch.
 import logging
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import derive_seed, read_jsonl, write_jsonl
+from ._util import derive_seed, ordered_map, read_jsonl, write_jsonl
 from .core import InteractionTriple, PreferenceSummary, UserHistory
 from .curriculum import RlInstance
 from .errors import ContractError, PipelineError, ValidationError
@@ -107,9 +106,12 @@ class RolloutTree:
         }
 
 
-def rollout(policy: ModelClient, instance: RlInstance, history: UserHistory, config: RolloutConfig) -> RolloutTree:
-    """Sample the two-stage tree for one instance. Sampling is deterministic in
-    (config.seed, user, k1, k2, stage, sample) for seed-honoring backends."""
+def rollout(
+    policy: ModelClient, instance: RlInstance, history: UserHistory, config: RolloutConfig, jobs: int = 1
+) -> RolloutTree:
+    """Sample the two-stage tree for one instance, up to ``jobs`` samples of a
+    group at once. Sampling is deterministic in (config.seed, user, k1, k2,
+    stage, sample) for seed-honoring backends."""
     inst = instance if instance.target1 is not None else instance.resolve(history)
     pos1 = history.position_of_index(inst.k1)
     pos2 = history.position_of_index(inst.k2)
@@ -118,16 +120,27 @@ def rollout(policy: ModelClient, instance: RlInstance, history: UserHistory, con
     if pos2 <= pos1:
         raise ValidationError(f"instance ({inst.k1}, {inst.k2}) has an empty update segment")
 
-    prefix_prompt = render_generation_prompt(render_history_block(history.triples[:pos1]))
-    initial = []
-    for i in range(config.group_size):
-        gen = policy.generate_summary(
-            prefix_prompt,
-            sample_seed=derive_seed(config.seed, "rollout", inst.user_id, inst.k1, inst.k2, "initial", i) % (2**31),
-            meta={"user_id": inst.user_id, "stage": "initial", "sample": i},
+    def sample(prompt: str, stage: str) -> list[GenerationResult]:
+        return ordered_map(
+            lambda i: policy.generate_summary(
+                prompt,
+                sample_seed=derive_seed(config.seed, "rollout", inst.user_id, inst.k1, inst.k2, stage, i) % (2**31),
+                meta={"user_id": inst.user_id, "stage": stage, "sample": i},
+            ),
+            range(config.group_size),
+            jobs,
         )
-        summary = PreferenceSummary(text=gen.summary, reasoning=gen.reasoning, covers=(0, pos1))
-        initial.append(RewardedSummary(summary=summary, generation=gen, stage="initial", sample_index=i))
+
+    prefix_prompt = render_generation_prompt(render_history_block(history.triples[:pos1]))
+    initial = [
+        RewardedSummary(
+            summary=PreferenceSummary(text=gen.summary, reasoning=gen.reasoning, covers=(0, pos1)),
+            generation=gen,
+            stage="initial",
+            sample_index=i,
+        )
+        for i, gen in enumerate(sample(prefix_prompt, "initial"))
+    ]
 
     rng = random.Random(derive_seed(config.seed, "rollout-select", inst.user_id, inst.k1, inst.k2))
     selected_index = rng.randrange(config.group_size)
@@ -136,20 +149,20 @@ def rollout(policy: ModelClient, instance: RlInstance, history: UserHistory, con
     update_prompt = render_generation_prompt(
         render_history_block(history.triples[pos1:pos2]), past_text=selected.summary.text
     )
-    updated = []
-    for j in range(config.group_size):
-        gen = policy.generate_summary(
-            update_prompt,
-            sample_seed=derive_seed(config.seed, "rollout", inst.user_id, inst.k1, inst.k2, "updated", j) % (2**31),
-            meta={"user_id": inst.user_id, "stage": "updated", "sample": j},
+    updated = [
+        RewardedSummary(
+            summary=PreferenceSummary(
+                text=gen.summary,
+                reasoning=gen.reasoning,
+                covers=(pos1, pos2),
+                parent_id=selected.summary.summary_id,
+            ),
+            generation=gen,
+            stage="updated",
+            sample_index=j,
         )
-        summary = PreferenceSummary(
-            text=gen.summary,
-            reasoning=gen.reasoning,
-            covers=(pos1, pos2),
-            parent_id=selected.summary.summary_id,
-        )
-        updated.append(RewardedSummary(summary=summary, generation=gen, stage="updated", sample_index=j))
+        for j, gen in enumerate(sample(update_prompt, "updated"))
+    ]
 
     return RolloutTree(instance=inst, initial=initial, selected_index=selected_index, updated=updated)
 
@@ -209,15 +222,16 @@ def advantages(rewards: Sequence[float], eps_std: float = EPS_STD) -> np.ndarray
     return (arr - arr.mean()) / std
 
 
-def score_tree(tree: RolloutTree, judge: ModelClient, config: RolloutConfig) -> RolloutTree:
-    """Fill in immediate and cumulative rewards for every summary in the tree."""
+def score_tree(tree: RolloutTree, judge: ModelClient, config: RolloutConfig, jobs: int = 1) -> RolloutTree:
+    """Fill in immediate and cumulative rewards for every summary in the tree,
+    judging up to ``jobs`` summaries at once."""
     inst = tree.instance
     if inst.target1 is None or inst.target2 is None:
         raise ContractError("instance targets must be resolved before scoring")
-    for rs in tree.initial:
-        rs.immediate = immediate_reward(judge, rs.summary, inst.target1, config)
-    for rs in tree.updated:
-        rs.immediate = immediate_reward(judge, rs.summary, inst.target2, config)
+    to_score = [(rs, inst.target1) for rs in tree.initial] + [(rs, inst.target2) for rs in tree.updated]
+    rewards = ordered_map(lambda pair: immediate_reward(judge, pair[0].summary, pair[1], config), to_score, jobs)
+    for (rs, _), reward in zip(to_score, rewards):
+        rs.immediate = reward
     cum_init, cum_upd = cumulative_rewards(
         [rs.immediate for rs in tree.initial],
         [rs.immediate for rs in tree.updated],
@@ -366,8 +380,9 @@ def run_rollouts(
     config: RolloutConfig,
     jobs: int = 1,
 ) -> tuple[list[RolloutTree], dict]:
-    """Roll out and score every instance. Failures skip the instance with a log
-    line; results keep input order regardless of scheduling."""
+    """Roll out and score every instance, up to ``jobs`` at once, each fanning
+    its own calls out up to ``jobs`` wide. Failures skip the instance with a
+    log line; results keep input order regardless of scheduling."""
 
     def one(inst: RlInstance) -> RolloutTree | None:
         history = histories.get(inst.user_id)
@@ -375,17 +390,13 @@ def run_rollouts(
             logger.warning("instance %s: no history on file, skipped", inst.user_id)
             return None
         try:
-            tree = rollout(policy, inst, history, config)
-            return score_tree(tree, judge, config)
+            tree = rollout(policy, inst, history, config, jobs=jobs)
+            return score_tree(tree, judge, config, jobs=jobs)
         except PipelineError as exc:
             logger.warning("instance %s (%d, %d) failed: %s", inst.user_id, inst.k1, inst.k2, exc)
             return None
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, instances))
-    else:
-        results = [one(inst) for inst in instances]
+    results = ordered_map(one, instances, jobs)
     trees = [t for t in results if t is not None]
     rewards = [rs.immediate for t in trees for rs in t.all_summaries()]
     stats = {

@@ -8,11 +8,10 @@ profile)."""
 
 import logging
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ._util import derive_seed, even_boundaries
+from ._util import derive_seed, even_boundaries, ordered_map
 from .core import HistorySegment, InteractionTriple, PreferenceSummary, UserHistory
 from .errors import GenerationError, JudgeError, UserSkip
 from .modelio import GenerationResult, ModelClient
@@ -127,8 +126,9 @@ def generate_candidates(
     prior: PreferenceSummary | None,
     generator: ModelClient,
     rng: random.Random,
+    jobs: int = 1,
 ) -> list[ProfileCandidate]:
-    """Generate one profile candidate per target.
+    """Generate one profile candidate per target, up to ``jobs`` at once.
 
     The rendered interaction history is the segment minus every sampled target;
     the candidate's own target is appended unlabeled, its two items in random
@@ -139,9 +139,12 @@ def generate_candidates(
     target_indices = {t.index for t in target_set.targets}
     context_triples = [t for t in target_set.segment.triples if t.index not in target_indices]
     history_text = render_history_block(context_triples)
-    candidates = []
-    for target in target_set.targets:
-        first = rng.choice((target.chosen, target.rejected))
+    # Every order is drawn before any call, in target order, so the rng stream
+    # does not depend on scheduling.
+    firsts = [rng.choice((t.chosen, t.rejected)) for t in target_set.targets]
+
+    def one(target_first: tuple[InteractionTriple, str]) -> ProfileCandidate | None:
+        target, first = target_first
         prompt = render_generation_prompt(
             history_text,
             past_text=prior.text if prior else None,
@@ -153,8 +156,11 @@ def generate_candidates(
             )
         except GenerationError as exc:
             logger.warning("user %s target %d: generation failed (%s)", user_id, target.index, exc)
-            continue
-        candidates.append(ProfileCandidate(target=target, generation=gen))
+            return None
+        return ProfileCandidate(target=target, generation=gen)
+
+    results = ordered_map(one, zip(target_set.targets, firsts), jobs)
+    candidates = [c for c in results if c is not None]
     if not candidates:
         raise UserSkip("all candidate generations failed")
     return candidates
@@ -174,20 +180,20 @@ def _predicts_choice(judge: ModelClient, summary_text: str, target: InteractionT
 
 
 def validate_candidates(
-    candidates: list[ProfileCandidate], judge: ModelClient, config: SynthConfig, user_id: str = ""
+    candidates: list[ProfileCandidate], judge: ModelClient, config: SynthConfig, user_id: str = "", jobs: int = 1
 ) -> list[ProfileCandidate]:
     """Keep candidates whose profile lets the judge predict the target's true
-    choice. Judge failures count as failed validation. Fewer than ``min_kept``
-    survivors skip the user."""
-    kept = []
-    for cand in candidates:
+    choice, judging up to ``jobs`` at once. Judge failures count as failed
+    validation. Fewer than ``min_kept`` survivors skip the user."""
+
+    def ok(cand: ProfileCandidate) -> bool:
         try:
-            ok = _predicts_choice(judge, cand.summary_text, cand.target, config.debias, user_id)
+            return _predicts_choice(judge, cand.summary_text, cand.target, config.debias, user_id)
         except JudgeError as exc:
             logger.warning("target %d: judge failed during validation (%s)", cand.target.index, exc)
-            ok = False
-        if ok:
-            kept.append(cand)
+            return False
+
+    kept = [cand for cand, passed in zip(candidates, ordered_map(ok, candidates, jobs)) if passed]
     if len(kept) < config.min_kept:
         raise UserSkip(f"only {len(kept)} candidate(s) validated, need at least {config.min_kept}")
     return kept
@@ -209,19 +215,21 @@ def merge_profiles(
 
 
 def user_level_filter(
-    merged: PreferenceSummary, target_set: TargetSet, judge: ModelClient, config: SynthConfig
+    merged: PreferenceSummary, target_set: TargetSet, judge: ModelClient, config: SynthConfig, jobs: int = 1
 ) -> float:
-    """Score the merged profile over every sampled target; accept iff the
-    accuracy reaches the threshold (inclusive). Returns the accuracy."""
+    """Score the merged profile over every sampled target, up to ``jobs`` at
+    once; accept iff the accuracy reaches the threshold (inclusive). Returns
+    the accuracy."""
     user_id = target_set.segment.history.user_id
-    correct = 0
-    for target in target_set.targets:
+
+    def correct(target: InteractionTriple) -> bool:
         try:
-            if _predicts_choice(judge, merged.text, target, config.debias, user_id):
-                correct += 1
+            return _predicts_choice(judge, merged.text, target, config.debias, user_id)
         except JudgeError as exc:
             logger.warning("user %s target %d: judge failed in user filter (%s)", user_id, target.index, exc)
-    accuracy = correct / len(target_set.targets)
+            return False
+
+    accuracy = sum(ordered_map(correct, target_set.targets, jobs)) / len(target_set.targets)
     if accuracy < config.accuracy_threshold:
         raise UserSkip(
             f"merged profile accuracy {accuracy:.3f} below threshold {config.accuracy_threshold}"
@@ -236,10 +244,12 @@ def build_streaming_sft(
     judge: ModelClient,
     teacher: ModelClient,
     config: SynthConfig,
+    jobs: int = 1,
 ) -> list[SynthRecord]:
     """Run the full pipeline per segment, chaining each merged profile into the
     next segment's prompt. A skip in segment j keeps the records from earlier
-    segments but aborts j and everything after (the chain's prior is gone)."""
+    segments but aborts j and everything after (the chain's prior is gone).
+    ``jobs`` bounds the calls that run at once within one step."""
     if len(history) // config.num_segments < config.min_per_segment:
         logger.info(
             "user %s skipped: %d interactions cannot give %d segments of >= %d",
@@ -258,13 +268,13 @@ def build_streaming_sft(
         rng = random.Random(derive_seed(config.seed, "synth", history.user_id, j))
         try:
             target_set = select_targets(seg, tract_scores, config, rng)
-            candidates = generate_candidates(target_set, prior, generator, rng)
-            kept = validate_candidates(candidates, judge, config, user_id=history.user_id)
+            candidates = generate_candidates(target_set, prior, generator, rng, jobs=jobs)
+            kept = validate_candidates(candidates, judge, config, user_id=history.user_id, jobs=jobs)
             merged = merge_profiles(
                 kept, teacher, covers=(seg.start, seg.end),
                 parent_id=prior.summary_id if prior else None, user_id=history.user_id,
             )
-            accuracy = user_level_filter(merged, target_set, judge, config)
+            accuracy = user_level_filter(merged, target_set, judge, config, jobs=jobs)
         except UserSkip as exc:
             logger.info("user %s segment %d skipped: %s", history.user_id, j, exc.reason)
             break
@@ -293,20 +303,17 @@ def run_corpus(
     config: SynthConfig,
     jobs: int = 1,
 ) -> tuple[list[SynthRecord], dict]:
-    """Drive the pipeline over a corpus. Users are independent; results are
-    emitted in input order regardless of scheduling, so reruns are
-    byte-identical."""
+    """Drive the pipeline over a corpus. Users are independent, and up to
+    ``jobs`` run at once, each fanning its own calls out up to ``jobs`` wide;
+    results are emitted in input order regardless of scheduling, so reruns are
+    byte-identical at any ``jobs``."""
 
     def one(history: UserHistory) -> list[SynthRecord]:
         return build_streaming_sft(
-            history, tract_scores.get(history.user_id, {}), generator, judge, teacher, config
+            history, tract_scores.get(history.user_id, {}), generator, judge, teacher, config, jobs=jobs
         )
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_user = list(pool.map(one, histories))
-    else:
-        per_user = [one(h) for h in histories]
+    per_user = ordered_map(one, histories, jobs)
     records = [rec for recs in per_user for rec in recs]
     stats = {
         "users_in": len(histories),

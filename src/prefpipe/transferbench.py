@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._util import derive_seed
+from ._util import derive_seed, ordered_map
 from .core import InteractionTriple, UserHistory
 from .errors import ContractError, ValidationError
 from .modelio import ModelClient
@@ -68,13 +68,15 @@ def match_users(
     corpus_a: Sequence[UserHistory],
     corpus_b: Sequence[UserHistory],
     top_k: int,
+    jobs: int = 1,
 ) -> list[UserPair]:
     """Pair users across two corpora by embedding similarity.
 
-    Builds the full |A| x |B| similarity matrix (exact inner products of the
-    unit embeddings) and returns the top_k pairs in descending similarity, ties
-    broken on user ids. A user may appear in several pairs; callers who care
-    can detect that from the result.
+    Embeds every history, up to ``jobs`` at once, builds the full |A| x |B|
+    similarity matrix (exact inner products of the unit embeddings) and returns
+    the top_k pairs in descending similarity, ties broken on user ids. A user
+    may appear in several pairs; callers who care can detect that from the
+    result.
     """
     if top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {top_k}")
@@ -83,20 +85,24 @@ def match_users(
     total = len(corpus_a) * len(corpus_b)
     if top_k > total:
         raise ValidationError(f"top_k {top_k} exceeds the {total} available pairs")
-    emb_a = np.stack([embed_history(client, h) for h in corpus_a])
-    emb_b = np.stack([embed_history(client, h) for h in corpus_b])
+    embeddings = ordered_map(lambda h: embed_history(client, h), [*corpus_a, *corpus_b], jobs)
+    emb_a = np.stack(embeddings[: len(corpus_a)])
+    emb_b = np.stack(embeddings[len(corpus_a) :])
     if emb_a.shape[1] != emb_b.shape[1]:
         raise ContractError(
             f"embedding dimension mismatch: {emb_a.shape[1]} vs {emb_b.shape[1]}"
         )
-    sims = emb_a @ emb_b.T
-    flat = [
-        (float(sims[i, j]), corpus_a[i].user_id, corpus_b[j].user_id)
-        for i in range(len(corpus_a))
-        for j in range(len(corpus_b))
+    width = len(corpus_b)
+    sims = (emb_a @ emb_b.T).ravel()
+    # Only pairs at least as similar as the k-th best can rank; keeping every
+    # pair tied with it leaves the exact tie-break to the sort below.
+    kth_best = sims[np.argpartition(sims, sims.size - top_k)[sims.size - top_k]]
+    ranked = [
+        (float(sims[flat]), corpus_a[flat // width].user_id, corpus_b[flat % width].user_id)
+        for flat in np.flatnonzero(sims >= kth_best).tolist()
     ]
-    flat.sort(key=lambda t: (-t[0], t[1], t[2]))
-    pairs = [UserPair(user_a=a, user_b=b, similarity=s) for s, a, b in flat[:top_k]]
+    ranked.sort(key=lambda t: (-t[0], t[1], t[2]))
+    pairs = [UserPair(user_a=a, user_b=b, similarity=s) for s, a, b in ranked[:top_k]]
     dup_a = len(pairs) - len({p.user_a for p in pairs})
     dup_b = len(pairs) - len({p.user_b for p in pairs})
     if dup_a or dup_b:

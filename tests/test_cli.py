@@ -200,6 +200,34 @@ class TestPipelineChain:
 
 
 class TestDeterminism:
+    def test_fanned_out_stages_match_serial_bytes(self, pipeline, tmp_path):
+        """stream-infer, cross-domain build-transfer and evaluate at --jobs 4
+        write the bytes the fixture's --jobs 1 runs wrote."""
+        root = pipeline["root"]
+        out = {name: str(tmp_path / name) for name in ("cross.jsonl", "combined.jsonl", "report.json", "outcomes.jsonl")}
+        stream = str(tmp_path / "stream")
+        assert run(
+            "--jobs", "4", "build-transfer", "--mode", "cross-domain",
+            "--histories-a", str(root / "labA" / "histories.jsonl"),
+            "--histories-b", str(root / "labB" / "histories.jsonl"),
+            "--embedder", str(root / "embedder.yaml"), "--top-k", "4",
+            "--out", out["cross.jsonl"], "--out-histories", out["combined.jsonl"],
+        ) == 0
+        assert run(
+            "--jobs", "4", "stream-infer", "--histories", out["combined.jsonl"],
+            "--generator", str(root / "generator.yaml"), "--chunks", "2", "--state-dir", stream,
+        ) == 0
+        assert run(
+            "--jobs", "4", "evaluate", "--summaries", os.path.join(stream, "summaries.jsonl"),
+            "--instances", out["cross.jsonl"], "--downstream", str(root / "judge.yaml"),
+            "--out", out["report.json"], "--outcomes", out["outcomes.jsonl"],
+        ) == 0
+        pairs = [(out[name], pipeline[name.split(".")[0]]) for name in out]
+        pairs += [(os.path.join(stream, name), os.path.join(pipeline["stream"], name))
+                  for name in ("states.jsonl", "summaries.jsonl")]
+        for parallel, serial in pairs:
+            assert sha256_file(parallel) == sha256_file(serial), parallel
+
     def test_same_seed_same_corpus(self, tmp_path):
         for name in ("one", "two"):
             assert run("simlab-gen", "--out-dir", str(tmp_path / name), "--users", "4", seed=3) == 0

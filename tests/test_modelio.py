@@ -5,6 +5,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prefpipe.errors import (
     BackendError,
@@ -17,6 +19,7 @@ from prefpipe.errors import (
 )
 from prefpipe.modelio import (
     HashMockBackend,
+    HttpBackend,
     ModelClient,
     ModelEndpoint,
     ScriptBackend,
@@ -119,6 +122,30 @@ def test_label_probability_symmetry():
     p = label_probability(-0.2, -1.7)
     q = label_probability(-1.7, -0.2)
     assert abs(p + q - 1.0) < 1e-12
+
+
+def test_label_probability_survives_sentinel_logprobs():
+    # -9999 is the usual server sentinel for a label outside the top-k
+    assert label_probability(-9999.0, -0.1) == 0.0
+    assert label_probability(-0.1, -9999.0) == 1.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_label_probability_rejects_non_finite(bad):
+    with pytest.raises(JudgeError):
+        label_probability(bad, -0.5)
+    with pytest.raises(JudgeError):
+        label_probability(-0.5, bad)
+
+
+_LOGPROBS = st.floats(min_value=-1e6, max_value=0.0, allow_nan=False)
+
+
+@given(_LOGPROBS, _LOGPROBS)
+def test_label_probability_is_a_two_way_distribution(a, b):
+    p, q = label_probability(a, b), label_probability(b, a)
+    assert 0.0 <= p <= 1.0
+    assert abs(p + q - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +291,23 @@ class TestRetries:
         with pytest.raises(BackendError):
             client.generate_summary("p")
         assert calls["n"] == 3  # initial try + 2 retries
+
+    def test_backoff_releases_the_in_flight_slot(self):
+        backend, calls = self.make_flaky(2)
+        free_while_sleeping = []
+
+        def sleep(delay):
+            got = client._sem.acquire(blocking=False)
+            if got:
+                client._sem.release()
+            free_while_sleeping.append(got)
+
+        client = ModelClient(
+            ModelEndpoint(base_url="mock:hash", retry_limit=3, max_in_flight=1), backend=backend, sleep=sleep
+        )
+        assert client.generate_summary("p").summary == "recovered"
+        assert free_while_sleeping == [True, True]
+        assert client._sem.acquire(blocking=False)  # and released after success
 
     def test_non_retryable_fails_fast(self):
         backend, calls = self.make_flaky(10, retryable=False)
@@ -534,6 +578,12 @@ class TestHttpBackend:
         vec = http_client(server).embed("text")
         assert np.allclose(vec, [0.6, 0.8])
         assert server.requests[0]["path"] == "/embeddings"
+
+    @pytest.mark.parametrize("max_in_flight", [2, 16])
+    def test_connection_pool_matches_in_flight_limit(self, max_in_flight):
+        backend = HttpBackend(ModelEndpoint(base_url="http://127.0.0.1:1", max_in_flight=max_in_flight))
+        for url in ("http://127.0.0.1:1/x", "https://example.invalid/x"):
+            assert backend.session.get_adapter(url)._pool_maxsize == max_in_flight
 
     def test_malformed_response_is_not_retried(self, server):
         server.queue = [(200, {"nonsense": True})]

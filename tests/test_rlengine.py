@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -359,6 +361,47 @@ class TestBatchStore(LabSetup):
         assert loaded == records
         rows = [list(r.old_token_logprobs) for r in records]
         assert abs(surrogate_loss(records, rows) - surrogate_loss(loaded, rows)) <= 1e-12
+
+
+class LatencyProbe:
+    """Wraps a backend: every call sleeps a little and the peak number of calls
+    in flight at once is recorded."""
+
+    def __init__(self, backend, latency=0.01):
+        self.backend = backend
+        self.latency = latency
+        self.now = self.peak = 0
+        self.lock = threading.Lock()
+
+    def __getattr__(self, name):
+        method = getattr(self.backend, name)
+
+        def call(*args, **kwargs):
+            with self.lock:
+                self.now += 1
+                self.peak = max(self.peak, self.now)
+            try:
+                time.sleep(self.latency)
+                return method(*args, **kwargs)
+            finally:
+                with self.lock:
+                    self.now -= 1
+
+        return call
+
+
+class TestConcurrentRollout(LabSetup):
+    def test_samples_and_rewards_overlap_within_the_endpoint_limit(self):
+        config = RolloutConfig(gamma=0.5, group_size=4, seed=7)
+        policy_probe = LatencyProbe(ScriptedGeneratorBackend(seed=2, quality=1.0, truth=self.truth))
+        judge_probe = LatencyProbe(ScriptedJudgeBackend(kappa=8.0))
+        policy = client_for(policy_probe, max_in_flight=3)
+        judge = client_for(judge_probe, max_in_flight=3)
+        tree = score_tree(rollout(policy, self.instance, self.history, config, jobs=4), judge, config, jobs=4)
+        for probe in (policy_probe, judge_probe):
+            assert 1 < probe.peak <= 3
+        serial = score_tree(rollout(self.policy(), self.instance, self.history, config), self.judge(), config)
+        assert json_dumps(tree.to_dict()) == json_dumps(serial.to_dict())
 
 
 class TestRunRollouts(LabSetup):

@@ -6,6 +6,7 @@ import pytest
 from prefpipe.core import InteractionTriple, UserHistory
 from prefpipe.errors import ContractError, ValidationError
 from prefpipe.modelio import ModelClient, ModelEndpoint, ScriptBackend
+from prefpipe.prompts import render_history_block
 from prefpipe.simlab import ScriptedEmbedderBackend, gen_population
 from prefpipe.transferbench import (
     InjectionResult,
@@ -25,6 +26,10 @@ def client_for(backend):
 
 def embed_client(dim=6):
     return client_for(ScriptedEmbedderBackend(dim=dim))
+
+
+def embed_history_text(history):
+    return render_history_block(history.triples)
 
 
 def make_history(n, user_id="u1", tag="test"):
@@ -65,6 +70,30 @@ class TestMatchUsers:
         assert [(p.user_a, p.user_b) for p in pairs] == [k for k, _ in expected]
         for p, (_, sim) in zip(pairs, expected):
             assert p.similarity == pytest.approx(sim, abs=1e-9)
+
+    @pytest.mark.parametrize("top_k", [1, 5, 17, 40, 120, 300])
+    def test_ties_match_brute_force_ranking(self, top_k):
+        # 4 unit embeddings whose inner products (-0.5, 0, 0.5, 1) are exact in
+        # any summation order, over 15 + 20 users: every similarity value is
+        # shared by dozens of pairs, so the top-k boundary falls inside a tie
+        rng = random.Random(3)
+        directions = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.5] * 4, [0.5, -0.5, 0.5, -0.5]]
+        pick = {}
+        corpus_a = [make_history(2, user_id=f"a{i:02d}") for i in rng.sample(range(15), 15)]
+        corpus_b = [make_history(2, user_id=f"b{i:02d}") for i in rng.sample(range(20), 20)]
+        for h in corpus_a + corpus_b:
+            pick[embed_history_text(h)] = rng.choice(directions)
+        client = client_for(ScriptBackend(embedder=lambda text: pick[text]))
+        brute = sorted(
+            (
+                (float(np.dot(pick[embed_history_text(ha)], pick[embed_history_text(hb)])), ha.user_id, hb.user_id)
+                for ha in corpus_a
+                for hb in corpus_b
+            ),
+            key=lambda t: (-t[0], t[1], t[2]),
+        )
+        pairs = match_users(client, corpus_a, corpus_b, top_k=top_k, jobs=3)
+        assert [(p.similarity, p.user_a, p.user_b) for p in pairs] == brute[:top_k]
 
     def test_top_k_truncates(self):
         corpus_a, corpus_b = self.corpora()

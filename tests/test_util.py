@@ -1,5 +1,7 @@
 import json
 import os
+import threading
+import time
 
 import pytest
 
@@ -10,6 +12,7 @@ from prefpipe._util import (
     even_boundaries,
     json_dumps,
     left_truncate,
+    ordered_map,
     read_jsonl,
     sha256_file,
     stable_hash,
@@ -116,3 +119,49 @@ def test_atomic_write_and_digest(tmp_path):
     assert not os.path.exists(path + ".tmp")
     atomic_write_text(path, "second")
     assert sha256_file(path) == sha256_file(path)
+
+
+class TestOrderedMap:
+    def test_keeps_input_order(self):
+        # later items finish first, so completion order is the reverse of input order
+        def slow_square(x):
+            time.sleep(0.002 * (8 - x))
+            return x * x
+
+        assert ordered_map(slow_square, range(8), jobs=4) == [x * x for x in range(8)]
+
+    def test_one_job_runs_in_calling_thread(self):
+        caller = threading.get_ident()
+        assert ordered_map(lambda _: threading.get_ident(), range(5), jobs=1) == [caller] * 5
+        assert ordered_map(lambda _: threading.get_ident(), [0], jobs=4) == [caller]
+
+    def test_several_jobs_use_worker_threads(self):
+        caller = threading.get_ident()
+        assert caller not in ordered_map(lambda _: threading.get_ident(), range(4), jobs=2)
+
+    def test_exception_propagates_and_cancels_pending(self):
+        started = []
+        lock = threading.Lock()
+
+        def work(x):
+            with lock:
+                started.append(x)
+            if x == 0:
+                raise ValueError("item 0")
+            time.sleep(0.05)
+            return x
+
+        with pytest.raises(ValueError, match="item 0"):
+            ordered_map(work, range(20), jobs=2)
+        # item 0 fails at once; at most one more item per worker starts before
+        # the rest are cancelled
+        assert 0 in started
+        assert len(started) <= 3
+
+    def test_first_failure_in_input_order_wins(self):
+        def work(x):
+            time.sleep(0.01 * (4 - x))
+            raise ValueError(f"item {x}")
+
+        with pytest.raises(ValueError, match="item 0"):
+            ordered_map(work, range(4), jobs=4)
