@@ -1,11 +1,12 @@
 """Small shared helpers: stable seeds, token counting, JSONL io, ordered fan-out."""
 
+import contextlib
 import hashlib
 import json
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -55,9 +56,9 @@ def json_dumps(obj: Any) -> str:
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> int:
-    """Write records as one JSON object per line. Returns the record count."""
+    """Atomically write records as one JSON object per line. Returns the record count."""
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         for rec in records:
             fh.write(json_dumps(rec))
             fh.write("\n")
@@ -86,10 +87,26 @@ def sha256_file(path: str) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)
+
+
+@contextlib.contextmanager
+def _atomic_open(path: str) -> Iterator[TextIO]:
+    """Open ``path + ".tmp"`` for writing and rename it over ``path`` on exit.
+
+    Readers see either the old file or the complete new one. If the block
+    raises, the tmp file is removed and ``path`` is left as it was.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def even_boundaries(n: int, k: int) -> list[int]:

@@ -15,21 +15,40 @@ import hashlib
 import json
 import logging
 import os
+import random
 import sys
+from dataclasses import dataclass
 
 import yaml
 
 from . import core, curriculum, evalharness, rlengine, simlab, streamer, synthpipe, transferbench
 from ._util import derive_seed, json_dumps, ordered_map, read_jsonl, sha256_file, atomic_write_text, write_jsonl
 from .errors import ConfigError, PipelineError
-from .modelio import ModelClient, ModelEndpoint
+from .modelio import ModelClient, ModelEndpoint, load_endpoint
 
 logger = logging.getLogger("prefpipe.cli")
 
 
 # ---------------------------------------------------------------------------
-# Manifests and config plumbing
+# Stages, manifests and config plumbing
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class Stage:
+    """What one subcommand did; ``main`` records it in the run manifest.
+
+    ``None`` paths are optional files that were not given. The manifest sits
+    next to ``anchor``, else next to the first output; ``command`` replaces
+    the subcommand name it records."""
+
+    config: dict
+    inputs: list[str | None]
+    outputs: list[str | None]
+    stats: dict
+    message: str
+    anchor: str | None = None
+    command: str | None = None
 
 
 class ManifestWriter:
@@ -42,7 +61,7 @@ class ManifestWriter:
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
         self.stats: dict = {}
-        self.started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        self.started_at = _now()
 
     def add_input(self, path: str | None) -> None:
         if path:
@@ -62,40 +81,44 @@ class ManifestWriter:
             "outputs": self.outputs,
             "stats": self.stats,
             "started_at": self.started_at,
-            "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "finished_at": _now(),
         }
         path = anchor if anchor.endswith("manifest.json") else anchor + ".manifest.json"
         atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return path
 
 
-def _load_mapping_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh) if path.endswith(".json") else yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, yaml.YAMLError) as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    if data is None:
-        return {}
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must be a mapping")
-    return data
+def _now() -> str:
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _resolve_config(defaults: dict, file_cfg: dict, cli_overrides: dict, sections: tuple[str, ...] = ()) -> dict:
-    """Merge precedence: CLI flag > config file > default. ``sections`` names
-    nested mapping keys (endpoint blocks) the file may carry."""
+def _load_config(
+    path: str | None, defaults: dict, cli_overrides: dict, sections: tuple[str, ...] = ()
+) -> tuple[dict, dict]:
+    """Read the optional YAML/JSON config file at ``path`` and merge its knobs
+    with precedence CLI flag > config file > default. ``sections`` names nested
+    mapping keys (endpoint blocks) the file may carry. Returns the merged knobs
+    and the file's own mapping."""
+    file_cfg: dict = {}
+    if path:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                file_cfg = json.load(fh) if path.endswith(".json") else yaml.safe_load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except (json.JSONDecodeError, yaml.YAMLError) as exc:
+            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+        if file_cfg is None:
+            file_cfg = {}
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config {path} must be a mapping")
     unknown = set(file_cfg) - set(defaults) - set(sections)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     merged = dict(defaults)
     merged.update({k: v for k, v in file_cfg.items() if k in defaults})
     merged.update({k: v for k, v in cli_overrides.items() if v is not None})
-    return merged
+    return merged, file_cfg
 
 
 def _client(section: dict | None, what: str) -> ModelClient:
@@ -105,8 +128,6 @@ def _client(section: dict | None, what: str) -> ModelClient:
 
 
 def _endpoint_client(path: str) -> ModelClient:
-    from .modelio import load_endpoint
-
     return ModelClient(load_endpoint(path))
 
 
@@ -115,7 +136,7 @@ def _endpoint_client(path: str) -> ModelClient:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simlab_gen(args: argparse.Namespace) -> int:
+def cmd_simlab_gen(args: argparse.Namespace) -> Stage:
     stage_seed = derive_seed(args.seed, "simlab-gen")
     os.makedirs(args.out_dir, exist_ok=True)
     histories, truth = simlab.gen_population(
@@ -129,26 +150,20 @@ def cmd_simlab_gen(args: argparse.Namespace) -> int:
         dataset_tag=args.dataset_tag,
     )
     scores = simlab.score_corpus(histories, truth, kappa=args.kappa, weak_quality=args.weak_quality, seed=stage_seed)
-    paths = {
-        "histories": os.path.join(args.out_dir, "histories.jsonl"),
-        "truth": os.path.join(args.out_dir, "truth.jsonl"),
-        "scores": os.path.join(args.out_dir, "scores.jsonl"),
-    }
-    core.save_histories(paths["histories"], histories)
-    simlab.save_truth(paths["truth"], truth)
-    write_jsonl(paths["scores"], scores)
+    paths = [os.path.join(args.out_dir, name) for name in ("histories.jsonl", "truth.jsonl", "scores.jsonl")]
+    core.save_histories(paths[0], histories)
+    simlab.save_truth(paths[1], truth)
+    write_jsonl(paths[2], scores)
     config = {
         "users": args.users, "dim": args.dim, "history_len": args.history_len,
         "margin": args.margin, "context_rate": args.context_rate, "kappa": args.kappa,
         "weak_quality": args.weak_quality, "user_prefix": args.user_prefix, "dataset_tag": args.dataset_tag,
     }
-    mw = ManifestWriter("simlab-gen", args.seed, config)
-    for p in paths.values():
-        mw.add_output(p)
-    mw.stats = {"users": len(histories), "score_rows": len(scores)}
-    mw.write(os.path.join(args.out_dir, "manifest.json"))
-    print(f"wrote {len(histories)} users to {args.out_dir}")
-    return 0
+    return Stage(
+        config, [], paths, {"users": len(histories), "score_rows": len(scores)},
+        f"wrote {len(histories)} users to {args.out_dir}",
+        anchor=os.path.join(args.out_dir, "manifest.json"),
+    )
 
 
 _SYNTH_DEFAULTS = {
@@ -157,13 +172,12 @@ _SYNTH_DEFAULTS = {
 }
 
 
-def cmd_synthesize_sft(args: argparse.Namespace) -> int:
-    file_cfg = _load_mapping_file(args.config)
+def cmd_synthesize_sft(args: argparse.Namespace) -> Stage:
     overrides = {
         "num_segments": args.num_segments, "tau_tract": args.tau_tract,
         "max_targets": args.max_targets, "accuracy_threshold": args.accuracy_threshold,
     }
-    cfg = _resolve_config(_SYNTH_DEFAULTS, file_cfg, overrides, sections=("generator", "judge", "teacher"))
+    cfg, file_cfg = _load_config(args.config, _SYNTH_DEFAULTS, overrides, sections=("generator", "judge", "teacher"))
     generator = _client(file_cfg.get("generator"), "generator")
     judge = _client(file_cfg.get("judge"), "judge")
     teacher_cfg = file_cfg.get("teacher") or file_cfg.get("generator")
@@ -178,19 +192,13 @@ def cmd_synthesize_sft(args: argparse.Namespace) -> int:
 
     records, stats = synthpipe.run_corpus(histories, tract, generator, judge, teacher, synth_config, jobs=args.jobs)
     write_jsonl(args.out, (r.to_dict() for r in records))
-    mw = ManifestWriter("synthesize-sft", args.seed, cfg)
-    mw.add_input(args.histories)
-    mw.add_input(args.scores)
-    if args.config:
-        mw.add_input(args.config)
-    mw.add_output(args.out)
-    mw.stats = stats
-    mw.write(args.out)
-    print(f"synthesized {stats['records']} records from {stats['users_with_records']}/{stats['users_in']} users")
-    return 0
+    return Stage(
+        cfg, [args.histories, args.scores, args.config], [args.out], stats,
+        f"synthesized {stats['records']} records from {stats['users_with_records']}/{stats['users_in']} users",
+    )
 
 
-def cmd_prune(args: argparse.Namespace) -> int:
+def cmd_prune(args: argparse.Namespace) -> Stage:
     if args.preset:
         base = curriculum.PRESET_CONFIGS[args.preset]
         defaults = {
@@ -199,12 +207,11 @@ def cmd_prune(args: argparse.Namespace) -> int:
         }
     else:
         defaults = {"alpha": None, "tract_low": None, "tract_high": None, "tail_fraction": 1.0, "tail_side": "hardest"}
-    file_cfg = _load_mapping_file(args.config)
     overrides = {
         "alpha": args.alpha, "tract_low": args.tract_low, "tract_high": args.tract_high,
         "tail_fraction": args.tail_fraction, "tail_side": args.tail_side,
     }
-    cfg = _resolve_config(defaults, file_cfg, overrides)
+    cfg, _ = _load_config(args.config, defaults, overrides)
     missing = [k for k in ("alpha", "tract_low", "tract_high") if cfg[k] is None]
     if missing:
         raise ConfigError(f"prune needs {missing} via --preset, --config, or flags")
@@ -222,53 +229,41 @@ def cmd_prune(args: argparse.Namespace) -> int:
                 for s in kept
             ),
         )
-    mw = ManifestWriter("prune", args.seed, cfg)
-    mw.add_input(args.scores)
-    if args.config:
-        mw.add_input(args.config)
-    mw.add_output(args.out)
-    mw.add_output(args.keep_scores)
-    mw.stats = {"scores_in": len(scores), "kept": len(kept), "instances": len(instances)}
-    mw.write(args.out)
-    print(f"kept {len(kept)}/{len(scores)} points -> {len(instances)} instances")
-    return 0
+    return Stage(
+        cfg, [args.scores, args.config], [args.out, args.keep_scores],
+        {"scores_in": len(scores), "kept": len(kept), "instances": len(instances)},
+        f"kept {len(kept)}/{len(scores)} points -> {len(instances)} instances",
+    )
 
 
 _ROLLOUT_DEFAULTS = {"gamma": None, "group_size": 4, "clip_eps": 0.2, "future_credit": "selected", "debias": True}
 
 
-def cmd_rollout(args: argparse.Namespace) -> int:
-    file_cfg = _load_mapping_file(args.config)
+def cmd_rollout(args: argparse.Namespace) -> Stage:
     overrides = {"gamma": args.gamma, "group_size": args.group_size, "clip_eps": args.clip_eps}
-    cfg = _resolve_config(_ROLLOUT_DEFAULTS, file_cfg, overrides, sections=("policy", "judge"))
+    cfg, file_cfg = _load_config(args.config, _ROLLOUT_DEFAULTS, overrides, sections=("policy", "judge"))
     if cfg["gamma"] is None:
         raise ConfigError("rollout needs an explicit gamma (--gamma or config file)")
     policy = _client(file_cfg.get("policy"), "policy")
     judge = _client(file_cfg.get("judge"), "judge")
     config = rlengine.RolloutConfig(seed=derive_seed(args.seed, "rollout"), **cfg)
 
-    histories = {h.user_id: h for h in core.load_histories(args.histories)}
+    histories = core.by_user(args.histories, ((h.user_id, h) for h in core.load_histories(args.histories)))
     instances = curriculum.load_instances(args.instances)
     trees, stats = rlengine.run_rollouts(policy, judge, instances, histories, config, jobs=args.jobs)
     records = rlengine.export_batch(trees)
     rlengine.save_batch(args.out, records)
     if args.trees:
         write_jsonl(args.trees, (t.to_dict() for t in trees))
-    mw = ManifestWriter("rollout", args.seed, cfg)
-    for p in (args.histories, args.instances, args.config):
-        mw.add_input(p)
-    mw.add_output(args.out)
-    mw.add_output(args.trees)
-    mw.stats = {**stats, "records": len(records)}
-    mw.write(args.out)
-    print(
+    return Stage(
+        cfg, [args.histories, args.instances, args.config], [args.out, args.trees],
+        {**stats, "records": len(records)},
         f"rolled out {stats['trees']}/{stats['instances_in']} instances "
-        f"({len(records)} records, mean reward {stats['mean_immediate_reward']})"
+        f"({len(records)} records, mean reward {stats['mean_immediate_reward']})",
     )
-    return 0
 
 
-def cmd_loss_check(args: argparse.Namespace) -> int:
+def cmd_loss_check(args: argparse.Namespace) -> None:
     records = rlengine.load_batch(args.batch)
     if args.self_check:
         new_logprobs = [list(r.old_token_logprobs) for r in records]
@@ -278,10 +273,9 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
         new_logprobs = [rec["logprobs"] for rec in read_jsonl(args.new_logprobs)]
     loss = rlengine.surrogate_loss(records, new_logprobs, clip_eps=args.clip_eps)
     print(json_dumps({"loss": loss, "records": len(records), "clip_eps": args.clip_eps}))
-    return 0
 
 
-def cmd_stream_infer(args: argparse.Namespace) -> int:
+def cmd_stream_infer(args: argparse.Namespace) -> Stage:
     generator = _endpoint_client(args.generator)
     histories = core.load_histories(args.histories)
     os.makedirs(args.state_dir, exist_ok=True)
@@ -290,19 +284,15 @@ def cmd_stream_infer(args: argparse.Namespace) -> int:
     summaries_path = os.path.join(args.state_dir, "summaries.jsonl")
     streamer.save_states(states_path, states)
     core.save_summaries(summaries_path, {s.user_id: s.current for s in states})
-    mw = ManifestWriter("stream-infer", args.seed, {"chunks": args.chunks})
-    mw.add_input(args.histories)
-    mw.add_input(args.generator)
-    mw.add_output(states_path)
-    mw.add_output(summaries_path)
-    mw.stats = {"users": len(states)}
-    mw.write(os.path.join(args.state_dir, "manifest.json"))
-    print(f"streamed {len(states)} users in {args.chunks} chunk(s)")
-    return 0
+    return Stage(
+        {"chunks": args.chunks}, [args.histories, args.generator], [states_path, summaries_path],
+        {"users": len(states)}, f"streamed {len(states)} users in {args.chunks} chunk(s)",
+        anchor=os.path.join(args.state_dir, "manifest.json"),
+    )
 
 
-def cmd_build_transfer(args: argparse.Namespace) -> int:
-    mw = ManifestWriter(f"build-transfer:{args.mode}", args.seed, {"mode": args.mode})
+def cmd_build_transfer(args: argparse.Namespace) -> Stage:
+    config: dict = {"mode": args.mode}
     if args.mode == "cross-domain":
         if not (args.histories_a and args.histories_b and args.embedder):
             raise ConfigError("cross-domain needs --histories-a, --histories-b, --embedder")
@@ -320,11 +310,8 @@ def cmd_build_transfer(args: argparse.Namespace) -> int:
         write_jsonl(args.out, instances)
         if args.out_histories:
             core.save_histories(args.out_histories, trimmed_a + trimmed_b)
-            mw.add_output(args.out_histories)
-        mw.config.update({"top_k": args.top_k})
-        mw.add_input(args.histories_a)
-        mw.add_input(args.histories_b)
-        mw.stats = stats
+        config["top_k"] = args.top_k
+        inputs, extra_output = [args.histories_a, args.histories_b], args.out_histories
     elif args.mode == "multi-interest":
         if not (args.histories and args.donors):
             raise ConfigError("multi-interest needs --histories and --donors")
@@ -332,9 +319,7 @@ def cmd_build_transfer(args: argparse.Namespace) -> int:
         donors = core.load_histories(args.donors)
         if not donors:
             raise ConfigError("donor corpus is empty")
-        import random as _random
-
-        rng = _random.Random(derive_seed(args.seed, "build-transfer", "pairing"))
+        rng = random.Random(derive_seed(args.seed, "build-transfer", "pairing"))
         fused, provenance = [], []
         for primary in primaries:
             pool = [d for d in donors if d.user_id != primary.user_id] or donors
@@ -354,25 +339,23 @@ def cmd_build_transfer(args: argparse.Namespace) -> int:
         core.save_histories(args.out, fused)
         if args.provenance:
             write_jsonl(args.provenance, provenance)
-            mw.add_output(args.provenance)
-        mw.config.update({"intensity": args.intensity})
-        mw.add_input(args.histories)
-        mw.add_input(args.donors)
-        mw.stats = {"users": len(fused)}
+        config["intensity"] = args.intensity
+        inputs, extra_output = [args.histories, args.donors], args.provenance
+        stats = {"users": len(fused)}
     else:  # positive-only
         if not args.histories:
             raise ConfigError("positive-only needs --histories")
         histories = core.load_histories(args.histories)
         core.save_histories(args.out, [core.strip_negatives(h) for h in histories])
-        mw.add_input(args.histories)
-        mw.stats = {"users": len(histories)}
-    mw.add_output(args.out)
-    mw.write(args.out)
-    print(f"build-transfer {args.mode}: wrote {args.out}")
-    return 0
+        inputs, extra_output = [args.histories], None
+        stats = {"users": len(histories)}
+    return Stage(
+        config, inputs, [args.out, extra_output], stats, f"build-transfer {args.mode}: wrote {args.out}",
+        command=f"build-transfer:{args.mode}",
+    )
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> Stage:
     downstream = _endpoint_client(args.downstream)
     summaries = core.load_summaries(args.summaries)
     instances = evalharness.load_eval_instances(args.instances)
@@ -393,16 +376,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 for o in outcomes
             ),
         )
-    mw = ManifestWriter("evaluate", args.seed, {"strict": args.strict, "label": args.label})
-    mw.add_input(args.summaries)
-    mw.add_input(args.instances)
-    mw.add_input(args.downstream)
-    mw.add_output(args.out)
-    mw.add_output(args.outcomes)
-    mw.stats = report.to_dict()
-    mw.write(args.out)
-    print(evalharness.format_reports([report]))
-    return 0
+    return Stage(
+        {"strict": args.strict, "label": args.label}, [args.summaries, args.instances, args.downstream],
+        [args.out, args.outcomes], report.to_dict(), evalharness.format_reports([report]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +497,26 @@ def main(argv: list[str] | None = None) -> int:
         level=getattr(logging, args.log_level.upper()),
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
+    started_at = _now()
     try:
-        return args.func(args)
+        stage = args.func(args)
+        if stage is not None:
+            mw = ManifestWriter(stage.command or args.command, args.seed, stage.config)
+            mw.started_at = started_at
+            for path in stage.inputs:
+                mw.add_input(path)
+            for path in stage.outputs:
+                mw.add_output(path)
+            mw.stats = stage.stats
+            mw.write(stage.anchor or stage.outputs[0])
+            print(stage.message)
     except PipelineError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error (io): {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -6,10 +6,12 @@ built on these four immutable types and their JSONL wire format.
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from ._util import count_tokens, read_jsonl, write_jsonl
 from .errors import ValidationError
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -234,24 +236,6 @@ def strip_negatives(history: UserHistory) -> UserHistory:
     )
 
 
-def lint_history(history: UserHistory) -> list[str]:
-    """Non-fatal data-quality warnings. Duplicate items are legal but worth flagging."""
-    warnings = []
-    seen: dict[str, int] = {}
-    for t in history.triples:
-        for role, item in (("chosen", t.chosen), ("rejected", t.rejected)):
-            if item is None:
-                continue
-            if item in seen:
-                warnings.append(
-                    f"user {history.user_id}: triple {t.index} {role} item duplicates "
-                    f"an item first seen at triple {seen[item]}"
-                )
-            else:
-                seen[item] = t.index
-    return warnings
-
-
 def load_histories(path: str) -> list[UserHistory]:
     try:
         return [UserHistory.from_dict(rec) for rec in read_jsonl(path)]
@@ -263,17 +247,33 @@ def save_histories(path: str, histories: Iterable[UserHistory]) -> int:
     return write_jsonl(path, (h.to_dict() for h in histories))
 
 
+def by_user(path: str, pairs: Iterable[tuple[str, T]]) -> dict[str, T]:
+    """Collect ``(user_id, value)`` pairs read from ``path`` into a dict.
+
+    A user_id that appears twice raises ValidationError naming the path and the
+    user, instead of the later record silently replacing the earlier one.
+    """
+    out: dict[str, T] = {}
+    for user_id, value in pairs:
+        if user_id in out:
+            raise ValidationError(f"{path}: duplicate record for user {user_id!r}")
+        out[user_id] = value
+    return out
+
+
 def load_summaries(path: str) -> dict[str, PreferenceSummary]:
     """Read a {user_id -> summary} JSONL store (records carry a ``user_id`` field)."""
-    out: dict[str, PreferenceSummary] = {}
-    try:
+
+    def pairs():
         for rec in read_jsonl(path):
             if "user_id" not in rec:
                 raise ValidationError(f"{path}: summary record missing user_id")
-            out[rec["user_id"]] = PreferenceSummary.from_dict(rec)
+            yield rec["user_id"], PreferenceSummary.from_dict(rec)
+
+    try:
+        return by_user(path, pairs())
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    return out
 
 
 def save_summaries(path: str, summaries: dict[str, PreferenceSummary]) -> int:

@@ -9,7 +9,6 @@ from .backends import (
     HashMockBackend,
     ScriptBackend,
     build_backend,
-    register_mock_kind,
 )
 from .parsing import parse_selection, split_reasoning
 from .client import GenerationResult, JudgeVerdict, ModelClient, label_probability
@@ -28,6 +27,5 @@ __all__ = [
     "label_probability",
     "load_endpoint",
     "parse_selection",
-    "register_mock_kind",
     "split_reasoning",
 ]

@@ -301,16 +301,6 @@ class ScriptBackend:
 # Backend construction from endpoint configs
 # ---------------------------------------------------------------------------
 
-MockFactory = Callable[[dict, ModelEndpoint], Backend]
-
-_MOCK_KINDS: dict[str, MockFactory] = {}
-
-
-def register_mock_kind(name: str, factory: MockFactory) -> None:
-    """Expose a scripted backend under ``mock:<name>?...`` endpoint URLs."""
-    _MOCK_KINDS[name] = factory
-
-
 def _parse_mock_url(url: str) -> tuple[str, dict]:
     rest = url[len("mock:") :]
     kind, _, query = rest.partition("?")
@@ -322,12 +312,13 @@ def build_backend(endpoint: ModelEndpoint) -> Backend:
     url = endpoint.base_url
     if url.startswith("mock:"):
         kind, params = _parse_mock_url(url)
-        factory = _MOCK_KINDS.get(kind)
+        if kind == "hash":
+            return _hash_factory(params, endpoint)
+        from ..simlab import MOCK_KINDS  # simlab imports this module, so look its kinds up per call
+
+        factory = MOCK_KINDS.get(kind)
         if factory is None:
-            raise ConfigError(
-                f"unknown mock backend kind {kind!r}; registered: {sorted(_MOCK_KINDS)} "
-                "(lab kinds register when prefpipe.simlab is imported)"
-            )
+            raise ConfigError(f"unknown mock backend kind {kind!r}; known: {['hash', *sorted(MOCK_KINDS)]}")
         return factory(params, endpoint)
     if url.startswith(("http://", "https://")):
         return HttpBackend(endpoint)
@@ -343,5 +334,3 @@ def _hash_factory(params: dict, endpoint: ModelEndpoint) -> Backend:
         think_tags=(endpoint.think_open, endpoint.think_close),
     )
 
-
-register_mock_kind("hash", _hash_factory)

@@ -6,8 +6,9 @@ backends whose behavior is an exact function of that ground truth. Every
 verification that needs "a model" runs against these, so expected outcomes are
 computable in closed form.
 
-The scripted backends register as ``mock:`` endpoint kinds on import:
-``mock:generator``, ``mock:judge``, ``mock:embedder`` (see build_backend).
+The scripted backends are the ``mock:generator``, ``mock:judge`` and
+``mock:embedder`` endpoint kinds: ``build_backend`` looks them up in
+``MOCK_KINDS`` when an endpoint names one.
 """
 
 import math
@@ -19,9 +20,8 @@ import numpy as np
 
 from ._util import derive_seed, read_jsonl, stable_hash, write_jsonl
 from .core import InteractionTriple, UserHistory
-from .errors import ContractError, ValidationError
-from .modelio.backends import RawCompletion, register_mock_kind
-from .modelio.parsing import parse_selection  # noqa: F401  (re-exported for lab scripts)
+from .errors import CapabilityError, ContractError, ValidationError
+from .modelio.backends import RawCompletion
 
 _FEAT_RE = re.compile(r"\[feat ([^\]]+)\]")
 _EST_RE = re.compile(r"\[est ([^\]]+)\]")
@@ -54,6 +54,27 @@ def render_item(name: str, features) -> str:
 
 def parse_item_features(text: str) -> np.ndarray | None:
     return _parse_vector(_FEAT_RE, text)
+
+
+def preference_direction(text: str) -> np.ndarray | None:
+    """Unit sum of the (chosen - rejected) feature differences rendered in
+    ``text``, one pair per ``Chosen: `` line followed by a ``Rejected: `` line.
+    None when the text holds no such pair or the differences cancel out."""
+    total = None
+    last_chosen = None
+    for line in text.splitlines():
+        if line.startswith("Chosen: "):
+            last_chosen = parse_item_features(line)
+        elif line.startswith("Rejected: ") and last_chosen is not None:
+            neg = parse_item_features(line)
+            if neg is not None and neg.shape == last_chosen.shape:
+                diff = last_chosen - neg
+                total = diff if total is None else total + diff
+            last_chosen = None
+    if total is None:
+        return None
+    norm = np.linalg.norm(total)
+    return total / norm if norm > 1e-9 else None
 
 
 def render_estimate(vec) -> str:
@@ -261,24 +282,6 @@ class ScriptedGeneratorBackend:
         self.dim = dim
         self.think_tags = think_tags
 
-    def _signal_from_prompt(self, prompt: str) -> np.ndarray | None:
-        """Recover a preference direction from rendered chosen/rejected features."""
-        total = None
-        last_chosen = None
-        for line in prompt.splitlines():
-            if line.startswith("Chosen: "):
-                last_chosen = parse_item_features(line)
-            elif line.startswith("Rejected: ") and last_chosen is not None:
-                neg = parse_item_features(line)
-                if neg is not None and neg.shape == last_chosen.shape:
-                    diff = last_chosen - neg
-                    total = diff if total is None else total + diff
-                last_chosen = None
-        if total is None:
-            return None
-        norm = np.linalg.norm(total)
-        return total / norm if norm > 1e-9 else None
-
     def _estimate(self, prompt: str, seed: int | None, meta: dict | None) -> np.ndarray:
         if "=====Candidate " in prompt:
             blocks = _EST_RE.findall(prompt)
@@ -293,7 +296,7 @@ class ScriptedGeneratorBackend:
         if uid is not None and uid in self.truth:
             latent = self.truth[uid]
         if latent is None:
-            latent = self._signal_from_prompt(prompt)
+            latent = preference_direction(prompt)
         if latent is None:
             latent = _hash_unit_vector(self.dim, "gen-latent", self.seed, prompt)
         gen = np.random.default_rng(
@@ -402,30 +405,19 @@ class ScriptedEmbedderBackend:
         self.dim = dim
 
     def embed(self, text, *, meta=None) -> list[float]:
-        total = None
-        last_chosen = None
-        for line in text.splitlines():
-            if line.startswith("Chosen: "):
-                last_chosen = parse_item_features(line)
-                if last_chosen is not None and total is None:
-                    total = np.zeros_like(last_chosen)
-            elif line.startswith("Rejected: ") and last_chosen is not None:
-                neg = parse_item_features(line)
-                if neg is not None and neg.shape == last_chosen.shape:
-                    total = total + (last_chosen - neg)
-                last_chosen = None
-        if total is not None and np.linalg.norm(total) > 1e-9:
-            return (total / np.linalg.norm(total)).tolist()
-        return _hash_unit_vector(self.dim, "embed", self.seed, text).tolist()
+        direction = preference_direction(text)
+        if direction is None:
+            direction = _hash_unit_vector(self.dim, "embed", self.seed, text)
+        return direction.tolist()
 
     def complete(self, prompt, *, max_tokens, temperature, seed=None, meta=None) -> RawCompletion:
-        raise ContractError("embedder backend does not generate text")
+        raise CapabilityError("embedder backend does not generate text")
 
     def choice_logprobs(self, prompt, labels, *, meta=None):
         return None
 
     def score(self, prompt, response, *, meta=None) -> list[float]:
-        raise ContractError("embedder backend does not score text")
+        raise CapabilityError("embedder backend does not score text")
 
 
 def _truthy(value: str) -> bool:
@@ -458,6 +450,5 @@ def _embedder_factory(params: dict, endpoint) -> ScriptedEmbedderBackend:
     return ScriptedEmbedderBackend(seed=int(params.get("seed", "0")), dim=int(params.get("dim", "8")))
 
 
-register_mock_kind("generator", _generator_factory)
-register_mock_kind("judge", _judge_factory)
-register_mock_kind("embedder", _embedder_factory)
+# The ``mock:<kind>`` endpoint kinds that ``build_backend`` resolves here.
+MOCK_KINDS = {"generator": _generator_factory, "judge": _judge_factory, "embedder": _embedder_factory}

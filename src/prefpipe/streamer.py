@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass
 
 from ._util import even_boundaries, read_jsonl, write_jsonl
-from .core import HistorySegment, PreferenceSummary, UserHistory
+from .core import HistorySegment, PreferenceSummary, UserHistory, by_user, segment
 from .errors import GenerationError, InferenceError, ValidationError
 from .modelio import ModelClient
 from .prompts import render_generation_prompt, render_history_block
@@ -108,10 +108,8 @@ def infer_streaming(generator: ModelClient, history: UserHistory, num_chunks: in
     if len(history) == 0:
         raise ValidationError(f"user {history.user_id}: cannot infer over an empty history")
     state: StreamState | None = None
-    prev = 0
-    for end in even_boundaries(len(history), num_chunks):
-        state = update(generator, state, HistorySegment(history, prev, end))
-        prev = end
+    for seg in segment(history, even_boundaries(len(history), num_chunks)):
+        state = update(generator, state, seg)
     assert state is not None
     return state
 
@@ -126,8 +124,5 @@ def save_states(path: str, states: list[StreamState]) -> int:
 
 
 def load_states(path: str) -> dict[str, StreamState]:
-    out: dict[str, StreamState] = {}
-    for rec in read_jsonl(path):
-        state = StreamState.from_dict(rec)
-        out[state.user_id] = state
-    return out
+    states = (StreamState.from_dict(rec) for rec in read_jsonl(path))
+    return by_user(path, ((s.user_id, s) for s in states))

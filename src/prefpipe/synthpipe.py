@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ._util import derive_seed, even_boundaries, ordered_map
-from .core import HistorySegment, InteractionTriple, PreferenceSummary, UserHistory
+from .core import HistorySegment, InteractionTriple, PreferenceSummary, UserHistory, segment
 from .errors import GenerationError, JudgeError, UserSkip
 from .modelio import GenerationResult, ModelClient
 from .prompts import render_generation_prompt, render_history_block, render_merge_prompt, render_target_block
@@ -256,12 +256,7 @@ def build_streaming_sft(
             history.user_id, len(history), config.num_segments, config.min_per_segment,
         )
         return []
-    boundaries = even_boundaries(len(history), config.num_segments)
-    segments = []
-    prev = 0
-    for end in boundaries:
-        segments.append(HistorySegment(history, prev, end))
-        prev = end
+    segments = segment(history, even_boundaries(len(history), config.num_segments))
     records: list[SynthRecord] = []
     prior: PreferenceSummary | None = None
     for j, seg in enumerate(segments):

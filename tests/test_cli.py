@@ -276,6 +276,19 @@ class TestErrorHandling:
         assert rc == 1
         assert "explicit gamma" in capsys.readouterr().err
 
+    def test_rollout_rejects_duplicate_histories(self, pipeline, tmp_path, capsys):
+        lines = open(pipeline["histories"], encoding="utf-8").readlines()
+        doubled = tmp_path / "doubled.jsonl"
+        doubled.write_text("".join(lines + lines[:1]), encoding="utf-8")
+        cfg = write_yaml(tmp_path / "cfg.yaml", {"policy": {"base_url": "mock:hash"}, "judge": {"base_url": "mock:hash"}})
+        rc = run(
+            "rollout", "--instances", pipeline["instances"], "--histories", str(doubled),
+            "--config", cfg, "--gamma", "0.5", "--out", str(tmp_path / "o.jsonl"),
+        )
+        assert rc == 1
+        assert "duplicate record for user 'u0000'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o.jsonl")
+
     def test_unreadable_input_is_io_error(self, tmp_path, capsys):
         rc = run(
             "stream-infer", "--histories", str(tmp_path / "nope.jsonl"),

@@ -8,7 +8,6 @@ from prefpipe.core import (
     InteractionTriple,
     PreferenceSummary,
     UserHistory,
-    lint_history,
     load_histories,
     load_summaries,
     save_histories,
@@ -168,17 +167,6 @@ class TestStripNegatives:
         assert before == after
 
 
-def test_lint_history_flags_duplicates():
-    triples = (
-        InteractionTriple(index=0, chosen="dup", rejected="x"),
-        InteractionTriple(index=1, chosen="dup", rejected="y"),
-    )
-    warnings = lint_history(UserHistory(user_id="u", triples=triples))
-    assert len(warnings) == 1
-    assert "triple 1" in warnings[0]
-    assert lint_history(make_history(4)) == []
-
-
 def test_history_store_round_trip(tmp_path):
     path = str(tmp_path / "h.jsonl")
     histories = [make_history(3, "a"), make_history(5, "b", with_rejected=False)]
@@ -209,4 +197,13 @@ def test_summary_store_requires_user_id(tmp_path):
     with open(path, "w") as fh:
         fh.write('{"text": "x", "covers": [0, 1]}\n')
     with pytest.raises(ValidationError):
+        load_summaries(path)
+
+
+def test_summary_store_rejects_duplicate_user(tmp_path):
+    path = str(tmp_path / "s.jsonl")
+    with open(path, "w") as fh:
+        fh.write('{"user_id": "a", "text": "x", "covers": [0, 1]}\n')
+        fh.write('{"user_id": "a", "text": "y", "covers": [0, 2]}\n')
+    with pytest.raises(ValidationError, match=r"s\.jsonl.*'a'"):
         load_summaries(path)

@@ -1,10 +1,12 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from prefpipe._util import json_dumps
-from prefpipe.errors import ContractError, ValidationError
+from prefpipe.errors import CapabilityError, ContractError, ValidationError
 from prefpipe.modelio import ModelClient, ModelEndpoint, build_backend
 from prefpipe.prompts import render_generation_prompt, render_history_block, render_judge_prompt, render_merge_prompt
 from prefpipe.simlab import (
@@ -15,6 +17,7 @@ from prefpipe.simlab import (
     load_truth,
     parse_estimate,
     parse_item_features,
+    preference_direction,
     render_estimate,
     render_item,
     save_truth,
@@ -52,6 +55,21 @@ class TestVectorText:
         assert parse_item_features("no feature block") is None
         assert parse_estimate("no estimate either") is None
         assert parse_item_features("bad [feat one two]") is None
+
+    def test_preference_direction_is_unit_sum_of_differences(self):
+        text = "\n".join([
+            "Chosen: " + render_item("a", [2.0, 0.0]),
+            "Rejected: " + render_item("b", [0.0, 0.0]),
+            "Chosen: " + render_item("c", [0.0, 1.0]),
+            "Rejected: " + render_item("d", [0.0, -1.0]),
+        ])
+        assert preference_direction(text).tolist() == [0.7071067811865475, 0.7071067811865475]
+        assert preference_direction("Chosen: " + render_item("a", [1.0, 0.0])) is None
+        cancelled = "\n".join([
+            "Chosen: " + render_item("a", [1.0]), "Rejected: " + render_item("b", [0.0]),
+            "Chosen: " + render_item("c", [0.0]), "Rejected: " + render_item("d", [1.0]),
+        ])
+        assert preference_direction(cancelled) is None
 
 
 def test_sigmoid_basics():
@@ -330,9 +348,9 @@ class TestScriptedEmbedder:
 
     def test_rejects_text_operations(self):
         backend = ScriptedEmbedderBackend()
-        with pytest.raises(ContractError):
+        with pytest.raises(CapabilityError):
             backend.complete("p", max_tokens=1, temperature=0.0)
-        with pytest.raises(ContractError):
+        with pytest.raises(CapabilityError):
             backend.score("p", "r")
 
 
@@ -362,3 +380,14 @@ class TestMockKinds:
         backend = build_backend(ModelEndpoint(base_url="mock:embedder?dim=3"))
         assert isinstance(backend, ScriptedEmbedderBackend)
         assert len(backend.embed("x")) == 3
+
+    def test_kinds_resolve_without_importing_simlab_first(self):
+        code = (
+            "import sys\n"
+            "from prefpipe.modelio import ModelEndpoint, build_backend\n"
+            "assert 'prefpipe.simlab' not in sys.modules\n"
+            "print(type(build_backend(ModelEndpoint(base_url='mock:judge'))).__name__)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ScriptedJudgeBackend"

@@ -186,6 +186,13 @@ class TestStateStore:
         for s in states:
             assert json_dumps(loaded[s.user_id].to_dict()) == json_dumps(s.to_dict())
 
+    def test_duplicate_user_rejected(self, tmp_path):
+        state = infer_full(mock_client(), make_history(3, "u1"))
+        path = str(tmp_path / "states.jsonl")
+        save_states(path, [state, state])
+        with pytest.raises(ValidationError, match=r"states\.jsonl.*'u1'"):
+            load_states(path)
+
     def test_state_invariants_enforced(self):
         state = infer_full(mock_client(), make_history(3))
         with pytest.raises(ValidationError):

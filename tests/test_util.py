@@ -121,6 +121,21 @@ def test_atomic_write_and_digest(tmp_path):
     assert sha256_file(path) == sha256_file(path)
 
 
+def test_write_jsonl_failure_keeps_previous_file(tmp_path):
+    path = str(tmp_path / "recs.jsonl")
+    write_jsonl(path, [{"a": 1}, {"a": 2}])
+    before = open(path, "rb").read()
+
+    def records():
+        yield {"a": 3}
+        raise RuntimeError("record source failed")
+
+    with pytest.raises(RuntimeError, match="record source failed"):
+        write_jsonl(path, records())
+    assert open(path, "rb").read() == before
+    assert not os.path.exists(path + ".tmp")
+
+
 class TestOrderedMap:
     def test_keeps_input_order(self):
         # later items finish first, so completion order is the reverse of input order
