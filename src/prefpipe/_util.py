@@ -8,6 +8,8 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
+from .errors import ValidationError
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -67,15 +69,21 @@ def write_jsonl(path: str, records: Iterable[dict]) -> int:
 
 
 def read_jsonl(path: str) -> Iterator[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+    """Yield the JSON value on each non-blank line of ``path``.
+
+    A line that is not UTF-8 or not JSON raises ValidationError naming
+    ``path:line``. Lines end at ``\n``, as JSON Lines defines them.
+    """
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
             try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid JSON line: {exc}") from exc
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                record = json.loads(line)
+            except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+                raise ValidationError(f"{path}:{line_no}: invalid JSON line: {exc}") from exc
+            yield record
 
 
 def sha256_file(path: str) -> str:

@@ -7,6 +7,9 @@ traced back to exactly what produced it.
 
 Exit codes: 0 success, 1 stage failure (categorized message on stderr),
 2 usage/argument errors (argparse).
+
+Each subcommand imports the stage modules, the model transport and the YAML
+parser only when it runs, so a command loads just what it uses.
 """
 
 import argparse
@@ -18,13 +21,14 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import yaml
-
-from . import core, curriculum, evalharness, rlengine, simlab, streamer, synthpipe, transferbench
+from . import core, curriculum
 from ._util import derive_seed, json_dumps, ordered_map, read_jsonl, sha256_file, atomic_write_text, write_jsonl
 from .errors import ConfigError, PipelineError
-from .modelio import ModelClient, ModelEndpoint, load_endpoint
+
+if TYPE_CHECKING:
+    from .modelio import ModelClient
 
 logger = logging.getLogger("prefpipe.cli")
 
@@ -103,10 +107,18 @@ def _load_config(
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh) if path.endswith(".json") else yaml.safe_load(fh)
+                if path.endswith(".json"):
+                    file_cfg = json.load(fh)
+                else:
+                    import yaml
+
+                    try:
+                        file_cfg = yaml.safe_load(fh)
+                    except yaml.YAMLError as exc:
+                        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except (json.JSONDecodeError, yaml.YAMLError) as exc:
+        except json.JSONDecodeError as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
         if file_cfg is None:
             file_cfg = {}
@@ -121,13 +133,17 @@ def _load_config(
     return merged, file_cfg
 
 
-def _client(section: dict | None, what: str) -> ModelClient:
+def _client(section: dict | None, what: str) -> "ModelClient":
+    from .modelio import ModelClient, ModelEndpoint
+
     if not section:
         raise ConfigError(f"config is missing the {what!r} endpoint section")
     return ModelClient(ModelEndpoint.from_dict(section))
 
 
-def _endpoint_client(path: str) -> ModelClient:
+def _endpoint_client(path: str) -> "ModelClient":
+    from .modelio import ModelClient, load_endpoint
+
     return ModelClient(load_endpoint(path))
 
 
@@ -137,6 +153,8 @@ def _endpoint_client(path: str) -> ModelClient:
 
 
 def cmd_simlab_gen(args: argparse.Namespace) -> Stage:
+    from . import simlab
+
     stage_seed = derive_seed(args.seed, "simlab-gen")
     os.makedirs(args.out_dir, exist_ok=True)
     histories, truth = simlab.gen_population(
@@ -173,6 +191,8 @@ _SYNTH_DEFAULTS = {
 
 
 def cmd_synthesize_sft(args: argparse.Namespace) -> Stage:
+    from . import synthpipe
+
     overrides = {
         "num_segments": args.num_segments, "tau_tract": args.tau_tract,
         "max_targets": args.max_targets, "accuracy_threshold": args.accuracy_threshold,
@@ -240,6 +260,8 @@ _ROLLOUT_DEFAULTS = {"gamma": None, "group_size": 4, "clip_eps": 0.2, "future_cr
 
 
 def cmd_rollout(args: argparse.Namespace) -> Stage:
+    from . import rlengine
+
     overrides = {"gamma": args.gamma, "group_size": args.group_size, "clip_eps": args.clip_eps}
     cfg, file_cfg = _load_config(args.config, _ROLLOUT_DEFAULTS, overrides, sections=("policy", "judge"))
     if cfg["gamma"] is None:
@@ -264,6 +286,8 @@ def cmd_rollout(args: argparse.Namespace) -> Stage:
 
 
 def cmd_loss_check(args: argparse.Namespace) -> None:
+    from . import rlengine
+
     records = rlengine.load_batch(args.batch)
     if args.self_check:
         new_logprobs = [list(r.old_token_logprobs) for r in records]
@@ -276,6 +300,8 @@ def cmd_loss_check(args: argparse.Namespace) -> None:
 
 
 def cmd_stream_infer(args: argparse.Namespace) -> Stage:
+    from . import streamer
+
     generator = _endpoint_client(args.generator)
     histories = core.load_histories(args.histories)
     os.makedirs(args.state_dir, exist_ok=True)
@@ -292,6 +318,8 @@ def cmd_stream_infer(args: argparse.Namespace) -> Stage:
 
 
 def cmd_build_transfer(args: argparse.Namespace) -> Stage:
+    from . import evalharness, transferbench
+
     config: dict = {"mode": args.mode}
     if args.mode == "cross-domain":
         if not (args.histories_a and args.histories_b and args.embedder):
@@ -356,6 +384,8 @@ def cmd_build_transfer(args: argparse.Namespace) -> Stage:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> Stage:
+    from . import evalharness
+
     downstream = _endpoint_client(args.downstream)
     summaries = core.load_summaries(args.summaries)
     instances = evalharness.load_eval_instances(args.instances)

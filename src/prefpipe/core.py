@@ -237,10 +237,7 @@ def strip_negatives(history: UserHistory) -> UserHistory:
 
 
 def load_histories(path: str) -> list[UserHistory]:
-    try:
-        return [UserHistory.from_dict(rec) for rec in read_jsonl(path)]
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return [UserHistory.from_dict(rec) for rec in read_jsonl(path)]
 
 
 def save_histories(path: str, histories: Iterable[UserHistory]) -> int:
@@ -270,10 +267,7 @@ def load_summaries(path: str) -> dict[str, PreferenceSummary]:
                 raise ValidationError(f"{path}: summary record missing user_id")
             yield rec["user_id"], PreferenceSummary.from_dict(rec)
 
-    try:
-        return by_user(path, pairs())
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return by_user(path, pairs())
 
 
 def save_summaries(path: str, summaries: dict[str, PreferenceSummary]) -> int:

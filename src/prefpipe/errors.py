@@ -15,11 +15,13 @@ class ConfigError(PipelineError):
 
 class BackendError(PipelineError):
     """Transport-level failure. ``retryable`` tells the client whether backing off
-    and retrying can help (connection resets, 429/5xx) or not (malformed request)."""
+    and retrying can help (connection resets, 429/5xx) or not (malformed request).
+    ``retry_after`` is the wait in seconds the server asked for, if it named one."""
 
-    def __init__(self, message: str, retryable: bool = True):
+    def __init__(self, message: str, retryable: bool = True, retry_after: float | None = None):
         super().__init__(message)
         self.retryable = retryable
+        self.retry_after = retry_after
 
 
 class GenerationError(PipelineError):

@@ -9,14 +9,16 @@ import os
 import random
 import urllib.parse
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
 import numpy as np
-import requests
 
 from .._util import count_tokens, stable_hash
 from ..errors import BackendError, CapabilityError, ConfigError
 from .endpoints import ModelEndpoint
+
+if TYPE_CHECKING:
+    import requests
 
 
 @dataclass(frozen=True)
@@ -57,9 +59,11 @@ class HttpBackend:
     support and the caller falls back to sampling.
     """
 
-    def __init__(self, endpoint: ModelEndpoint, session: requests.Session | None = None):
+    def __init__(self, endpoint: ModelEndpoint, session: "requests.Session | None" = None):
         self.endpoint = endpoint
         if session is None:
+            import requests  # only processes that talk HTTP pay for importing it
+
             # The client lets max_in_flight requests run at once; a smaller
             # pool (requests' default is 10) would drop the extra connections.
             session = requests.Session()
@@ -79,13 +83,16 @@ class HttpBackend:
         return headers
 
     def _post(self, path: str, body: dict) -> dict:
+        import requests
+
         url = self.endpoint.base_url.rstrip("/") + path
         try:
             resp = self.session.post(url, json=body, headers=self._headers(), timeout=self.endpoint.timeout)
         except requests.RequestException as exc:
             raise BackendError(f"POST {url} failed: {exc}", retryable=True) from exc
         if resp.status_code == 429 or resp.status_code >= 500:
-            raise BackendError(f"POST {url} -> HTTP {resp.status_code}", retryable=True)
+            retry_after = _retry_after(resp.headers) if resp.status_code in (429, 503) else None
+            raise BackendError(f"POST {url} -> HTTP {resp.status_code}", retryable=True, retry_after=retry_after)
         if resp.status_code >= 400:
             raise BackendError(
                 f"POST {url} -> HTTP {resp.status_code}: {resp.text[:200]}", retryable=False
@@ -183,6 +190,13 @@ class HttpBackend:
             return [float(x) for x in data["data"][0]["embedding"]]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError("malformed embeddings response", retryable=False) from exc
+
+
+def _retry_after(headers) -> float | None:
+    """Seconds of a delta-seconds ``Retry-After`` header; None when the header
+    is absent or an HTTP-date."""
+    value = headers.get("Retry-After", "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
 
 
 # ---------------------------------------------------------------------------

@@ -98,8 +98,9 @@ class ModelClient:
 
     def _with_retries(self, op: str, fn: Callable):
         """Run a backend call, retrying retryable transport failures with
-        exponential backoff up to the endpoint's budget. Each attempt holds one
-        in-flight slot; a call sleeping in backoff holds none."""
+        exponential backoff up to the endpoint's budget. A server's
+        ``Retry-After`` lengthens the wait, up to the endpoint's timeout. Each
+        attempt holds one in-flight slot; a call sleeping in backoff holds none."""
         attempt = 0
         while True:
             try:
@@ -111,6 +112,8 @@ class ModelClient:
                     logger.error("%s: giving up after %d attempt(s): %s", op, attempt + 1, exc)
                     raise
                 delay = self.endpoint.backoff_base * (2**attempt)
+                if exc.retry_after is not None:
+                    delay = max(delay, min(exc.retry_after, self.endpoint.timeout))
                 logger.warning("%s: retryable failure (%s); backing off %.2fs", op, exc, delay)
                 self._bump("retries")
                 self._sleep(delay)

@@ -4,8 +4,6 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-import yaml
-
 from ..errors import ConfigError
 
 
@@ -66,12 +64,17 @@ def load_endpoint(path: str) -> ModelEndpoint:
             if path.endswith(".json"):
                 data = json.load(fh)
             elif path.endswith((".yaml", ".yml")):
-                data = yaml.safe_load(fh)
+                import yaml  # only YAML configs pay for importing the parser
+
+                try:
+                    data = yaml.safe_load(fh)
+                except yaml.YAMLError as exc:
+                    raise ConfigError(f"cannot parse endpoint config {path}: {exc}") from exc
             else:
                 raise ConfigError(f"unsupported endpoint config extension: {path}")
     except OSError as exc:
         raise ConfigError(f"cannot read endpoint config {path}: {exc}") from exc
-    except (json.JSONDecodeError, yaml.YAMLError) as exc:
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"cannot parse endpoint config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"endpoint config {path} must be a mapping")

@@ -289,6 +289,29 @@ class TestErrorHandling:
         assert "duplicate record for user 'u0000'" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o.jsonl")
 
+    @pytest.mark.parametrize("command", ["loss-check", "rollout", "evaluate"])
+    def test_malformed_jsonl_is_validation_error(self, pipeline, tmp_path, capsys, command):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{broken\n", encoding="utf-8")
+        mock = {"base_url": "mock:hash"}
+        argv = {
+            "loss-check": ["loss-check", "--self-check", "--batch", str(bad)],
+            "rollout": [
+                "rollout", "--instances", str(bad), "--histories", pipeline["histories"],
+                "--config", write_yaml(tmp_path / "cfg.yaml", {"policy": mock, "judge": mock}),
+                "--gamma", "0.5", "--out", str(tmp_path / "o.jsonl"),
+            ],
+            "evaluate": [
+                "evaluate", "--summaries", os.path.join(pipeline["stream"], "summaries.jsonl"),
+                "--instances", str(bad), "--downstream", write_yaml(tmp_path / "judge.yaml", mock),
+                "--out", str(tmp_path / "report.json"),
+            ],
+        }[command]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"error (ValidationError): {bad}:1: invalid JSON line" in err
+        assert "Traceback" not in err
+
     def test_unreadable_input_is_io_error(self, tmp_path, capsys):
         rc = run(
             "stream-infer", "--histories", str(tmp_path / "nope.jsonl"),
@@ -297,6 +320,43 @@ class TestErrorHandling:
         )
         assert rc == 1
         assert "error (" in capsys.readouterr().err
+
+
+_STAGE_MODULES = {
+    "prefpipe.synthpipe", "prefpipe.rlengine", "prefpipe.streamer",
+    "prefpipe.transferbench", "prefpipe.evalharness", "prefpipe.simlab",
+}
+
+
+def _modules_loaded_by(code):
+    """The ``sys.modules`` names a fresh interpreter holds after running ``code``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+class TestStartup:
+    def test_cli_import_loads_no_stage_transport_yaml_or_numpy(self):
+        loaded = _modules_loaded_by("import prefpipe.cli")
+        assert "prefpipe.cli" in loaded
+        assert not loaded & {"requests", "yaml", "numpy", "prefpipe.modelio", *_STAGE_MODULES}
+
+    def test_simlab_import_loads_no_transport_or_yaml(self):
+        loaded = _modules_loaded_by("import prefpipe.simlab")
+        assert "prefpipe.simlab" in loaded
+        assert not loaded & {"requests", "yaml"}
+
+    def test_prune_loads_no_numpy(self, pipeline, tmp_path):
+        argv = [
+            "prune", "--scores", pipeline["scores"], "--preset", "amazon",
+            "--out", str(tmp_path / "instances.jsonl"),
+        ]
+        loaded = _modules_loaded_by(f"import prefpipe.cli\nassert prefpipe.cli.main({argv!r}) == 0")
+        assert not loaded & {"requests", "yaml", "numpy", "prefpipe.modelio", *_STAGE_MODULES}
 
 
 def test_console_entry_point():

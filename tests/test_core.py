@@ -2,7 +2,10 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from prefpipe._util import even_boundaries
 from prefpipe.core import (
     HistorySegment,
     InteractionTriple,
@@ -146,6 +149,17 @@ class TestSegmentation:
         for cuts in ([], [0], [2, 2], [3, 1], [5]):
             with pytest.raises(ValidationError):
                 segment(h, cuts)
+
+
+@given(st.integers(min_value=1, max_value=60).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+def test_even_segments_tile_the_history(n_k):
+    n, k = n_k
+    h = make_history(n)
+    segs = segment(h, even_boundaries(n, k))
+    assert len(segs) == k
+    assert [s.start for s in segs] == [0] + [s.end for s in segs[:-1]]
+    assert segs[-1].end == n
+    assert [len(s) for s in segs] == [n // k] * (k - 1) + [n // k + n % k]
 
 
 class TestStripNegatives:

@@ -412,12 +412,16 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length) or b"{}")
         self.server.requests.append({"path": self.path, "body": body, "headers": dict(self.headers)})
+        headers = {}
         if self.server.queue:
-            status, payload = self.server.queue.pop(0)
+            status, payload, *extra = self.server.queue.pop(0)
+            headers = extra[0] if extra else {}
         else:
             status, payload = 200, self.server.default_payload(self.path, body)
         data = json.dumps(payload).encode()
         self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -464,10 +468,10 @@ def server():
     thread.join(timeout=5)
 
 
-def http_client(server, **overrides):
+def http_client(server, sleep=lambda s: None, **overrides):
     defaults = {"base_url": server.url, "retry_limit": 2, "backoff_base": 0.01, "timeout": 5.0}
     defaults.update(overrides)
-    return ModelClient(ModelEndpoint(**defaults), sleep=lambda s: None)
+    return ModelClient(ModelEndpoint(**defaults), sleep=sleep)
 
 
 class TestHttpBackend:
@@ -495,6 +499,23 @@ class TestHttpBackend:
         result = http_client(server).generate_summary("p")
         assert result.summary == "an http summary"
         assert len(server.requests) == 3
+
+    @pytest.mark.parametrize(
+        "status, retry_after, delay",
+        [
+            (503, "3", 3.0),  # longer than the 0.01 s backoff: the server's wait wins
+            (429, "100", 5.0),  # capped at the endpoint's 5 s timeout
+            (503, "0", 0.01),  # shorter than the backoff: the backoff wins
+            (503, "Wed, 21 Oct 2026 07:28:00 GMT", 0.01),  # HTTP-date form is not parsed
+            (500, "3", 0.01),  # only 429 and 503 carry a Retry-After
+        ],
+    )
+    def test_retry_after_sets_the_backoff(self, server, status, retry_after, delay):
+        server.queue = [(status, {}, {"Retry-After": retry_after})]
+        delays = []
+        assert http_client(server, sleep=delays.append).generate_summary("p").summary == "an http summary"
+        assert delays == [delay]
+        assert len(server.requests) == 2
 
     def test_client_error_fails_fast(self, server):
         server.queue = [(400, {"error": "bad request"})]

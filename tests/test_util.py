@@ -4,6 +4,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from prefpipe._util import (
     atomic_write_text,
@@ -18,6 +20,7 @@ from prefpipe._util import (
     stable_hash,
     write_jsonl,
 )
+from prefpipe.errors import ValidationError
 
 
 def test_stable_hash_deterministic_and_scoped():
@@ -101,8 +104,30 @@ def test_read_jsonl_reports_bad_line(tmp_path):
     path = str(tmp_path / "bad.jsonl")
     with open(path, "w") as fh:
         fh.write('{"ok": 1}\nnot json\n')
-    with pytest.raises(ValueError, match=":2:"):
+    with pytest.raises(ValidationError, match=":2:"):
         list(read_jsonl(path))
+
+
+def test_read_jsonl_reports_undecodable_line(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"ok": 1}\n\n{"name": "caf\xe9"}\n')
+    with pytest.raises(ValidationError, match=r"latin1\.jsonl:3: .*utf-8"):
+        list(read_jsonl(str(path)))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.dictionaries(st.text(), _JSON_VALUES, max_size=5), max_size=6))
+def test_jsonl_round_trip_property(tmp_path, records):
+    path = str(tmp_path / "recs.jsonl")
+    assert write_jsonl(path, records) == len(records)
+    assert list(read_jsonl(path)) == records
 
 
 def test_json_dumps_stable_key_order():
