@@ -69,10 +69,11 @@ def write_jsonl(path: str, records: Iterable[dict]) -> int:
 
 
 def read_jsonl(path: str) -> Iterator[dict]:
-    """Yield the JSON value on each non-blank line of ``path``.
+    """Yield the JSON object on each non-blank line of ``path``.
 
-    A line that is not UTF-8 or not JSON raises ValidationError naming
-    ``path:line``. Lines end at ``\n``, as JSON Lines defines them.
+    A line that is not UTF-8, not JSON or not a JSON object raises
+    ValidationError naming ``path:line``. Lines end at ``\n``, as JSON Lines
+    defines them.
     """
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
@@ -83,6 +84,8 @@ def read_jsonl(path: str) -> Iterator[dict]:
                 record = json.loads(line)
             except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
                 raise ValidationError(f"{path}:{line_no}: invalid JSON line: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValidationError(f"{path}:{line_no}: record is not a JSON object")
             yield record
 
 

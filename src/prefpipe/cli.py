@@ -200,8 +200,8 @@ def cmd_synthesize_sft(args: argparse.Namespace) -> Stage:
     cfg, file_cfg = _load_config(args.config, _SYNTH_DEFAULTS, overrides, sections=("generator", "judge", "teacher"))
     generator = _client(file_cfg.get("generator"), "generator")
     judge = _client(file_cfg.get("judge"), "judge")
-    teacher_cfg = file_cfg.get("teacher") or file_cfg.get("generator")
-    teacher = _client(teacher_cfg, "teacher")
+    # without a teacher section the generator merges too, within its own in-flight limit
+    teacher = _client(file_cfg["teacher"], "teacher") if file_cfg.get("teacher") else generator
     synth_config = synthpipe.SynthConfig(seed=derive_seed(args.seed, "synthesize-sft"), **cfg)
 
     histories = core.load_histories(args.histories)
@@ -349,9 +349,7 @@ def cmd_build_transfer(args: argparse.Namespace) -> Stage:
             raise ConfigError("donor corpus is empty")
         rng = random.Random(derive_seed(args.seed, "build-transfer", "pairing"))
         fused, provenance = [], []
-        for primary in primaries:
-            pool = [d for d in donors if d.user_id != primary.user_id] or donors
-            donor = pool[rng.randrange(len(pool))]
+        for primary, donor in zip(primaries, transferbench.pick_donors(primaries, donors, rng)):
             result = transferbench.inject_secondary(
                 primary, donor, transferbench.NoiseConfig(intensity=args.intensity, seed=derive_seed(args.seed, "inject"))
             )

@@ -34,6 +34,8 @@ class InteractionTriple:
     context: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.index, int) or isinstance(self.index, bool):
+            raise ValidationError(f"triple index must be an integer, got {self.index!r}")
         if self.index < 0:
             raise ValidationError(f"triple index must be >= 0, got {self.index}")
         if not self.chosen:
@@ -60,6 +62,8 @@ class InteractionTriple:
             )
         except KeyError as exc:
             raise ValidationError(f"triple record missing field {exc}") from exc
+        except TypeError as exc:  # e.g. a triple that is not an object
+            raise ValidationError(f"triple record malformed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,8 @@ class UserHistory:
             )
         except KeyError as exc:
             raise ValidationError(f"history record missing field {exc}") from exc
+        except TypeError as exc:  # e.g. triples that are not a list
+            raise ValidationError(f"history record malformed: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,21 @@
 """Two-stage rollout engine with judge-derived rewards and a clipped
 surrogate loss.
 
-For an instance (k1, k2): sample G summaries from the history prefix before k1,
-pick one uniformly, sample G updated summaries from (picked summary, the
-interactions from k1 up to k2). Each summary earns an immediate reward (the
-judged probability of the true choice at its stage's target); the picked initial
-additionally earns the discounted mean of its children's rewards. Advantages
-normalize cumulative rewards within each G-sized rollout set, and the loss is
-the token-level clipped surrogate averaged per sequence, then per batch.
+``rollout`` is the one sampling-and-reward primitive. For an instance (k1, k2)
+it samples G summaries from the history prefix before k1, picks one uniformly,
+and samples G updated summaries from (picked summary, the interactions from k1
+up to k2). Each summary earns its immediate reward (the judged probability of
+the true choice at its stage's target) as soon as it is sampled; the picked
+initial additionally earns the discounted mean of its children's rewards, so a
+tree is returned scored. Advantages normalize cumulative rewards within each
+G-sized rollout set, and the loss is the token-level clipped surrogate averaged
+per sequence, then per batch.
 """
 
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,12 +109,23 @@ class RolloutTree:
 
 
 def rollout(
-    policy: ModelClient, instance: RlInstance, history: UserHistory, config: RolloutConfig, jobs: int = 1
+    policy: ModelClient,
+    judge: ModelClient,
+    instance: RlInstance,
+    history: UserHistory,
+    config: RolloutConfig,
+    jobs: int = 1,
 ) -> RolloutTree:
-    """Sample the two-stage tree for one instance, up to ``jobs`` samples of a
-    group at once. Sampling is deterministic in (config.seed, user, k1, k2,
-    stage, sample) for seed-honoring backends."""
+    """Sample and score the two-stage tree for one instance.
+
+    Each of the G samples of a group is judged against its stage's target as
+    soon as it is generated, up to ``jobs`` samples at once; the updated group
+    starts once the initial group is complete, and cumulative rewards are
+    filled in before the tree is returned. Sampling is deterministic in
+    (config.seed, user, k1, k2, stage, sample) for seed-honoring backends."""
     inst = instance if instance.target1 is not None else instance.resolve(history)
+    if inst.target2 is None:
+        raise ContractError("instance targets must be resolved before rollout")
     pos1 = history.position_of_index(inst.k1)
     pos2 = history.position_of_index(inst.k2)
     if pos1 < 1:
@@ -120,50 +133,38 @@ def rollout(
     if pos2 <= pos1:
         raise ValidationError(f"instance ({inst.k1}, {inst.k2}) has an empty update segment")
 
-    def sample(prompt: str, stage: str) -> list[GenerationResult]:
-        return ordered_map(
-            lambda i: policy.generate_summary(
+    def group(
+        prompt: str, stage: str, target: InteractionTriple, covers: tuple[int, int], parent_id: str | None = None
+    ) -> list[RewardedSummary]:
+        def one(i: int) -> RewardedSummary:
+            gen = policy.generate_summary(
                 prompt,
                 sample_seed=derive_seed(config.seed, "rollout", inst.user_id, inst.k1, inst.k2, stage, i) % (2**31),
                 meta={"user_id": inst.user_id, "stage": stage, "sample": i},
-            ),
-            range(config.group_size),
-            jobs,
-        )
+            )
+            summary = PreferenceSummary(text=gen.summary, reasoning=gen.reasoning, covers=covers, parent_id=parent_id)
+            reward = immediate_reward(judge, summary, target, config)
+            return RewardedSummary(summary=summary, generation=gen, stage=stage, sample_index=i, immediate=reward)
+
+        return ordered_map(one, range(config.group_size), jobs)
 
     prefix_prompt = render_generation_prompt(render_history_block(history.triples[:pos1]))
-    initial = [
-        RewardedSummary(
-            summary=PreferenceSummary(text=gen.summary, reasoning=gen.reasoning, covers=(0, pos1)),
-            generation=gen,
-            stage="initial",
-            sample_index=i,
-        )
-        for i, gen in enumerate(sample(prefix_prompt, "initial"))
-    ]
-
+    initial = group(prefix_prompt, "initial", inst.target1, (0, pos1))
     rng = random.Random(derive_seed(config.seed, "rollout-select", inst.user_id, inst.k1, inst.k2))
     selected_index = rng.randrange(config.group_size)
-    selected = initial[selected_index]
+    selected = initial[selected_index].summary
+    update_prompt = render_generation_prompt(render_history_block(history.triples[pos1:pos2]), past_text=selected.text)
+    updated = group(update_prompt, "updated", inst.target2, (pos1, pos2), selected.summary_id)
 
-    update_prompt = render_generation_prompt(
-        render_history_block(history.triples[pos1:pos2]), past_text=selected.summary.text
+    cum_init, cum_upd = cumulative_rewards(
+        [rs.immediate for rs in initial],
+        [rs.immediate for rs in updated],
+        selected_index,
+        config.gamma,
+        config.future_credit,
     )
-    updated = [
-        RewardedSummary(
-            summary=PreferenceSummary(
-                text=gen.summary,
-                reasoning=gen.reasoning,
-                covers=(pos1, pos2),
-                parent_id=selected.summary.summary_id,
-            ),
-            generation=gen,
-            stage="updated",
-            sample_index=j,
-        )
-        for j, gen in enumerate(sample(update_prompt, "updated"))
-    ]
-
+    for rs, c in zip(initial + updated, cum_init + cum_upd):
+        rs.cumulative = c
     return RolloutTree(instance=inst, initial=initial, selected_index=selected_index, updated=updated)
 
 
@@ -220,30 +221,6 @@ def advantages(rewards: Sequence[float], eps_std: float = EPS_STD) -> np.ndarray
     if std <= eps_std:
         return np.zeros_like(arr)
     return (arr - arr.mean()) / std
-
-
-def score_tree(tree: RolloutTree, judge: ModelClient, config: RolloutConfig, jobs: int = 1) -> RolloutTree:
-    """Fill in immediate and cumulative rewards for every summary in the tree,
-    judging up to ``jobs`` summaries at once."""
-    inst = tree.instance
-    if inst.target1 is None or inst.target2 is None:
-        raise ContractError("instance targets must be resolved before scoring")
-    to_score = [(rs, inst.target1) for rs in tree.initial] + [(rs, inst.target2) for rs in tree.updated]
-    rewards = ordered_map(lambda pair: immediate_reward(judge, pair[0].summary, pair[1], config), to_score, jobs)
-    for (rs, _), reward in zip(to_score, rewards):
-        rs.immediate = reward
-    cum_init, cum_upd = cumulative_rewards(
-        [rs.immediate for rs in tree.initial],
-        [rs.immediate for rs in tree.updated],
-        tree.selected_index,
-        config.gamma,
-        config.future_credit,
-    )
-    for rs, c in zip(tree.initial, cum_init):
-        rs.cumulative = c
-    for rs, c in zip(tree.updated, cum_upd):
-        rs.cumulative = c
-    return tree
 
 
 @dataclass(frozen=True)
@@ -380,8 +357,8 @@ def run_rollouts(
     config: RolloutConfig,
     jobs: int = 1,
 ) -> tuple[list[RolloutTree], dict]:
-    """Roll out and score every instance, up to ``jobs`` at once, each fanning
-    its own calls out up to ``jobs`` wide. Failures skip the instance with a
+    """Roll out every instance, up to ``jobs`` at once, each fanning its own
+    samples out up to ``jobs`` wide. Failures skip the instance with a
     log line; results keep input order regardless of scheduling."""
 
     def one(inst: RlInstance) -> RolloutTree | None:
@@ -390,8 +367,7 @@ def run_rollouts(
             logger.warning("instance %s: no history on file, skipped", inst.user_id)
             return None
         try:
-            tree = rollout(policy, inst, history, config, jobs=jobs)
-            return score_tree(tree, judge, config, jobs=jobs)
+            return rollout(policy, judge, inst, history, config, jobs=jobs)
         except PipelineError as exc:
             logger.warning("instance %s (%d, %d) failed: %s", inst.user_id, inst.k1, inst.k2, exc)
             return None

@@ -14,7 +14,6 @@ The scripted backends are the ``mock:generator``, ``mock:judge`` and
 import math
 import random
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,34 +93,6 @@ def _hash_unit_vector(dim: int, *scope) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-@dataclass(frozen=True)
-class SyntheticItem:
-    """An item whose text encodes its own feature vector exactly."""
-
-    name: str
-    features: tuple[float, ...]
-
-    @property
-    def rendered_text(self) -> str:
-        return render_item(self.name, self.features)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array(self.features, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class SyntheticUser:
-    """A user defined by a latent unit preference direction."""
-
-    user_id: str
-    latent: tuple[float, ...]
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array(self.latent, dtype=np.float64)
-
-
 def scripted_judge(estimate, positive, negative, kappa: float = 8.0) -> float:
     """Oracle probability that ``positive`` beats ``negative`` for a user whose
     direction is ``estimate``: sigmoid(kappa * estimate . (positive - negative))."""
@@ -172,16 +143,14 @@ def gen_population(
             noise -= (noise @ latent) * latent  # keep the gap along latent exact
             pos = base + 0.5 * gap * latent + noise
             neg = base - 0.5 * gap * latent - noise
-            chosen = SyntheticItem(f"obj-{user_id}-{i}-a", tuple(pos.tolist()))
-            rejected = SyntheticItem(f"obj-{user_id}-{i}-b", tuple(neg.tolist()))
             context = None
             if rng.uniform() < context_rate:
                 context = f"Session {i}: pick the better match for this user."
             triples.append(
                 InteractionTriple(
                     index=i,
-                    chosen=chosen.rendered_text,
-                    rejected=rejected.rendered_text,
+                    chosen=render_item(f"obj-{user_id}-{i}-a", pos),
+                    rejected=render_item(f"obj-{user_id}-{i}-b", neg),
                     context=context,
                 )
             )

@@ -143,6 +143,33 @@ def swap_targets(
     return instances, {"pairs_in": len(pairs), "pairs_skipped": skipped, "instances": len(instances)}
 
 
+def pick_donors(
+    primaries: Sequence[UserHistory], donors: Sequence[UserHistory], rng: random.Random
+) -> list[UserHistory]:
+    """Draw one donor per primary, uniformly among the donors with another
+    user_id, or among all donors when every entry is the primary's own.
+
+    Each draw is one ``rng.randrange`` over that pool's size, mapped past the
+    primary's own entries without building the pool, so a primary costs
+    O(own entries) rather than O(len(donors)).
+    """
+    own: dict[str, list[int]] = {}
+    for pos, donor in enumerate(donors):
+        own.setdefault(donor.user_id, []).append(pos)
+    picks = []
+    for primary in primaries:
+        skip = own.get(primary.user_id, [])
+        if len(skip) == len(donors):
+            skip = []
+        pos = rng.randrange(len(donors) - len(skip))
+        for s in skip:  # ascending, so pos ends on the pos-th donor not skipped
+            if s > pos:
+                break
+            pos += 1
+        picks.append(donors[pos])
+    return picks
+
+
 def inject_secondary(primary: UserHistory, donor: UserHistory, config: NoiseConfig) -> InjectionResult:
     """Dilute ``primary`` with donor triples at the configured intensity.
 

@@ -141,6 +141,27 @@ class TestPipelineChain:
         assert manifest["config"]["tau_tract"] == 0.3
         assert all(rec["accuracy"] >= 0.8 for rec in records)
 
+    def test_teacher_defaults_to_the_generator_client(self, pipeline, tmp_path, monkeypatch):
+        """Without a teacher section the generator's client merges too, so its
+        endpoint sees at most one max_in_flight; the records are unchanged."""
+        from prefpipe import synthpipe
+
+        seen = {}
+        real = synthpipe.run_corpus
+
+        def spy(histories, tract, generator, judge, teacher, config, jobs=1):
+            seen.update(generator=generator, teacher=teacher)
+            return real(histories, tract, generator, judge, teacher, config, jobs=jobs)
+
+        monkeypatch.setattr(synthpipe, "run_corpus", spy)
+        out = str(tmp_path / "sft.jsonl")
+        assert run(
+            "synthesize-sft", "--histories", pipeline["histories"], "--scores", pipeline["scores"],
+            "--config", str(pipeline["root"] / "synth.yaml"), "--out", out, "--tau-tract", "0.3",
+        ) == 0
+        assert seen["teacher"] is seen["generator"]
+        assert sha256_file(out) == sha256_file(pipeline["sft"])
+
     def test_prune_flag_overrides_config_file(self, pipeline):
         manifest = manifest_for(pipeline["instances"])
         assert manifest["config"]["alpha"] == 0.6
@@ -311,6 +332,33 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert f"error (ValidationError): {bad}:1: invalid JSON line" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("positive-only", "[1, 2]"),
+            ("positive-only", '{"user_id": "u1", "triples": [{"index": "x", "chosen": "a"}]}'),
+            ("positive-only", '{"user_id": "u1", "triples": [{"index": 1.5, "chosen": "a"}]}'),
+            ("positive-only", '{"user_id": "u1", "triples": [[1, 2]]}'),
+            ("evaluate", "[1, 2]"),
+        ],
+        ids=["list-line", "string-index", "float-index", "list-triple", "evaluate-list-line"],
+    )
+    def test_malformed_record_is_validation_error(self, pipeline, tmp_path, capsys, command, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n", encoding="utf-8")
+        argv = {
+            "positive-only": ["build-transfer", "--mode", "positive-only", "--histories", str(bad)],
+            "evaluate": [
+                "evaluate", "--summaries", os.path.join(pipeline["stream"], "summaries.jsonl"),
+                "--instances", str(bad), "--downstream", write_yaml(tmp_path / "judge.yaml", {"base_url": "mock:hash"}),
+            ],
+        }[command]
+        assert run(*argv, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "error (ValidationError)" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "out")
 
     def test_unreadable_input_is_io_error(self, tmp_path, capsys):
         rc = run(

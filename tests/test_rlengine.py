@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import time
@@ -10,9 +11,9 @@ from prefpipe.core import InteractionTriple, PreferenceSummary, UserHistory
 from prefpipe.curriculum import RlInstance
 from prefpipe.errors import ContractError, ValidationError
 from prefpipe.modelio import ModelClient, ModelEndpoint, ScriptBackend
+from prefpipe.prompts import render_judge_prompt
 from prefpipe.rlengine import (
     RolloutConfig,
-    RolloutTree,
     TrainingRecord,
     advantages,
     cumulative_rewards,
@@ -22,7 +23,6 @@ from prefpipe.rlengine import (
     rollout,
     run_rollouts,
     save_batch,
-    score_tree,
     surrogate_loss,
 )
 from prefpipe.simlab import (
@@ -144,6 +144,24 @@ class TestAdvantages:
 # ---------------------------------------------------------------------------
 
 
+class CallLog:
+    """Wraps a backend and appends one entry per call to a shared log: the
+    sample's stage and index for a generation, the prompt for a judgment."""
+
+    def __init__(self, backend, kind, log):
+        self.backend = backend
+        self.kind = kind
+        self.log = log
+
+    def complete(self, prompt, **kwargs):
+        self.log.append((self.kind, kwargs["meta"]["stage"], kwargs["meta"]["sample"]))
+        return self.backend.complete(prompt, **kwargs)
+
+    def choice_logprobs(self, prompt, labels, **kwargs):
+        self.log.append((self.kind, prompt))
+        return self.backend.choice_logprobs(prompt, labels, **kwargs)
+
+
 class LabSetup:
     def setup_method(self):
         self.histories, self.truth = gen_population(seed=81, n_users=3, history_len=12)
@@ -161,7 +179,7 @@ class LabSetup:
 class TestRollout(LabSetup):
     def test_tree_structure(self):
         config = RolloutConfig(gamma=0.5, group_size=3, seed=7)
-        tree = rollout(self.policy(), self.instance, self.history, config)
+        tree = rollout(self.policy(), self.judge(), self.instance, self.history, config)
         assert len(tree.initial) == 3
         assert len(tree.updated) == 3
         assert 0 <= tree.selected_index < 3
@@ -172,7 +190,7 @@ class TestRollout(LabSetup):
 
     def test_coverage_and_lineage(self):
         config = RolloutConfig(gamma=0.5, group_size=2, seed=7)
-        tree = rollout(self.policy(), self.instance, self.history, config)
+        tree = rollout(self.policy(), self.judge(), self.instance, self.history, config)
         selected = tree.initial[tree.selected_index]
         assert all(rs.summary.covers == (0, 4) for rs in tree.initial)
         assert all(rs.summary.covers == (4, 9) for rs in tree.updated)
@@ -181,7 +199,7 @@ class TestRollout(LabSetup):
 
     def test_prompts_expose_only_their_stage_slice(self):
         config = RolloutConfig(gamma=0.5, group_size=2, seed=7)
-        tree = rollout(self.policy(), self.instance, self.history, config)
+        tree = rollout(self.policy(), self.judge(), self.instance, self.history, config)
         uid = self.history.user_id
         initial_prompt = tree.initial[0].generation.prompt
         update_prompt = tree.updated[0].generation.prompt
@@ -193,21 +211,62 @@ class TestRollout(LabSetup):
 
     def test_single_sample_group(self):
         config = RolloutConfig(gamma=0.5, group_size=1, seed=7)
-        tree = rollout(self.policy(), self.instance, self.history, config)
+        tree = rollout(self.policy(), self.judge(), self.instance, self.history, config)
         assert tree.selected_index == 0
 
     def test_fixed_seed_reproduces_tree(self):
         config = RolloutConfig(gamma=0.5, group_size=2, seed=7)
-        t1 = rollout(self.policy(quality=0.3), self.instance, self.history, config)
-        t2 = rollout(self.policy(quality=0.3), self.instance, self.history, config)
-        t3 = rollout(self.policy(quality=0.3), self.instance, self.history, RolloutConfig(gamma=0.5, group_size=2, seed=8))
+        t1 = rollout(self.policy(quality=0.3), self.judge(), self.instance, self.history, config)
+        t2 = rollout(self.policy(quality=0.3), self.judge(), self.instance, self.history, config)
+        config8 = RolloutConfig(gamma=0.5, group_size=2, seed=8)
+        t3 = rollout(self.policy(quality=0.3), self.judge(), self.instance, self.history, config8)
         assert json_dumps(t1.to_dict()) == json_dumps(t2.to_dict())
         assert json_dumps(t1.to_dict()) != json_dumps(t3.to_dict())
 
     def test_prefixless_instance_rejected(self):
         inst = RlInstance(user_id=self.history.user_id, k1=0, k2=5)
         with pytest.raises(ValidationError, match="empty history prefix"):
-            rollout(self.policy(), inst, self.history, RolloutConfig(gamma=0.5, seed=7))
+            rollout(self.policy(), self.judge(), inst, self.history, RolloutConfig(gamma=0.5, seed=7))
+
+    def test_fills_rewards_consistently(self):
+        config = RolloutConfig(gamma=0.5, group_size=2, seed=7)
+        tree = rollout(self.policy(), self.judge(), self.instance, self.history, config)
+        for rs in tree.all_summaries():
+            assert 0.0 <= rs.immediate <= 1.0
+            assert rs.cumulative is not None
+        expected_init, expected_upd = cumulative_rewards(
+            [rs.immediate for rs in tree.initial],
+            [rs.immediate for rs in tree.updated],
+            tree.selected_index,
+            config.gamma,
+        )
+        assert [rs.cumulative for rs in tree.initial] == expected_init
+        assert [rs.cumulative for rs in tree.updated] == expected_upd
+
+    def test_unresolved_instance_rejected(self):
+        log = []
+        policy = client_for(CallLog(self.policy().backend, "generate", log))
+        judge = client_for(CallLog(self.judge().backend, "judge", log))
+        half = RlInstance(user_id=self.history.user_id, k1=4, k2=9, target1=self.history.triples[4])
+        with pytest.raises(ContractError, match="resolved"):
+            rollout(policy, judge, half, self.history, RolloutConfig(gamma=0.5, group_size=2, seed=7))
+        assert log == []  # rejected before any call
+
+    def test_each_sample_is_judged_before_the_next_is_generated(self):
+        log = []
+        policy = client_for(CallLog(self.policy().backend, "generate", log))
+        judge = client_for(CallLog(self.judge().backend, "judge", log))
+        config = RolloutConfig(gamma=0.5, group_size=2, seed=7)
+        tree = rollout(policy, judge, self.instance, self.history, config, jobs=1)
+        expected = []
+        for rs in tree.all_summaries():
+            t = tree.instance.target1 if rs.stage == "initial" else tree.instance.target2
+            expected += [
+                ("generate", rs.stage, rs.sample_index),
+                ("judge", render_judge_prompt(rs.summary.text, t.context, t.chosen, t.rejected)),
+                ("judge", render_judge_prompt(rs.summary.text, t.context, t.rejected, t.chosen)),
+            ]
+        assert log == expected
 
 
 class TestImmediateReward(LabSetup):
@@ -234,39 +293,10 @@ class TestImmediateReward(LabSetup):
             immediate_reward(self.judge(), summary, None, RolloutConfig(gamma=0.5))
 
 
-class TestScoreTree(LabSetup):
-    def test_fills_rewards_consistently(self):
-        config = RolloutConfig(gamma=0.5, group_size=2, seed=7)
-        tree = score_tree(rollout(self.policy(), self.instance, self.history, config), self.judge(), config)
-        for rs in tree.all_summaries():
-            assert 0.0 <= rs.immediate <= 1.0
-            assert rs.cumulative is not None
-        expected_init, expected_upd = cumulative_rewards(
-            [rs.immediate for rs in tree.initial],
-            [rs.immediate for rs in tree.updated],
-            tree.selected_index,
-            config.gamma,
-        )
-        assert [rs.cumulative for rs in tree.initial] == expected_init
-        assert [rs.cumulative for rs in tree.updated] == expected_upd
-
-    def test_unresolved_instance_rejected(self):
-        config = RolloutConfig(gamma=0.5, group_size=2, seed=7)
-        tree = rollout(self.policy(), self.instance, self.history, config)
-        bare = RolloutTree(
-            instance=RlInstance(user_id=self.history.user_id, k1=4, k2=9),
-            initial=tree.initial,
-            selected_index=tree.selected_index,
-            updated=tree.updated,
-        )
-        with pytest.raises(ContractError):
-            score_tree(bare, self.judge(), config)
-
-
 class TestExportBatch(LabSetup):
     def scored_tree(self, config=None):
         config = config or RolloutConfig(gamma=0.5, group_size=4, seed=7)
-        return score_tree(rollout(self.policy(quality=0.6), self.instance, self.history, config), self.judge(), config)
+        return rollout(self.policy(quality=0.6), self.judge(), self.instance, self.history, config)
 
     def test_record_shape(self):
         tree = self.scored_tree()
@@ -287,7 +317,8 @@ class TestExportBatch(LabSetup):
 
     def test_unscored_tree_rejected(self):
         config = RolloutConfig(gamma=0.5, group_size=2, seed=7)
-        tree = rollout(self.policy(), self.instance, self.history, config)
+        tree = rollout(self.policy(), self.judge(), self.instance, self.history, config)
+        tree.updated[1] = dataclasses.replace(tree.updated[1], immediate=None, cumulative=None)
         with pytest.raises(ContractError, match="scored"):
             export_batch([tree])
 
@@ -297,7 +328,7 @@ class TestExportBatch(LabSetup):
         backend = ScriptBackend(
             completer=lambda p, ctx: render_estimate(latent), token_logprob=None
         )
-        tree = score_tree(rollout(client_for(backend), self.instance, self.history, config), self.judge(), config)
+        tree = rollout(client_for(backend), self.judge(), self.instance, self.history, config)
         with pytest.raises(ContractError, match="logprobs"):
             export_batch([tree])
 
@@ -353,7 +384,7 @@ class TestSurrogateLoss:
 class TestBatchStore(LabSetup):
     def test_round_trip_preserves_loss(self, tmp_path):
         config = RolloutConfig(gamma=0.5, group_size=4, seed=7)
-        tree = score_tree(rollout(self.policy(quality=0.6), self.instance, self.history, config), self.judge(), config)
+        tree = rollout(self.policy(quality=0.6), self.judge(), self.instance, self.history, config)
         records = export_batch([tree])
         path = str(tmp_path / "batch.jsonl")
         save_batch(path, records)
@@ -397,10 +428,10 @@ class TestConcurrentRollout(LabSetup):
         judge_probe = LatencyProbe(ScriptedJudgeBackend(kappa=8.0))
         policy = client_for(policy_probe, max_in_flight=3)
         judge = client_for(judge_probe, max_in_flight=3)
-        tree = score_tree(rollout(policy, self.instance, self.history, config, jobs=4), judge, config, jobs=4)
+        tree = rollout(policy, judge, self.instance, self.history, config, jobs=4)
         for probe in (policy_probe, judge_probe):
             assert 1 < probe.peak <= 3
-        serial = score_tree(rollout(self.policy(), self.instance, self.history, config), self.judge(), config)
+        serial = rollout(self.policy(), self.judge(), self.instance, self.history, config)
         assert json_dumps(tree.to_dict()) == json_dumps(serial.to_dict())
 
 

@@ -15,6 +15,7 @@ from prefpipe.transferbench import (
     embed_history,
     inject_secondary,
     match_users,
+    pick_donors,
     reconstruct_primary,
     swap_targets,
 )
@@ -158,6 +159,30 @@ class TestSwapTargets:
         instances, stats = swap_targets(pairs, targets)
         assert stats == {"pairs_in": 3, "pairs_skipped": 2, "instances": 2}
         assert {i["user_id"] for i in instances} == {"ua", "ub"}
+
+
+class TestPickDonors:
+    @pytest.mark.parametrize(
+        "donor_ids",
+        [
+            ["u1", "u2", "u3"],
+            ["u2", "u1", "u1", "u3", "u1"],  # the primary repeats
+            ["u3", "u3", "u2", "u3"],  # another user repeats
+            ["u1", "u1"],  # only the primary: fall back to every donor
+            ["u1"],
+        ],
+    )
+    def test_picks_match_the_pool_building_rule(self, donor_ids):
+        donors = [make_history(1, user_id=uid, tag=f"d{pos}") for pos, uid in enumerate(donor_ids)]
+        primaries = [make_history(1, user_id=uid) for uid in ("u1", "u2", "u3", "u4")] * 5
+        for seed in range(10):
+            rule_rng = random.Random(seed)
+            expected = []
+            for primary in primaries:
+                pool = [d for d in donors if d.user_id != primary.user_id] or donors
+                expected.append(pool[rule_rng.randrange(len(pool))])
+            picks = pick_donors(primaries, donors, random.Random(seed))
+            assert all(p is e for p, e in zip(picks, expected)) and len(picks) == len(expected)
 
 
 class TestInjectSecondary:

@@ -108,6 +108,13 @@ def test_read_jsonl_reports_bad_line(tmp_path):
         list(read_jsonl(path))
 
 
+def test_read_jsonl_rejects_non_object_line(tmp_path):
+    path = tmp_path / "list.jsonl"
+    path.write_text('{"ok": 1}\n[1, 2]\n', encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"list\.jsonl:2: record is not a JSON object"):
+        list(read_jsonl(str(path)))
+
+
 def test_read_jsonl_reports_undecodable_line(tmp_path):
     path = tmp_path / "latin1.jsonl"
     path.write_bytes(b'{"ok": 1}\n\n{"name": "caf\xe9"}\n')
