@@ -1,17 +1,21 @@
-"""Small shared helpers: stable seeds, token counting, JSONL io, ordered fan-out."""
+"""Small shared helpers: stable seeds, token counting, JSONL io, config
+loading, ordered fan-out."""
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
 import re
+import types
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 T = TypeVar("T")
 R = TypeVar("R")
+C = TypeVar("C")
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -75,6 +79,11 @@ def read_jsonl(path: str) -> Iterator[dict]:
     ValidationError naming ``path:line``. Lines end at ``\n``, as JSON Lines
     defines them.
     """
+    return (record for _, record in numbered_jsonl(path))
+
+
+def numbered_jsonl(path: str) -> Iterator[tuple[int, dict]]:
+    """``read_jsonl`` with each object's 1-based line number."""
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
             try:
@@ -86,7 +95,7 @@ def read_jsonl(path: str) -> Iterator[dict]:
                 raise ValidationError(f"{path}:{line_no}: invalid JSON line: {exc}") from exc
             if not isinstance(record, dict):
                 raise ValidationError(f"{path}:{line_no}: record is not a JSON object")
-            yield record
+            yield line_no, record
 
 
 def sha256_file(path: str) -> str:
@@ -120,13 +129,76 @@ def _atomic_open(path: str) -> Iterator[TextIO]:
         raise
 
 
+def read_config(path: str) -> dict:
+    """Read the mapping in config file ``path``: ``.json`` with json, any
+    other extension as YAML. An empty YAML file is an empty mapping."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if path.endswith(".json"):
+        parse, parse_error = json.loads, ValueError
+    else:
+        import yaml  # only YAML configs pay for importing the parser
+
+        parse, parse_error = yaml.safe_load, yaml.YAMLError
+    try:
+        data = parse(text)
+    except parse_error as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if not isinstance(data, (dict, type(None))):
+        raise ConfigError(f"config {path} must be a mapping")
+    return data or {}
+
+
+def build_config(cls: type[C], *layers: Any, what: str, sections: Iterable[str] = (), **fixed: Any) -> C:
+    """Build the config dataclass ``cls`` from mappings, later layers winning.
+
+    Each layer may hold only ``cls``'s fields and the named ``sections``
+    (endpoint blocks, skipped here); ``fixed`` fields are set by the caller
+    and are not config keys. A value must match its field's annotation: a
+    bool is not an int, an int is a float, and ``X | None`` allows None.
+    Values are kept as given. Every failure is a ConfigError naming the key;
+    range checks stay in ``cls.__post_init__``.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in fixed}
+    merged: dict[str, Any] = {}
+    for layer in layers:
+        if not isinstance(layer, Mapping):
+            raise ConfigError(f"{what} config must be a mapping, got {type(layer).__name__}")
+        unknown = set(layer) - set(fields) - set(sections)
+        if unknown:
+            raise ConfigError(f"unknown {what} config keys: {sorted(unknown, key=str)}")
+        for key, value in layer.items():
+            if key in fields and not _has_type(value, fields[key].type):
+                expected = getattr(fields[key].type, "__name__", fields[key].type)
+                raise ConfigError(f"{what} config key {key!r} must be {expected}, got {value!r}")
+        merged.update((key, value) for key, value in layer.items() if key in fields)
+    required = (f for f in fields.values() if f.default is dataclasses.MISSING is f.default_factory)
+    missing = [f.name for f in required if f.name not in merged]
+    if missing:
+        raise ConfigError(f"{what} needs an explicit {', '.join(missing)}")
+    return cls(**merged, **fixed)
+
+
+def _has_type(value: Any, annotation: Any) -> bool:
+    if isinstance(annotation, types.UnionType):
+        return any(_has_type(value, option) for option in annotation.__args__)
+    if isinstance(value, bool):
+        return annotation is bool
+    if annotation is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, annotation)
+
+
 def even_boundaries(n: int, k: int) -> list[int]:
     """Split [0, n) into k near-equal contiguous chunks; the remainder lands in the
     last chunk. Returns the k boundary end-points (the last one is n)."""
     if k < 1:
-        raise ValueError("chunk count must be >= 1")
+        raise ValidationError(f"chunk count must be >= 1, got {k}")
     if n < k:
-        raise ValueError(f"cannot split {n} items into {k} non-empty chunks")
+        raise ValidationError(f"cannot split {n} items into {k} non-empty chunks")
     base = n // k
     ends = [base * i for i in range(1, k)]
     ends.append(n)

@@ -20,11 +20,12 @@ import logging
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from . import core, curriculum
-from ._util import derive_seed, json_dumps, ordered_map, read_jsonl, sha256_file, atomic_write_text, write_jsonl
+from ._util import atomic_write_text, build_config, derive_seed, json_dumps, ordered_map, read_config, read_jsonl
+from ._util import sha256_file, write_jsonl
 from .errors import ConfigError, PipelineError
 
 if TYPE_CHECKING:
@@ -96,41 +97,17 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _load_config(
-    path: str | None, defaults: dict, cli_overrides: dict, sections: tuple[str, ...] = ()
-) -> tuple[dict, dict]:
-    """Read the optional YAML/JSON config file at ``path`` and merge its knobs
-    with precedence CLI flag > config file > default. ``sections`` names nested
-    mapping keys (endpoint blocks) the file may carry. Returns the merged knobs
-    and the file's own mapping."""
-    file_cfg: dict = {}
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                if path.endswith(".json"):
-                    file_cfg = json.load(fh)
-                else:
-                    import yaml
-
-                    try:
-                        file_cfg = yaml.safe_load(fh)
-                    except yaml.YAMLError as exc:
-                        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-        if file_cfg is None:
-            file_cfg = {}
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"config {path} must be a mapping")
-    unknown = set(file_cfg) - set(defaults) - set(sections)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update({k: v for k, v in file_cfg.items() if k in defaults})
-    merged.update({k: v for k, v in cli_overrides.items() if v is not None})
-    return merged, file_cfg
+def _stage_config(args: argparse.Namespace, cls: type, sections: tuple[str, ...] = (), preset=None, **fixed) -> tuple:
+    """Build ``cls`` with precedence flag > ``--config`` file > ``preset`` >
+    field default. Flags are the namespace attributes named like the fields;
+    ``fixed`` fields are not knobs. Returns the config, its knobs as the
+    manifest records them, and the file's mapping (endpoint sections too)."""
+    file_cfg = read_config(args.config) if args.config else {}
+    knobs = [f.name for f in fields(cls) if f.name not in fixed]
+    base = {k: getattr(preset, k) for k in knobs} if preset else {}
+    flags = {k: getattr(args, k) for k in knobs if getattr(args, k, None) is not None}
+    config = build_config(cls, base, file_cfg, flags, what=args.command, sections=sections, **fixed)
+    return config, {k: getattr(config, k) for k in knobs}, file_cfg
 
 
 def _client(section: dict | None, what: str) -> "ModelClient":
@@ -184,25 +161,16 @@ def cmd_simlab_gen(args: argparse.Namespace) -> Stage:
     )
 
 
-_SYNTH_DEFAULTS = {
-    "num_segments": 3, "min_per_segment": 3, "tau_tract": 0.9, "min_subset": 3,
-    "max_targets": 5, "min_kept": 3, "accuracy_threshold": 0.8, "debias": True,
-}
-
-
 def cmd_synthesize_sft(args: argparse.Namespace) -> Stage:
     from . import synthpipe
 
-    overrides = {
-        "num_segments": args.num_segments, "tau_tract": args.tau_tract,
-        "max_targets": args.max_targets, "accuracy_threshold": args.accuracy_threshold,
-    }
-    cfg, file_cfg = _load_config(args.config, _SYNTH_DEFAULTS, overrides, sections=("generator", "judge", "teacher"))
+    synth_config, cfg, file_cfg = _stage_config(
+        args, synthpipe.SynthConfig, ("generator", "judge", "teacher"), seed=derive_seed(args.seed, "synthesize-sft")
+    )
     generator = _client(file_cfg.get("generator"), "generator")
     judge = _client(file_cfg.get("judge"), "judge")
     # without a teacher section the generator merges too, within its own in-flight limit
     teacher = _client(file_cfg["teacher"], "teacher") if file_cfg.get("teacher") else generator
-    synth_config = synthpipe.SynthConfig(seed=derive_seed(args.seed, "synthesize-sft"), **cfg)
 
     histories = core.load_histories(args.histories)
     scores = curriculum.load_scores(args.scores)
@@ -219,23 +187,8 @@ def cmd_synthesize_sft(args: argparse.Namespace) -> Stage:
 
 
 def cmd_prune(args: argparse.Namespace) -> Stage:
-    if args.preset:
-        base = curriculum.PRESET_CONFIGS[args.preset]
-        defaults = {
-            "alpha": base.alpha, "tract_low": base.tract_low, "tract_high": base.tract_high,
-            "tail_fraction": base.tail_fraction, "tail_side": base.tail_side,
-        }
-    else:
-        defaults = {"alpha": None, "tract_low": None, "tract_high": None, "tail_fraction": 1.0, "tail_side": "hardest"}
-    overrides = {
-        "alpha": args.alpha, "tract_low": args.tract_low, "tract_high": args.tract_high,
-        "tail_fraction": args.tail_fraction, "tail_side": args.tail_side,
-    }
-    cfg, _ = _load_config(args.config, defaults, overrides)
-    missing = [k for k in ("alpha", "tract_low", "tract_high") if cfg[k] is None]
-    if missing:
-        raise ConfigError(f"prune needs {missing} via --preset, --config, or flags")
-    prune_config = curriculum.PruneConfig(**cfg)
+    preset = curriculum.PRESET_CONFIGS[args.preset] if args.preset else None
+    prune_config, cfg, _ = _stage_config(args, curriculum.PruneConfig, preset=preset)
 
     scores = curriculum.load_scores(args.scores)
     kept = curriculum.prune(scores, prune_config)
@@ -256,19 +209,14 @@ def cmd_prune(args: argparse.Namespace) -> Stage:
     )
 
 
-_ROLLOUT_DEFAULTS = {"gamma": None, "group_size": 4, "clip_eps": 0.2, "future_credit": "selected", "debias": True}
-
-
 def cmd_rollout(args: argparse.Namespace) -> Stage:
     from . import rlengine
 
-    overrides = {"gamma": args.gamma, "group_size": args.group_size, "clip_eps": args.clip_eps}
-    cfg, file_cfg = _load_config(args.config, _ROLLOUT_DEFAULTS, overrides, sections=("policy", "judge"))
-    if cfg["gamma"] is None:
-        raise ConfigError("rollout needs an explicit gamma (--gamma or config file)")
+    config, cfg, file_cfg = _stage_config(
+        args, rlengine.RolloutConfig, ("policy", "judge"), seed=derive_seed(args.seed, "rollout")
+    )
     policy = _client(file_cfg.get("policy"), "policy")
     judge = _client(file_cfg.get("judge"), "judge")
-    config = rlengine.RolloutConfig(seed=derive_seed(args.seed, "rollout"), **cfg)
 
     histories = core.by_user(args.histories, ((h.user_id, h) for h in core.load_histories(args.histories)))
     instances = curriculum.load_instances(args.instances)

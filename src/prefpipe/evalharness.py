@@ -156,14 +156,7 @@ def evaluate_selection(
         return EvalOutcome(instance=inst, swapped=swapped, reply=reply, parsed=parsed, correct=ok, failed=failed)
 
     outcomes = ordered_map(judge, kept, jobs)
-    report = EvalReport(
-        label=label,
-        n=len(outcomes),
-        correct=sum(o.correct for o in outcomes),
-        parse_failures=sum(o.reply is not None and o.parsed is None for o in outcomes),
-        call_failures=sum(o.failed for o in outcomes),
-    )
-    return report, outcomes
+    return rescore(outcomes, label=label, strict=strict), outcomes
 
 
 def rescore(outcomes: Sequence[EvalOutcome], *, label: str = "rescore", strict: bool = False) -> EvalReport:

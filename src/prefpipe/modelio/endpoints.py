@@ -1,9 +1,8 @@
 """Endpoint configuration: which model to call, where, and under what limits."""
 
-import dataclasses
-import json
 from dataclasses import dataclass, field
 
+from .._util import build_config, read_config
 from ..errors import ConfigError
 
 
@@ -47,35 +46,9 @@ class ModelEndpoint:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelEndpoint":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown endpoint config keys: {sorted(unknown)}")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(f"bad endpoint config: {exc}") from exc
+        return build_config(cls, data, what="endpoint")
 
 
 def load_endpoint(path: str) -> ModelEndpoint:
-    """Read an endpoint config from a .yaml/.yml/.json file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            if path.endswith(".json"):
-                data = json.load(fh)
-            elif path.endswith((".yaml", ".yml")):
-                import yaml  # only YAML configs pay for importing the parser
-
-                try:
-                    data = yaml.safe_load(fh)
-                except yaml.YAMLError as exc:
-                    raise ConfigError(f"cannot parse endpoint config {path}: {exc}") from exc
-            else:
-                raise ConfigError(f"unsupported endpoint config extension: {path}")
-    except OSError as exc:
-        raise ConfigError(f"cannot read endpoint config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"cannot parse endpoint config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"endpoint config {path} must be a mapping")
-    return ModelEndpoint.from_dict(data)
+    """Read an endpoint config file (``.json``, else YAML)."""
+    return ModelEndpoint.from_dict(read_config(path))

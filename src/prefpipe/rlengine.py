@@ -358,27 +358,33 @@ def run_rollouts(
     jobs: int = 1,
 ) -> tuple[list[RolloutTree], dict]:
     """Roll out every instance, up to ``jobs`` at once, each fanning its own
-    samples out up to ``jobs`` wide. Failures skip the instance with a
-    log line; results keep input order regardless of scheduling."""
+    samples out up to ``jobs`` wide. A failure skips the instance; skips are
+    counted by reason ("no history" or the error's class) in the stats and
+    logged as one line per reason. Results keep input order regardless of
+    scheduling."""
 
-    def one(inst: RlInstance) -> RolloutTree | None:
+    def one(inst: RlInstance) -> RolloutTree | tuple[str, str]:
         history = histories.get(inst.user_id)
         if history is None:
-            logger.warning("instance %s: no history on file, skipped", inst.user_id)
-            return None
+            return "no history", f"instance {inst.user_id}: no history on file"
         try:
             return rollout(policy, judge, inst, history, config, jobs=jobs)
         except PipelineError as exc:
-            logger.warning("instance %s (%d, %d) failed: %s", inst.user_id, inst.k1, inst.k2, exc)
-            return None
+            return type(exc).__name__, f"instance {inst.user_id} ({inst.k1}, {inst.k2}): {exc}"
 
     results = ordered_map(one, instances, jobs)
-    trees = [t for t in results if t is not None]
+    trees = [r for r in results if isinstance(r, RolloutTree)]
+    skips: dict[str, list[str]] = {}
+    for reason, detail in (r for r in results if not isinstance(r, RolloutTree)):
+        skips.setdefault(reason, []).append(detail)
+    for reason, details in sorted(skips.items()):
+        logger.warning("%d instance(s) skipped (%s), first: %s", len(details), reason, details[0])
     rewards = [rs.immediate for t in trees for rs in t.all_summaries()]
     stats = {
         "instances_in": len(instances),
         "trees": len(trees),
         "skipped": len(instances) - len(trees),
+        "skipped_by_reason": {reason: len(details) for reason, details in sorted(skips.items())},
         "mean_immediate_reward": (sum(rewards) / len(rewards)) if rewards else None,
     }
     return trees, stats

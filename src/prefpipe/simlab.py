@@ -17,7 +17,7 @@ import re
 
 import numpy as np
 
-from ._util import derive_seed, read_jsonl, stable_hash, write_jsonl
+from ._util import count_tokens, derive_seed, numbered_jsonl, stable_hash, write_jsonl
 from .core import InteractionTriple, UserHistory
 from .errors import CapabilityError, ContractError, ValidationError
 from .modelio.backends import RawCompletion
@@ -209,8 +209,11 @@ def save_truth(path: str, truth: dict[str, np.ndarray]) -> int:
 
 def load_truth(path: str) -> dict[str, np.ndarray]:
     out = {}
-    for rec in read_jsonl(path):
-        out[rec["user_id"]] = np.array(rec["latent"], dtype=np.float64)
+    for line_no, rec in numbered_jsonl(path):
+        try:
+            out[rec["user_id"]] = np.array(rec["latent"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:  # a missing field, or a latent that is not numbers
+            raise ValidationError(f"{path}:{line_no}: bad truth record: {exc!r}") from exc
     return out
 
 
@@ -284,7 +287,7 @@ class ScriptedGeneratorBackend:
         reasoning = "The recent interactions point to a consistent direction in item space."
         text = f"{head}{reasoning}{tail}\n{render_estimate(est)}"
         rng = random.Random(stable_hash(self.seed, "gen-lp", prompt, seed, sorted((meta or {}).items())))
-        n = len(re.findall(r"\S+", text))
+        n = count_tokens(text)
         return RawCompletion(text, tuple(-rng.uniform(0.05, 2.0) for _ in range(n)))
 
     def choice_logprobs(self, prompt, labels, *, meta=None):
@@ -292,7 +295,7 @@ class ScriptedGeneratorBackend:
 
     def score(self, prompt, response, *, meta=None) -> list[float]:
         rng = random.Random(stable_hash(self.seed, "gen-score", prompt, response))
-        return [-rng.uniform(0.05, 2.0) for _ in range(len(re.findall(r"\S+", response)))]
+        return [-rng.uniform(0.05, 2.0) for _ in range(count_tokens(response))]
 
     def embed(self, text, *, meta=None) -> list[float]:
         return _hash_unit_vector(self.dim, "gen-embed", self.seed, text).tolist()
@@ -358,7 +361,7 @@ class ScriptedJudgeBackend:
 
     def score(self, prompt, response, *, meta=None) -> list[float]:
         rng = random.Random(stable_hash(self.seed, "judge-score", prompt, response))
-        return [-rng.uniform(0.05, 2.0) for _ in range(len(re.findall(r"\S+", response)))]
+        return [-rng.uniform(0.05, 2.0) for _ in range(count_tokens(response))]
 
     def embed(self, text, *, meta=None) -> list[float]:
         return _hash_unit_vector(self.dim, "judge-embed", self.seed, text).tolist()

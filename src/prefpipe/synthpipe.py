@@ -13,7 +13,7 @@ from typing import Mapping
 
 from ._util import derive_seed, even_boundaries, ordered_map
 from .core import HistorySegment, InteractionTriple, PreferenceSummary, UserHistory, segment
-from .errors import GenerationError, JudgeError, UserSkip
+from .errors import GenerationError, JudgeError, UserSkip, ValidationError
 from .modelio import GenerationResult, ModelClient
 from .prompts import render_generation_prompt, render_history_block, render_merge_prompt, render_target_block
 
@@ -45,6 +45,15 @@ class SynthConfig:
     accuracy_threshold: float = 0.8
     debias: bool = True
     seed: int = 0
+
+    def __post_init__(self):
+        lower_bounds = {"num_segments": 1, "min_per_segment": 1, "max_targets": 1, "min_kept": 1, "min_subset": 0}
+        for name, low in lower_bounds.items():
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("tau_tract", "accuracy_threshold"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise ValidationError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -167,15 +176,20 @@ def generate_candidates(
 
 
 def _predicts_choice(judge: ModelClient, summary_text: str, target: InteractionTriple, debias: bool, user_id: str) -> bool:
-    """True when the judge, reading the summary, picks the actually-chosen item."""
-    verdict = judge.judge_pair(
-        summary_text,
-        target.context,
-        target.chosen,
-        target.rejected,
-        debias=debias,
-        meta={"user_id": user_id, "target": target.index},
-    )
+    """True when the judge, reading the summary, picks the actually-chosen item.
+    A judge failure counts as a wrong pick."""
+    try:
+        verdict = judge.judge_pair(
+            summary_text,
+            target.context,
+            target.chosen,
+            target.rejected,
+            debias=debias,
+            meta={"user_id": user_id, "target": target.index},
+        )
+    except JudgeError as exc:
+        logger.warning("user %s target %d: judge failed (%s)", user_id, target.index, exc)
+        return False
     return verdict.prob_first > 0.5
 
 
@@ -185,15 +199,10 @@ def validate_candidates(
     """Keep candidates whose profile lets the judge predict the target's true
     choice, judging up to ``jobs`` at once. Judge failures count as failed
     validation. Fewer than ``min_kept`` survivors skip the user."""
-
-    def ok(cand: ProfileCandidate) -> bool:
-        try:
-            return _predicts_choice(judge, cand.summary_text, cand.target, config.debias, user_id)
-        except JudgeError as exc:
-            logger.warning("target %d: judge failed during validation (%s)", cand.target.index, exc)
-            return False
-
-    kept = [cand for cand, passed in zip(candidates, ordered_map(ok, candidates, jobs)) if passed]
+    passed = ordered_map(
+        lambda cand: _predicts_choice(judge, cand.summary_text, cand.target, config.debias, user_id), candidates, jobs
+    )
+    kept = [cand for cand, ok in zip(candidates, passed) if ok]
     if len(kept) < config.min_kept:
         raise UserSkip(f"only {len(kept)} candidate(s) validated, need at least {config.min_kept}")
     return kept
@@ -221,15 +230,10 @@ def user_level_filter(
     once; accept iff the accuracy reaches the threshold (inclusive). Returns
     the accuracy."""
     user_id = target_set.segment.history.user_id
-
-    def correct(target: InteractionTriple) -> bool:
-        try:
-            return _predicts_choice(judge, merged.text, target, config.debias, user_id)
-        except JudgeError as exc:
-            logger.warning("user %s target %d: judge failed in user filter (%s)", user_id, target.index, exc)
-            return False
-
-    accuracy = sum(ordered_map(correct, target_set.targets, jobs)) / len(target_set.targets)
+    correct = ordered_map(
+        lambda target: _predicts_choice(judge, merged.text, target, config.debias, user_id), target_set.targets, jobs
+    )
+    accuracy = sum(correct) / len(target_set.targets)
     if accuracy < config.accuracy_threshold:
         raise UserSkip(
             f"merged profile accuracy {accuracy:.3f} below threshold {config.accuracy_threshold}"

@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -170,6 +172,17 @@ class TestPipelineChain:
         assert manifest["stats"]["instances"] == len(instances) > 0
         assert all(inst["k1"] < inst["k2"] for inst in instances)
 
+    def test_knob_precedence_flag_file_preset_default(self, pipeline, tmp_path):
+        cfg = write_yaml(tmp_path / "prune.yaml", {"alpha": 0.3, "tract_high": 1})
+        out = str(tmp_path / "instances.jsonl")
+        assert run(
+            "prune", "--scores", pipeline["scores"], "--preset", "amazon", "--config", cfg,
+            "--alpha", "0.5", "--out", out,
+        ) == 0
+        config = manifest_for(out)["config"]
+        assert config == {"alpha": 0.5, "tract_low": 0.5, "tract_high": 1, "tail_fraction": 1.0, "tail_side": "hardest"}
+        assert type(config["tract_high"]) is int  # recorded as written
+
     def test_rollout_is_reproducible(self, pipeline):
         assert sha256_file(pipeline["batch"]) == sha256_file(pipeline["batch2"])
         manifest = manifest_for(pipeline["batch"])
@@ -297,6 +310,95 @@ class TestErrorHandling:
         assert rc == 1
         assert "explicit gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("synthesize-sft", "num_segments", "3"),
+            ("synthesize-sft", "debias", 1),
+            ("prune", "alpha", "0.5"),
+            ("rollout", "group_size", 2.5),
+            ("rollout", "gamma", True),
+        ],
+    )
+    def test_wrongly_typed_knob_is_config_error(self, pipeline, tmp_path, capsys, command, key, value):
+        mock = {"base_url": "mock:hash"}
+        out = str(tmp_path / "o.jsonl")
+        argv = {
+            "synthesize-sft": [
+                "synthesize-sft", "--histories", pipeline["histories"], "--scores", pipeline["scores"],
+                "--config", write_yaml(tmp_path / "synth.yaml", {"generator": mock, "judge": mock, key: value}),
+            ],
+            "prune": [
+                "prune", "--scores", pipeline["scores"],
+                "--config", write_yaml(tmp_path / "prune.yaml", {"tract_low": 0.5, "tract_high": 0.9, key: value}),
+            ],
+            "rollout": [
+                "rollout", "--instances", pipeline["instances"], "--histories", pipeline["histories"],
+                "--config", write_yaml(tmp_path / "rollout.yaml", {"policy": mock, "judge": mock, "gamma": 0.5, key: value}),
+            ],
+        }[command]
+        assert run(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"error (ConfigError): {command} config key '{key}' must be" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [("file", "max_in_flight", 2.5), ("file", "timeout", "abc"), ("section", "timeout", "abc")],
+    )
+    def test_wrongly_typed_endpoint_field_is_config_error(self, pipeline, tmp_path, capsys, where, key, value):
+        endpoint = {"base_url": "mock:hash", key: value}
+        if where == "file":
+            argv = [
+                "stream-infer", "--histories", pipeline["histories"],
+                "--generator", write_yaml(tmp_path / "gen.yaml", endpoint), "--state-dir", str(tmp_path / "s"),
+            ]
+        else:
+            argv = [
+                "rollout", "--instances", pipeline["instances"], "--histories", pipeline["histories"], "--gamma", "0.5",
+                "--config", write_yaml(tmp_path / "cfg.yaml", {"policy": endpoint, "judge": {"base_url": "mock:hash"}}),
+                "--out", str(tmp_path / "o.jsonl"),
+            ]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"error (ConfigError): endpoint config key '{key}' must be" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synthesize-sft", "stream-infer"])
+    def test_zero_segments_is_validation_error(self, pipeline, tmp_path, capsys, command):
+        mock = {"base_url": "mock:hash"}
+        argv = {
+            "synthesize-sft": [
+                "synthesize-sft", "--histories", pipeline["histories"], "--scores", pipeline["scores"],
+                "--config", write_yaml(tmp_path / "cfg.yaml", {"generator": mock, "judge": mock}),
+                "--num-segments", "0", "--out", str(tmp_path / "o.jsonl"),
+            ],
+            "stream-infer": [
+                "stream-infer", "--histories", pipeline["histories"], "--chunks", "0",
+                "--generator", write_yaml(tmp_path / "gen.yaml", mock), "--state-dir", str(tmp_path / "s"),
+            ],
+        }[command]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "error (ValidationError)" in err and "must be >= 1" in err
+        assert "Traceback" not in err
+
+    def test_truth_line_without_latent_is_validation_error(self, pipeline, tmp_path, capsys):
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text('{"user_id": "u0000"}\n', encoding="utf-8")
+        cfg = write_yaml(tmp_path / "cfg.yaml", {
+            "generator": {"base_url": f"mock:generator?truth={truth}"}, "judge": {"base_url": "mock:judge"},
+        })
+        rc = run(
+            "synthesize-sft", "--histories", pipeline["histories"], "--scores", pipeline["scores"],
+            "--config", cfg, "--out", str(tmp_path / "o.jsonl"),
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error (ValidationError): {truth}:1: bad truth record" in err and "latent" in err
+        assert "Traceback" not in err
+
     def test_rollout_rejects_duplicate_histories(self, pipeline, tmp_path, capsys):
         lines = open(pipeline["histories"], encoding="utf-8").readlines()
         doubled = tmp_path / "doubled.jsonl"
@@ -405,6 +507,39 @@ class TestStartup:
         ]
         loaded = _modules_loaded_by(f"import prefpipe.cli\nassert prefpipe.cli.main({argv!r}) == 0")
         assert not loaded & {"requests", "yaml", "numpy", "prefpipe.modelio", *_STAGE_MODULES}
+
+
+def test_readme_walkthrough(tmp_path, monkeypatch):
+    """Every command of the README walkthrough, run in order in an empty
+    directory: each exits 0, each output is non-empty, and evaluate scores at
+    least one instance."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme[readme.index("### Walkthrough"):readme.index("### Start-up")]
+    lines = iter(
+        line for block in section.split("```")[1::2] for line in block.replace("\\\n", " ").splitlines() if line
+    )
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for line in lines:
+        argv = shlex.split(line)
+        if argv[:2] == ["cat", ">"]:  # cat > FILE <<EOF, the body, EOF
+            body = itertools.takewhile(lambda body_line: body_line != "EOF", lines)
+            (tmp_path / argv[2]).write_text("".join(f"{b}\n" for b in body), encoding="utf-8")
+        elif argv[0] == "echo":  # echo 'TEXT' > FILE
+            assert argv[2] == ">", line
+            (tmp_path / argv[3]).write_text(argv[1] + "\n", encoding="utf-8")
+        else:
+            assert argv[0] == "prefpipe", line
+            assert main(argv[1:]) == 0, line
+            outputs += [argv[i + 1] for i, arg in enumerate(argv) if arg.startswith("--out") or arg == "--state-dir"]
+    assert len(outputs) == 13
+    for out in outputs:
+        for path in [os.path.join(out, f) for f in os.listdir(out)] if os.path.isdir(out) else [out]:
+            assert os.path.getsize(path) > 0, path
+    with open("report.json", encoding="utf-8") as fh:
+        assert json.load(fh)["n"] >= 1
 
 
 def test_console_entry_point():

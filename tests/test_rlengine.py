@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 import threading
 import time
@@ -460,6 +461,18 @@ class TestRunRollouts(LabSetup):
         assert stats["trees"] == 3
         assert stats["skipped"] == 2
         assert {t.user_id for t in trees} == {h.user_id for h in self.histories}
+
+    def test_skips_are_summarized_per_reason(self, caplog):
+        ghosts = [RlInstance(user_id=f"ghost{i}", k1=4, k2=9) for i in range(2)]
+        empty_prefix = [RlInstance(user_id=h.user_id, k1=0, k2=5) for h in self.histories]
+        with caplog.at_level(logging.WARNING, logger="prefpipe.rlengine"):
+            _, stats = self.run(self.instances() + ghosts + empty_prefix, jobs=2)
+        assert stats["skipped"] == 5
+        assert stats["skipped_by_reason"] == {"ValidationError": 3, "no history": 2}
+        lines = [r.getMessage() for r in caplog.records if r.name == "prefpipe.rlengine"]
+        assert len(lines) == 2
+        assert lines[0].startswith("3 instance(s) skipped (ValidationError)")
+        assert lines[1].startswith("2 instance(s) skipped (no history)")
 
     def test_parallel_matches_serial(self):
         serial, _ = self.run(self.instances(), jobs=1)

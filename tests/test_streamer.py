@@ -138,9 +138,9 @@ class TestStreaming:
 
     def test_chunk_count_must_fit_history(self):
         history = make_history(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             infer_streaming(mock_client(), history, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             infer_streaming(mock_client(), history, 0)
 
     def test_manual_fold_frontier_is_monotone(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prefpipe.core import HistorySegment, InteractionTriple, PreferenceSummary, UserHistory
-from prefpipe.errors import JudgeError, UserSkip
+from prefpipe.errors import JudgeError, UserSkip, ValidationError
 from prefpipe.modelio import GenerationResult, ModelClient, ModelEndpoint, ScriptBackend
 from prefpipe.prompts import EMPTY_SLOT
 from prefpipe.simlab import (
@@ -52,6 +52,23 @@ def scripted_client(completer=None, chooser=None):
 def make_candidate(target, summary, reasoning=None):
     gen = GenerationResult(prompt="p", raw=summary, summary=summary, reasoning=reasoning, token_logprobs=None)
     return ProfileCandidate(target=target, generation=gen)
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"num_segments": 0}, {"min_per_segment": 0}, {"max_targets": 0}, {"min_kept": 0}, {"min_subset": -1},
+        {"tau_tract": -0.1}, {"tau_tract": 1.5}, {"accuracy_threshold": 1.01}, {"accuracy_threshold": float("nan")},
+    ],
+    ids=str,
+)
+def test_synth_config_rejects_out_of_range_knobs(knobs):
+    with pytest.raises(ValidationError, match=next(iter(knobs))):
+        SynthConfig(**knobs)
+
+
+def test_synth_config_accepts_range_edges():
+    SynthConfig(num_segments=1, min_per_segment=1, max_targets=1, min_kept=1, min_subset=0, tau_tract=0, accuracy_threshold=1)
 
 
 ALWAYS_A = lambda prompt, labels, ctx: (0.0, -10.0)

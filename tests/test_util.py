@@ -2,6 +2,7 @@ import json
 import os
 import threading
 import time
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,18 +10,20 @@ from hypothesis import strategies as st
 
 from prefpipe._util import (
     atomic_write_text,
+    build_config,
     count_tokens,
     derive_seed,
     even_boundaries,
     json_dumps,
     left_truncate,
     ordered_map,
+    read_config,
     read_jsonl,
     sha256_file,
     stable_hash,
     write_jsonl,
 )
-from prefpipe.errors import ValidationError
+from prefpipe.errors import ConfigError, ValidationError
 
 
 def test_stable_hash_deterministic_and_scoped():
@@ -83,9 +86,9 @@ def test_even_boundaries_cover_without_gaps():
 
 
 def test_even_boundaries_rejects_bad_args():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         even_boundaries(3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         even_boundaries(2, 3)
 
 
@@ -166,6 +169,68 @@ def test_write_jsonl_failure_keeps_previous_file(tmp_path):
         write_jsonl(path, records())
     assert open(path, "rb").read() == before
     assert not os.path.exists(path + ".tmp")
+
+
+@dataclass(frozen=True)
+class Knobs:
+    rate: float
+    count: int = 1
+    limit: int | None = None
+    on: bool = True
+    name: str = "x"
+    extra: dict = field(default_factory=dict)
+    seed: int = 0
+
+
+class TestBuildConfig:
+    def test_later_layers_win_and_values_are_kept_as_given(self):
+        cfg = build_config(Knobs, {"rate": 0.5, "name": "a"}, {"rate": 2}, {"name": "b"}, what="t", seed=9)
+        assert cfg == Knobs(rate=2, name="b", seed=9)
+        assert type(cfg.rate) is int
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"rate": 1.0, "limit": None}, {"rate": 1, "limit": 3}, {"rate": 1.0, "on": False}, {"rate": 1.0, "extra": {}}],
+        ids=str,
+    )
+    def test_accepts_matching_types(self, data):
+        build_config(Knobs, data, what="t")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("rate", "0.5"), ("rate", True), ("count", 2.5), ("count", True), ("count", None), ("limit", 1.0),
+         ("on", 1), ("name", 3), ("extra", [])],
+    )
+    def test_rejects_wrong_type_naming_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"t config key '{key}' must be"):
+            build_config(Knobs, {"rate": 1.0, key: value}, what="t")
+
+    def test_rejects_unknown_keys_but_not_sections(self):
+        build_config(Knobs, {"rate": 1.0, "judge": {"base_url": "mock:hash"}}, what="t", sections=("judge",))
+        with pytest.raises(ConfigError, match=r"unknown t config keys: \['judge'\]"):
+            build_config(Knobs, {"rate": 1.0, "judge": {}}, what="t")
+        with pytest.raises(ConfigError, match=r"unknown t config keys: \['seed'\]"):
+            build_config(Knobs, {"rate": 1.0, "seed": 3}, what="t", seed=0)
+
+    def test_missing_required_field_and_non_mapping(self):
+        with pytest.raises(ConfigError, match="t needs an explicit rate"):
+            build_config(Knobs, {"count": 2}, what="t")
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            build_config(Knobs, "rate: 1", what="t")
+
+
+def test_read_config_picks_parser_by_extension(tmp_path):
+    (tmp_path / "c.json").write_text('{"a": 1}')
+    (tmp_path / "c.yaml").write_text("a: 1\n")
+    (tmp_path / "c.cfg").write_text("a: 1\n")
+    (tmp_path / "empty.yaml").write_text("")
+    assert [read_config(str(tmp_path / n)) for n in ("c.json", "c.yaml", "c.cfg", "empty.yaml")] == [
+        {"a": 1}, {"a": 1}, {"a": 1}, {}
+    ]
+    (tmp_path / "yaml.json").write_text("a: 1\n")
+    for name in ("yaml.json", "missing.yaml"):
+        with pytest.raises(ConfigError, match=name):
+            read_config(str(tmp_path / name))
 
 
 class TestOrderedMap:
