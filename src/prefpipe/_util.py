@@ -1,14 +1,16 @@
 """Small shared helpers: stable seeds, token counting, JSONL io, config
 loading, ordered fan-out."""
 
+import collections
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import re
 import types
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
 
 from .errors import ConfigError, ValidationError
@@ -64,12 +66,25 @@ def json_dumps(obj: Any) -> str:
 def write_jsonl(path: str, records: Iterable[dict]) -> int:
     """Atomically write records as one JSON object per line. Returns the record count."""
     n = 0
-    with _atomic_open(path) as fh:
+    with jsonl_writer(path) as write:
         for rec in records:
-            fh.write(json_dumps(rec))
-            fh.write("\n")
+            write(rec)
             n += 1
     return n
+
+
+@contextlib.contextmanager
+def jsonl_writer(path: str) -> Iterator[Callable[[dict], None]]:
+    """``write_jsonl`` for a caller that produces records one at a time:
+    yields a function that writes one record. ``path`` appears, complete,
+    only when the block ends without an exception."""
+    with _atomic_open(path) as fh:
+
+        def write(rec: dict) -> None:
+            fh.write(json_dumps(rec))
+            fh.write("\n")
+
+        yield write
 
 
 def read_jsonl(path: str) -> Iterator[dict]:
@@ -205,23 +220,32 @@ def even_boundaries(n: int, k: int) -> list[int]:
     return ends
 
 
-def ordered_map(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> list[R]:
-    """``[fn(x) for x in items]``, with up to ``jobs`` calls running at once.
+def ordered_map(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> Iterator[R]:
+    """Yield ``fn(x)`` for each of ``items``, with up to ``jobs`` calls running at once.
 
-    Results come back in input order whatever the scheduling, so callers emit
-    the same bytes at any ``jobs``. With ``jobs <= 1`` or fewer than two items
-    every call runs inline in the caller's thread. Otherwise the first
-    exception in input order cancels the calls not yet started and is
-    re-raised, the same exception the inline loop would raise.
+    Results come out in input order whatever the scheduling, so callers emit
+    the same bytes at any ``jobs``; wrap the call in ``list(...)`` to collect
+    them. Nothing runs until the first result is asked for. With ``jobs <= 1``
+    or fewer than two items every call runs inline in the consumer's thread.
+    Otherwise ``items`` is read lazily and at most ``2 * jobs`` calls are
+    submitted ahead of the consumer. The first exception in input order, or
+    the consumer closing the iterator, cancels the calls not yet started;
+    the exception is re-raised, the same one the inline loop would raise.
     """
-    items = list(items)
-    if jobs <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        futures = [pool.submit(fn, x) for x in items]
+    it = iter(items)
+    head = list(itertools.islice(it, 2 if jobs > 1 else 0))
+    if len(head) < 2:
+        yield from map(fn, itertools.chain(head, it))
+        return
+    pending: collections.deque[Future[R]] = collections.deque()
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         try:
-            return [f.result() for f in futures]
-        except BaseException:
-            for f in futures:
+            for x in itertools.chain(head, it):
+                pending.append(pool.submit(fn, x))
+                if len(pending) >= 2 * jobs:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for f in pending:
                 f.cancel()
-            raise

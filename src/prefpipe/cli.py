@@ -13,8 +13,10 @@ parser only when it runs, so a command loads just what it uses.
 """
 
 import argparse
+import contextlib
 import datetime
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -24,8 +26,8 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from . import core, curriculum
-from ._util import atomic_write_text, build_config, derive_seed, json_dumps, ordered_map, read_config, read_jsonl
-from ._util import sha256_file, write_jsonl
+from ._util import atomic_write_text, build_config, derive_seed, json_dumps, jsonl_writer, ordered_map, read_config
+from ._util import read_jsonl, sha256_file, write_jsonl
 from .errors import ConfigError, PipelineError
 
 if TYPE_CHECKING:
@@ -220,31 +222,51 @@ def cmd_rollout(args: argparse.Namespace) -> Stage:
 
     histories = core.by_user(args.histories, ((h.user_id, h) for h in core.load_histories(args.histories)))
     instances = curriculum.load_instances(args.instances)
-    trees, stats = rlengine.run_rollouts(policy, judge, instances, histories, config, jobs=args.jobs)
-    records = rlengine.export_batch(trees)
-    rlengine.save_batch(args.out, records)
-    if args.trees:
-        write_jsonl(args.trees, (t.to_dict() for t in trees))
+    records = 0
+    # each tree is exported and dumped as it arrives; both files appear only
+    # once every tree is written
+    with jsonl_writer(args.out) as write_record, (
+        jsonl_writer(args.trees) if args.trees else contextlib.nullcontext(None)
+    ) as write_tree:
+
+        def emit(tree) -> None:
+            nonlocal records
+            for rec in rlengine.export_batch([tree]):
+                write_record(rec.to_dict())
+                records += 1
+            if write_tree:
+                write_tree(tree.to_dict())
+
+        _, stats = rlengine.run_rollouts(policy, judge, instances, histories, config, jobs=args.jobs, sink=emit)
     return Stage(
         cfg, [args.histories, args.instances, args.config], [args.out, args.trees],
-        {**stats, "records": len(records)},
+        {**stats, "records": records},
         f"rolled out {stats['trees']}/{stats['instances_in']} instances "
-        f"({len(records)} records, mean reward {stats['mean_immediate_reward']})",
+        f"({records} records, mean reward {stats['mean_immediate_reward']})",
     )
 
 
 def cmd_loss_check(args: argparse.Namespace) -> None:
     from . import rlengine
 
-    records = rlengine.load_batch(args.batch)
+    clip_eps = rlengine.RolloutConfig.clip_eps if args.clip_eps is None else args.clip_eps
+    seen = 0
+
+    def records():
+        nonlocal seen
+        for seen, rec in enumerate(rlengine.iter_batch(args.batch), 1):
+            yield rec
+
+    # both inputs are folded one line at a time; tee's buffer holds one record
     if args.self_check:
-        new_logprobs = [list(r.old_token_logprobs) for r in records]
+        batch, own = itertools.tee(records())
+        new_logprobs = (r.old_token_logprobs for r in own)
     else:
         if not args.new_logprobs:
             raise ConfigError("loss-check needs --new-logprobs (or --self-check)")
-        new_logprobs = [rec["logprobs"] for rec in read_jsonl(args.new_logprobs)]
-    loss = rlengine.surrogate_loss(records, new_logprobs, clip_eps=args.clip_eps)
-    print(json_dumps({"loss": loss, "records": len(records), "clip_eps": args.clip_eps}))
+        batch, new_logprobs = records(), (rec["logprobs"] for rec in read_jsonl(args.new_logprobs))
+    loss = rlengine.surrogate_loss(batch, new_logprobs, clip_eps=clip_eps)
+    print(json_dumps({"loss": loss, "records": seen, "clip_eps": clip_eps}))
 
 
 def cmd_stream_infer(args: argparse.Namespace) -> Stage:
@@ -253,7 +275,7 @@ def cmd_stream_infer(args: argparse.Namespace) -> Stage:
     generator = _endpoint_client(args.generator)
     histories = core.load_histories(args.histories)
     os.makedirs(args.state_dir, exist_ok=True)
-    states = ordered_map(lambda h: streamer.infer_streaming(generator, h, args.chunks), histories, args.jobs)
+    states = list(ordered_map(lambda h: streamer.infer_streaming(generator, h, args.chunks), histories, args.jobs))
     states_path = os.path.join(args.state_dir, "states.jsonl")
     summaries_path = os.path.join(args.state_dir, "summaries.jsonl")
     streamer.save_states(states_path, states)
@@ -430,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", required=True)
     p.add_argument("--new-logprobs", help="JSONL rows {logprobs: [...]} aligned with the batch")
     p.add_argument("--self-check", action="store_true", help="use the batch's own logprobs (ratio 1)")
-    p.add_argument("--clip-eps", type=float, default=0.2)
+    p.add_argument("--clip-eps", type=float, help="default: the rollout config's clip_eps default")
     p.set_defaults(func=cmd_loss_check)
 
     p = sub.add_parser("stream-infer", help="streaming inference over a corpus")

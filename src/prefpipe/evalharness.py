@@ -155,7 +155,7 @@ def evaluate_selection(
         parsed, ok = _judge_outcome(reply, swapped, inst.truth, strict)
         return EvalOutcome(instance=inst, swapped=swapped, reply=reply, parsed=parsed, correct=ok, failed=failed)
 
-    outcomes = ordered_map(judge, kept, jobs)
+    outcomes = list(ordered_map(judge, kept, jobs))
     return rescore(outcomes, label=label, strict=strict), outcomes
 
 

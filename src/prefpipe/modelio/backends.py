@@ -9,7 +9,7 @@ import os
 import random
 import urllib.parse
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Protocol, TypeVar, runtime_checkable
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .endpoints import ModelEndpoint
 
 if TYPE_CHECKING:
     import requests
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -322,6 +324,17 @@ def _parse_mock_url(url: str) -> tuple[str, dict]:
     return kind or "hash", params
 
 
+def mock_param(params: dict, key: str, convert: Callable[[str], T], default: T) -> T:
+    """Mock URL parameter ``key`` converted by ``convert``, or ``default``
+    when absent. A value that does not convert is a ConfigError naming it."""
+    if key not in params:
+        return default
+    try:
+        return convert(params[key])
+    except ValueError as exc:
+        raise ConfigError(f"mock URL parameter {key}={params[key]!r} is not a valid {convert.__name__}") from exc
+
+
 def build_backend(endpoint: ModelEndpoint) -> Backend:
     url = endpoint.base_url
     if url.startswith("mock:"):
@@ -341,9 +354,9 @@ def build_backend(endpoint: ModelEndpoint) -> Backend:
 
 def _hash_factory(params: dict, endpoint: ModelEndpoint) -> Backend:
     return HashMockBackend(
-        seed=int(params.get("seed", "0")),
-        token_logprob=float(params["logprob"]) if "logprob" in params else None,
-        embed_dim=int(params.get("dim", "32")),
+        seed=mock_param(params, "seed", int, 0),
+        token_logprob=mock_param(params, "logprob", float, None),
+        embed_dim=mock_param(params, "dim", int, 32),
         think=params.get("think", "1").lower() not in ("0", "false", "no"),
         think_tags=(endpoint.think_open, endpoint.think_close),
     )

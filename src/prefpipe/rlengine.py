@@ -12,11 +12,12 @@ G-sized rollout set, and the loss is the token-level clipped surrogate averaged
 per sequence, then per batch.
 """
 
+import itertools
 import logging
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .prompts import render_generation_prompt, render_history_block
 logger = logging.getLogger("prefpipe.rlengine")
 
 EPS_STD = 1e-8
+_MISSING = object()  # zip_longest's filler past the end of the shorter input
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,7 @@ def rollout(
             reward = immediate_reward(judge, summary, target, config)
             return RewardedSummary(summary=summary, generation=gen, stage=stage, sample_index=i, immediate=reward)
 
-        return ordered_map(one, range(config.group_size), jobs)
+        return list(ordered_map(one, range(config.group_size), jobs))
 
     prefix_prompt = render_generation_prompt(render_history_block(history.triples[:pos1]))
     initial = group(prefix_prompt, "initial", inst.target1, (0, pos1))
@@ -303,34 +305,36 @@ def export_batch(trees: Iterable[RolloutTree]) -> list[TrainingRecord]:
 
 
 def surrogate_loss(
-    records: Sequence[TrainingRecord],
-    new_token_logprobs: Sequence[Sequence[float]],
+    records: Iterable[TrainingRecord],
+    new_token_logprobs: Iterable[Sequence[float]],
     clip_eps: float = 0.2,
 ) -> float:
-    """Clipped surrogate objective.
+    """Clipped surrogate objective, in one pass over both iterables.
 
     Per token: min(ratio * A, clip(ratio, 1 - eps, 1 + eps) * A) with
     ratio = exp(new - old) and the sequence advantage broadcast to tokens.
     Token terms are averaged within a sequence, sequence terms across the batch,
     and the result negated (it is a loss). clip_eps = math.inf disables
-    clipping.
+    clipping. Checks report in this order: batch size mismatch, empty batch,
+    clip_eps, then the first row whose token count disagrees.
     """
-    if len(records) != len(new_token_logprobs):
-        raise ContractError(
-            f"batch size mismatch: {len(records)} records vs {len(new_token_logprobs)} logprob rows"
-        )
-    if not records:
-        raise ContractError("cannot compute a loss over an empty batch")
+    error: PipelineError | None = None
     if not (clip_eps > 0.0):
-        raise ValidationError(f"clip_eps must be positive, got {clip_eps}")
+        error = ValidationError(f"clip_eps must be positive, got {clip_eps}")
+    n_records = n_rows = 0
     total = 0.0
-    for rec, new_row in zip(records, new_token_logprobs):
+    for rec, new_row in itertools.zip_longest(records, new_token_logprobs, fillvalue=_MISSING):
+        n_records += rec is not _MISSING
+        n_rows += new_row is not _MISSING
+        if error is not None or rec is _MISSING or new_row is _MISSING:
+            continue
         old = np.asarray(rec.old_token_logprobs, dtype=np.float64)
         new = np.asarray(new_row, dtype=np.float64)
         if old.shape != new.shape:
-            raise ContractError(
+            error = ContractError(
                 f"record {rec.group_id}[{rec.stage}]: token count mismatch {old.shape} vs {new.shape}"
             )
+            continue
         ratio = np.exp(new - old)
         if math.isinf(clip_eps):
             terms = ratio * rec.advantage
@@ -338,15 +342,26 @@ def surrogate_loss(
             clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)
             terms = np.minimum(ratio * rec.advantage, clipped * rec.advantage)
         total += float(terms.mean())
-    return -total / len(records)
+    if n_records != n_rows:
+        raise ContractError(f"batch size mismatch: {n_records} records vs {n_rows} logprob rows")
+    if not n_records:
+        raise ContractError("cannot compute a loss over an empty batch")
+    if error is not None:
+        raise error
+    return -total / n_records
 
 
 def save_batch(path: str, records: Iterable[TrainingRecord]) -> int:
     return write_jsonl(path, (r.to_dict() for r in records))
 
 
+def iter_batch(path: str) -> Iterator[TrainingRecord]:
+    """The training records of ``path``, one line at a time."""
+    return (TrainingRecord.from_dict(rec) for rec in read_jsonl(path))
+
+
 def load_batch(path: str) -> list[TrainingRecord]:
-    return [TrainingRecord.from_dict(rec) for rec in read_jsonl(path)]
+    return list(iter_batch(path))
 
 
 def run_rollouts(
@@ -356,12 +371,17 @@ def run_rollouts(
     histories: dict[str, UserHistory],
     config: RolloutConfig,
     jobs: int = 1,
+    sink: Callable[[RolloutTree], None] | None = None,
 ) -> tuple[list[RolloutTree], dict]:
     """Roll out every instance, up to ``jobs`` at once, each fanning its own
     samples out up to ``jobs`` wide. A failure skips the instance; skips are
     counted by reason ("no history" or the error's class) in the stats and
-    logged as one line per reason. Results keep input order regardless of
-    scheduling."""
+    logged as one line per reason.
+
+    Each finished tree goes to ``sink`` in input order, regardless of
+    scheduling, as soon as every tree before it has gone; then only about
+    ``2 * jobs`` trees are held at once and the returned list is empty.
+    Without a sink the trees are collected and returned."""
 
     def one(inst: RlInstance) -> RolloutTree | tuple[str, str]:
         history = histories.get(inst.user_id)
@@ -372,18 +392,25 @@ def run_rollouts(
         except PipelineError as exc:
             return type(exc).__name__, f"instance {inst.user_id} ({inst.k1}, {inst.k2}): {exc}"
 
-    results = ordered_map(one, instances, jobs)
-    trees = [r for r in results if isinstance(r, RolloutTree)]
+    trees: list[RolloutTree] = []
+    emit = sink or trees.append
+    n_trees = 0
+    rewards: list[float] = []
     skips: dict[str, list[str]] = {}
-    for reason, detail in (r for r in results if not isinstance(r, RolloutTree)):
-        skips.setdefault(reason, []).append(detail)
+    for result in ordered_map(one, instances, jobs):
+        if isinstance(result, RolloutTree):
+            n_trees += 1
+            rewards.extend(rs.immediate for rs in result.all_summaries())
+            emit(result)
+        else:
+            reason, detail = result
+            skips.setdefault(reason, []).append(detail)
     for reason, details in sorted(skips.items()):
         logger.warning("%d instance(s) skipped (%s), first: %s", len(details), reason, details[0])
-    rewards = [rs.immediate for t in trees for rs in t.all_summaries()]
     stats = {
         "instances_in": len(instances),
-        "trees": len(trees),
-        "skipped": len(instances) - len(trees),
+        "trees": n_trees,
+        "skipped": len(instances) - n_trees,
         "skipped_by_reason": {reason: len(details) for reason, details in sorted(skips.items())},
         "mean_immediate_reward": (sum(rewards) / len(rewards)) if rewards else None,
     }

@@ -20,7 +20,7 @@ import numpy as np
 from ._util import count_tokens, derive_seed, numbered_jsonl, stable_hash, write_jsonl
 from .core import InteractionTriple, UserHistory
 from .errors import CapabilityError, ContractError, ValidationError
-from .modelio.backends import RawCompletion
+from .modelio.backends import RawCompletion, mock_param
 
 _FEAT_RE = re.compile(r"\[feat ([^\]]+)\]")
 _EST_RE = re.compile(r"\[est ([^\]]+)\]")
@@ -399,27 +399,27 @@ def _truthy(value: str) -> bool:
 def _generator_factory(params: dict, endpoint) -> ScriptedGeneratorBackend:
     truth = load_truth(params["truth"]) if "truth" in params else {}
     return ScriptedGeneratorBackend(
-        seed=int(params.get("seed", "0")),
-        quality=float(params.get("quality", "1.0")),
+        seed=mock_param(params, "seed", int, 0),
+        quality=mock_param(params, "quality", float, 1.0),
         truth=truth,
         invert=_truthy(params.get("invert", "0")),
-        dim=int(params.get("dim", "8")),
+        dim=mock_param(params, "dim", int, 8),
         think_tags=(endpoint.think_open, endpoint.think_close),
     )
 
 
 def _judge_factory(params: dict, endpoint) -> ScriptedJudgeBackend:
     return ScriptedJudgeBackend(
-        seed=int(params.get("seed", "0")),
-        kappa=float(params.get("kappa", "8.0")),
-        dim=int(params.get("dim", "8")),
+        seed=mock_param(params, "seed", int, 0),
+        kappa=mock_param(params, "kappa", float, 8.0),
+        dim=mock_param(params, "dim", int, 8),
         logprob_support=not _truthy(params.get("sample_only", "0")),
         mode=params.get("mode", "argmax"),
     )
 
 
 def _embedder_factory(params: dict, endpoint) -> ScriptedEmbedderBackend:
-    return ScriptedEmbedderBackend(seed=int(params.get("seed", "0")), dim=int(params.get("dim", "8")))
+    return ScriptedEmbedderBackend(seed=mock_param(params, "seed", int, 0), dim=mock_param(params, "dim", int, 8))
 
 
 # The ``mock:<kind>`` endpoint kinds that ``build_backend`` resolves here.

@@ -107,6 +107,10 @@ def infer_streaming(generator: ModelClient, history: UserHistory, num_chunks: in
     segments (the division remainder goes to the last chunk)."""
     if len(history) == 0:
         raise ValidationError(f"user {history.user_id}: cannot infer over an empty history")
+    if len(history) < num_chunks:
+        raise ValidationError(
+            f"user {history.user_id}: a history of {len(history)} steps cannot be split into {num_chunks} chunks"
+        )
     state: StreamState | None = None
     for seg in segment(history, even_boundaries(len(history), num_chunks)):
         state = update(generator, state, seg)

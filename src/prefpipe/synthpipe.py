@@ -168,7 +168,7 @@ def generate_candidates(
             return None
         return ProfileCandidate(target=target, generation=gen)
 
-    results = ordered_map(one, zip(target_set.targets, firsts), jobs)
+    results = list(ordered_map(one, zip(target_set.targets, firsts), jobs))
     candidates = [c for c in results if c is not None]
     if not candidates:
         raise UserSkip("all candidate generations failed")
@@ -199,9 +199,9 @@ def validate_candidates(
     """Keep candidates whose profile lets the judge predict the target's true
     choice, judging up to ``jobs`` at once. Judge failures count as failed
     validation. Fewer than ``min_kept`` survivors skip the user."""
-    passed = ordered_map(
+    passed = list(ordered_map(
         lambda cand: _predicts_choice(judge, cand.summary_text, cand.target, config.debias, user_id), candidates, jobs
-    )
+    ))
     kept = [cand for cand, ok in zip(candidates, passed) if ok]
     if len(kept) < config.min_kept:
         raise UserSkip(f"only {len(kept)} candidate(s) validated, need at least {config.min_kept}")
@@ -312,7 +312,7 @@ def run_corpus(
             history, tract_scores.get(history.user_id, {}), generator, judge, teacher, config, jobs=jobs
         )
 
-    per_user = ordered_map(one, histories, jobs)
+    per_user = list(ordered_map(one, histories, jobs))
     records = [rec for recs in per_user for rec in recs]
     stats = {
         "users_in": len(histories),

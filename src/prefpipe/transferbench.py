@@ -85,7 +85,7 @@ def match_users(
     total = len(corpus_a) * len(corpus_b)
     if top_k > total:
         raise ValidationError(f"top_k {top_k} exceeds the {total} available pairs")
-    embeddings = ordered_map(lambda h: embed_history(client, h), [*corpus_a, *corpus_b], jobs)
+    embeddings = list(ordered_map(lambda h: embed_history(client, h), [*corpus_a, *corpus_b], jobs))
     emb_a = np.stack(embeddings[: len(corpus_a)])
     emb_b = np.stack(embeddings[len(corpus_a) :])
     if emb_a.shape[1] != emb_b.shape[1]:

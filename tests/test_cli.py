@@ -4,13 +4,16 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
+import time
+import weakref
 
 import pytest
 import yaml
 
 from prefpipe import core
 from prefpipe._util import read_jsonl, sha256_file
-from prefpipe.cli import main
+from prefpipe.cli import build_parser, main
 
 
 def run(*argv, seed=7):
@@ -384,6 +387,29 @@ class TestErrorHandling:
         assert "error (ValidationError)" in err and "must be >= 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("url", ["mock:judge?kappa=abc", "mock:hash?dim=x", "mock:judge?seed=1.5"])
+    def test_bad_mock_url_parameter_is_config_error(self, pipeline, tmp_path, capsys, url):
+        rc = run(
+            "evaluate", "--summaries", os.path.join(pipeline["stream"], "summaries.jsonl"),
+            "--instances", pipeline["cross"], "--downstream", write_yaml(tmp_path / "judge.yaml", {"base_url": url}),
+            "--out", str(tmp_path / "report.json"),
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        key, value = url.split("?")[1].split("=")
+        assert f"error (ConfigError): mock URL parameter {key}={value!r}" in err
+        assert "Traceback" not in err
+
+    def test_too_many_chunks_names_the_user(self, pipeline, tmp_path, capsys):
+        rc = run(
+            "stream-infer", "--histories", pipeline["histories"], "--chunks", "13",
+            "--generator", write_yaml(tmp_path / "gen.yaml", {"base_url": "mock:hash"}),
+            "--state-dir", str(tmp_path / "s"),
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error (ValidationError): user u0000: a history of 12 steps cannot be split into 13 chunks" in err
+
     def test_truth_line_without_latent_is_validation_error(self, pipeline, tmp_path, capsys):
         truth = tmp_path / "truth.jsonl"
         truth.write_text('{"user_id": "u0000"}\n', encoding="utf-8")
@@ -487,6 +513,123 @@ def _modules_loaded_by(code):
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+_FIXTURE_BATCH = [
+    {"user_id": "u1", "group_id": "u1:1-3:initial", "stage": "initial", "prompt": "p1", "response": "r1",
+     "old_token_logprobs": [-0.5, -1.25, -0.125], "advantage": 1.5, "reward": 0.75},
+    {"user_id": "u1", "group_id": "u1:1-3:initial", "stage": "initial", "prompt": "p2", "response": "r2",
+     "old_token_logprobs": [-2.0, -0.25], "advantage": -0.5, "reward": 0.25},
+    {"user_id": "u2", "group_id": "u2:2-5:updated", "stage": "updated", "prompt": "p3", "response": "r3",
+     "old_token_logprobs": [-0.75], "advantage": -1.0, "reward": 0.5},
+]
+_FIXTURE_NEW_LOGPROBS = [[-0.25, -1.5, 0.0], [-1.5, -0.75], [-1.125]]
+
+
+class TestStreamingRollout:
+    """rollout writes each tree as it finishes; loss-check folds its inputs line by line."""
+
+    @staticmethod
+    def many_instances(pipeline, tmp_path, n=40):
+        lines = open(pipeline["instances"], encoding="utf-8").readlines()
+        path = tmp_path / "many.jsonl"
+        path.write_text("".join(itertools.islice(itertools.cycle(lines), n)), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def rollout_argv(pipeline, tmp_path, instances):
+        cfg = write_yaml(tmp_path / "rollout.yaml", {
+            "policy": {"base_url": f"mock:generator?truth={pipeline['truth']}&quality=1.0"},
+            "judge": {"base_url": "mock:judge?kappa=8"},
+        })
+        return [
+            "rollout", "--instances", instances, "--histories", pipeline["histories"], "--config", cfg,
+            "--gamma", "0.5", "--out", str(tmp_path / "batch.jsonl"), "--trees", str(tmp_path / "trees.jsonl"),
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_live_trees_are_bounded_by_jobs(self, pipeline, tmp_path, monkeypatch, jobs):
+        from prefpipe import rlengine
+
+        # trees are unhashable dataclasses, so they are held as weak dict values
+        live, ids, peak, lock = weakref.WeakValueDictionary(), itertools.count(), [0], threading.Lock()
+        real_rollout = rlengine.rollout
+
+        def counted(*args, **kwargs):
+            tree = real_rollout(*args, **kwargs)
+            with lock:
+                live[next(ids)] = tree
+                peak[0] = max(peak[0], len(live))
+            return tree
+
+        real_export = rlengine.export_batch
+
+        def slow_export(trees):
+            time.sleep(0.01)  # a slow writer: finished trees pile up unless submission waits for it
+            return real_export(trees)
+
+        monkeypatch.setattr(rlengine, "rollout", counted)
+        monkeypatch.setattr(rlengine, "export_batch", slow_export)
+        instances = self.many_instances(pipeline, tmp_path)
+        assert run("--jobs", str(jobs), *self.rollout_argv(pipeline, tmp_path, instances)) == 0
+        assert manifest_for(tmp_path / "batch.jsonl")["stats"]["trees"] >= 30
+        # one tree per worker, one per finished result waiting its turn, one being written
+        assert peak[0] <= 2 * jobs + 1
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_crash_keeps_the_previous_outputs(self, pipeline, tmp_path, monkeypatch, jobs):
+        from prefpipe import rlengine
+
+        argv = self.rollout_argv(pipeline, tmp_path, self.many_instances(pipeline, tmp_path, n=20))
+        assert run("--jobs", str(jobs), *argv) == 0
+        outputs = [tmp_path / "batch.jsonl", tmp_path / "trees.jsonl"]
+        before = [p.read_bytes() for p in outputs]
+        real_rollout, calls, seen_tmp = rlengine.rollout, itertools.count(1), []
+
+        def crashing(*args, **kwargs):
+            if next(calls) == 15:
+                seen_tmp.append(all(os.path.exists(f"{p}.tmp") for p in outputs))
+                raise RuntimeError("worker died")
+            return real_rollout(*args, **kwargs)
+
+        monkeypatch.setattr(rlengine, "rollout", crashing)
+        with pytest.raises(RuntimeError, match="worker died"):
+            run("--jobs", str(jobs), *argv)
+        assert seen_tmp == [True]  # the finished trees were already being written
+        assert [p.read_bytes() for p in outputs] == before
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+    def test_streamed_outputs_match_the_fixture_run(self, pipeline, tmp_path):
+        argv = self.rollout_argv(pipeline, tmp_path, pipeline["instances"])
+        assert run(*argv) == 0
+        assert sha256_file(tmp_path / "batch.jsonl") == sha256_file(pipeline["batch"])
+        trees = list(read_jsonl(str(tmp_path / "trees.jsonl")))
+        assert len(trees) == manifest_for(pipeline["batch"])["stats"]["trees"]
+        assert all(rs["advantage"] is not None for t in trees for rs in t["initial"] + t["updated"])
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            ([], '{"clip_eps": 0.2, "loss": -0.04793143346469453, "records": 3}'),
+            (["--clip-eps", "0.05"], '{"clip_eps": 0.05, "loss": 0.05342664204644317, "records": 3}'),
+            (["--self-check"], '{"clip_eps": 0.2, "loss": -0.0, "records": 3}'),
+        ],
+    )
+    def test_loss_check_bytes(self, tmp_path, capsys, extra, expected):
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text("".join(json.dumps(r) + "\n" for r in _FIXTURE_BATCH), encoding="utf-8")
+        new = tmp_path / "new.jsonl"
+        new.write_text("".join(json.dumps({"logprobs": r}) + "\n" for r in _FIXTURE_NEW_LOGPROBS), encoding="utf-8")
+        source = [] if "--self-check" in extra else ["--new-logprobs", str(new)]
+        assert run("loss-check", "--batch", str(batch), *source, *extra) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_loss_check_clip_eps_default_is_the_rollout_configs(self):
+        from prefpipe import rlengine
+
+        args = build_parser().parse_args(["loss-check", "--batch", "b.jsonl", "--self-check"])
+        assert args.clip_eps is None
+        assert rlengine.RolloutConfig.clip_eps == 0.2
 
 
 class TestStartup:

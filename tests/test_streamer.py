@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefpipe._util import even_boundaries, json_dumps
 from prefpipe.core import HistorySegment, InteractionTriple, UserHistory
@@ -138,7 +141,7 @@ class TestStreaming:
 
     def test_chunk_count_must_fit_history(self):
         history = make_history(3)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="user u1: a history of 3 steps cannot be split into 4 chunks"):
             infer_streaming(mock_client(), history, 4)
         with pytest.raises(ValidationError):
             infer_streaming(mock_client(), history, 0)
@@ -205,3 +208,31 @@ class TestStateStore:
             )
         with pytest.raises(ValidationError):
             StreamState.from_dict({"user_id": "u1"})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.text(alphabet="abcxyz", min_size=1, max_size=6), st.none() | st.text(alphabet="qrs ", max_size=6)),
+        min_size=1,
+        max_size=9,
+    ),
+    st.integers(0, 3),
+)
+def test_update_fold_equals_streaming_at_every_chunk_count(items, seed):
+    history = UserHistory(
+        user_id="u1",
+        triples=tuple(
+            InteractionTriple(index=2 * i, chosen=chosen, rejected=f"{chosen}-neg", context=context)
+            for i, (chosen, context) in enumerate(items)
+        ),
+    )
+    for chunks in range(1, len(history) + 1):
+        state, start = None, 0
+        for end in even_boundaries(len(history), chunks):
+            # each step resumes from a stored state, as a restarted stream would
+            stored = StreamState.from_dict(json.loads(json_dumps(state.to_dict()))) if state else None
+            state = update(mock_client(seed), stored, HistorySegment(history, start, end))
+            start = end
+        streamed = infer_streaming(mock_client(seed), history, chunks)
+        assert json_dumps(state.to_dict()) == json_dumps(streamed.to_dict())

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prefpipe.core import InteractionTriple, UserHistory
 from prefpipe.errors import ContractError, ValidationError
@@ -261,3 +263,29 @@ def test_injection_result_fields_are_consistent():
     for pos in result.injected_positions:
         src = result.source_indices[pos]
         assert result.history.triples[pos].chosen == donor_by_index[src].chosen
+
+
+_ITEMS = st.text(alphabet="abcxyz -", min_size=1, max_size=8)
+
+
+@st.composite
+def _histories(draw, user_id):
+    """Random histories: sparse increasing indices, optional rejections and contexts."""
+    indices = sorted(draw(st.sets(st.integers(0, 200), min_size=1, max_size=14)))
+    triples = []
+    for i in indices:
+        chosen = draw(_ITEMS)
+        rejected = draw(st.none() | _ITEMS.filter(lambda r, c=chosen: r != c))
+        triples.append(InteractionTriple(index=i, chosen=chosen, rejected=rejected, context=draw(st.none() | _ITEMS)))
+    return UserHistory(user_id=user_id, triples=tuple(triples), dataset_tag=draw(st.none() | st.just("tag")))
+
+
+@given(
+    _histories("p"),
+    _histories("d"),
+    st.integers(0, 2**32),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+def test_reconstruct_inverts_inject(primary, donor, seed, intensity):
+    result = inject_secondary(primary, donor, NoiseConfig(intensity=intensity, seed=seed))
+    assert reconstruct_primary(result) == primary

@@ -240,16 +240,16 @@ class TestOrderedMap:
             time.sleep(0.002 * (8 - x))
             return x * x
 
-        assert ordered_map(slow_square, range(8), jobs=4) == [x * x for x in range(8)]
+        assert list(ordered_map(slow_square, range(8), jobs=4)) == [x * x for x in range(8)]
 
     def test_one_job_runs_in_calling_thread(self):
         caller = threading.get_ident()
-        assert ordered_map(lambda _: threading.get_ident(), range(5), jobs=1) == [caller] * 5
-        assert ordered_map(lambda _: threading.get_ident(), [0], jobs=4) == [caller]
+        assert list(ordered_map(lambda _: threading.get_ident(), range(5), jobs=1)) == [caller] * 5
+        assert list(ordered_map(lambda _: threading.get_ident(), [0], jobs=4)) == [caller]
 
     def test_several_jobs_use_worker_threads(self):
         caller = threading.get_ident()
-        assert caller not in ordered_map(lambda _: threading.get_ident(), range(4), jobs=2)
+        assert caller not in list(ordered_map(lambda _: threading.get_ident(), range(4), jobs=2))
 
     def test_exception_propagates_and_cancels_pending(self):
         started = []
@@ -264,7 +264,7 @@ class TestOrderedMap:
             return x
 
         with pytest.raises(ValueError, match="item 0"):
-            ordered_map(work, range(20), jobs=2)
+            list(ordered_map(work, range(20), jobs=2))
         # item 0 fails at once; at most one more item per worker starts before
         # the rest are cancelled
         assert 0 in started
@@ -276,4 +276,54 @@ class TestOrderedMap:
             raise ValueError(f"item {x}")
 
         with pytest.raises(ValueError, match="item 0"):
-            ordered_map(work, range(4), jobs=4)
+            list(ordered_map(work, range(4), jobs=4))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_result_comes_before_the_last_item_is_read(self, jobs):
+        read = []
+
+        def items():
+            for x in range(50):
+                read.append(x)
+                yield x
+
+        results = ordered_map(lambda x: x * x, items(), jobs=jobs)
+        assert read == []  # nothing runs before the first result is asked for
+        assert next(results) == 0
+        assert len(read) <= 2 * jobs
+        assert list(results) == [x * x for x in range(1, 50)]
+
+    def test_stopping_early_cancels_pending_calls(self):
+        started, gate = [], threading.Event()
+
+        def work(x):
+            started.append(x)
+            if x > 0:
+                gate.wait(timeout=5)  # keeps both workers busy, so item 3 waits in the queue
+            return x
+
+        results = ordered_map(work, range(40), jobs=2)
+        assert next(results) == 0
+        threading.Timer(0.05, gate.set).start()
+        results.close()  # returns once the running calls have finished
+        time.sleep(0.05)
+        assert sorted(started) == [0, 1, 2]
+
+    def test_failure_stops_reading_items(self):
+        read = []
+
+        def items():
+            for x in range(1000):
+                read.append(x)
+                yield x
+
+        def work(x):
+            if x == 3:
+                raise ValueError("item 3")
+            return x
+
+        for jobs in (1, 3):
+            read.clear()
+            with pytest.raises(ValueError, match="item 3"):
+                list(ordered_map(work, items(), jobs=jobs))
+            assert len(read) <= 4 + 2 * jobs
