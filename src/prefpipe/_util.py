@@ -1,5 +1,5 @@
 """Small shared helpers: stable seeds, token counting, JSONL io, config
-loading, ordered fan-out."""
+loading, ordered fan-out, counted skip reasons."""
 
 import collections
 import contextlib
@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import logging
 import os
 import re
 import types
@@ -249,3 +250,21 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> Iterator
         finally:
             for f in pending:
                 f.cancel()
+
+
+class Tally:
+    """Items left out of a stage, counted by reason, each reason keeping its
+    first item's detail as the example; ``log`` writes one line per reason."""
+
+    def __init__(self) -> None:
+        self._seen: dict[str, list] = {}  # reason -> [count, first detail]
+
+    def add(self, reason: str, detail: str) -> None:
+        self._seen.setdefault(reason, [0, detail])[0] += 1
+
+    def counts(self) -> dict[str, int]:
+        return {reason: seen[0] for reason, seen in sorted(self._seen.items())}
+
+    def log(self, logger: logging.Logger, level: int, what: str) -> None:
+        for reason, (count, first) in sorted(self._seen.items()):
+            logger.log(level, "%d %s (%s), first: %s", count, what, reason, first)

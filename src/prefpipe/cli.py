@@ -23,12 +23,12 @@ import os
 import random
 import sys
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from . import core, curriculum
 from ._util import atomic_write_text, build_config, derive_seed, json_dumps, jsonl_writer, ordered_map, read_config
-from ._util import read_jsonl, sha256_file, write_jsonl
-from .errors import ConfigError, PipelineError
+from ._util import numbered_jsonl, sha256_file, write_jsonl
+from .errors import ConfigError, PipelineError, ValidationError
 
 if TYPE_CHECKING:
     from .modelio import ModelClient
@@ -120,6 +120,11 @@ def _client(section: dict | None, what: str) -> "ModelClient":
     return ModelClient(ModelEndpoint.from_dict(section))
 
 
+def _optional_writer(path: str | None):
+    """``jsonl_writer(path)``, or a block that yields None when no path is given."""
+    return jsonl_writer(path) if path else contextlib.nullcontext(None)
+
+
 def _endpoint_client(path: str) -> "ModelClient":
     from .modelio import ModelClient, load_endpoint
 
@@ -174,14 +179,15 @@ def cmd_synthesize_sft(args: argparse.Namespace) -> Stage:
     # without a teacher section the generator merges too, within its own in-flight limit
     teacher = _client(file_cfg["teacher"], "teacher") if file_cfg.get("teacher") else generator
 
-    histories = core.load_histories(args.histories)
-    scores = curriculum.load_scores(args.scores)
     tract: dict[str, dict[int, float]] = {}
-    for s in scores:
+    for s in curriculum.load_scores(args.scores):
         tract.setdefault(s.user_id, {})[s.index] = s.s_tract
 
-    records, stats = synthpipe.run_corpus(histories, tract, generator, judge, teacher, synth_config, jobs=args.jobs)
-    write_jsonl(args.out, (r.to_dict() for r in records))
+    with jsonl_writer(args.out) as write:
+        _, stats = synthpipe.run_corpus(
+            core.iter_histories(args.histories), tract, generator, judge, teacher, synth_config,
+            jobs=args.jobs, sink=lambda rec: write(rec.to_dict()),
+        )
     return Stage(
         cfg, [args.histories, args.scores, args.config], [args.out], stats,
         f"synthesized {stats['records']} records from {stats['users_with_records']}/{stats['users_in']} users",
@@ -220,14 +226,12 @@ def cmd_rollout(args: argparse.Namespace) -> Stage:
     policy = _client(file_cfg.get("policy"), "policy")
     judge = _client(file_cfg.get("judge"), "judge")
 
-    histories = core.by_user(args.histories, ((h.user_id, h) for h in core.load_histories(args.histories)))
+    histories = {h.user_id: h for h in core.load_histories(args.histories)}
     instances = curriculum.load_instances(args.instances)
     records = 0
     # each tree is exported and dumped as it arrives; both files appear only
     # once every tree is written
-    with jsonl_writer(args.out) as write_record, (
-        jsonl_writer(args.trees) if args.trees else contextlib.nullcontext(None)
-    ) as write_tree:
+    with jsonl_writer(args.out) as write_record, _optional_writer(args.trees) as write_tree:
 
         def emit(tree) -> None:
             nonlocal records
@@ -264,91 +268,126 @@ def cmd_loss_check(args: argparse.Namespace) -> None:
     else:
         if not args.new_logprobs:
             raise ConfigError("loss-check needs --new-logprobs (or --self-check)")
-        batch, new_logprobs = records(), (rec["logprobs"] for rec in read_jsonl(args.new_logprobs))
+        batch, new_logprobs = records(), _logprobs_rows(args.new_logprobs)
     loss = rlengine.surrogate_loss(batch, new_logprobs, clip_eps=clip_eps)
     print(json_dumps({"loss": loss, "records": seen, "clip_eps": clip_eps}))
+
+
+def _logprobs_rows(path: str) -> Iterator[list]:
+    """The ``logprobs`` list of each row of ``path``, one row at a time."""
+    for line_no, rec in numbered_jsonl(path):
+        if not isinstance(rec.get("logprobs"), list):
+            raise ValidationError(f"{path}:{line_no}: row has no logprobs list")
+        yield rec["logprobs"]
 
 
 def cmd_stream_infer(args: argparse.Namespace) -> Stage:
     from . import streamer
 
     generator = _endpoint_client(args.generator)
-    histories = core.load_histories(args.histories)
     os.makedirs(args.state_dir, exist_ok=True)
-    states = list(ordered_map(lambda h: streamer.infer_streaming(generator, h, args.chunks), histories, args.jobs))
     states_path = os.path.join(args.state_dir, "states.jsonl")
     summaries_path = os.path.join(args.state_dir, "summaries.jsonl")
-    streamer.save_states(states_path, states)
-    core.save_summaries(summaries_path, {s.user_id: s.current for s in states})
+    users = 0
+    # each user's state and summary are written as that user finishes
+    with jsonl_writer(states_path) as write_state, jsonl_writer(summaries_path) as write_summary:
+        for state in ordered_map(
+            lambda h: streamer.infer_streaming(generator, h, args.chunks), core.iter_histories(args.histories), args.jobs
+        ):
+            write_state(state.to_dict())
+            write_summary(core.summary_record(state.user_id, state.current))
+            users += 1
     return Stage(
         {"chunks": args.chunks}, [args.histories, args.generator], [states_path, summaries_path],
-        {"users": len(states)}, f"streamed {len(states)} users in {args.chunks} chunk(s)",
+        {"users": users}, f"streamed {users} users in {args.chunks} chunk(s)",
         anchor=os.path.join(args.state_dir, "manifest.json"),
     )
 
 
 def cmd_build_transfer(args: argparse.Namespace) -> Stage:
-    from . import evalharness, transferbench
+    from . import transferbench
 
     config: dict = {"mode": args.mode}
     if args.mode == "cross-domain":
         if not (args.histories_a and args.histories_b and args.embedder):
             raise ConfigError("cross-domain needs --histories-a, --histories-b, --embedder")
-        client = _endpoint_client(args.embedder)
-        corpus_a = core.load_histories(args.histories_a)
-        corpus_b = core.load_histories(args.histories_b)
-        trimmed_a, inst_a = evalharness.holdout_instances(corpus_a)
-        trimmed_b, inst_b = evalharness.holdout_instances(corpus_b)
-        targets = {
-            i.user_id: core.InteractionTriple(index=0, chosen=i.item_a, rejected=i.item_b, context=i.context)
-            for i in inst_a + inst_b
-        }
-        pairs = transferbench.match_users(client, trimmed_a, trimmed_b, args.top_k, jobs=args.jobs)
-        instances, stats = transferbench.swap_targets(pairs, targets)
-        write_jsonl(args.out, instances)
-        if args.out_histories:
-            core.save_histories(args.out_histories, trimmed_a + trimmed_b)
+        stats = _cross_domain(args, _endpoint_client(args.embedder))
         config["top_k"] = args.top_k
         inputs, extra_output = [args.histories_a, args.histories_b], args.out_histories
     elif args.mode == "multi-interest":
         if not (args.histories and args.donors):
             raise ConfigError("multi-interest needs --histories and --donors")
-        primaries = core.load_histories(args.histories)
         donors = core.load_histories(args.donors)
         if not donors:
             raise ConfigError("donor corpus is empty")
         rng = random.Random(derive_seed(args.seed, "build-transfer", "pairing"))
-        fused, provenance = [], []
-        for primary, donor in zip(primaries, transferbench.pick_donors(primaries, donors, rng)):
-            result = transferbench.inject_secondary(
-                primary, donor, transferbench.NoiseConfig(intensity=args.intensity, seed=derive_seed(args.seed, "inject"))
-            )
-            fused.append(result.history)
-            provenance.append(
-                {
-                    "user_id": result.history.user_id,
-                    "donor_user": result.donor_user,
-                    "injected_positions": list(result.injected_positions),
-                    "source_indices": list(result.source_indices),
-                }
-            )
-        core.save_histories(args.out, fused)
-        if args.provenance:
-            write_jsonl(args.provenance, provenance)
+        noise = transferbench.NoiseConfig(intensity=args.intensity, seed=derive_seed(args.seed, "inject"))
+        users = 0
+        with jsonl_writer(args.out) as write_fused, _optional_writer(args.provenance) as write_provenance:
+            for result in transferbench.inject_corpus(core.iter_histories(args.histories), donors, noise, rng):
+                write_fused(result.history.to_dict())
+                if write_provenance:
+                    write_provenance(
+                        {
+                            "user_id": result.history.user_id,
+                            "donor_user": result.donor_user,
+                            "injected_positions": list(result.injected_positions),
+                            "source_indices": list(result.source_indices),
+                        }
+                    )
+                users += 1
         config["intensity"] = args.intensity
         inputs, extra_output = [args.histories, args.donors], args.provenance
-        stats = {"users": len(fused)}
+        stats = {"users": users}
     else:  # positive-only
         if not args.histories:
             raise ConfigError("positive-only needs --histories")
-        histories = core.load_histories(args.histories)
-        core.save_histories(args.out, [core.strip_negatives(h) for h in histories])
+        users = 0
+        with jsonl_writer(args.out) as write:
+            for history in core.iter_histories(args.histories):
+                write(core.strip_negatives(history).to_dict())
+                users += 1
         inputs, extra_output = [args.histories], None
-        stats = {"users": len(histories)}
+        stats = {"users": users}
     return Stage(
         config, inputs, [args.out, extra_output], stats, f"build-transfer {args.mode}: wrote {args.out}",
         command=f"build-transfer:{args.mode}",
     )
+
+
+def _cross_domain(args: argparse.Namespace, client: "ModelClient") -> dict:
+    """Read A, then B, once each. Each user's last pair is held out as the
+    target and the rest is written to ``--out-histories`` and embedded; only
+    the id, the vector and the target are kept for the ranking."""
+    from . import evalharness, transferbench
+
+    if args.top_k < 1:  # before any embedding call is spent
+        raise ValidationError(f"top_k must be >= 1, got {args.top_k}")
+    seen: set[str] = set()  # the ids of A, which B may not repeat
+    targets: dict[str, core.InteractionTriple] = {}
+
+    def held_out(write_history):
+        for side, path in enumerate((args.histories_a, args.histories_b)):
+            for trimmed, inst in evalharness.iter_holdout(core.iter_histories(path, seen)):
+                if write_history:
+                    write_history(trimmed.to_dict())
+                targets[inst.user_id] = core.InteractionTriple(
+                    index=0, chosen=inst.item_a, rejected=inst.item_b, context=inst.context
+                )
+                yield side, trimmed
+
+    def embed(side_history: tuple[int, core.UserHistory]) -> tuple[int, "transferbench.Embedded"]:
+        side, history = side_history
+        return side, (history.user_id, transferbench.embed_history(client, history))
+
+    embedded: tuple[list, list] = ([], [])
+    with _optional_writer(args.out_histories) as write_history:
+        for side, user in ordered_map(embed, held_out(write_history), args.jobs):
+            embedded[side].append(user)
+        pairs = transferbench.match_users(client, embedded[0], embedded[1], args.top_k)
+        instances, stats = transferbench.swap_targets(pairs, targets)
+        write_jsonl(args.out, instances)
+    return stats
 
 
 def cmd_evaluate(args: argparse.Namespace) -> Stage:

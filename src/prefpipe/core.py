@@ -6,7 +6,7 @@ built on these four immutable types and their JSONL wire format.
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from ._util import count_tokens, read_jsonl, write_jsonl
 from .errors import ValidationError
@@ -242,8 +242,25 @@ def strip_negatives(history: UserHistory) -> UserHistory:
     )
 
 
+def iter_histories(path: str, seen: set[str] | None = None) -> Iterator[UserHistory]:
+    """Yield the histories in ``path`` one at a time, in file order.
+
+    A user_id already yielded, or already in ``seen`` (the ids of a corpus
+    read before this one), raises ValidationError naming the path and the
+    user. Each id read is added to ``seen``.
+    """
+    seen = set() if seen is None else seen
+    for rec in read_jsonl(path):
+        history = UserHistory.from_dict(rec)
+        if history.user_id in seen:
+            raise ValidationError(f"{path}: duplicate record for user {history.user_id!r}")
+        seen.add(history.user_id)
+        yield history
+
+
 def load_histories(path: str) -> list[UserHistory]:
-    return [UserHistory.from_dict(rec) for rec in read_jsonl(path)]
+    """All of ``iter_histories(path)``, for a caller that looks users up."""
+    return list(iter_histories(path))
 
 
 def save_histories(path: str, histories: Iterable[UserHistory]) -> int:
@@ -276,7 +293,10 @@ def load_summaries(path: str) -> dict[str, PreferenceSummary]:
     return by_user(path, pairs())
 
 
+def summary_record(user_id: str, summary: PreferenceSummary) -> dict:
+    """One line of a summary store."""
+    return {"user_id": user_id, **summary.to_dict()}
+
+
 def save_summaries(path: str, summaries: dict[str, PreferenceSummary]) -> int:
-    return write_jsonl(
-        path, ({"user_id": uid, **s.to_dict()} for uid, s in summaries.items())
-    )
+    return write_jsonl(path, (summary_record(uid, s) for uid, s in summaries.items()))

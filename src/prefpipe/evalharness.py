@@ -6,9 +6,9 @@ re-parsing them (rescore)."""
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._util import derive_seed, ordered_map, read_jsonl, write_jsonl
+from ._util import Tally, derive_seed, ordered_map, read_jsonl, write_jsonl
 from .core import PreferenceSummary, UserHistory
 from .errors import BackendError, GenerationError, JudgeError, ValidationError
 from .modelio import ModelClient, parse_selection
@@ -175,30 +175,36 @@ def rescore(outcomes: Sequence[EvalOutcome], *, label: str = "rescore", strict: 
     )
 
 
-def holdout_instances(histories: Sequence[UserHistory]) -> tuple[list[UserHistory], list[EvalInstance]]:
-    """Default evaluation protocol: hold out each user's final full pair as the
-    question and summarize everything before it. Users too short to split or
-    whose last triple lacks a rejected item are dropped."""
-    trimmed, instances = [], []
+def iter_holdout(histories: Iterable[UserHistory]) -> Iterator[tuple[UserHistory, EvalInstance]]:
+    """Default evaluation protocol, one user at a time: hold out each user's
+    final full pair as the question and yield it with everything before it.
+    Users too short to split or whose last triple lacks a rejected item are
+    dropped, and counted in one log line per reason once ``histories`` ends."""
+    dropped = Tally()
     for hist in histories:
-        if len(hist) < 2 or hist.triples[-1].rejected is None:
-            logger.info("user %s unusable for holdout evaluation, dropped", hist.user_id)
+        if len(hist) < 2:
+            dropped.add("fewer than 2 interactions", hist.user_id)
             continue
         last = hist.triples[-1]
-        trimmed.append(
-            UserHistory(user_id=hist.user_id, triples=hist.triples[:-1], dataset_tag=hist.dataset_tag)
+        if last.rejected is None:
+            dropped.add("last interaction has no rejected item", hist.user_id)
+            continue
+        trimmed = UserHistory(user_id=hist.user_id, triples=hist.triples[:-1], dataset_tag=hist.dataset_tag)
+        yield trimmed, EvalInstance(
+            user_id=hist.user_id,
+            item_a=last.chosen,
+            item_b=last.rejected,
+            truth="A",
+            context=last.context,
+            origin="holdout",
         )
-        instances.append(
-            EvalInstance(
-                user_id=hist.user_id,
-                item_a=last.chosen,
-                item_b=last.rejected,
-                truth="A",
-                context=last.context,
-                origin="holdout",
-            )
-        )
-    return trimmed, instances
+    dropped.log(logger, logging.INFO, "user(s) dropped from holdout evaluation")
+
+
+def holdout_instances(histories: Iterable[UserHistory]) -> tuple[list[UserHistory], list[EvalInstance]]:
+    """``iter_holdout`` collected: the trimmed histories and their instances."""
+    held = list(iter_holdout(histories))
+    return [trimmed for trimmed, _ in held], [inst for _, inst in held]
 
 
 def compare_protocols(

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._util import derive_seed, ordered_map, read_jsonl, write_jsonl
+from ._util import Tally, derive_seed, ordered_map, read_jsonl, write_jsonl
 from .core import InteractionTriple, PreferenceSummary, UserHistory
 from .curriculum import RlInstance
 from .errors import ContractError, PipelineError, ValidationError
@@ -396,22 +396,20 @@ def run_rollouts(
     emit = sink or trees.append
     n_trees = 0
     rewards: list[float] = []
-    skips: dict[str, list[str]] = {}
+    skips = Tally()
     for result in ordered_map(one, instances, jobs):
         if isinstance(result, RolloutTree):
             n_trees += 1
             rewards.extend(rs.immediate for rs in result.all_summaries())
             emit(result)
         else:
-            reason, detail = result
-            skips.setdefault(reason, []).append(detail)
-    for reason, details in sorted(skips.items()):
-        logger.warning("%d instance(s) skipped (%s), first: %s", len(details), reason, details[0])
+            skips.add(*result)
+    skips.log(logger, logging.WARNING, "instance(s) skipped")
     stats = {
         "instances_in": len(instances),
         "trees": n_trees,
         "skipped": len(instances) - n_trees,
-        "skipped_by_reason": {reason: len(details) for reason, details in sorted(skips.items())},
+        "skipped_by_reason": skips.counts(),
         "mean_immediate_reward": (sum(rewards) / len(rewards)) if rewards else None,
     }
     return trees, stats

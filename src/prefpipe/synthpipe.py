@@ -9,7 +9,7 @@ profile)."""
 import logging
 import random
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 from ._util import derive_seed, even_boundaries, ordered_map
 from .core import HistorySegment, InteractionTriple, PreferenceSummary, UserHistory, segment
@@ -294,29 +294,37 @@ def build_streaming_sft(
 
 
 def run_corpus(
-    histories: list[UserHistory],
+    histories: Iterable[UserHistory],
     tract_scores: Mapping[str, Mapping[int, float]],
     generator: ModelClient,
     judge: ModelClient,
     teacher: ModelClient,
     config: SynthConfig,
     jobs: int = 1,
+    sink: Callable[[SynthRecord], None] | None = None,
 ) -> tuple[list[SynthRecord], dict]:
     """Drive the pipeline over a corpus. Users are independent, and up to
     ``jobs`` run at once, each fanning its own calls out up to ``jobs`` wide;
     results are emitted in input order regardless of scheduling, so reruns are
-    byte-identical at any ``jobs``."""
+    byte-identical at any ``jobs``.
+
+    ``histories`` is read lazily. Each user's records go to ``sink`` as soon
+    as that user and every user before it are done; then only about
+    ``2 * jobs`` users are held at once and the returned list is empty.
+    Without a sink the records are collected and returned."""
 
     def one(history: UserHistory) -> list[SynthRecord]:
         return build_streaming_sft(
             history, tract_scores.get(history.user_id, {}), generator, judge, teacher, config, jobs=jobs
         )
 
-    per_user = list(ordered_map(one, histories, jobs))
-    records = [rec for recs in per_user for rec in recs]
-    stats = {
-        "users_in": len(histories),
-        "users_with_records": sum(1 for recs in per_user if recs),
-        "records": len(records),
-    }
+    records: list[SynthRecord] = []
+    emit = sink or records.append
+    stats = {"users_in": 0, "users_with_records": 0, "records": 0}
+    for recs in ordered_map(one, histories, jobs):
+        stats["users_in"] += 1
+        stats["users_with_records"] += bool(recs)
+        stats["records"] += len(recs)
+        for rec in recs:
+            emit(rec)
     return records, stats

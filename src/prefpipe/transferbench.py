@@ -10,17 +10,20 @@ positive-only reduction (drop every rejected item).
 import logging
 import random
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._util import derive_seed, ordered_map
+from ._util import Tally, derive_seed, ordered_map
 from .core import InteractionTriple, UserHistory
 from .errors import ContractError, ValidationError
 from .modelio import ModelClient
 from .prompts import render_history_block
 
 logger = logging.getLogger("prefpipe.transferbench")
+
+
+Embedded = tuple[str, np.ndarray]  # (user_id, unit embedding of the user's history)
 
 
 @dataclass(frozen=True)
@@ -65,18 +68,20 @@ def embed_history(client: ModelClient, history: UserHistory) -> np.ndarray:
 
 def match_users(
     client: ModelClient,
-    corpus_a: Sequence[UserHistory],
-    corpus_b: Sequence[UserHistory],
+    corpus_a: Sequence[UserHistory | Embedded],
+    corpus_b: Sequence[UserHistory | Embedded],
     top_k: int,
     jobs: int = 1,
 ) -> list[UserPair]:
     """Pair users across two corpora by embedding similarity.
 
-    Embeds every history, up to ``jobs`` at once, builds the full |A| x |B|
-    similarity matrix (exact inner products of the unit embeddings) and returns
-    the top_k pairs in descending similarity, ties broken on user ids. A user
-    may appear in several pairs; callers who care can detect that from the
-    result.
+    Each corpus entry is a history, embedded here up to ``jobs`` at once, or
+    a ``(user_id, vector)`` pair its caller embedded already, so a caller that
+    reads its corpora one user at a time need keep only those. Builds the full
+    |A| x |B| similarity matrix (exact inner products of the unit embeddings)
+    and returns the top_k pairs in descending similarity, ties broken on user
+    ids. A user may appear in several pairs; callers who care can detect that
+    from the result.
     """
     if top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {top_k}")
@@ -85,9 +90,13 @@ def match_users(
     total = len(corpus_a) * len(corpus_b)
     if top_k > total:
         raise ValidationError(f"top_k {top_k} exceeds the {total} available pairs")
-    embeddings = list(ordered_map(lambda h: embed_history(client, h), [*corpus_a, *corpus_b], jobs))
-    emb_a = np.stack(embeddings[: len(corpus_a)])
-    emb_b = np.stack(embeddings[len(corpus_a) :])
+
+    def embedded(entry: UserHistory | Embedded) -> Embedded:
+        return (entry.user_id, embed_history(client, entry)) if isinstance(entry, UserHistory) else entry
+
+    n_a = len(corpus_a)
+    ids, vectors = zip(*ordered_map(embedded, [*corpus_a, *corpus_b], jobs))
+    emb_a, emb_b = np.stack(vectors[:n_a]), np.stack(vectors[n_a:])
     if emb_a.shape[1] != emb_b.shape[1]:
         raise ContractError(
             f"embedding dimension mismatch: {emb_a.shape[1]} vs {emb_b.shape[1]}"
@@ -98,7 +107,7 @@ def match_users(
     # pair tied with it leaves the exact tie-break to the sort below.
     kth_best = sims[np.argpartition(sims, sims.size - top_k)[sims.size - top_k]]
     ranked = [
-        (float(sims[flat]), corpus_a[flat // width].user_id, corpus_b[flat % width].user_id)
+        (float(sims[flat]), ids[flat // width], ids[n_a + flat % width])
         for flat in np.flatnonzero(sims >= kth_best).tolist()
     ]
     ranked.sort(key=lambda t: (-t[0], t[1], t[2]))
@@ -115,14 +124,17 @@ def swap_targets(
 ) -> tuple[list[dict], dict]:
     """Emit cross-evaluation instances: each pair yields (history A, target B)
     and (history B, target A). Pairs missing a usable target (absent, or a
-    positive-only triple) are skipped and counted."""
+    positive-only triple) are skipped, counted, and logged as one line per
+    reason."""
     instances = []
-    skipped = 0
+    skipped = Tally()
     for pair in pairs:
         t_a, t_b = targets.get(pair.user_a), targets.get(pair.user_b)
-        if t_a is None or t_b is None or t_a.rejected is None or t_b.rejected is None:
-            skipped += 1
-            logger.info("pair (%s, %s) skipped: missing or pairless target", pair.user_a, pair.user_b)
+        if t_a is None or t_b is None:
+            skipped.add("no target", f"({pair.user_a}, {pair.user_b})")
+            continue
+        if t_a.rejected is None or t_b.rejected is None:
+            skipped.add("pairless target", f"({pair.user_a}, {pair.user_b})")
             continue
         for history_user, target_user, triple in (
             (pair.user_a, pair.user_b, t_b),
@@ -140,14 +152,17 @@ def swap_targets(
                     "similarity": pair.similarity,
                 }
             )
-    return instances, {"pairs_in": len(pairs), "pairs_skipped": skipped, "instances": len(instances)}
+    skipped.log(logger, logging.INFO, "pair(s) skipped")
+    n_skipped = sum(skipped.counts().values())
+    return instances, {"pairs_in": len(pairs), "pairs_skipped": n_skipped, "instances": len(instances)}
 
 
 def pick_donors(
-    primaries: Sequence[UserHistory], donors: Sequence[UserHistory], rng: random.Random
-) -> list[UserHistory]:
-    """Draw one donor per primary, uniformly among the donors with another
-    user_id, or among all donors when every entry is the primary's own.
+    primaries: Iterable[UserHistory], donors: Sequence[UserHistory], rng: random.Random
+) -> Iterator[tuple[UserHistory, UserHistory]]:
+    """Yield each primary, as it is read, with one donor drawn uniformly among
+    the donors with another user_id, or among all donors when every entry is
+    the primary's own.
 
     Each draw is one ``rng.randrange`` over that pool's size, mapped past the
     primary's own entries without building the pool, so a primary costs
@@ -156,7 +171,6 @@ def pick_donors(
     own: dict[str, list[int]] = {}
     for pos, donor in enumerate(donors):
         own.setdefault(donor.user_id, []).append(pos)
-    picks = []
     for primary in primaries:
         skip = own.get(primary.user_id, [])
         if len(skip) == len(donors):
@@ -166,14 +180,35 @@ def pick_donors(
             if s > pos:
                 break
             pos += 1
-        picks.append(donors[pos])
-    return picks
+        yield primary, donors[pos]
+
+
+def inject_corpus(
+    primaries: Iterable[UserHistory], donors: Sequence[UserHistory], config: NoiseConfig, rng: random.Random
+) -> Iterator[InjectionResult]:
+    """``inject_secondary`` over a corpus read one primary at a time, each
+    with the donor ``pick_donors`` draws for it. Donors too short for the
+    intensity are capped, and counted in one warning line once ``primaries``
+    ends."""
+    capped = Tally()
+    for primary, donor in pick_donors(primaries, donors, rng):
+        wanted = _donor_count(len(primary), config.intensity)
+        if wanted > len(donor):
+            capped.add("too few triples", f"donor {donor.user_id} has {len(donor)}, wanted {wanted}")
+        yield inject_secondary(primary, donor, config)
+    capped.log(logger, logging.WARNING, "donor(s) capped")
+
+
+def _donor_count(n: int, intensity: float) -> int:
+    """The m that solves m / (n + m) = intensity, rounded half-up."""
+    return int(intensity * n / (1.0 - intensity) + 0.5)
 
 
 def inject_secondary(primary: UserHistory, donor: UserHistory, config: NoiseConfig) -> InjectionResult:
     """Dilute ``primary`` with donor triples at the configured intensity.
 
-    The donor count m solves m / (n + m) = intensity, rounded half-up. Donor
+    The donor count m solves m / (n + m) = intensity, rounded half-up, and is
+    capped at the donor's length (``inject_corpus`` counts the caps). Donor
     triples are sampled without replacement and spliced at uniformly random
     positions; both source orders are preserved. Fused indices are renumbered
     0..n+m-1; the original index of every triple is recorded so the primary can
@@ -182,7 +217,7 @@ def inject_secondary(primary: UserHistory, donor: UserHistory, config: NoiseConf
     n = len(primary)
     if n == 0:
         raise ValidationError(f"primary history {primary.user_id} is empty")
-    m = int(config.intensity * n / (1.0 - config.intensity) + 0.5)
+    m = _donor_count(n, config.intensity)
     if m == 0:
         return InjectionResult(
             history=primary,
@@ -190,11 +225,7 @@ def inject_secondary(primary: UserHistory, donor: UserHistory, config: NoiseConf
             injected_positions=(),
             source_indices=tuple(t.index for t in primary.triples),
         )
-    if m > len(donor):
-        logger.warning(
-            "donor %s has %d triples, wanted %d; capping", donor.user_id, len(donor), m
-        )
-        m = len(donor)
+    m = min(m, len(donor))
     rng = random.Random(derive_seed(config.seed, "inject", primary.user_id, donor.user_id))
     donor_picks = [donor.triples[i] for i in sorted(rng.sample(range(len(donor)), m))]
     donor_slots = set(rng.sample(range(n + m), m))

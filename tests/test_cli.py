@@ -154,9 +154,9 @@ class TestPipelineChain:
         seen = {}
         real = synthpipe.run_corpus
 
-        def spy(histories, tract, generator, judge, teacher, config, jobs=1):
+        def spy(histories, tract, generator, judge, teacher, config, jobs=1, sink=None):
             seen.update(generator=generator, teacher=teacher)
-            return real(histories, tract, generator, judge, teacher, config, jobs=jobs)
+            return real(histories, tract, generator, judge, teacher, config, jobs=jobs, sink=sink)
 
         monkeypatch.setattr(synthpipe, "run_corpus", spy)
         out = str(tmp_path / "sft.jsonl")
@@ -438,6 +438,51 @@ class TestErrorHandling:
         assert "duplicate record for user 'u0000'" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o.jsonl")
 
+    def test_new_logprobs_row_without_logprobs_is_validation_error(self, pipeline, tmp_path, capsys):
+        rows = tmp_path / "new.jsonl"
+        rows.write_text('{"x": 1}\n{"x": 1}\n', encoding="utf-8")
+        assert run("loss-check", "--batch", pipeline["batch"], "--new-logprobs", str(rows)) == 1
+        err = capsys.readouterr().err
+        assert f"error (ValidationError): {rows}:1: row has no logprobs list" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synthesize-sft", "stream-infer", "multi-interest", "positive-only"])
+    def test_corpus_stages_reject_duplicate_histories(self, pipeline, tmp_path, capsys, command):
+        lines = open(pipeline["histories"], encoding="utf-8").readlines()
+        doubled = tmp_path / "doubled.jsonl"
+        doubled.write_text("".join(lines[:3] + lines[:1] + lines[3:]), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = {
+            "synthesize-sft": [
+                "synthesize-sft", "--histories", str(doubled), "--scores", pipeline["scores"],
+                "--config", str(pipeline["root"] / "synth.yaml"), "--out", str(out), "--tau-tract", "0.3",
+            ],
+            "stream-infer": [
+                "stream-infer", "--histories", str(doubled), "--state-dir", str(out),
+                "--generator", write_yaml(tmp_path / "gen.yaml", {"base_url": "mock:hash"}),
+            ],
+            "multi-interest": [
+                "build-transfer", "--mode", "multi-interest", "--histories", str(doubled),
+                "--donors", pipeline["histories"], "--out", str(out), "--provenance", str(tmp_path / "prov"),
+            ],
+            "positive-only": ["build-transfer", "--mode", "positive-only", "--histories", str(doubled), "--out", str(out)],
+        }[command]
+        assert run(*argv) == 1
+        assert f"error (ValidationError): {doubled}: duplicate record for user 'u0000'" in capsys.readouterr().err
+        written = os.listdir(out) if command == "stream-infer" else os.listdir(tmp_path)
+        assert not [name for name in written if name not in ("doubled.jsonl", "gen.yaml")]
+
+    def test_cross_domain_rejects_a_user_in_both_corpora(self, pipeline, tmp_path, capsys):
+        corpus = str(pipeline["lab"] / "histories.jsonl")
+        rc = run(
+            "build-transfer", "--mode", "cross-domain", "--histories-a", corpus, "--histories-b", corpus,
+            "--embedder", str(pipeline["root"] / "embedder.yaml"), "--top-k", "4",
+            "--out", str(tmp_path / "cross.jsonl"), "--out-histories", str(tmp_path / "combined.jsonl"),
+        )
+        assert rc == 1
+        assert f"error (ValidationError): {corpus}: duplicate record for user 'u0000'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("command", ["loss-check", "rollout", "evaluate"])
     def test_malformed_jsonl_is_validation_error(self, pipeline, tmp_path, capsys, command):
         bad = tmp_path / "bad.jsonl"
@@ -630,6 +675,93 @@ class TestStreamingRollout:
         args = build_parser().parse_args(["loss-check", "--batch", "b.jsonl", "--self-check"])
         assert args.clip_eps is None
         assert rlengine.RolloutConfig.clip_eps == 0.2
+
+
+class TestStreamingCorpus:
+    """synthesize-sft, stream-infer and cross-domain build-transfer read their
+    histories one user at a time and write each user's output as it finishes."""
+
+    USERS = 30
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("corpus")
+        for lab, prefix in (("labA", "u"), ("labB", "v")):
+            assert run("simlab-gen", "--out-dir", str(root / lab), "--users", str(self.USERS), "--user-prefix", prefix) == 0
+        return root
+
+    @staticmethod
+    def argv(corpus, tmp_path, stage):
+        gen = {"base_url": f"mock:generator?truth={corpus / 'labA' / 'truth.jsonl'}"}
+        histories = str(corpus / "labA" / "histories.jsonl")
+        if stage == "synthesize-sft":
+            cfg = write_yaml(tmp_path / "synth.yaml", {"generator": gen, "judge": {"base_url": "mock:judge?kappa=8"}})
+            return (
+                ["synthesize-sft", "--histories", histories, "--scores", str(corpus / "labA" / "scores.jsonl"),
+                 "--config", cfg, "--out", str(tmp_path / "sft.jsonl"), "--tau-tract", "0.3"],
+                [tmp_path / "sft.jsonl"],
+            )
+        if stage == "stream-infer":
+            return (
+                ["stream-infer", "--histories", histories, "--generator", write_yaml(tmp_path / "gen.yaml", gen),
+                 "--state-dir", str(tmp_path)],
+                [tmp_path / "states.jsonl", tmp_path / "summaries.jsonl"],
+            )
+        return (
+            ["build-transfer", "--mode", "cross-domain", "--histories-a", histories,
+             "--histories-b", str(corpus / "labB" / "histories.jsonl"),
+             "--embedder", write_yaml(tmp_path / "embedder.yaml", {"base_url": "mock:embedder"}),
+             "--top-k", "50", "--out", str(tmp_path / "cross.jsonl"), "--out-histories", str(tmp_path / "combined.jsonl")],
+            [tmp_path / "cross.jsonl", tmp_path / "combined.jsonl"],
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("stage", ["synthesize-sft", "stream-infer", "cross-domain"])
+    def test_live_histories_are_bounded_by_jobs(self, corpus, tmp_path, monkeypatch, stage, jobs):
+        live, ids, peak, lock = weakref.WeakValueDictionary(), itertools.count(), [0], threading.Lock()
+        real_post_init = core.UserHistory.__post_init__
+
+        def counted(history):
+            real_post_init(history)
+            with lock:
+                live[next(ids)] = history
+                peak[0] = max(peak[0], len(live))
+
+        monkeypatch.setattr(core.UserHistory, "__post_init__", counted)
+        argv, _ = self.argv(corpus, tmp_path, stage)
+        assert run("--jobs", str(jobs), *argv) == 0
+        assert next(ids) >= self.USERS
+        # the 2 * jobs calls submitted ahead, the one being handed over, and
+        # the user being read next to its trimmed copy
+        assert peak[0] <= 2 * jobs + 3
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("stage", ["synthesize-sft", "stream-infer", "cross-domain"])
+    def test_crash_keeps_the_previous_outputs(self, corpus, tmp_path, monkeypatch, stage, jobs):
+        from prefpipe import streamer, synthpipe, transferbench
+
+        argv, outputs = self.argv(corpus, tmp_path, stage)
+        assert run("--jobs", str(jobs), *argv) == 0
+        before = [p.read_bytes() for p in outputs]
+        module, name = {
+            "synthesize-sft": (synthpipe, "build_streaming_sft"),
+            "stream-infer": (streamer, "infer_streaming"),
+            "cross-domain": (transferbench, "embed_history"),
+        }[stage]
+        real, calls, seen_tmp = getattr(module, name), itertools.count(1), []
+
+        def crashing(*args, **kwargs):
+            if next(calls) == 20:
+                seen_tmp.append(all(os.path.exists(f"{p}.tmp") for p in outputs if p.name != "cross.jsonl"))
+                raise RuntimeError("worker died")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, crashing)
+        with pytest.raises(RuntimeError, match="worker died"):
+            run("--jobs", str(jobs), *argv)
+        assert seen_tmp == [True]  # the finished users were already being written
+        assert [p.read_bytes() for p in outputs] == before
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
 
 class TestStartup:

@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from prefpipe.core import InteractionTriple, PreferenceSummary, UserHistory
@@ -181,6 +183,21 @@ class TestHoldout(LabEval):
         trimmed, instances = holdout_instances([single, pairless_last, self.histories[0]])
         assert [h.user_id for h in trimmed] == [self.histories[0].user_id]
         assert len(instances) == 1
+
+    def test_dropped_users_are_logged_once_per_reason(self, caplog):
+        short = [UserHistory(user_id=f"short{i}", triples=(InteractionTriple(index=0, chosen="c", rejected="r"),))
+                 for i in range(3)]
+        bare = UserHistory(
+            user_id="bare",
+            triples=(InteractionTriple(index=0, chosen="c0", rejected="r0"), InteractionTriple(index=1, chosen="c1")),
+        )
+        with caplog.at_level(logging.INFO, logger="prefpipe.evalharness"):
+            trimmed, _ = holdout_instances([*short, bare, self.histories[0]])
+        assert len(trimmed) == 1
+        assert [r.getMessage() for r in caplog.records if r.name == "prefpipe.evalharness"] == [
+            "3 user(s) dropped from holdout evaluation (fewer than 2 interactions), first: short0",
+            "1 user(s) dropped from holdout evaluation (last interaction has no rejected item), first: bare",
+        ]
 
 
 class TestCompareProtocols(LabEval):

@@ -1,3 +1,4 @@
+import logging
 import random
 
 import numpy as np
@@ -15,6 +16,7 @@ from prefpipe.transferbench import (
     NoiseConfig,
     UserPair,
     embed_history,
+    inject_corpus,
     inject_secondary,
     match_users,
     pick_donors,
@@ -162,6 +164,19 @@ class TestSwapTargets:
         assert stats == {"pairs_in": 3, "pairs_skipped": 2, "instances": 2}
         assert {i["user_id"] for i in instances} == {"ua", "ub"}
 
+    def test_skips_are_logged_once_per_reason(self, caplog):
+        ha, hb = make_history(4, "ua"), make_history(4, "ub")
+        targets = self.targets_for([ha, hb])
+        targets["uc"] = InteractionTriple(index=0, chosen="solo", rejected=None)
+        pairs = [UserPair("ua", f"ghost{i}", 0.5) for i in range(3)] + [UserPair("uc", "ub", 0.4)] * 2
+        with caplog.at_level(logging.INFO, logger="prefpipe.transferbench"):
+            _, stats = swap_targets(pairs, targets)
+        assert stats["pairs_skipped"] == 5
+        assert [r.getMessage() for r in caplog.records if r.name == "prefpipe.transferbench"] == [
+            "3 pair(s) skipped (no target), first: (ua, ghost0)",
+            "2 pair(s) skipped (pairless target), first: (uc, ub)",
+        ]
+
 
 class TestPickDonors:
     @pytest.mark.parametrize(
@@ -183,8 +198,27 @@ class TestPickDonors:
             for primary in primaries:
                 pool = [d for d in donors if d.user_id != primary.user_id] or donors
                 expected.append(pool[rule_rng.randrange(len(pool))])
-            picks = pick_donors(primaries, donors, random.Random(seed))
+            picks = [donor for _, donor in pick_donors(primaries, donors, random.Random(seed))]
             assert all(p is e for p, e in zip(picks, expected)) and len(picks) == len(expected)
+
+
+class TestInjectCorpus:
+    def test_matches_one_injection_per_picked_donor(self):
+        primaries = [make_history(n, user_id=f"p{n}") for n in range(1, 9)]
+        donors = [make_history(6, user_id=f"d{i}") for i in range(3)]
+        config = NoiseConfig(intensity=0.4, seed=5)
+        expected = [inject_secondary(p, d, config) for p, d in pick_donors(primaries, donors, random.Random(2))]
+        assert list(inject_corpus(iter(primaries), donors, config, random.Random(2))) == expected
+
+    def test_capped_donors_are_logged_in_one_line(self, caplog):
+        primaries = [make_history(8, user_id=f"p{i}") for i in range(4)]
+        donors = [make_history(2, user_id="d0")]
+        with caplog.at_level(logging.INFO, logger="prefpipe.transferbench"):
+            results = list(inject_corpus(primaries, donors, NoiseConfig(intensity=0.5, seed=1), random.Random(0)))
+        assert all(len(r.injected_positions) == 2 for r in results)
+        assert [r.getMessage() for r in caplog.records if r.name == "prefpipe.transferbench"] == [
+            "4 donor(s) capped (too few triples), first: donor d0 has 2, wanted 8",
+        ]
 
 
 class TestInjectSecondary:
