@@ -4,6 +4,7 @@ loading, ordered fan-out, counted skip reasons."""
 import collections
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -11,6 +12,7 @@ import logging
 import os
 import re
 import types
+import typing
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
 
@@ -89,17 +91,14 @@ def jsonl_writer(path: str) -> Iterator[Callable[[dict], None]]:
 
 
 def read_jsonl(path: str) -> Iterator[dict]:
-    """Yield the JSON object on each non-blank line of ``path``.
-
-    A line that is not UTF-8, not JSON or not a JSON object raises
-    ValidationError naming ``path:line``. Lines end at ``\n``, as JSON Lines
-    defines them.
-    """
+    """The JSON object on each non-blank line of ``path``, as ``numbered_jsonl`` reads them."""
     return (record for _, record in numbered_jsonl(path))
 
 
 def numbered_jsonl(path: str) -> Iterator[tuple[int, dict]]:
-    """``read_jsonl`` with each object's 1-based line number."""
+    """Each JSON object in ``path`` with its 1-based line number. A line that
+    is not UTF-8, not JSON or not a JSON object raises ValidationError naming
+    ``path:line``. Lines end at ``\n``, as JSON Lines defines them."""
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
             try:
@@ -173,12 +172,11 @@ def build_config(cls: type[C], *layers: Any, what: str, sections: Iterable[str] 
 
     Each layer may hold only ``cls``'s fields and the named ``sections``
     (endpoint blocks, skipped here); ``fixed`` fields are set by the caller
-    and are not config keys. A value must match its field's annotation: a
-    bool is not an int, an int is a float, and ``X | None`` allows None.
-    Values are kept as given. Every failure is a ConfigError naming the key;
-    range checks stay in ``cls.__post_init__``.
+    and are not config keys. A value must match its field's annotation by
+    ``decode``'s rule. Values are kept as given. Every failure is a
+    ConfigError naming the key; range checks stay in ``cls.__post_init__``.
     """
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in fixed}
+    fields = {name: (convert, required) for name, _, convert, required in _fields_of(cls) if name not in fixed}
     merged: dict[str, Any] = {}
     for layer in layers:
         if not isinstance(layer, Mapping):
@@ -187,25 +185,112 @@ def build_config(cls: type[C], *layers: Any, what: str, sections: Iterable[str] 
         if unknown:
             raise ConfigError(f"unknown {what} config keys: {sorted(unknown, key=str)}")
         for key, value in layer.items():
-            if key in fields and not _has_type(value, fields[key].type):
-                expected = getattr(fields[key].type, "__name__", fields[key].type)
-                raise ConfigError(f"{what} config key {key!r} must be {expected}, got {value!r}")
-        merged.update((key, value) for key, value in layer.items() if key in fields)
-    required = (f for f in fields.values() if f.default is dataclasses.MISSING is f.default_factory)
-    missing = [f.name for f in required if f.name not in merged]
+            if key in fields:
+                try:
+                    merged[key] = fields[key][0](value)
+                except _BadValue as exc:
+                    raise ConfigError(f"{what} config key {key!r} {exc}") from None
+    missing = [name for name, (_, required) in fields.items() if required and name not in merged]
     if missing:
         raise ConfigError(f"{what} needs an explicit {', '.join(missing)}")
     return cls(**merged, **fixed)
 
 
-def _has_type(value: Any, annotation: Any) -> bool:
-    if isinstance(annotation, types.UnionType):
-        return any(_has_type(value, option) for option in annotation.__args__)
-    if isinstance(value, bool):
-        return annotation is bool
-    if annotation is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, annotation)
+def decode(cls: type[C], record: Any, where: str = "record") -> C:
+    """Build the dataclass ``cls`` from ``record``, data from outside the
+    program, checking each value against its field's annotation (see
+    ``_converter``). A field is read from its ``metadata["key"]``, else its
+    name; unknown keys are ignored and a missing field takes its default. Any
+    failure, ``cls``'s own checks included, is a ValidationError naming
+    ``where`` and the field, e.g. ``f.jsonl:3: triples[2].chosen: must be str, got 5``."""
+    try:
+        return _converter(cls)(record)
+    except _BadValue as exc:
+        raise ValidationError(f"{where}: {exc.path.lstrip('.')}{': ' if exc.path else ''}{exc}") from exc
+
+
+def read_records(path: str, cls: type[C]) -> Iterator[C]:
+    """Each line of ``path`` decoded as ``cls``; a bad line raises ValidationError naming ``path:line``."""
+    return (decode(cls, record, f"{path}:{line_no}") for line_no, record in numbered_jsonl(path))
+
+
+class _BadValue(Exception):
+    path = ""  # where the value sits in the record, like ".triples[2].chosen"
+
+
+@functools.cache
+def _fields_of(cls: type) -> tuple[tuple[str, str, Callable[[Any], Any], bool], ...]:
+    """``cls``'s fields as (name, record key, converter, required), built once per class."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, f.metadata.get("key", f.name), _converter(hints[f.name]), f.default is dataclasses.MISSING is f.default_factory)
+        for f in dataclasses.fields(cls)
+    )
+
+
+@functools.cache
+def _converter(annotation: Any) -> Callable[[Any], Any]:
+    """A function that returns a value as ``annotation`` holds it, or raises
+    _BadValue. A bool is not an int, an int is a float, NaN is not a float
+    (±inf is), ``X | None`` allows None, a ``tuple[X, ...]`` or ``tuple[X, Y]``
+    is a list, built as a tuple, and a dataclass is an object."""
+    args = typing.get_args(annotation)
+    if dataclasses.is_dataclass(annotation):
+        fields = _fields_of(annotation)
+
+        def check(value: Any) -> Any:
+            if not isinstance(value, dict):
+                raise _mismatch(value, annotation)
+            kwargs = {}
+            for name, key, convert, required in fields:
+                if key in value:
+                    try:
+                        kwargs[name] = convert(value[key])
+                    except _BadValue as exc:
+                        exc.path = f".{key}{exc.path}"
+                        raise
+                elif required:
+                    raise _BadValue(f"missing field {key!r}")
+            try:
+                return annotation(**kwargs)
+            except ValidationError as exc:
+                raise _BadValue(str(exc)) from exc
+
+    elif typing.get_origin(annotation) is tuple:
+        items = [_converter(a) for a in args if a is not Ellipsis]
+
+        def check(value: Any) -> Any:
+            if not isinstance(value, list) or (Ellipsis not in args and len(value) != len(items)):
+                raise _mismatch(value, annotation)
+            out: list = []
+            try:
+                for convert, item in zip(itertools.cycle(items), value):
+                    out.append(convert(item))
+            except _BadValue as exc:
+                exc.path = f"[{len(out)}]{exc.path}"
+                raise
+            return tuple(out)
+
+    elif isinstance(annotation, types.UnionType):  # only ``X | None`` is supported
+        (convert,) = [_converter(a) for a in args if a is not type(None)]
+
+        def check(value: Any) -> Any:
+            return None if value is None else convert(value)
+
+    else:
+        kinds = (int, float) if annotation is float else annotation
+
+        def check(value: Any) -> Any:
+            # value == value is False for NaN alone
+            if isinstance(value, kinds) and (annotation is bool or not isinstance(value, bool)) and value == value:
+                return value
+            raise _mismatch(value, annotation)
+
+    return check
+
+
+def _mismatch(value: Any, annotation: Any) -> _BadValue:
+    return _BadValue(f"must be {annotation.__name__ if isinstance(annotation, type) else annotation}, got {value!r}")
 
 
 def even_boundaries(n: int, k: int) -> list[int]:

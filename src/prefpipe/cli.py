@@ -23,11 +23,11 @@ import os
 import random
 import sys
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from . import core, curriculum
 from ._util import atomic_write_text, build_config, derive_seed, json_dumps, jsonl_writer, ordered_map, read_config
-from ._util import numbered_jsonl, sha256_file, write_jsonl
+from ._util import read_records, sha256_file, write_jsonl
 from .errors import ConfigError, PipelineError, ValidationError
 
 if TYPE_CHECKING:
@@ -268,17 +268,10 @@ def cmd_loss_check(args: argparse.Namespace) -> None:
     else:
         if not args.new_logprobs:
             raise ConfigError("loss-check needs --new-logprobs (or --self-check)")
-        batch, new_logprobs = records(), _logprobs_rows(args.new_logprobs)
+        rows = read_records(args.new_logprobs, rlengine.LogprobsRow)
+        batch, new_logprobs = records(), (row.logprobs for row in rows)
     loss = rlengine.surrogate_loss(batch, new_logprobs, clip_eps=clip_eps)
     print(json_dumps({"loss": loss, "records": seen, "clip_eps": clip_eps}))
-
-
-def _logprobs_rows(path: str) -> Iterator[list]:
-    """The ``logprobs`` list of each row of ``path``, one row at a time."""
-    for line_no, rec in numbered_jsonl(path):
-        if not isinstance(rec.get("logprobs"), list):
-            raise ValidationError(f"{path}:{line_no}: row has no logprobs list")
-        yield rec["logprobs"]
 
 
 def cmd_stream_infer(args: argparse.Namespace) -> Stage:
@@ -415,7 +408,8 @@ def cmd_evaluate(args: argparse.Namespace) -> Stage:
         )
     return Stage(
         {"strict": args.strict, "label": args.label}, [args.summaries, args.instances, args.downstream],
-        [args.out, args.outcomes], report.to_dict(), evalharness.format_reports([report]),
+        [args.out, args.outcomes], {**report.to_dict(), "dropped": len(instances) - report.n},
+        evalharness.format_reports([report]),
     )
 
 

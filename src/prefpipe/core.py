@@ -5,10 +5,10 @@ built on these four immutable types and their JSONL wire format.
 """
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence, TypeVar
 
-from ._util import count_tokens, read_jsonl, write_jsonl
+from ._util import count_tokens, decode, numbered_jsonl, read_records, write_jsonl
 from .errors import ValidationError
 
 T = TypeVar("T")
@@ -34,8 +34,6 @@ class InteractionTriple:
     context: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.index, int) or isinstance(self.index, bool):
-            raise ValidationError(f"triple index must be an integer, got {self.index!r}")
         if self.index < 0:
             raise ValidationError(f"triple index must be >= 0, got {self.index}")
         if not self.chosen:
@@ -50,20 +48,6 @@ class InteractionTriple:
             "chosen": self.chosen,
             "rejected": self.rejected,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InteractionTriple":
-        try:
-            return cls(
-                index=data["index"],
-                chosen=data["chosen"],
-                rejected=data.get("rejected"),
-                context=data.get("context"),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"triple record missing field {exc}") from exc
-        except TypeError as exc:  # e.g. a triple that is not an object
-            raise ValidationError(f"triple record malformed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -109,19 +93,6 @@ class UserHistory:
             "dataset_tag": self.dataset_tag,
             "triples": [t.to_dict() for t in self.triples],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "UserHistory":
-        try:
-            return cls(
-                user_id=data["user_id"],
-                triples=tuple(InteractionTriple.from_dict(t) for t in data["triples"]),
-                dataset_tag=data.get("dataset_tag"),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"history record missing field {exc}") from exc
-        except TypeError as exc:  # e.g. triples that are not a list
-            raise ValidationError(f"history record malformed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -177,7 +148,6 @@ class PreferenceSummary:
     def __post_init__(self):
         if not self.text:
             raise ValidationError("summary text must be non-empty")
-        object.__setattr__(self, "covers", (int(self.covers[0]), int(self.covers[1])))
         if not (0 <= self.covers[0] < self.covers[1]):
             raise ValidationError(f"summary covers {self.covers} is not a valid [start, end)")
         if self.token_count < 0:
@@ -196,20 +166,6 @@ class PreferenceSummary:
             "covers": list(self.covers),
             "token_count": self.token_count,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PreferenceSummary":
-        try:
-            return cls(
-                text=data["text"],
-                covers=(data["covers"][0], data["covers"][1]),
-                reasoning=data.get("reasoning"),
-                parent_id=data.get("parent_id"),
-                token_count=data.get("token_count", -1),
-                summary_id=data.get("summary_id", ""),
-            )
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ValidationError(f"summary record malformed: {exc}") from exc
 
 
 def segment(history: UserHistory, boundaries: Sequence[int]) -> list[HistorySegment]:
@@ -243,19 +199,9 @@ def strip_negatives(history: UserHistory) -> UserHistory:
 
 
 def iter_histories(path: str, seen: set[str] | None = None) -> Iterator[UserHistory]:
-    """Yield the histories in ``path`` one at a time, in file order.
-
-    A user_id already yielded, or already in ``seen`` (the ids of a corpus
-    read before this one), raises ValidationError naming the path and the
-    user. Each id read is added to ``seen``.
-    """
-    seen = set() if seen is None else seen
-    for rec in read_jsonl(path):
-        history = UserHistory.from_dict(rec)
-        if history.user_id in seen:
-            raise ValidationError(f"{path}: duplicate record for user {history.user_id!r}")
-        seen.add(history.user_id)
-        yield history
+    """The histories in ``path``, one at a time in file order; a user read
+    twice, or already in ``seen``, is an error (see ``by_user``)."""
+    return (h for _, h in by_user(path, ((h.user_id, h) for h in read_records(path, UserHistory)), seen))
 
 
 def load_histories(path: str) -> list[UserHistory]:
@@ -267,30 +213,34 @@ def save_histories(path: str, histories: Iterable[UserHistory]) -> int:
     return write_jsonl(path, (h.to_dict() for h in histories))
 
 
-def by_user(path: str, pairs: Iterable[tuple[str, T]]) -> dict[str, T]:
-    """Collect ``(user_id, value)`` pairs read from ``path`` into a dict.
-
-    A user_id that appears twice raises ValidationError naming the path and the
-    user, instead of the later record silently replacing the earlier one.
-    """
-    out: dict[str, T] = {}
+def by_user(path: str, pairs: Iterable[tuple[str, T]], seen: set[str] | None = None) -> Iterator[tuple[str, T]]:
+    """The ``(user_id, value)`` pairs read from ``path``, in order. A user_id
+    read twice, or already in ``seen`` (the ids of a corpus read before this
+    one), raises ValidationError naming the path and the user, instead of the
+    later record silently replacing the earlier one. Each id read is added
+    to ``seen``."""
+    seen = set() if seen is None else seen
     for user_id, value in pairs:
-        if user_id in out:
+        if user_id in seen:
             raise ValidationError(f"{path}: duplicate record for user {user_id!r}")
-        out[user_id] = value
-    return out
+        seen.add(user_id)
+        yield user_id, value
+
+
+@dataclass(frozen=True)
+class UserKey:
+    """The ``user_id`` that each line of a per-user store carries."""
+
+    user_id: str
 
 
 def load_summaries(path: str) -> dict[str, PreferenceSummary]:
     """Read a {user_id -> summary} JSONL store (records carry a ``user_id`` field)."""
-
-    def pairs():
-        for rec in read_jsonl(path):
-            if "user_id" not in rec:
-                raise ValidationError(f"{path}: summary record missing user_id")
-            yield rec["user_id"], PreferenceSummary.from_dict(rec)
-
-    return by_user(path, pairs())
+    pairs = (
+        (decode(UserKey, rec, f"{path}:{n}").user_id, decode(PreferenceSummary, rec, f"{path}:{n}"))
+        for n, rec in numbered_jsonl(path)
+    )
+    return dict(by_user(path, pairs))
 
 
 def summary_record(user_id: str, summary: PreferenceSummary) -> dict:

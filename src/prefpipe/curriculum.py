@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._util import read_jsonl, write_jsonl
+from ._util import read_records, write_jsonl
 from .core import InteractionTriple, UserHistory
 from .errors import ValidationError
 
@@ -77,26 +77,31 @@ def score_sample(strong_p: float, weak_p: float) -> tuple[float, float]:
     return strong_p, math.log(strong_p / weak_p)
 
 
+@dataclass(frozen=True)
+class ScoreRecord:
+    """One score sidecar line: each model's probability of the true choice at one point."""
+
+    user_id: str
+    index: int
+    strong_p: float
+    weak_p: float
+
+
 def load_scores(path: str, floor: float = PROB_FLOOR) -> list[SampleScore]:
-    """Read a score sidecar ({user_id, index, strong_p, weak_p} JSONL).
+    """Read a score sidecar (``ScoreRecord`` JSONL).
 
     Probabilities are floored at ``floor`` before the log so judge outputs of
     exactly zero stay in-domain. Duplicate (user_id, index) keys are an error.
     """
     scores = []
     seen: set[tuple[str, int]] = set()
-    for rec in read_jsonl(path):
-        try:
-            user_id, index = rec["user_id"], int(rec["index"])
-            strong_p, weak_p = float(rec["strong_p"]), float(rec["weak_p"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: bad score record {rec!r}: {exc}") from exc
-        key = (user_id, index)
+    for rec in read_records(path, ScoreRecord):
+        key = (rec.user_id, rec.index)
         if key in seen:
             raise ValidationError(f"{path}: duplicate score for {key}")
         seen.add(key)
-        s_tract, s_learn = score_sample(max(strong_p, floor), max(weak_p, floor))
-        scores.append(SampleScore(user_id=user_id, index=index, s_tract=s_tract, s_learn=s_learn))
+        s_tract, s_learn = score_sample(max(rec.strong_p, floor), max(rec.weak_p, floor))
+        scores.append(SampleScore(user_id=rec.user_id, index=rec.index, s_tract=s_tract, s_learn=s_learn))
     return scores
 
 
@@ -162,13 +167,6 @@ class RlInstance:
     def to_dict(self) -> dict:
         return {"user_id": self.user_id, "k1": self.k1, "k2": self.k2}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RlInstance":
-        try:
-            return cls(user_id=data["user_id"], k1=int(data["k1"]), k2=int(data["k2"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad instance record {data!r}: {exc}") from exc
-
 
 def pick_rl_instance(user_scores: Sequence[SampleScore]) -> RlInstance | None:
     """Pick a user's two hardest surviving points (lowest s_tract, ties to the
@@ -203,4 +201,4 @@ def save_instances(path: str, instances: Iterable[RlInstance]) -> int:
 
 
 def load_instances(path: str) -> list[RlInstance]:
-    return [RlInstance.from_dict(rec) for rec in read_jsonl(path)]
+    return list(read_records(path, RlInstance))

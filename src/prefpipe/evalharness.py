@@ -8,7 +8,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._util import Tally, derive_seed, ordered_map, read_jsonl, write_jsonl
+from ._util import Tally, derive_seed, ordered_map, read_records, write_jsonl
 from .core import PreferenceSummary, UserHistory
 from .errors import BackendError, GenerationError, JudgeError, ValidationError
 from .modelio import ModelClient, parse_selection
@@ -27,7 +27,7 @@ class EvalInstance:
     user_id: str
     item_a: str
     item_b: str
-    truth: str
+    truth: str = "A"
     context: str | None = None
     origin: str | None = None
 
@@ -36,20 +36,6 @@ class EvalInstance:
             raise ValidationError(f"truth must be 'A' or 'B', got {self.truth!r}")
         if not self.item_a or not self.item_b:
             raise ValidationError("both items must be non-empty")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalInstance":
-        try:
-            return cls(
-                user_id=data["user_id"],
-                item_a=data["item_a"],
-                item_b=data["item_b"],
-                truth=data.get("truth", "A"),
-                context=data.get("context"),
-                origin=data.get("origin"),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"eval instance missing field {exc}") from exc
 
     def to_dict(self) -> dict:
         return {
@@ -121,9 +107,10 @@ def evaluate_selection(
 
     Presentation order is randomized per instance from (seed, label, user, slot)
     so reruns are reproducible. Unparseable replies and failed calls both count
-    as incorrect; instances whose user has no summary are dropped and counted in
-    one log line (they are not failures of the summary under test). Outcomes
-    keep slot order regardless of scheduling.
+    as incorrect, and failed calls are logged as one line per error class;
+    instances whose user has no summary are dropped and counted in one log
+    line (they are not failures of the summary under test). Outcomes keep
+    slot order regardless of scheduling.
     """
     kept = [(slot, inst) for slot, inst in enumerate(instances) if summaries.get(inst.user_id) is not None]
     if len(kept) < len(instances):
@@ -131,7 +118,7 @@ def evaluate_selection(
             "%d of %d instance(s) dropped: no summary for user", len(instances) - len(kept), len(instances)
         )
 
-    def judge(slot_inst: tuple[int, EvalInstance]) -> EvalOutcome:
+    def judge(slot_inst: tuple[int, EvalInstance]) -> tuple[EvalOutcome, tuple[str, str] | None]:
         slot, inst = slot_inst
         summary = summaries[inst.user_id]
         summary_text = summary.text if isinstance(summary, PreferenceSummary) else summary
@@ -141,7 +128,7 @@ def evaluate_selection(
         first, second = (inst.item_b, inst.item_a) if swapped else (inst.item_a, inst.item_b)
         prompt = render_judge_prompt(summary_text, inst.context, first, second)
         reply: str | None = None
-        failed = False
+        failure = None
         try:
             gen = downstream.generate_summary(
                 prompt,
@@ -150,12 +137,17 @@ def evaluate_selection(
             )
             reply = gen.summary
         except (BackendError, GenerationError, JudgeError) as exc:
-            logger.warning("instance %d (%s): call failed: %s", slot, inst.user_id, exc)
-            failed = True
+            failure = type(exc).__name__, f"instance {slot} ({inst.user_id}): {exc}"
         parsed, ok = _judge_outcome(reply, swapped, inst.truth, strict)
-        return EvalOutcome(instance=inst, swapped=swapped, reply=reply, parsed=parsed, correct=ok, failed=failed)
+        failed = failure is not None
+        return EvalOutcome(instance=inst, swapped=swapped, reply=reply, parsed=parsed, correct=ok, failed=failed), failure
 
-    outcomes = list(ordered_map(judge, kept, jobs))
+    outcomes, failures = [], Tally()  # failures are counted here, in the consumer's thread
+    for outcome, failure in ordered_map(judge, kept, jobs):
+        outcomes.append(outcome)
+        if failure:
+            failures.add(*failure)
+    failures.log(logger, logging.WARNING, "evaluation call(s) failed")
     return rescore(outcomes, label=label, strict=strict), outcomes
 
 
@@ -240,7 +232,7 @@ def format_reports(reports: Sequence[EvalReport]) -> str:
 
 
 def load_eval_instances(path: str) -> list[EvalInstance]:
-    return [EvalInstance.from_dict(rec) for rec in read_jsonl(path)]
+    return list(read_records(path, EvalInstance))
 
 
 def save_eval_instances(path: str, instances: Sequence[EvalInstance]) -> int:

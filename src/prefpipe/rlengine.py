@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._util import Tally, derive_seed, ordered_map, read_jsonl, write_jsonl
+from ._util import Tally, derive_seed, ordered_map, read_records, write_jsonl
 from .core import InteractionTriple, PreferenceSummary, UserHistory
 from .curriculum import RlInstance
 from .errors import ContractError, PipelineError, ValidationError
@@ -250,22 +250,6 @@ class TrainingRecord:
             "reward": self.reward,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainingRecord":
-        try:
-            return cls(
-                user_id=data["user_id"],
-                group_id=data["group_id"],
-                stage=data["stage"],
-                prompt=data["prompt"],
-                response=data["response"],
-                old_token_logprobs=tuple(float(x) for x in data["old_token_logprobs"]),
-                advantage=float(data["advantage"]),
-                reward=float(data["reward"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad training record: {exc}") from exc
-
 
 def export_batch(trees: Iterable[RolloutTree]) -> list[TrainingRecord]:
     """Turn scored trees into training records.
@@ -302,6 +286,13 @@ def export_batch(trees: Iterable[RolloutTree]) -> list[TrainingRecord]:
                     )
                 )
     return records
+
+
+@dataclass(frozen=True)
+class LogprobsRow:
+    """A row of new token logprobs for one training record, as ``loss-check`` reads it."""
+
+    logprobs: tuple[float, ...]
 
 
 def surrogate_loss(
@@ -357,7 +348,7 @@ def save_batch(path: str, records: Iterable[TrainingRecord]) -> int:
 
 def iter_batch(path: str) -> Iterator[TrainingRecord]:
     """The training records of ``path``, one line at a time."""
-    return (TrainingRecord.from_dict(rec) for rec in read_jsonl(path))
+    return read_records(path, TrainingRecord)
 
 
 def load_batch(path: str) -> list[TrainingRecord]:

@@ -14,11 +14,12 @@ The scripted backends are the ``mock:generator``, ``mock:judge`` and
 import math
 import random
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import count_tokens, derive_seed, numbered_jsonl, stable_hash, write_jsonl
-from .core import InteractionTriple, UserHistory
+from ._util import count_tokens, derive_seed, read_records, stable_hash, write_jsonl
+from .core import InteractionTriple, UserHistory, by_user
 from .errors import CapabilityError, ContractError, ValidationError
 from .modelio.backends import RawCompletion, mock_param
 
@@ -207,14 +208,17 @@ def save_truth(path: str, truth: dict[str, np.ndarray]) -> int:
     return write_jsonl(path, ({"user_id": uid, "latent": [float(x) for x in vec]} for uid, vec in truth.items()))
 
 
+@dataclass(frozen=True)
+class TruthRecord:
+    """One line of a ground-truth file: a user's latent preference vector."""
+
+    user_id: str
+    latent: tuple[float, ...]
+
+
 def load_truth(path: str) -> dict[str, np.ndarray]:
-    out = {}
-    for line_no, rec in numbered_jsonl(path):
-        try:
-            out[rec["user_id"]] = np.array(rec["latent"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:  # a missing field, or a latent that is not numbers
-            raise ValidationError(f"{path}:{line_no}: bad truth record: {exc!r}") from exc
-    return out
+    latents = ((rec.user_id, np.array(rec.latent, dtype=np.float64)) for rec in read_records(path, TruthRecord))
+    return dict(by_user(path, latents))
 
 
 # ---------------------------------------------------------------------------

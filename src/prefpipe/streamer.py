@@ -8,9 +8,9 @@ chunks build byte-identical prompts and summaries on a deterministic backend.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from ._util import even_boundaries, read_jsonl, write_jsonl
+from ._util import even_boundaries, read_records, write_jsonl
 from .core import HistorySegment, PreferenceSummary, UserHistory, by_user, segment
 from .errors import GenerationError, InferenceError, ValidationError
 from .modelio import ModelClient
@@ -28,8 +28,8 @@ class StreamState:
     """
 
     user_id: str
-    current: PreferenceSummary
-    consumed_until: int
+    current: PreferenceSummary = field(metadata={"key": "summary"})
+    consumed_until: int = field(metadata={"key": "frontier"})
     lineage: tuple[str, ...]
 
     def __post_init__(self):
@@ -47,18 +47,6 @@ class StreamState:
             "summary": self.current.to_dict(),
             "lineage": list(self.lineage),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StreamState":
-        try:
-            return cls(
-                user_id=data["user_id"],
-                current=PreferenceSummary.from_dict(data["summary"]),
-                consumed_until=int(data["frontier"]),
-                lineage=tuple(data["lineage"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad stream state record: {exc}") from exc
 
 
 def update(generator: ModelClient, state: StreamState | None, segment: HistorySegment) -> StreamState:
@@ -128,5 +116,4 @@ def save_states(path: str, states: list[StreamState]) -> int:
 
 
 def load_states(path: str) -> dict[str, StreamState]:
-    states = (StreamState.from_dict(rec) for rec in read_jsonl(path))
-    return by_user(path, ((s.user_id, s) for s in states))
+    return dict(by_user(path, ((s.user_id, s) for s in read_records(path, StreamState))))

@@ -8,16 +8,19 @@ profile)."""
 
 import logging
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, TypeVar
 
-from ._util import derive_seed, even_boundaries, ordered_map
+from ._util import Tally, derive_seed, even_boundaries, ordered_map
 from .core import HistorySegment, InteractionTriple, PreferenceSummary, UserHistory, segment
 from .errors import GenerationError, JudgeError, UserSkip, ValidationError
 from .modelio import GenerationResult, ModelClient
 from .prompts import render_generation_prompt, render_history_block, render_merge_prompt, render_target_block
 
 logger = logging.getLogger("prefpipe.synthpipe")
+
+T = TypeVar("T")
+Skips = list[tuple[str, str]]  # (reason, detail) pairs, in the order they happened
 
 
 @dataclass(frozen=True)
@@ -122,9 +125,7 @@ def select_targets(
         if t.rejected is not None and tract_scores.get(t.index, 0.0) >= config.tau_tract
     ]
     if len(subset) <= config.min_subset:
-        raise UserSkip(
-            f"tractable subset has {len(subset)} triple(s), need more than {config.min_subset}"
-        )
+        raise UserSkip(f"tractable subset of at most {config.min_subset} triple(s)")
     if len(subset) > config.max_targets:
         subset = sorted(rng.sample(subset, config.max_targets), key=lambda t: t.index)
     return TargetSet(segment=segment, targets=tuple(subset))
@@ -136,13 +137,14 @@ def generate_candidates(
     generator: ModelClient,
     rng: random.Random,
     jobs: int = 1,
+    skipped: Skips | None = None,
 ) -> list[ProfileCandidate]:
     """Generate one profile candidate per target, up to ``jobs`` at once.
 
     The rendered interaction history is the segment minus every sampled target;
     the candidate's own target is appended unlabeled, its two items in random
     order, so no prompt reveals any target's true choice. Failed generations are
-    dropped; losing all of them skips the user.
+    dropped, and appended to ``skipped``; losing all of them skips the user.
     """
     user_id = target_set.segment.history.user_id
     target_indices = {t.index for t in target_set.targets}
@@ -152,7 +154,7 @@ def generate_candidates(
     # does not depend on scheduling.
     firsts = [rng.choice((t.chosen, t.rejected)) for t in target_set.targets]
 
-    def one(target_first: tuple[InteractionTriple, str]) -> ProfileCandidate | None:
+    def one(target_first: tuple[InteractionTriple, str]) -> ProfileCandidate | tuple[str, str]:
         target, first = target_first
         prompt = render_generation_prompt(
             history_text,
@@ -164,20 +166,20 @@ def generate_candidates(
                 prompt, meta={"user_id": user_id, "stage": "synth-generate", "target": target.index}
             )
         except GenerationError as exc:
-            logger.warning("user %s target %d: generation failed (%s)", user_id, target.index, exc)
-            return None
+            return type(exc).__name__, f"user {user_id} target {target.index}: {exc}"
         return ProfileCandidate(target=target, generation=gen)
 
-    results = list(ordered_map(one, zip(target_set.targets, firsts), jobs))
-    candidates = [c for c in results if c is not None]
+    candidates = [c for c in _settle(ordered_map(one, zip(target_set.targets, firsts), jobs), skipped) if c]
     if not candidates:
         raise UserSkip("all candidate generations failed")
     return candidates
 
 
-def _predicts_choice(judge: ModelClient, summary_text: str, target: InteractionTriple, debias: bool, user_id: str) -> bool:
+def _predicts_choice(
+    judge: ModelClient, summary_text: str, target: InteractionTriple, debias: bool, user_id: str
+) -> bool | tuple[str, str]:
     """True when the judge, reading the summary, picks the actually-chosen item.
-    A judge failure counts as a wrong pick."""
+    A judge failure is returned as its (reason, detail)."""
     try:
         verdict = judge.judge_pair(
             summary_text,
@@ -188,23 +190,33 @@ def _predicts_choice(judge: ModelClient, summary_text: str, target: InteractionT
             meta={"user_id": user_id, "target": target.index},
         )
     except JudgeError as exc:
-        logger.warning("user %s target %d: judge failed (%s)", user_id, target.index, exc)
-        return False
+        return type(exc).__name__, f"user {user_id} target {target.index}: {exc}"
     return verdict.prob_first > 0.5
 
 
+def _settle(results: Iterable[T | tuple[str, str]], skipped: Skips | None) -> list[T | None]:
+    """One step's call results in order, each failed call's (reason, detail)
+    moved to ``skipped`` and left as None."""
+    results = list(results)
+    if skipped is not None:
+        skipped.extend(r for r in results if isinstance(r, tuple))
+    return [None if isinstance(r, tuple) else r for r in results]
+
+
 def validate_candidates(
-    candidates: list[ProfileCandidate], judge: ModelClient, config: SynthConfig, user_id: str = "", jobs: int = 1
+    candidates: list[ProfileCandidate], judge: ModelClient, config: SynthConfig, user_id: str = "", jobs: int = 1,
+    skipped: Skips | None = None,
 ) -> list[ProfileCandidate]:
     """Keep candidates whose profile lets the judge predict the target's true
     choice, judging up to ``jobs`` at once. Judge failures count as failed
-    validation. Fewer than ``min_kept`` survivors skip the user."""
-    passed = list(ordered_map(
+    validation and are appended to ``skipped``. Fewer than ``min_kept``
+    survivors skip the user."""
+    passed = _settle(ordered_map(
         lambda cand: _predicts_choice(judge, cand.summary_text, cand.target, config.debias, user_id), candidates, jobs
-    ))
+    ), skipped)
     kept = [cand for cand, ok in zip(candidates, passed) if ok]
     if len(kept) < config.min_kept:
-        raise UserSkip(f"only {len(kept)} candidate(s) validated, need at least {config.min_kept}")
+        raise UserSkip(f"fewer than {config.min_kept} candidate(s) validated")
     return kept
 
 
@@ -224,20 +236,19 @@ def merge_profiles(
 
 
 def user_level_filter(
-    merged: PreferenceSummary, target_set: TargetSet, judge: ModelClient, config: SynthConfig, jobs: int = 1
+    merged: PreferenceSummary, target_set: TargetSet, judge: ModelClient, config: SynthConfig, jobs: int = 1,
+    skipped: Skips | None = None,
 ) -> float:
     """Score the merged profile over every sampled target, up to ``jobs`` at
     once; accept iff the accuracy reaches the threshold (inclusive). Returns
-    the accuracy."""
+    the accuracy. Judge failures count as wrong and are appended to ``skipped``."""
     user_id = target_set.segment.history.user_id
-    correct = ordered_map(
+    correct = _settle(ordered_map(
         lambda target: _predicts_choice(judge, merged.text, target, config.debias, user_id), target_set.targets, jobs
-    )
-    accuracy = sum(correct) / len(target_set.targets)
+    ), skipped)
+    accuracy = correct.count(True) / len(target_set.targets)
     if accuracy < config.accuracy_threshold:
-        raise UserSkip(
-            f"merged profile accuracy {accuracy:.3f} below threshold {config.accuracy_threshold}"
-        )
+        raise UserSkip(f"merged profile accuracy below {config.accuracy_threshold}")
     return accuracy
 
 
@@ -249,16 +260,17 @@ def build_streaming_sft(
     teacher: ModelClient,
     config: SynthConfig,
     jobs: int = 1,
+    skipped: Skips | None = None,
 ) -> list[SynthRecord]:
     """Run the full pipeline per segment, chaining each merged profile into the
     next segment's prompt. A skip in segment j keeps the records from earlier
     segments but aborts j and everything after (the chain's prior is gone).
-    ``jobs`` bounds the calls that run at once within one step."""
+    ``jobs`` bounds the calls that run at once within one step. Each skip, a
+    failed model call's or the segment's, is appended to ``skipped``."""
+    skipped = [] if skipped is None else skipped
     if len(history) // config.num_segments < config.min_per_segment:
-        logger.info(
-            "user %s skipped: %d interactions cannot give %d segments of >= %d",
-            history.user_id, len(history), config.num_segments, config.min_per_segment,
-        )
+        reason = f"fewer than {config.min_per_segment} interactions per segment"
+        skipped.append((reason, f"user {history.user_id}: {len(history)} interactions, {config.num_segments} segments"))
         return []
     segments = segment(history, even_boundaries(len(history), config.num_segments))
     records: list[SynthRecord] = []
@@ -267,15 +279,15 @@ def build_streaming_sft(
         rng = random.Random(derive_seed(config.seed, "synth", history.user_id, j))
         try:
             target_set = select_targets(seg, tract_scores, config, rng)
-            candidates = generate_candidates(target_set, prior, generator, rng, jobs=jobs)
-            kept = validate_candidates(candidates, judge, config, user_id=history.user_id, jobs=jobs)
+            candidates = generate_candidates(target_set, prior, generator, rng, jobs=jobs, skipped=skipped)
+            kept = validate_candidates(candidates, judge, config, user_id=history.user_id, jobs=jobs, skipped=skipped)
             merged = merge_profiles(
                 kept, teacher, covers=(seg.start, seg.end),
                 parent_id=prior.summary_id if prior else None, user_id=history.user_id,
             )
-            accuracy = user_level_filter(merged, target_set, judge, config, jobs=jobs)
+            accuracy = user_level_filter(merged, target_set, judge, config, jobs=jobs, skipped=skipped)
         except UserSkip as exc:
-            logger.info("user %s segment %d skipped: %s", history.user_id, j, exc.reason)
+            skipped.append((exc.reason, f"user {history.user_id} segment {j}"))
             break
         records.append(
             SynthRecord(
@@ -311,20 +323,29 @@ def run_corpus(
     ``histories`` is read lazily. Each user's records go to ``sink`` as soon
     as that user and every user before it are done; then only about
     ``2 * jobs`` users are held at once and the returned list is empty.
-    Without a sink the records are collected and returned."""
+    Without a sink the records are collected and returned.
 
-    def one(history: UserHistory) -> list[SynthRecord]:
-        return build_streaming_sft(
-            history, tract_scores.get(history.user_id, {}), generator, judge, teacher, config, jobs=jobs
-        )
+    Skipped segments and failed model calls are counted by reason ("too few
+    candidates validated", "JudgeError", ...) in the stats and logged as one
+    line per reason."""
+
+    def one(history: UserHistory) -> tuple[list[SynthRecord], Skips]:
+        skipped: Skips = []
+        scores = tract_scores.get(history.user_id, {})
+        return build_streaming_sft(history, scores, generator, judge, teacher, config, jobs, skipped), skipped
 
     records: list[SynthRecord] = []
     emit = sink or records.append
     stats = {"users_in": 0, "users_with_records": 0, "records": 0}
-    for recs in ordered_map(one, histories, jobs):
+    skips = Tally()  # counted here, in the consumer's thread
+    for recs, skipped in ordered_map(one, histories, jobs):
         stats["users_in"] += 1
         stats["users_with_records"] += bool(recs)
         stats["records"] += len(recs)
         for rec in recs:
             emit(rec)
+        for reason, detail in skipped:
+            skips.add(reason, detail)
+    skips.log(logger, logging.WARNING, "synthesis step(s) skipped")
+    stats["skipped_by_reason"] = skips.counts()
     return records, stats

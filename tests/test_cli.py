@@ -234,6 +234,21 @@ class TestPipelineChain:
         outcomes = list(read_jsonl(pipeline["outcomes"]))
         assert len(outcomes) == 8
         assert sum(o["correct"] for o in outcomes) == report["correct"]
+        instances = list(read_jsonl(pipeline["cross"]))
+        assert manifest_for(pipeline["report"])["stats"] == {**report, "dropped": len(instances) - 8}
+
+    def test_sft_with_default_knobs_says_why_it_wrote_nothing(self, pipeline, tmp_path, caplog):
+        out = str(tmp_path / "sft.jsonl")
+        with caplog.at_level("WARNING", logger="prefpipe.synthpipe"):
+            assert run(
+                "synthesize-sft", "--histories", pipeline["histories"], "--scores", pipeline["scores"],
+                "--config", str(pipeline["root"] / "synth.yaml"), "--out", out,
+            ) == 0
+        stats = manifest_for(out)["stats"]
+        assert stats["records"] == 0
+        assert stats["skipped_by_reason"] == {"tractable subset of at most 3 triple(s)": 12}
+        lines = [r.getMessage() for r in caplog.records if r.name == "prefpipe.synthpipe"]
+        assert lines == ["12 synthesis step(s) skipped (tractable subset of at most 3 triple(s)), first: user u0000 segment 0"]
 
 
 class TestDeterminism:
@@ -422,7 +437,7 @@ class TestErrorHandling:
         )
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"error (ValidationError): {truth}:1: bad truth record" in err and "latent" in err
+        assert f"error (ValidationError): {truth}:1: missing field 'latent'" in err
         assert "Traceback" not in err
 
     def test_rollout_rejects_duplicate_histories(self, pipeline, tmp_path, capsys):
@@ -443,7 +458,7 @@ class TestErrorHandling:
         rows.write_text('{"x": 1}\n{"x": 1}\n', encoding="utf-8")
         assert run("loss-check", "--batch", pipeline["batch"], "--new-logprobs", str(rows)) == 1
         err = capsys.readouterr().err
-        assert f"error (ValidationError): {rows}:1: row has no logprobs list" in err
+        assert f"error (ValidationError): {rows}:1: missing field 'logprobs'" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["synthesize-sft", "stream-infer", "multi-interest", "positive-only"])
@@ -507,31 +522,63 @@ class TestErrorHandling:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "command, line",
+        "reader, line",
         [
-            ("positive-only", "[1, 2]"),
-            ("positive-only", '{"user_id": "u1", "triples": [{"index": "x", "chosen": "a"}]}'),
-            ("positive-only", '{"user_id": "u1", "triples": [{"index": 1.5, "chosen": "a"}]}'),
-            ("positive-only", '{"user_id": "u1", "triples": [[1, 2]]}'),
-            ("evaluate", "[1, 2]"),
+            ("histories", "[1, 2]"),
+            ("histories", '{"user_id": "u1", "triples": [{"index": "x", "chosen": "a"}]}'),
+            ("histories", '{"user_id": "u1", "triples": [{"index": 1.5, "chosen": "a"}]}'),
+            ("histories", '{"user_id": "u1", "triples": [[1, 2]]}'),
+            ("eval-instances", "[1, 2]"),
+            ("histories", '{"user_id": ["u1"], "triples": []}'),
+            ("histories", '{"user_id": "u1", "triples": [{"index": 0, "chosen": 5}]}'),
+            ("scores", '{"user_id": ["u1"], "index": 0, "strong_p": 0.5, "weak_p": 0.5}'),
+            ("summaries", '{"user_id": ["u0000"], "text": "likes jazz", "covers": [0, 1]}'),
+            ("summaries", '{"user_id": "u0000", "text": "likes jazz", "covers": [0, 1, 7]}'),
+            ("eval-instances", '{"user_id": "u0000", "item_a": 5, "item_b": "b"}'),
+            ("instances", '{"user_id": "u0000", "k1": 1.7, "k2": 5}'),
+            ("batch", '{"user_id": "u0000", "group_id": "g", "stage": "initial", "prompt": "p", "response": "r", '
+                      '"old_token_logprobs": [-0.5], "advantage": "nan", "reward": 0.5}'),
+            ("truth", '{"user_id": "u0000", "latent": ["x"]}'),
         ],
-        ids=["list-line", "string-index", "float-index", "list-triple", "evaluate-list-line"],
+        ids=[
+            "list-line", "string-index", "float-index", "list-triple", "evaluate-list-line",
+            "list-user-id", "int-chosen", "scores-list-user-id", "summaries-list-user-id", "three-covers",
+            "int-item", "float-k1", "nan-string-advantage", "string-latent",
+        ],
     )
-    def test_malformed_record_is_validation_error(self, pipeline, tmp_path, capsys, command, line):
+    def test_malformed_record_is_validation_error(self, pipeline, tmp_path, capsys, reader, line):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(line + "\n", encoding="utf-8")
+        out = str(tmp_path / "out")
+        judge = write_yaml(tmp_path / "judge.yaml", {"base_url": "mock:hash"})
+        summaries = os.path.join(pipeline["stream"], "summaries.jsonl")
         argv = {
-            "positive-only": ["build-transfer", "--mode", "positive-only", "--histories", str(bad)],
-            "evaluate": [
-                "evaluate", "--summaries", os.path.join(pipeline["stream"], "summaries.jsonl"),
-                "--instances", str(bad), "--downstream", write_yaml(tmp_path / "judge.yaml", {"base_url": "mock:hash"}),
+            "histories": ["build-transfer", "--mode", "positive-only", "--histories", str(bad), "--out", out],
+            "eval-instances": [
+                "evaluate", "--summaries", summaries, "--instances", str(bad), "--downstream", judge, "--out", out,
             ],
-        }[command]
-        assert run(*argv, "--out", str(tmp_path / "out")) == 1
-        err = capsys.readouterr().err
-        assert "error (ValidationError)" in err
-        assert "Traceback" not in err
-        assert not os.path.exists(tmp_path / "out")
+            "summaries": [
+                "evaluate", "--summaries", str(bad), "--instances", pipeline["cross"], "--downstream", judge, "--out", out,
+            ],
+            "scores": ["prune", "--scores", str(bad), "--alpha", "0.5", "--tract-low", "0", "--tract-high", "1", "--out", out],
+            "instances": [
+                "rollout", "--instances", str(bad), "--histories", pipeline["histories"], "--gamma", "0.5", "--out", out,
+                "--config", write_yaml(tmp_path / "rollout.yaml", {"policy": {"base_url": "mock:hash"}, "judge": {"base_url": "mock:hash"}}),
+            ],
+            "batch": ["loss-check", "--self-check", "--batch", str(bad)],
+            "truth": [
+                "synthesize-sft", "--histories", pipeline["histories"], "--scores", pipeline["scores"], "--out", out,
+                "--config", write_yaml(tmp_path / "synth.yaml", {
+                    "generator": {"base_url": f"mock:generator?truth={bad}"}, "judge": {"base_url": "mock:judge"},
+                }),
+            ],
+        }[reader]
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert f"error (ValidationError): {bad}:1: " in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not os.path.exists(out)
 
     def test_unreadable_input_is_io_error(self, tmp_path, capsys):
         rc = run(

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefpipe._util import write_jsonl
 from prefpipe.core import InteractionTriple, UserHistory
@@ -252,3 +254,41 @@ class TestRlInstance:
         path = str(tmp_path / "instances.jsonl")
         assert save_instances(path, instances) == 2
         assert load_instances(path) == instances
+
+
+_TRACT_LEVELS = [0.0, 0.25, 0.5, 0.75, 1.0]  # the interval's ends are drawn from these too
+
+
+@st.composite
+def scored_points(draw):
+    keys = draw(st.lists(st.tuples(st.sampled_from(["u1", "u2", "u3"]), st.integers(0, 20)), min_size=1, max_size=25, unique=True))
+    # distinct learnabilities, so "the top ceil(alpha * N)" is one set whatever the tie-break
+    learns = draw(st.lists(st.floats(-5, 5), min_size=len(keys), max_size=len(keys), unique=True))
+    return [sample(u, i, draw(st.sampled_from(_TRACT_LEVELS)), learn) for (u, i), learn in zip(keys, learns)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scored_points(),
+    st.floats(0.01, 1.0),
+    st.sampled_from(_TRACT_LEVELS),
+    st.sampled_from(_TRACT_LEVELS),
+    st.just(1.0) | st.floats(0.01, 1.0),
+    st.sampled_from(["hardest", "easiest"]),
+    st.randoms(use_true_random=False),
+)
+def test_prune_follows_its_documented_order(scores, alpha, a, b, tail_fraction, tail_side, rng):
+    config = PruneConfig(alpha, min(a, b), max(a, b), tail_fraction, tail_side)
+    kept = prune(scores, config)
+    shuffled = list(scores)
+    rng.shuffle(shuffled)
+    assert prune(shuffled, config) == kept
+    assert kept == sorted(kept, key=lambda s: (s.user_id, s.index))
+    top = sorted(scores, key=lambda s: -s.s_learn)[: math.ceil(alpha * len(scores))]
+    band = {s for s in top if config.tract_low <= s.s_tract <= config.tract_high}
+    assert set(kept) <= band
+    assert len(kept) == math.ceil(tail_fraction * len(band))
+    # the tail keeps the lowest (hardest) or highest (easiest) tractability, ties to (user_id, index)
+    sign = 1 if tail_side == "hardest" else -1
+    rank = lambda s: (sign * s.s_tract, s.user_id, s.index)  # noqa: E731
+    assert all(rank(k) < rank(d) for k in kept for d in band - set(kept))

@@ -97,13 +97,17 @@ class TestEvaluateSelection(LabEval):
         assert all(not o.correct for o in outcomes if o.parsed is None)
         assert report.correct <= 4
 
-    def test_call_failures_count_incorrect(self):
+    def test_call_failures_count_incorrect(self, caplog):
         def fn(n, prompt):
             if n < 3:
                 raise BackendError("offline", retryable=False)
             return '{"selection": "Item A"}'
 
-        report, outcomes = evaluate_selection(reply_client(fn), self.summaries, self.instances, seed=3)
+        with caplog.at_level(logging.WARNING, logger="prefpipe.evalharness"):
+            report, outcomes = evaluate_selection(reply_client(fn), self.summaries, self.instances, seed=3)
+        assert [r.getMessage() for r in caplog.records if r.name == "prefpipe.evalharness"] == [
+            f"3 evaluation call(s) failed (BackendError), first: instance 0 ({self.instances[0].user_id}): offline"
+        ]
         assert report.call_failures == 3
         assert sum(1 for o in outcomes if o.failed) == 3
         assert all(o.reply is None and not o.correct for o in outcomes if o.failed)

@@ -158,6 +158,14 @@ class TestModelEndpoint:
         with pytest.raises(ConfigError, match="unknown endpoint"):
             ModelEndpoint.from_dict({"base_url": "mock:hash", "tempreature": 0.1})
 
+    def test_nan_is_not_a_float_but_inf_is(self, tmp_path):
+        path = tmp_path / "ep.yaml"
+        path.write_text("base_url: mock:hash\nbackoff_base: .nan\n")
+        with pytest.raises(ConfigError, match="endpoint config key 'backoff_base' must be float, got nan"):
+            load_endpoint(str(path))
+        path.write_text("base_url: mock:hash\ntimeout: .inf\n")
+        assert load_endpoint(str(path)).timeout == float("inf")
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             ModelEndpoint(base_url="")

@@ -375,12 +375,6 @@ class TestSurrogateLoss:
         with pytest.raises(ValidationError):
             surrogate_loss([rec], [[0.0]], clip_eps=0.0)
 
-    def test_training_record_round_trip(self):
-        rec = make_record(0.75, old=(-0.5, -1.5))
-        assert TrainingRecord.from_dict(rec.to_dict()) == rec
-        with pytest.raises(ValidationError):
-            TrainingRecord.from_dict({"user_id": "u1"})
-
 
 class TestBatchStore(LabSetup):
     def test_round_trip_preserves_loss(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefpipe._util import even_boundaries, json_dumps
+from prefpipe._util import decode, even_boundaries, json_dumps
 from prefpipe.core import HistorySegment, InteractionTriple, UserHistory
 from prefpipe.errors import InferenceError, ValidationError
 from prefpipe.modelio import HashMockBackend, ModelClient, ModelEndpoint, ScriptBackend
@@ -196,6 +196,21 @@ class TestStateStore:
         with pytest.raises(ValidationError, match=r"states\.jsonl.*'u1'"):
             load_states(path)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"frontier": "2"}, "frontier: must be int, got '2'"),
+            ({"lineage": "abc"}, "lineage: must be tuple"),
+            ({"frontier": 2}, "frontier 2 disagrees with summary coverage"),
+        ],
+    )
+    def test_bad_state_line_names_path_line_and_field(self, tmp_path, change, message):
+        state = infer_full(mock_client(), make_history(3, "u1"))
+        path = tmp_path / "states.jsonl"
+        path.write_text(json_dumps(state.to_dict()) + "\n" + json_dumps({**state.to_dict(), **change}) + "\n")
+        with pytest.raises(ValidationError, match=f"^{path}:2: {message}"):
+            load_states(str(path))
+
     def test_state_invariants_enforced(self):
         state = infer_full(mock_client(), make_history(3))
         with pytest.raises(ValidationError):
@@ -207,7 +222,7 @@ class TestStateStore:
                 user_id="u1", current=state.current, consumed_until=3, lineage=("bogus",)
             )
         with pytest.raises(ValidationError):
-            StreamState.from_dict({"user_id": "u1"})
+            decode(StreamState, {"user_id": "u1"})
 
 
 @settings(max_examples=40, deadline=None)
@@ -231,7 +246,7 @@ def test_update_fold_equals_streaming_at_every_chunk_count(items, seed):
         state, start = None, 0
         for end in even_boundaries(len(history), chunks):
             # each step resumes from a stored state, as a restarted stream would
-            stored = StreamState.from_dict(json.loads(json_dumps(state.to_dict()))) if state else None
+            stored = decode(StreamState, json.loads(json_dumps(state.to_dict()))) if state else None
             state = update(mock_client(seed), stored, HistorySegment(history, start, end))
             start = end
         streamed = infer_streaming(mock_client(seed), history, chunks)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import threading
 import time
@@ -12,6 +13,7 @@ from prefpipe._util import (
     atomic_write_text,
     build_config,
     count_tokens,
+    decode,
     derive_seed,
     even_boundaries,
     json_dumps,
@@ -23,7 +25,12 @@ from prefpipe._util import (
     stable_hash,
     write_jsonl,
 )
+from prefpipe.core import InteractionTriple, PreferenceSummary, UserHistory
+from prefpipe.curriculum import RlInstance
 from prefpipe.errors import ConfigError, ValidationError
+from prefpipe.evalharness import EvalInstance
+from prefpipe.rlengine import TrainingRecord
+from prefpipe.streamer import StreamState
 
 
 def test_stable_hash_deterministic_and_scoped():
@@ -190,7 +197,8 @@ class TestBuildConfig:
 
     @pytest.mark.parametrize(
         "data",
-        [{"rate": 1.0, "limit": None}, {"rate": 1, "limit": 3}, {"rate": 1.0, "on": False}, {"rate": 1.0, "extra": {}}],
+        [{"rate": 1.0, "limit": None}, {"rate": 1, "limit": 3}, {"rate": 1.0, "on": False}, {"rate": 1.0, "extra": {}},
+         {"rate": math.inf}],
         ids=str,
     )
     def test_accepts_matching_types(self, data):
@@ -199,7 +207,7 @@ class TestBuildConfig:
     @pytest.mark.parametrize(
         "key, value",
         [("rate", "0.5"), ("rate", True), ("count", 2.5), ("count", True), ("count", None), ("limit", 1.0),
-         ("on", 1), ("name", 3), ("extra", [])],
+         ("on", 1), ("name", 3), ("extra", []), ("rate", math.nan)],
     )
     def test_rejects_wrong_type_naming_the_key(self, key, value):
         with pytest.raises(ConfigError, match=f"t config key '{key}' must be"):
@@ -217,6 +225,99 @@ class TestBuildConfig:
             build_config(Knobs, {"count": 2}, what="t")
         with pytest.raises(ConfigError, match="must be a mapping"):
             build_config(Knobs, "rate: 1", what="t")
+
+
+@dataclass(frozen=True)
+class Inner:
+    n: int
+    label: str | None = None
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValidationError(f"n must be >= 0, got {self.n}")
+
+
+@dataclass(frozen=True)
+class Outer:
+    name: str
+    items: tuple[Inner, ...]
+    pair: tuple[int, int] = (0, 1)
+    weights: tuple[float, ...] = ()
+    renamed: int = field(default=0, metadata={"key": "alias"})
+
+
+class TestDecode:
+    def test_builds_tuples_and_nested_dataclasses_and_ignores_unknown_keys(self):
+        rec = {
+            "name": "a", "items": [{"n": 1}, {"n": 2, "label": "x", "more": 1}], "pair": [3, 4],
+            "weights": [1, 0.5, math.inf], "alias": 7, "renamed": "ignored", "other": [],
+        }
+        assert decode(Outer, rec) == Outer("a", (Inner(1), Inner(2, "x")), (3, 4), (1, 0.5, math.inf), 7)
+
+    @pytest.mark.parametrize(
+        "rec, message",
+        [
+            ({"items": []}, "missing field 'name'"),
+            ({"name": "a", "items": [{"n": 1}, {"n": True}]}, r"items\[1\]\.n: must be int, got True"),
+            ({"name": "a", "items": [{"n": 1}, 5]}, r"items\[1\]: must be Inner, got 5"),
+            ({"name": "a", "items": [{}]}, r"items\[0\]: missing field 'n'"),
+            ({"name": "a", "items": [{"n": -1}]}, r"items\[0\]: n must be >= 0, got -1"),
+            ({"name": "a", "items": ({"n": 1},)}, r"items: must be tuple\[.*Inner, \.\.\.\], got \(\{'n': 1\},\)"),
+            ({"name": "a", "items": [], "pair": [1, 2, 3]}, r"pair: must be tuple\[int, int\], got \[1, 2, 3\]"),
+            ({"name": "a", "items": [], "weights": [0.5, math.nan]}, r"weights\[1\]: must be float, got nan"),
+            ({"name": "a", "items": [], "weights": ["0.5"]}, r"weights\[0\]: must be float, got '0\.5'"),
+            ({"name": "a", "items": [], "alias": 1.5}, "alias: must be int, got 1.5"),
+            ({"name": None, "items": []}, "name: must be str, got None"),
+        ],
+    )
+    def test_errors_begin_with_where_and_name_the_field(self, rec, message):
+        with pytest.raises(ValidationError, match=f"^f.jsonl:4: {message}$"):
+            decode(Outer, rec, "f.jsonl:4")
+
+
+_TEXT = st.text(min_size=1, max_size=8)
+_MAYBE_TEXT = st.none() | st.text(max_size=8)
+_FLOATS = st.floats(allow_nan=False)
+
+
+@st.composite
+def _histories(draw):
+    items = draw(st.lists(st.tuples(_TEXT, _MAYBE_TEXT, _MAYBE_TEXT), max_size=5))
+    indices = sorted(draw(st.sets(st.integers(0, 10**6), min_size=len(items), max_size=len(items))))
+    triples = tuple(
+        InteractionTriple(index, chosen, None if rejected == chosen else rejected, context)
+        for index, (chosen, rejected, context) in zip(indices, items)
+    )
+    return UserHistory(draw(_TEXT), triples, draw(_MAYBE_TEXT))
+
+
+_SUMMARIES = st.builds(
+    lambda text, start, width, reasoning, parent: PreferenceSummary(text, (start, start + width), reasoning, parent),
+    _TEXT, st.integers(0, 10**6), st.integers(1, 10**6), _MAYBE_TEXT, _MAYBE_TEXT,
+)
+
+
+@st.composite
+def _states(draw):
+    summary = draw(_SUMMARIES)
+    lineage = tuple(draw(st.lists(_TEXT, max_size=3))) + (summary.summary_id,)
+    return StreamState(draw(_TEXT), summary, summary.covers[1], lineage)
+
+
+_RECORDS = st.one_of(
+    _histories().filter(len).map(lambda h: h.triples[0]),
+    _histories(),
+    _SUMMARIES,
+    _states(),
+    st.builds(TrainingRecord, _TEXT, _TEXT, _TEXT, _TEXT, _TEXT, st.lists(_FLOATS).map(tuple), _FLOATS, _FLOATS),
+    st.builds(EvalInstance, _TEXT, _TEXT, _TEXT, st.sampled_from("AB"), _MAYBE_TEXT, _MAYBE_TEXT),
+    st.builds(lambda user, k1, gap: RlInstance(user, k1, k1 + gap), _TEXT, st.integers(0, 10**6), st.integers(1, 99)),
+)
+
+
+@given(_RECORDS)
+def test_decode_inverts_to_dict_for_every_record_type(record):
+    assert decode(type(record), json.loads(json_dumps(record.to_dict()))) == record
 
 
 def test_read_config_picks_parser_by_extension(tmp_path):
