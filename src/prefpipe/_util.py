@@ -1,5 +1,5 @@
 """Small shared helpers: stable seeds, token counting, JSONL io, config
-loading, ordered fan-out, counted skip reasons."""
+loading, ordered fan-out, the per-item failure policy, counted skip reasons."""
 
 import collections
 import contextlib
@@ -14,9 +14,9 @@ import re
 import types
 import typing
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO, TypeVar
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, PipelineError, UserSkip, ValidationError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -337,6 +337,29 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> Iterator
                 f.cancel()
 
 
+class Skipped(NamedTuple):
+    """What a ``skipping`` call returns in place of a failed item's result."""
+
+    reason: str
+    detail: str
+
+
+def skipping(fn: Callable[[T], R], name: Callable[[T], str]) -> Callable[[T], R | Skipped]:
+    """``fn``, but a per-item error returns ``Skipped(reason, f"{name(item)}: {error}")``,
+    the reason a UserSkip's own, else the class name; any other error
+    propagates. ``Tally.settle`` counts the markers."""
+
+    def call(item: T) -> R | Skipped:
+        try:
+            return fn(item)
+        except PipelineError as exc:
+            if not exc.per_item:
+                raise
+            return Skipped(exc.reason if isinstance(exc, UserSkip) else type(exc).__name__, f"{name(item)}: {exc}")
+
+    return call
+
+
 class Tally:
     """Items left out of a stage, counted by reason, each reason keeping its
     first item's detail as the example; ``log`` writes one line per reason."""
@@ -346,6 +369,19 @@ class Tally:
 
     def add(self, reason: str, detail: str) -> None:
         self._seen.setdefault(reason, [0, detail])[0] += 1
+
+    def merge(self, other: "Tally") -> None:
+        """Count ``other``'s items after this tally's own."""
+        for reason, (count, first) in other._seen.items():
+            self._seen.setdefault(reason, [0, first])[0] += count
+
+    def settle(self, results: Iterable[R | Skipped]) -> Iterator[R | None]:
+        """``results`` in order, each Skipped marker counted in the consuming thread and yielded as None."""
+        for result in results:
+            if isinstance(result, Skipped):
+                self.add(*result)
+                result = None
+            yield result
 
     def counts(self) -> dict[str, int]:
         return {reason: seen[0] for reason, seen in sorted(self._seen.items())}

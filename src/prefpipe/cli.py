@@ -22,12 +22,12 @@ import logging
 import os
 import random
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from . import core, curriculum
-from ._util import atomic_write_text, build_config, derive_seed, json_dumps, jsonl_writer, ordered_map, read_config
-from ._util import read_records, sha256_file, write_jsonl
+from ._util import Tally, atomic_write_text, build_config, derive_seed, json_dumps, jsonl_writer, ordered_map
+from ._util import read_config, read_records, sha256_file, skipping, write_jsonl
 from .errors import ConfigError, PipelineError, ValidationError
 
 if TYPE_CHECKING:
@@ -47,7 +47,8 @@ class Stage:
 
     ``None`` paths are optional files that were not given. The manifest sits
     next to ``anchor``, else next to the first output; ``command`` replaces
-    the subcommand name it records."""
+    the subcommand name it records. ``skipped`` counts the items the stage
+    left out, by reason."""
 
     config: dict
     inputs: list[str | None]
@@ -56,19 +57,20 @@ class Stage:
     message: str
     anchor: str | None = None
     command: str | None = None
+    skipped: Tally = field(default_factory=Tally)
 
 
 class ManifestWriter:
     """Collects inputs/outputs for one run and writes the manifest at the end."""
 
-    def __init__(self, command: str, seed: int, config: dict):
+    def __init__(self, command: str, seed: int, config: dict, started_at: str):
         self.command = command
         self.seed = seed
         self.config = config
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
         self.stats: dict = {}
-        self.started_at = _now()
+        self.started_at = started_at
 
     def add_input(self, path: str | None) -> None:
         if path:
@@ -183,14 +185,15 @@ def cmd_synthesize_sft(args: argparse.Namespace) -> Stage:
     for s in curriculum.load_scores(args.scores):
         tract.setdefault(s.user_id, {})[s.index] = s.s_tract
 
+    skipped = Tally()
     with jsonl_writer(args.out) as write:
         _, stats = synthpipe.run_corpus(
             core.iter_histories(args.histories), tract, generator, judge, teacher, synth_config,
-            jobs=args.jobs, sink=lambda rec: write(rec.to_dict()),
+            jobs=args.jobs, sink=lambda rec: write(rec.to_dict()), skipped=skipped,
         )
     return Stage(
         cfg, [args.histories, args.scores, args.config], [args.out], stats,
-        f"synthesized {stats['records']} records from {stats['users_with_records']}/{stats['users_in']} users",
+        f"synthesized {stats['records']} records from {stats['users_with_records']}/{stats['users_in']} users", skipped=skipped,
     )
 
 
@@ -229,6 +232,7 @@ def cmd_rollout(args: argparse.Namespace) -> Stage:
     histories = {h.user_id: h for h in core.load_histories(args.histories)}
     instances = curriculum.load_instances(args.instances)
     records = 0
+    skipped = Tally()
     # each tree is exported and dumped as it arrives; both files appear only
     # once every tree is written
     with jsonl_writer(args.out) as write_record, _optional_writer(args.trees) as write_tree:
@@ -241,12 +245,12 @@ def cmd_rollout(args: argparse.Namespace) -> Stage:
             if write_tree:
                 write_tree(tree.to_dict())
 
-        _, stats = rlengine.run_rollouts(policy, judge, instances, histories, config, jobs=args.jobs, sink=emit)
+        _, stats = rlengine.run_rollouts(policy, judge, instances, histories, config, jobs=args.jobs, sink=emit, skipped=skipped)
     return Stage(
         cfg, [args.histories, args.instances, args.config], [args.out, args.trees],
         {**stats, "records": records},
         f"rolled out {stats['trees']}/{stats['instances_in']} instances "
-        f"({records} records, mean reward {stats['mean_immediate_reward']})",
+        f"({records} records, mean reward {stats['mean_immediate_reward']})", skipped=skipped,
     )
 
 
@@ -277,23 +281,26 @@ def cmd_loss_check(args: argparse.Namespace) -> None:
 def cmd_stream_infer(args: argparse.Namespace) -> Stage:
     from . import streamer
 
+    if args.chunks < 1:  # before any user is read
+        raise ValidationError(f"chunk count must be >= 1, got {args.chunks}")
     generator = _endpoint_client(args.generator)
     os.makedirs(args.state_dir, exist_ok=True)
     states_path = os.path.join(args.state_dir, "states.jsonl")
     summaries_path = os.path.join(args.state_dir, "summaries.jsonl")
     users = 0
+    skipped = Tally()
+    infer = skipping(lambda h: streamer.infer_streaming(generator, h, args.chunks), lambda h: f"user {h.user_id}")
     # each user's state and summary are written as that user finishes
     with jsonl_writer(states_path) as write_state, jsonl_writer(summaries_path) as write_summary:
-        for state in ordered_map(
-            lambda h: streamer.infer_streaming(generator, h, args.chunks), core.iter_histories(args.histories), args.jobs
-        ):
-            write_state(state.to_dict())
-            write_summary(core.summary_record(state.user_id, state.current))
-            users += 1
+        for state in skipped.settle(ordered_map(infer, core.iter_histories(args.histories), args.jobs)):
+            if state is not None:
+                write_state(state.to_dict())
+                write_summary(core.summary_record(state.user_id, state.current))
+                users += 1
     return Stage(
         {"chunks": args.chunks}, [args.histories, args.generator], [states_path, summaries_path],
         {"users": users}, f"streamed {users} users in {args.chunks} chunk(s)",
-        anchor=os.path.join(args.state_dir, "manifest.json"),
+        anchor=os.path.join(args.state_dir, "manifest.json"), skipped=skipped,
     )
 
 
@@ -301,10 +308,11 @@ def cmd_build_transfer(args: argparse.Namespace) -> Stage:
     from . import transferbench
 
     config: dict = {"mode": args.mode}
+    skipped = Tally()
     if args.mode == "cross-domain":
         if not (args.histories_a and args.histories_b and args.embedder):
             raise ConfigError("cross-domain needs --histories-a, --histories-b, --embedder")
-        stats = _cross_domain(args, _endpoint_client(args.embedder))
+        stats = _cross_domain(args, _endpoint_client(args.embedder), skipped)
         config["top_k"] = args.top_k
         inputs, extra_output = [args.histories_a, args.histories_b], args.out_histories
     elif args.mode == "multi-interest":
@@ -344,14 +352,15 @@ def cmd_build_transfer(args: argparse.Namespace) -> Stage:
         stats = {"users": users}
     return Stage(
         config, inputs, [args.out, extra_output], stats, f"build-transfer {args.mode}: wrote {args.out}",
-        command=f"build-transfer:{args.mode}",
+        command=f"build-transfer:{args.mode}", skipped=skipped,
     )
 
 
-def _cross_domain(args: argparse.Namespace, client: "ModelClient") -> dict:
+def _cross_domain(args: argparse.Namespace, client: "ModelClient", skipped: Tally) -> dict:
     """Read A, then B, once each. Each user's last pair is held out as the
     target and the rest is written to ``--out-histories`` and embedded; only
-    the id, the vector and the target are kept for the ranking."""
+    the id, the vector and the target are kept for the ranking, which covers
+    the users that were embedded."""
     from . import evalharness, transferbench
 
     if args.top_k < 1:  # before any embedding call is spent
@@ -375,8 +384,10 @@ def _cross_domain(args: argparse.Namespace, client: "ModelClient") -> dict:
 
     embedded: tuple[list, list] = ([], [])
     with _optional_writer(args.out_histories) as write_history:
-        for side, user in ordered_map(embed, held_out(write_history), args.jobs):
-            embedded[side].append(user)
+        embeds = skipping(embed, lambda side_history: f"user {side_history[1].user_id}")
+        for result in skipped.settle(ordered_map(embeds, held_out(write_history), args.jobs)):
+            if result is not None:
+                embedded[result[0]].append(result[1])
         pairs = transferbench.match_users(client, embedded[0], embedded[1], args.top_k)
         instances, stats = transferbench.swap_targets(pairs, targets)
         write_jsonl(args.out, instances)
@@ -389,9 +400,10 @@ def cmd_evaluate(args: argparse.Namespace) -> Stage:
     downstream = _endpoint_client(args.downstream)
     summaries = core.load_summaries(args.summaries)
     instances = evalharness.load_eval_instances(args.instances)
+    skipped = Tally()
     report, outcomes = evalharness.evaluate_selection(
         downstream, summaries, instances,
-        seed=derive_seed(args.seed, "evaluate"), strict=args.strict, label=args.label, jobs=args.jobs,
+        seed=derive_seed(args.seed, "evaluate"), strict=args.strict, label=args.label, jobs=args.jobs, skipped=skipped,
     )
     atomic_write_text(args.out, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     if args.outcomes:
@@ -408,8 +420,7 @@ def cmd_evaluate(args: argparse.Namespace) -> Stage:
         )
     return Stage(
         {"strict": args.strict, "label": args.label}, [args.summaries, args.instances, args.downstream],
-        [args.out, args.outcomes], {**report.to_dict(), "dropped": len(instances) - report.n},
-        evalharness.format_reports([report]),
+        [args.out, args.outcomes], report.to_dict(), evalharness.format_reports([report]), skipped=skipped,
     )
 
 
@@ -532,13 +543,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         stage = args.func(args)
         if stage is not None:
-            mw = ManifestWriter(stage.command or args.command, args.seed, stage.config)
-            mw.started_at = started_at
+            mw = ManifestWriter(stage.command or args.command, args.seed, stage.config, started_at)
             for path in stage.inputs:
                 mw.add_input(path)
             for path in stage.outputs:
                 mw.add_output(path)
-            mw.stats = stage.stats
+            mw.stats = {**stage.stats, "skipped_by_reason": stage.skipped.counts()}
+            stage.skipped.log(logger, logging.WARNING, "item(s) skipped")
             mw.write(stage.anchor or stage.outputs[0])
             print(stage.message)
     except PipelineError as exc:

@@ -2,7 +2,11 @@
 
 
 class PipelineError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package. A ``per_item`` error
+    costs only the item (user, instance, call) it was raised for, which the
+    stage skips and counts; any other aborts the run."""
+
+    per_item = True
 
 
 class ValidationError(PipelineError):
@@ -12,16 +16,20 @@ class ValidationError(PipelineError):
 class ConfigError(PipelineError):
     """Invalid configuration value (out-of-range fraction, bad endpoint file, ...)."""
 
+    per_item = False
+
 
 class BackendError(PipelineError):
     """Transport-level failure. ``retryable`` tells the client whether backing off
     and retrying can help (connection resets, 429/5xx) or not (malformed request).
-    ``retry_after`` is the wait in seconds the server asked for, if it named one."""
+    ``retry_after`` is the wait in seconds the server asked for, if it named one.
+    Retryable ones that reach a stage have used up their retries, so they abort."""
 
     def __init__(self, message: str, retryable: bool = True, retry_after: float | None = None):
         super().__init__(message)
         self.retryable = retryable
         self.retry_after = retry_after
+        self.per_item = not retryable
 
 
 class GenerationError(PipelineError):
@@ -35,21 +43,17 @@ class JudgeError(PipelineError):
 class CapabilityError(PipelineError):
     """The backend does not support the requested operation (scoring, logprobs)."""
 
+    per_item = False
+
 
 class ContractError(PipelineError):
     """An internal invariant was violated (mismatched lengths, missing fields)."""
 
-
-class InferenceError(PipelineError):
-    """A streaming inference pass failed partway; carries the partial lineage."""
-
-    def __init__(self, message: str, lineage: tuple[str, ...] = ()):
-        super().__init__(message)
-        self.lineage = lineage
+    per_item = False
 
 
 class UserSkip(PipelineError):
-    """A user was dropped by a pipeline filter. Expected control flow, not a failure."""
+    """An item dropped by a pipeline filter, counted under ``reason``; not a failure."""
 
     def __init__(self, reason: str):
         super().__init__(reason)

@@ -8,9 +8,9 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._util import Tally, derive_seed, ordered_map, read_records, write_jsonl
+from ._util import Tally, derive_seed, ordered_map, read_records, skipping, write_jsonl
 from .core import PreferenceSummary, UserHistory
-from .errors import BackendError, GenerationError, JudgeError, ValidationError
+from .errors import ValidationError
 from .modelio import ModelClient, parse_selection
 from .prompts import render_judge_prompt
 from .streamer import infer_full, infer_streaming
@@ -102,52 +102,45 @@ def evaluate_selection(
     strict: bool = False,
     label: str = "eval",
     jobs: int = 1,
+    skipped: Tally | None = None,
 ) -> tuple[EvalReport, list[EvalOutcome]]:
     """Judge every instance once, up to ``jobs`` at once.
 
     Presentation order is randomized per instance from (seed, label, user, slot)
     so reruns are reproducible. Unparseable replies and failed calls both count
-    as incorrect, and failed calls are logged as one line per error class;
-    instances whose user has no summary are dropped and counted in one log
-    line (they are not failures of the summary under test). Outcomes keep
+    as incorrect; failed calls are also counted by error class in ``skipped``.
+    Instances whose user has no summary are dropped and counted there as "no
+    summary" (they are not failures of the summary under test). Outcomes keep
     slot order regardless of scheduling.
     """
-    kept = [(slot, inst) for slot, inst in enumerate(instances) if summaries.get(inst.user_id) is not None]
-    if len(kept) < len(instances):
-        logger.warning(
-            "%d of %d instance(s) dropped: no summary for user", len(instances) - len(kept), len(instances)
-        )
+    skipped = skipped or Tally()
+    kept = []  # (slot, instance, swapped)
+    for slot, inst in enumerate(instances):
+        if summaries.get(inst.user_id) is None:
+            skipped.add("no summary", f"instance {slot} ({inst.user_id})")
+        else:
+            # The shuffle depends on (seed, user, slot) only, never the label, so
+            # protocol comparisons ask byte-identical questions.
+            kept.append((slot, inst, derive_seed(seed, "eval-order", inst.user_id, slot) % 2 == 1))
 
-    def judge(slot_inst: tuple[int, EvalInstance]) -> tuple[EvalOutcome, tuple[str, str] | None]:
-        slot, inst = slot_inst
+    def ask(item: tuple[int, EvalInstance, bool]) -> str:
+        slot, inst, swapped = item
         summary = summaries[inst.user_id]
         summary_text = summary.text if isinstance(summary, PreferenceSummary) else summary
-        # The shuffle depends on (seed, user, slot) only, never the label, so
-        # protocol comparisons ask byte-identical questions.
-        swapped = derive_seed(seed, "eval-order", inst.user_id, slot) % 2 == 1
         first, second = (inst.item_b, inst.item_a) if swapped else (inst.item_a, inst.item_b)
-        prompt = render_judge_prompt(summary_text, inst.context, first, second)
-        reply: str | None = None
-        failure = None
-        try:
-            gen = downstream.generate_summary(
-                prompt,
-                sample_seed=derive_seed(seed, "eval-sample", inst.user_id, slot) % (2**31),
-                meta={"user_id": inst.user_id, "stage": "evaluate"},
-            )
-            reply = gen.summary
-        except (BackendError, GenerationError, JudgeError) as exc:
-            failure = type(exc).__name__, f"instance {slot} ({inst.user_id}): {exc}"
-        parsed, ok = _judge_outcome(reply, swapped, inst.truth, strict)
-        failed = failure is not None
-        return EvalOutcome(instance=inst, swapped=swapped, reply=reply, parsed=parsed, correct=ok, failed=failed), failure
+        return downstream.generate_summary(
+            render_judge_prompt(summary_text, inst.context, first, second),
+            sample_seed=derive_seed(seed, "eval-sample", inst.user_id, slot) % (2**31),
+            meta={"user_id": inst.user_id, "stage": "evaluate"},
+        ).summary
 
-    outcomes, failures = [], Tally()  # failures are counted here, in the consumer's thread
-    for outcome, failure in ordered_map(judge, kept, jobs):
-        outcomes.append(outcome)
-        if failure:
-            failures.add(*failure)
-    failures.log(logger, logging.WARNING, "evaluation call(s) failed")
+    calls = ordered_map(skipping(ask, lambda item: f"instance {item[0]} ({item[1].user_id})"), kept, jobs)
+    outcomes = []
+    for reply, (_, inst, swapped) in zip(skipped.settle(calls), kept):
+        parsed, ok = _judge_outcome(reply, swapped, inst.truth, strict)
+        outcomes.append(
+            EvalOutcome(instance=inst, swapped=swapped, reply=reply, parsed=parsed, correct=ok, failed=reply is None)
+        )
     return rescore(outcomes, label=label, strict=strict), outcomes
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .._util import count_tokens, left_truncate, stable_hash
-from ..errors import BackendError, ContractError, GenerationError, JudgeError, ValidationError
+from ..errors import BackendError, GenerationError, JudgeError, ValidationError
 from ..prompts import render_judge_prompt
 from .backends import Backend, build_backend
 from .endpoints import ModelEndpoint
@@ -151,6 +151,8 @@ class ModelClient:
                 meta=meta,
             ),
         )
+        if not all(map(math.isfinite, result.token_logprobs or ())):  # one request's problem
+            raise BackendError("backend sent a non-finite token logprob", retryable=False)
         reasoning, summary = split_reasoning(result.text, self.endpoint.think_open, self.endpoint.think_close)
         if not summary:
             raise GenerationError("backend returned an empty summary")
@@ -229,16 +231,17 @@ class ModelClient:
         self._bump("score_calls")
         sent = self.prepare_prompt(prompt)
         out = self._with_retries("score", lambda: self.backend.score(sent, response, meta=meta))
-        return [float(x) for x in out]
+        logprobs = [float(x) for x in out]
+        if not all(map(math.isfinite, logprobs)):
+            raise BackendError("backend sent a non-finite scored logprob", retryable=False)
+        return logprobs
 
     def embed(self, text: str, *, meta: dict | None = None) -> np.ndarray:
         """Embed ``text`` and return a unit-norm float64 vector."""
         self._bump("embed_calls")
         raw = self._with_retries("embed", lambda: self.backend.embed(text, meta=meta))
         vec = np.asarray(raw, dtype=np.float64)
-        if vec.ndim != 1 or vec.size == 0:
-            raise ContractError("embedding must be a non-empty 1-d vector")
         norm = float(np.linalg.norm(vec))
-        if not math.isfinite(norm) or norm == 0.0:
-            raise ContractError("embedding has zero or non-finite norm")
+        if vec.ndim != 1 or not math.isfinite(norm) or norm == 0.0:  # an empty vector's norm is 0
+            raise BackendError("embedding is not a 1-d vector with a finite, non-zero norm", retryable=False)
         return vec / norm

@@ -13,7 +13,6 @@ per sequence, then per batch.
 """
 
 import itertools
-import logging
 import math
 import random
 from dataclasses import dataclass
@@ -21,14 +20,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._util import Tally, derive_seed, ordered_map, read_records, write_jsonl
+from ._util import Tally, derive_seed, ordered_map, read_records, skipping, write_jsonl
 from .core import InteractionTriple, PreferenceSummary, UserHistory
 from .curriculum import RlInstance
-from .errors import ContractError, PipelineError, ValidationError
+from .errors import ContractError, PipelineError, UserSkip, ValidationError
 from .modelio import GenerationResult, ModelClient
 from .prompts import render_generation_prompt, render_history_block
-
-logger = logging.getLogger("prefpipe.rlengine")
 
 EPS_STD = 1e-8
 _MISSING = object()  # zip_longest's filler past the end of the shorter input
@@ -173,7 +170,7 @@ def rollout(
 def immediate_reward(judge: ModelClient, summary: PreferenceSummary, target: InteractionTriple, config: RolloutConfig) -> float:
     """Debiased judge probability of the target's true choice under ``summary``."""
     if target is None or target.rejected is None:
-        raise ContractError("reward target must be a full preference pair")
+        raise ValidationError("reward target must be a full preference pair")
     verdict = judge.judge_pair(
         summary.text, target.context, target.chosen, target.rejected, debias=config.debias
     )
@@ -363,44 +360,37 @@ def run_rollouts(
     config: RolloutConfig,
     jobs: int = 1,
     sink: Callable[[RolloutTree], None] | None = None,
+    skipped: Tally | None = None,
 ) -> tuple[list[RolloutTree], dict]:
     """Roll out every instance, up to ``jobs`` at once, each fanning its own
-    samples out up to ``jobs`` wide. A failure skips the instance; skips are
-    counted by reason ("no history" or the error's class) in the stats and
-    logged as one line per reason.
+    samples out up to ``jobs`` wide. A per-item failure skips the instance
+    and is counted by reason ("no history" or the error's class) in
+    ``skipped``.
 
     Each finished tree goes to ``sink`` in input order, regardless of
     scheduling, as soon as every tree before it has gone; then only about
     ``2 * jobs`` trees are held at once and the returned list is empty.
     Without a sink the trees are collected and returned."""
 
-    def one(inst: RlInstance) -> RolloutTree | tuple[str, str]:
+    def one(inst: RlInstance) -> RolloutTree:
         history = histories.get(inst.user_id)
         if history is None:
-            return "no history", f"instance {inst.user_id}: no history on file"
-        try:
-            return rollout(policy, judge, inst, history, config, jobs=jobs)
-        except PipelineError as exc:
-            return type(exc).__name__, f"instance {inst.user_id} ({inst.k1}, {inst.k2}): {exc}"
+            raise UserSkip("no history")
+        return rollout(policy, judge, inst, history, config, jobs=jobs)
 
+    calls = ordered_map(skipping(one, lambda inst: f"instance {inst.user_id} ({inst.k1}, {inst.k2})"), instances, jobs)
     trees: list[RolloutTree] = []
     emit = sink or trees.append
     n_trees = 0
     rewards: list[float] = []
-    skips = Tally()
-    for result in ordered_map(one, instances, jobs):
-        if isinstance(result, RolloutTree):
+    for tree in (skipped or Tally()).settle(calls):
+        if tree is not None:
             n_trees += 1
-            rewards.extend(rs.immediate for rs in result.all_summaries())
-            emit(result)
-        else:
-            skips.add(*result)
-    skips.log(logger, logging.WARNING, "instance(s) skipped")
+            rewards.extend(rs.immediate for rs in tree.all_summaries())
+            emit(tree)
     stats = {
         "instances_in": len(instances),
         "trees": n_trees,
-        "skipped": len(instances) - n_trees,
-        "skipped_by_reason": skips.counts(),
         "mean_immediate_reward": (sum(rewards) / len(rewards)) if rewards else None,
     }
     return trees, stats

@@ -7,16 +7,13 @@ what makes composition exact: updating in two steps and inferring with two
 chunks build byte-identical prompts and summaries on a deterministic backend.
 """
 
-import logging
 from dataclasses import dataclass, field
 
 from ._util import even_boundaries, read_records, write_jsonl
 from .core import HistorySegment, PreferenceSummary, UserHistory, by_user, segment
-from .errors import GenerationError, InferenceError, ValidationError
+from .errors import ValidationError
 from .modelio import ModelClient
 from .prompts import render_generation_prompt, render_history_block
-
-logger = logging.getLogger("prefpipe.streamer")
 
 
 @dataclass(frozen=True)
@@ -70,16 +67,10 @@ def update(generator: ModelClient, state: StreamState | None, segment: HistorySe
         render_history_block(segment.triples),
         past_text=state.current.text if state else None,
     )
-    try:
-        gen = generator.generate_summary(
-            prompt,
-            meta={"user_id": user_id, "stage": "stream-update", "start": segment.start, "end": segment.end},
-        )
-    except GenerationError as exc:
-        raise InferenceError(
-            f"user {user_id}: update over [{segment.start}, {segment.end}) failed: {exc}",
-            lineage=state.lineage if state else (),
-        ) from exc
+    gen = generator.generate_summary(
+        prompt,
+        meta={"user_id": user_id, "stage": "stream-update", "start": segment.start, "end": segment.end},
+    )
     summary = PreferenceSummary(
         text=gen.summary,
         reasoning=gen.reasoning,
@@ -94,11 +85,9 @@ def infer_streaming(generator: ModelClient, history: UserHistory, num_chunks: in
     """Infer over the whole history in ``num_chunks`` near-equal contiguous
     segments (the division remainder goes to the last chunk)."""
     if len(history) == 0:
-        raise ValidationError(f"user {history.user_id}: cannot infer over an empty history")
+        raise ValidationError("cannot infer over an empty history")
     if len(history) < num_chunks:
-        raise ValidationError(
-            f"user {history.user_id}: a history of {len(history)} steps cannot be split into {num_chunks} chunks"
-        )
+        raise ValidationError(f"a history of {len(history)} steps cannot be split into {num_chunks} chunks")
     state: StreamState | None = None
     for seg in segment(history, even_boundaries(len(history), num_chunks)):
         state = update(generator, state, seg)

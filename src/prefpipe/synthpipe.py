@@ -6,21 +6,15 @@ Run per history segment with the prior segment's merged summary chained in, the
 pipeline emits incremental training records (prior + new segment -> updated
 profile)."""
 
-import logging
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping
 
-from ._util import Tally, derive_seed, even_boundaries, ordered_map
+from ._util import Tally, derive_seed, even_boundaries, ordered_map, skipping
 from .core import HistorySegment, InteractionTriple, PreferenceSummary, UserHistory, segment
-from .errors import GenerationError, JudgeError, UserSkip, ValidationError
+from .errors import UserSkip, ValidationError
 from .modelio import GenerationResult, ModelClient
 from .prompts import render_generation_prompt, render_history_block, render_merge_prompt, render_target_block
-
-logger = logging.getLogger("prefpipe.synthpipe")
-
-T = TypeVar("T")
-Skips = list[tuple[str, str]]  # (reason, detail) pairs, in the order they happened
 
 
 @dataclass(frozen=True)
@@ -137,14 +131,14 @@ def generate_candidates(
     generator: ModelClient,
     rng: random.Random,
     jobs: int = 1,
-    skipped: Skips | None = None,
+    skipped: Tally | None = None,
 ) -> list[ProfileCandidate]:
     """Generate one profile candidate per target, up to ``jobs`` at once.
 
     The rendered interaction history is the segment minus every sampled target;
     the candidate's own target is appended unlabeled, its two items in random
-    order, so no prompt reveals any target's true choice. Failed generations are
-    dropped, and appended to ``skipped``; losing all of them skips the user.
+    order, so no prompt reveals any target's true choice. A failed generation
+    is dropped and counted in ``skipped``; losing all of them skips the user.
     """
     user_id = target_set.segment.history.user_id
     target_indices = {t.index for t in target_set.targets}
@@ -154,22 +148,21 @@ def generate_candidates(
     # does not depend on scheduling.
     firsts = [rng.choice((t.chosen, t.rejected)) for t in target_set.targets]
 
-    def one(target_first: tuple[InteractionTriple, str]) -> ProfileCandidate | tuple[str, str]:
+    def one(target_first: tuple[InteractionTriple, str]) -> ProfileCandidate:
         target, first = target_first
         prompt = render_generation_prompt(
             history_text,
             past_text=prior.text if prior else None,
             target_text=render_target_block(target, first),
         )
-        try:
-            gen = generator.generate_summary(
-                prompt, meta={"user_id": user_id, "stage": "synth-generate", "target": target.index}
-            )
-        except GenerationError as exc:
-            return type(exc).__name__, f"user {user_id} target {target.index}: {exc}"
+        gen = generator.generate_summary(
+            prompt, meta={"user_id": user_id, "stage": "synth-generate", "target": target.index}
+        )
         return ProfileCandidate(target=target, generation=gen)
 
-    candidates = [c for c in _settle(ordered_map(one, zip(target_set.targets, firsts), jobs), skipped) if c]
+    generate = skipping(one, lambda tf: f"user {user_id} target {tf[0].index}")
+    calls = ordered_map(generate, zip(target_set.targets, firsts), jobs)
+    candidates = [c for c in (skipped or Tally()).settle(calls) if c]
     if not candidates:
         raise UserSkip("all candidate generations failed")
     return candidates
@@ -177,43 +170,26 @@ def generate_candidates(
 
 def _predicts_choice(
     judge: ModelClient, summary_text: str, target: InteractionTriple, debias: bool, user_id: str
-) -> bool | tuple[str, str]:
-    """True when the judge, reading the summary, picks the actually-chosen item.
-    A judge failure is returned as its (reason, detail)."""
-    try:
-        verdict = judge.judge_pair(
-            summary_text,
-            target.context,
-            target.chosen,
-            target.rejected,
-            debias=debias,
-            meta={"user_id": user_id, "target": target.index},
-        )
-    except JudgeError as exc:
-        return type(exc).__name__, f"user {user_id} target {target.index}: {exc}"
+) -> bool:
+    """True when the judge, reading the summary, picks the actually-chosen item."""
+    verdict = judge.judge_pair(
+        summary_text, target.context, target.chosen, target.rejected,
+        debias=debias, meta={"user_id": user_id, "target": target.index},
+    )
     return verdict.prob_first > 0.5
-
-
-def _settle(results: Iterable[T | tuple[str, str]], skipped: Skips | None) -> list[T | None]:
-    """One step's call results in order, each failed call's (reason, detail)
-    moved to ``skipped`` and left as None."""
-    results = list(results)
-    if skipped is not None:
-        skipped.extend(r for r in results if isinstance(r, tuple))
-    return [None if isinstance(r, tuple) else r for r in results]
 
 
 def validate_candidates(
     candidates: list[ProfileCandidate], judge: ModelClient, config: SynthConfig, user_id: str = "", jobs: int = 1,
-    skipped: Skips | None = None,
+    skipped: Tally | None = None,
 ) -> list[ProfileCandidate]:
     """Keep candidates whose profile lets the judge predict the target's true
-    choice, judging up to ``jobs`` at once. Judge failures count as failed
-    validation and are appended to ``skipped``. Fewer than ``min_kept``
+    choice, judging up to ``jobs`` at once. A failed judgment counts as failed
+    validation and is counted in ``skipped``. Fewer than ``min_kept``
     survivors skip the user."""
-    passed = _settle(ordered_map(
-        lambda cand: _predicts_choice(judge, cand.summary_text, cand.target, config.debias, user_id), candidates, jobs
-    ), skipped)
+    check = skipping(lambda cand: _predicts_choice(judge, cand.summary_text, cand.target, config.debias, user_id),
+                     lambda cand: f"user {user_id} target {cand.target.index}")
+    passed = list((skipped or Tally()).settle(ordered_map(check, candidates, jobs)))
     kept = [cand for cand, ok in zip(candidates, passed) if ok]
     if len(kept) < config.min_kept:
         raise UserSkip(f"fewer than {config.min_kept} candidate(s) validated")
@@ -237,15 +213,15 @@ def merge_profiles(
 
 def user_level_filter(
     merged: PreferenceSummary, target_set: TargetSet, judge: ModelClient, config: SynthConfig, jobs: int = 1,
-    skipped: Skips | None = None,
+    skipped: Tally | None = None,
 ) -> float:
     """Score the merged profile over every sampled target, up to ``jobs`` at
     once; accept iff the accuracy reaches the threshold (inclusive). Returns
-    the accuracy. Judge failures count as wrong and are appended to ``skipped``."""
+    the accuracy. A failed judgment counts as wrong and is counted in ``skipped``."""
     user_id = target_set.segment.history.user_id
-    correct = _settle(ordered_map(
-        lambda target: _predicts_choice(judge, merged.text, target, config.debias, user_id), target_set.targets, jobs
-    ), skipped)
+    check = skipping(lambda target: _predicts_choice(judge, merged.text, target, config.debias, user_id),
+                     lambda target: f"user {user_id} target {target.index}")
+    correct = list((skipped or Tally()).settle(ordered_map(check, target_set.targets, jobs)))
     accuracy = correct.count(True) / len(target_set.targets)
     if accuracy < config.accuracy_threshold:
         raise UserSkip(f"merged profile accuracy below {config.accuracy_threshold}")
@@ -260,48 +236,47 @@ def build_streaming_sft(
     teacher: ModelClient,
     config: SynthConfig,
     jobs: int = 1,
-    skipped: Skips | None = None,
+    skipped: Tally | None = None,
 ) -> list[SynthRecord]:
     """Run the full pipeline per segment, chaining each merged profile into the
-    next segment's prompt. A skip in segment j keeps the records from earlier
-    segments but aborts j and everything after (the chain's prior is gone).
-    ``jobs`` bounds the calls that run at once within one step. Each skip, a
-    failed model call's or the segment's, is appended to ``skipped``."""
-    skipped = [] if skipped is None else skipped
+    next segment's prompt. A segment that a filter or a failed merge skips
+    keeps the records from earlier segments but ends the chain (its prior is
+    gone). ``jobs`` bounds the calls that run at once within one step. Each
+    skip, a failed model call's or the segment's, is counted in ``skipped``."""
+    skipped = skipped or Tally()
     if len(history) // config.num_segments < config.min_per_segment:
         reason = f"fewer than {config.min_per_segment} interactions per segment"
-        skipped.append((reason, f"user {history.user_id}: {len(history)} interactions, {config.num_segments} segments"))
+        skipped.add(reason, f"user {history.user_id}: {len(history)} interactions, {config.num_segments} segments")
         return []
     segments = segment(history, even_boundaries(len(history), config.num_segments))
-    records: list[SynthRecord] = []
     prior: PreferenceSummary | None = None
-    for j, seg in enumerate(segments):
+
+    def synthesize(j_seg: tuple[int, HistorySegment]) -> tuple[SynthRecord, PreferenceSummary]:
+        j, seg = j_seg
         rng = random.Random(derive_seed(config.seed, "synth", history.user_id, j))
-        try:
-            target_set = select_targets(seg, tract_scores, config, rng)
-            candidates = generate_candidates(target_set, prior, generator, rng, jobs=jobs, skipped=skipped)
-            kept = validate_candidates(candidates, judge, config, user_id=history.user_id, jobs=jobs, skipped=skipped)
-            merged = merge_profiles(
-                kept, teacher, covers=(seg.start, seg.end),
-                parent_id=prior.summary_id if prior else None, user_id=history.user_id,
-            )
-            accuracy = user_level_filter(merged, target_set, judge, config, jobs=jobs, skipped=skipped)
-        except UserSkip as exc:
-            skipped.append((exc.reason, f"user {history.user_id} segment {j}"))
-            break
-        records.append(
-            SynthRecord(
-                user_id=history.user_id,
-                segment=(seg.start, seg.end),
-                prior_text=prior.text if prior else None,
-                reasoning=merged.reasoning,
-                summary=merged.text,
-                accuracy=accuracy,
-                target_indices=tuple(t.index for t in target_set.targets),
-                kept_count=len(kept),
-            )
+        target_set = select_targets(seg, tract_scores, config, rng)
+        candidates = generate_candidates(target_set, prior, generator, rng, jobs=jobs, skipped=skipped)
+        kept = validate_candidates(candidates, judge, config, user_id=history.user_id, jobs=jobs, skipped=skipped)
+        merged = merge_profiles(
+            kept, teacher, covers=(seg.start, seg.end),
+            parent_id=prior.summary_id if prior else None, user_id=history.user_id,
         )
-        prior = merged
+        accuracy = user_level_filter(merged, target_set, judge, config, jobs=jobs, skipped=skipped)
+        record = SynthRecord(
+            user_id=history.user_id, segment=(seg.start, seg.end), prior_text=prior.text if prior else None,
+            reasoning=merged.reasoning, summary=merged.text, accuracy=accuracy,
+            target_indices=tuple(t.index for t in target_set.targets), kept_count=len(kept),
+        )
+        return record, merged
+
+    step = skipping(synthesize, lambda j_seg: f"user {history.user_id} segment {j_seg[0]}")
+    records: list[SynthRecord] = []
+    # lazily, so each segment runs with the prior the one before it merged
+    for result in skipped.settle(map(step, enumerate(segments))):
+        if result is None:
+            break
+        record, prior = result
+        records.append(record)
     return records
 
 
@@ -314,6 +289,7 @@ def run_corpus(
     config: SynthConfig,
     jobs: int = 1,
     sink: Callable[[SynthRecord], None] | None = None,
+    skipped: Tally | None = None,
 ) -> tuple[list[SynthRecord], dict]:
     """Drive the pipeline over a corpus. Users are independent, and up to
     ``jobs`` run at once, each fanning its own calls out up to ``jobs`` wide;
@@ -325,27 +301,24 @@ def run_corpus(
     ``2 * jobs`` users are held at once and the returned list is empty.
     Without a sink the records are collected and returned.
 
-    Skipped segments and failed model calls are counted by reason ("too few
-    candidates validated", "JudgeError", ...) in the stats and logged as one
-    line per reason."""
+    Skipped segments and failed model calls are counted by reason ("fewer
+    than 3 candidate(s) validated", "JudgeError", ...) in ``skipped``: each
+    user fills its own tally, merged here in input order."""
 
-    def one(history: UserHistory) -> tuple[list[SynthRecord], Skips]:
-        skipped: Skips = []
+    def one(history: UserHistory) -> tuple[list[SynthRecord], Tally]:
+        user_skips = Tally()
         scores = tract_scores.get(history.user_id, {})
-        return build_streaming_sft(history, scores, generator, judge, teacher, config, jobs, skipped), skipped
+        return build_streaming_sft(history, scores, generator, judge, teacher, config, jobs, user_skips), user_skips
 
+    skipped = skipped or Tally()
     records: list[SynthRecord] = []
     emit = sink or records.append
     stats = {"users_in": 0, "users_with_records": 0, "records": 0}
-    skips = Tally()  # counted here, in the consumer's thread
-    for recs, skipped in ordered_map(one, histories, jobs):
+    for recs, user_skips in ordered_map(one, histories, jobs):
         stats["users_in"] += 1
         stats["users_with_records"] += bool(recs)
         stats["records"] += len(recs)
         for rec in recs:
             emit(rec)
-        for reason, detail in skipped:
-            skips.add(reason, detail)
-    skips.log(logger, logging.WARNING, "synthesis step(s) skipped")
-    stats["skipped_by_reason"] = skips.counts()
+        skipped.merge(user_skips)
     return records, stats

@@ -132,7 +132,7 @@ class TestPipelineChain:
             manifest = json.load(fh)
         assert manifest["command"] == "simlab-gen"
         assert manifest["seed"] == 7
-        assert manifest["stats"] == {"users": 12, "score_rows": 144}
+        assert manifest["stats"] == {"users": 12, "score_rows": 144, "skipped_by_reason": {}}
         assert set(manifest) >= {"config", "config_digest", "inputs", "outputs", "started_at", "finished_at"}
         for path, digest in manifest["outputs"].items():
             assert sha256_file(path) == digest
@@ -154,9 +154,9 @@ class TestPipelineChain:
         seen = {}
         real = synthpipe.run_corpus
 
-        def spy(histories, tract, generator, judge, teacher, config, jobs=1, sink=None):
+        def spy(histories, tract, generator, judge, teacher, config, **kwargs):
             seen.update(generator=generator, teacher=teacher)
-            return real(histories, tract, generator, judge, teacher, config, jobs=jobs, sink=sink)
+            return real(histories, tract, generator, judge, teacher, config, **kwargs)
 
         monkeypatch.setattr(synthpipe, "run_corpus", spy)
         out = str(tmp_path / "sft.jsonl")
@@ -235,11 +235,12 @@ class TestPipelineChain:
         assert len(outcomes) == 8
         assert sum(o["correct"] for o in outcomes) == report["correct"]
         instances = list(read_jsonl(pipeline["cross"]))
-        assert manifest_for(pipeline["report"])["stats"] == {**report, "dropped": len(instances) - 8}
+        assert len(instances) == 8
+        assert manifest_for(pipeline["report"])["stats"] == {**report, "skipped_by_reason": {}}
 
     def test_sft_with_default_knobs_says_why_it_wrote_nothing(self, pipeline, tmp_path, caplog):
         out = str(tmp_path / "sft.jsonl")
-        with caplog.at_level("WARNING", logger="prefpipe.synthpipe"):
+        with caplog.at_level("WARNING", logger="prefpipe.cli"):
             assert run(
                 "synthesize-sft", "--histories", pipeline["histories"], "--scores", pipeline["scores"],
                 "--config", str(pipeline["root"] / "synth.yaml"), "--out", out,
@@ -247,8 +248,11 @@ class TestPipelineChain:
         stats = manifest_for(out)["stats"]
         assert stats["records"] == 0
         assert stats["skipped_by_reason"] == {"tractable subset of at most 3 triple(s)": 12}
-        lines = [r.getMessage() for r in caplog.records if r.name == "prefpipe.synthpipe"]
-        assert lines == ["12 synthesis step(s) skipped (tractable subset of at most 3 triple(s)), first: user u0000 segment 0"]
+        lines = [r.getMessage() for r in caplog.records if r.name == "prefpipe.cli"]
+        assert lines == [
+            "12 item(s) skipped (tractable subset of at most 3 triple(s)), "
+            "first: user u0000 segment 0: tractable subset of at most 3 triple(s)"
+        ]
 
 
 class TestDeterminism:
@@ -415,15 +419,29 @@ class TestErrorHandling:
         assert f"error (ConfigError): mock URL parameter {key}={value!r}" in err
         assert "Traceback" not in err
 
-    def test_too_many_chunks_names_the_user(self, pipeline, tmp_path, capsys):
-        rc = run(
-            "stream-infer", "--histories", pipeline["histories"], "--chunks", "13",
-            "--generator", write_yaml(tmp_path / "gen.yaml", {"base_url": "mock:hash"}),
-            "--state-dir", str(tmp_path / "s"),
-        )
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "error (ValidationError): user u0000: a history of 12 steps cannot be split into 13 chunks" in err
+    def test_too_many_chunks_names_the_user(self, pipeline, tmp_path, caplog):
+        """A user too short for --chunks is skipped, named in the log and
+        counted in the manifest; the full-length users are written."""
+        with open(pipeline["histories"], encoding="utf-8") as fh:
+            lines = fh.readlines()
+        short = json.loads(lines[2])
+        short["triples"] = short["triples"][:3]
+        corpus = tmp_path / "histories.jsonl"
+        corpus.write_text("".join(lines[:2] + [json.dumps(short) + "\n"] + lines[3:]), encoding="utf-8")
+        state_dir = tmp_path / "s"
+        with caplog.at_level("WARNING", logger="prefpipe.cli"):
+            assert run(
+                "stream-infer", "--histories", str(corpus), "--chunks", "4",
+                "--generator", write_yaml(tmp_path / "gen.yaml", {"base_url": "mock:hash"}),
+                "--state-dir", str(state_dir),
+            ) == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "prefpipe.cli"] == [
+            "1 item(s) skipped (ValidationError), first: user u0002: a history of 3 steps cannot be split into 4 chunks"
+        ]
+        with open(state_dir / "manifest.json", encoding="utf-8") as fh:
+            assert json.load(fh)["stats"] == {"users": 11, "skipped_by_reason": {"ValidationError": 1}}
+        written = [s["user_id"] for s in read_jsonl(str(state_dir / "summaries.jsonl"))]
+        assert written == [f"u{i:04d}" for i in range(12) if i != 2]
 
     def test_truth_line_without_latent_is_validation_error(self, pipeline, tmp_path, capsys):
         truth = tmp_path / "truth.jsonl"
@@ -588,6 +606,168 @@ class TestErrorHandling:
         )
         assert rc == 1
         assert "error (" in capsys.readouterr().err
+
+
+def fail_for(monkeypatch, user, make_error):
+    """Make every scripted-backend request made for ``user`` raise
+    ``make_error()``; returns the list of the users whose requests failed."""
+    from prefpipe import simlab
+
+    failed = []
+    for cls in (simlab.ScriptedGeneratorBackend, simlab.ScriptedJudgeBackend, simlab.ScriptedEmbedderBackend):
+        for name in ("complete", "choice_logprobs", "embed"):
+
+            def failing(self, *args, _real=getattr(cls, name), meta=None, **kwargs):
+                if (meta or {}).get("user_id") == user:
+                    failed.append(user)
+                    raise make_error()
+                return _real(self, *args, meta=meta, **kwargs)
+
+            monkeypatch.setattr(cls, name, failing)
+    return failed
+
+
+def _first_user(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.loads(fh.readline())["user_id"]
+
+
+def _user_lines(path, drop=None):
+    """The lines of JSONL ``path`` whose ``user_id`` is not ``drop``."""
+    with open(path, encoding="utf-8") as fh:
+        return [line for line in fh if json.loads(line)["user_id"] != drop]
+
+
+class TestOneBadUser:
+    """In each model-bound stage a request that fails for one user, and would
+    fail again, costs that user alone: the stage exits 0, counts the failure in
+    its manifest and log, and writes for the others what a run without that
+    user writes."""
+
+    STAGES = ["synthesize-sft", "rollout", "stream-infer", "cross-domain", "evaluate"]
+
+    @staticmethod
+    def case(pipeline, tmp_path, stage):
+        """(bad user, argv given a dir and a user to leave out of the input,
+        the dir's outputs compared whole, those compared without the bad
+        user's lines, the manifest)."""
+        root = pipeline["root"]
+        first_cross = _first_user(pipeline["cross"])
+        if stage == "synthesize-sft":
+            bad = _first_user(pipeline["sft"])
+            source = pipeline["histories"]
+        elif stage == "rollout":
+            bad = _first_user(pipeline["instances"])
+            source = pipeline["instances"]
+        elif stage == "stream-infer":
+            bad = first_cross
+            source = pipeline["combined"]
+        elif stage == "cross-domain":
+            bad = first_cross
+            source = str(root / "labA" / "histories.jsonl")
+        else:
+            bad = first_cross
+            source = os.path.join(pipeline["stream"], "summaries.jsonl")
+
+        def argv(out, leave_out=None):
+            os.makedirs(out, exist_ok=True)
+            given = os.path.join(out, "input.jsonl")
+            with open(given, "w", encoding="utf-8") as fh:
+                fh.writelines(_user_lines(source, leave_out))
+            return {
+                "synthesize-sft": [
+                    "synthesize-sft", "--histories", given, "--scores", pipeline["scores"],
+                    "--config", str(root / "synth.yaml"), "--out", os.path.join(out, "out.jsonl"), "--tau-tract", "0.3",
+                ],
+                "rollout": [
+                    "rollout", "--instances", given, "--histories", pipeline["histories"],
+                    "--config", str(root / "rollout.yaml"), "--gamma", "0.5", "--out", os.path.join(out, "out.jsonl"),
+                ],
+                "stream-infer": [
+                    "stream-infer", "--histories", given, "--generator", str(root / "generator.yaml"),
+                    "--chunks", "2", "--state-dir", out,
+                ],
+                "cross-domain": [
+                    "build-transfer", "--mode", "cross-domain", "--histories-a", given,
+                    "--histories-b", str(root / "labB" / "histories.jsonl"), "--embedder", str(root / "embedder.yaml"),
+                    "--top-k", "4", "--out", os.path.join(out, "out.jsonl"),
+                    "--out-histories", os.path.join(out, "combined.jsonl"),
+                ],
+                "evaluate": [
+                    "evaluate", "--summaries", given, "--instances", pipeline["cross"],
+                    "--downstream", str(root / "judge.yaml"), "--out", os.path.join(out, "report.json"),
+                    "--outcomes", os.path.join(out, "out.jsonl"),
+                ],
+            }[stage]
+
+        whole, filtered, manifest = {
+            "synthesize-sft": (["out.jsonl"], [], "out.jsonl.manifest.json"),
+            "rollout": (["out.jsonl"], [], "out.jsonl.manifest.json"),
+            "stream-infer": (["states.jsonl", "summaries.jsonl"], [], "manifest.json"),
+            "cross-domain": (["out.jsonl"], ["combined.jsonl"], "out.jsonl.manifest.json"),
+            "evaluate": ([], ["out.jsonl"], "report.json.manifest.json"),
+        }[stage]
+        return bad, argv, whole, filtered, manifest
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_one_failing_user_costs_that_user(self, pipeline, tmp_path, monkeypatch, caplog, stage):
+        from prefpipe.errors import BackendError
+
+        bad, argv, whole, filtered, manifest = self.case(pipeline, tmp_path, stage)
+        without = str(tmp_path / "without")
+        assert run(*argv(without, leave_out=bad)) == 0
+        failed = fail_for(monkeypatch, bad, lambda: BackendError("HTTP 400: bad request", retryable=False))
+        logs, skipped = [], []
+        for jobs in ("1", "2"):
+            out = str(tmp_path / f"jobs{jobs}")
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="prefpipe.cli"):
+                assert run("--jobs", jobs, *argv(out)) == 0
+            logs.append([r.getMessage() for r in caplog.records if r.name == "prefpipe.cli"])
+            with open(os.path.join(out, manifest), encoding="utf-8") as fh:
+                skipped.append(json.load(fh)["stats"]["skipped_by_reason"])
+            for name in whole:
+                assert sha256_file(os.path.join(out, name)) == sha256_file(os.path.join(without, name)), name
+            for name in filtered:
+                assert _user_lines(os.path.join(out, name), bad) == _user_lines(os.path.join(without, name)), name
+        assert failed
+        assert skipped[0] == skipped[1] and skipped[0]["BackendError"] >= 1
+        assert logs[0] == logs[1]
+        assert any(line.startswith(f"{skipped[0]['BackendError']} item(s) skipped (BackendError)") for line in logs[0])
+        assert any(bad in line and "HTTP 400: bad request" in line for line in logs[0])
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_retries_used_up_abort_after_the_first_item(self, pipeline, tmp_path, monkeypatch, capsys, stage):
+        """A retryable failure that outlasts its retries means the endpoint is
+        down: the run stops at the first failing user with exit 1, and writes
+        nothing."""
+        from prefpipe.errors import BackendError
+        from prefpipe.modelio import ModelClient
+
+        bad, argv, _, _, _ = self.case(pipeline, tmp_path, stage)
+        failed = fail_for(monkeypatch, bad, lambda: BackendError("HTTP 503", retryable=True))
+        backoffs = []  # every client the stage builds sleeps here instead of time.sleep
+        monkeypatch.setitem(ModelClient.__init__.__kwdefaults__, "sleep", backoffs.append)
+        out = str(tmp_path / "out")
+        assert run(*argv(out)) == 1
+        err = capsys.readouterr().err
+        assert "error (BackendError): HTTP 503" in err and "Traceback" not in err
+        assert len(failed) == 4  # one request, and the endpoint's three retries
+        assert backoffs == [0.5, 1.0, 2.0]
+        assert sorted(os.listdir(out)) == ["input.jsonl"]
+
+    @pytest.mark.parametrize("error", ["ContractError", "ConfigError", "CapabilityError"])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_a_bug_or_a_bad_setup_aborts(self, pipeline, tmp_path, monkeypatch, capsys, stage, error):
+        from prefpipe import errors
+
+        bad, argv, _, _, _ = self.case(pipeline, tmp_path, stage)
+        fail_for(monkeypatch, bad, lambda: getattr(errors, error)("cannot go on"))
+        out = str(tmp_path / "out")
+        assert run(*argv(out)) == 1
+        err = capsys.readouterr().err
+        assert f"error ({error}): cannot go on" in err and "Traceback" not in err
+        assert sorted(os.listdir(out)) == ["input.jsonl"]
 
 
 _STAGE_MODULES = {

@@ -2,6 +2,7 @@ import logging
 
 import pytest
 
+from prefpipe._util import Tally
 from prefpipe.core import InteractionTriple, PreferenceSummary, UserHistory
 from prefpipe.errors import BackendError, ValidationError
 from prefpipe.evalharness import (
@@ -103,10 +104,12 @@ class TestEvaluateSelection(LabEval):
                 raise BackendError("offline", retryable=False)
             return '{"selection": "Item A"}'
 
+        skipped = Tally()
+        report, outcomes = evaluate_selection(reply_client(fn), self.summaries, self.instances, seed=3, skipped=skipped)
         with caplog.at_level(logging.WARNING, logger="prefpipe.evalharness"):
-            report, outcomes = evaluate_selection(reply_client(fn), self.summaries, self.instances, seed=3)
+            skipped.log(logging.getLogger("prefpipe.evalharness"), logging.WARNING, "item(s) skipped")
         assert [r.getMessage() for r in caplog.records if r.name == "prefpipe.evalharness"] == [
-            f"3 evaluation call(s) failed (BackendError), first: instance 0 ({self.instances[0].user_id}): offline"
+            f"3 item(s) skipped (BackendError), first: instance 0 ({self.instances[0].user_id}): offline"
         ]
         assert report.call_failures == 3
         assert sum(1 for o in outcomes if o.failed) == 3
@@ -117,8 +120,10 @@ class TestEvaluateSelection(LabEval):
         summaries = dict(self.summaries)
         dropped_user = self.instances[0].user_id
         del summaries[dropped_user]
-        report, outcomes = evaluate_selection(self.oracle_judge(), summaries, self.instances, seed=3)
+        skipped = Tally()
+        report, outcomes = evaluate_selection(self.oracle_judge(), summaries, self.instances, seed=3, skipped=skipped)
         assert report.n == 7
+        assert skipped.counts() == {"no summary": 1}
         assert dropped_user not in {o.instance.user_id for o in outcomes}
 
     def test_summary_objects_and_strings_are_equivalent(self):

@@ -12,7 +12,6 @@ from prefpipe.errors import (
     BackendError,
     CapabilityError,
     ConfigError,
-    ContractError,
     GenerationError,
     JudgeError,
     ValidationError,
@@ -401,10 +400,10 @@ class TestEmbed:
         assert np.allclose(client.embed("t"), [0.6, 0.8])
 
     def test_rejects_degenerate_vectors(self):
-        with pytest.raises(ContractError):
-            make_client(ScriptBackend(embedder=lambda t: [0.0, 0.0])).embed("t")
-        with pytest.raises(ContractError):
-            make_client(ScriptBackend(embedder=lambda t: [])).embed("t")
+        for vector in ([0.0, 0.0], []):
+            with pytest.raises(BackendError) as exc_info:
+                make_client(ScriptBackend(embedder=lambda t: vector)).embed("t")
+            assert exc_info.value.per_item
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +619,30 @@ class TestHttpBackend:
             http_client(server).generate_summary("p")
         assert not exc_info.value.retryable
 
+    @pytest.mark.parametrize(
+        "operation, value",
+        [("complete", "NaN"), ("complete", float("nan")), ("complete", float("inf")),
+         ("score", float("nan")), ("embed", float("inf"))],
+        ids=["complete-string-nan", "complete-json-nan", "complete-json-infinity", "score-json-nan", "embed-json-infinity"],
+    )
+    def test_non_finite_number_fails_only_that_request(self, server, operation, value):
+        """json.dumps writes a float NaN as the bare token NaN and inf as
+        Infinity, as some servers do; the string "NaN" parses to the same."""
+        client = http_client(server, extra={"completions_echo": True})
+        call, payload = {
+            "complete": (lambda: client.generate_summary("p"), _ScriptedServer.chat_payload(logprobs=(value, -0.5))),
+            "score": (
+                lambda: client.policy_logprobs("prompt ", "resp"),
+                {"choices": [{"logprobs": {"text_offset": [0, 7], "token_logprobs": [None, value]}}]},
+            ),
+            "embed": (lambda: client.embed("text"), {"data": [{"embedding": [3.0, value]}]}),
+        }[operation]
+        server.queue = [(200, payload)]
+        with pytest.raises(BackendError, match="finite") as exc_info:
+            call()
+        assert not exc_info.value.retryable and exc_info.value.per_item
+        assert len(server.requests) == 1
+
 
 def _only_brace():
     return (
@@ -656,3 +679,45 @@ def test_concurrent_calls_respect_in_flight_limit():
         t.join()
     assert active["peak"] <= 2
     assert client.stats["generate_calls"] == 8
+
+
+def test_rollout_skips_the_instance_whose_reply_has_a_nan_logprob(server, tmp_path):
+    """A NaN token logprob from the server costs only its instance: rollout
+    exits 0, counts it, and every line of batch.jsonl is JSON without NaN."""
+    from prefpipe._util import write_jsonl
+    from prefpipe.cli import main
+    from prefpipe.core import InteractionTriple, UserHistory, save_histories
+
+    users = ("u1", "bad", "u3")
+    histories = str(tmp_path / "histories.jsonl")
+    save_histories(histories, [
+        UserHistory(user_id=uid, triples=tuple(
+            InteractionTriple(index=i, chosen=f"{uid}-item-{i}-a", rejected=f"{uid}-item-{i}-b") for i in range(6)
+        ))
+        for uid in users
+    ])
+    instances = str(tmp_path / "instances.jsonl")
+    write_jsonl(instances, [{"user_id": uid, "k1": 2, "k2": 4} for uid in users])
+
+    def payload(path, body):
+        logprob = "NaN" if "bad-item" in body["messages"][0]["content"] else -0.5
+        return _ScriptedServer.chat_payload(logprobs=(logprob, -0.25))
+
+    server.default_payload = payload
+    config = tmp_path / "rollout.json"
+    config.write_text(json.dumps({"policy": {"base_url": server.url, "retry_limit": 0}, "judge": {"base_url": "mock:judge"}}))
+    batch = str(tmp_path / "batch.jsonl")
+    assert main([
+        "rollout", "--instances", instances, "--histories", histories, "--config", str(config),
+        "--gamma", "0.5", "--group-size", "2", "--out", batch,
+    ]) == 0
+
+    def no_constant(token):
+        raise ValueError(f"{token} is not JSON")
+
+    with open(batch, encoding="utf-8") as fh:
+        records = [json.loads(line, parse_constant=no_constant) for line in fh]
+    assert {rec["user_id"] for rec in records} == {"u1", "u3"}
+    assert len(records) == 2 * 2 * 2  # two instances, two stages, two samples
+    with open(f"{batch}.manifest.json", encoding="utf-8") as fh:
+        assert json.load(fh)["stats"]["skipped_by_reason"] == {"BackendError": 1}

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from prefpipe._util import json_dumps
+from prefpipe._util import Tally, json_dumps
 from prefpipe.core import InteractionTriple, PreferenceSummary, UserHistory
 from prefpipe.curriculum import RlInstance
 from prefpipe.errors import ContractError, ValidationError
@@ -288,9 +288,9 @@ class TestImmediateReward(LabSetup):
     def test_pairless_target_rejected(self):
         summary = PreferenceSummary(text="profile", covers=(0, 1))
         bare = InteractionTriple(index=0, chosen="only item", rejected=None)
-        with pytest.raises(ContractError):
+        with pytest.raises(ValidationError):
             immediate_reward(self.judge(), summary, bare, RolloutConfig(gamma=0.5))
-        with pytest.raises(ContractError):
+        with pytest.raises(ValidationError):
             immediate_reward(self.judge(), summary, None, RolloutConfig(gamma=0.5))
 
 
@@ -434,15 +434,18 @@ class TestRunRollouts(LabSetup):
     def instances(self):
         return [RlInstance(user_id=h.user_id, k1=4, k2=9) for h in self.histories]
 
-    def run(self, instances, jobs=1, histories=None):
+    def run(self, instances, jobs=1, histories=None, skipped=None):
         config = RolloutConfig(gamma=0.5, group_size=2, seed=11)
-        return run_rollouts(self.policy(), self.judge(), instances, histories or self.hmap, config, jobs=jobs)
+        return run_rollouts(
+            self.policy(), self.judge(), instances, histories or self.hmap, config, jobs=jobs, skipped=skipped
+        )
 
     def test_stats_and_rewards(self):
-        trees, stats = self.run(self.instances())
+        skipped = Tally()
+        trees, stats = self.run(self.instances(), skipped=skipped)
         assert stats["instances_in"] == 3
         assert stats["trees"] == 3
-        assert stats["skipped"] == 0
+        assert skipped.counts() == {}
         assert 0.9 < stats["mean_immediate_reward"] <= 1.0
 
     def test_failing_instances_are_skipped(self):
@@ -450,23 +453,27 @@ class TestRunRollouts(LabSetup):
             RlInstance(user_id="ghost", k1=4, k2=9),  # no history on file
             RlInstance(user_id=self.history.user_id, k1=0, k2=5),  # empty prefix
         ]
-        trees, stats = self.run(self.instances() + bad)
+        skipped = Tally()
+        trees, stats = self.run(self.instances() + bad, skipped=skipped)
         assert stats["instances_in"] == 5
         assert stats["trees"] == 3
-        assert stats["skipped"] == 2
+        assert skipped.counts() == {"ValidationError": 1, "no history": 1}
         assert {t.user_id for t in trees} == {h.user_id for h in self.histories}
 
     def test_skips_are_summarized_per_reason(self, caplog):
         ghosts = [RlInstance(user_id=f"ghost{i}", k1=4, k2=9) for i in range(2)]
         empty_prefix = [RlInstance(user_id=h.user_id, k1=0, k2=5) for h in self.histories]
+        skipped = Tally()
+        _, stats = self.run(self.instances() + ghosts + empty_prefix, jobs=2, skipped=skipped)
+        assert stats["trees"] == 3
+        assert skipped.counts() == {"ValidationError": 3, "no history": 2}
         with caplog.at_level(logging.WARNING, logger="prefpipe.rlengine"):
-            _, stats = self.run(self.instances() + ghosts + empty_prefix, jobs=2)
-        assert stats["skipped"] == 5
-        assert stats["skipped_by_reason"] == {"ValidationError": 3, "no history": 2}
-        lines = [r.getMessage() for r in caplog.records if r.name == "prefpipe.rlengine"]
-        assert len(lines) == 2
-        assert lines[0].startswith("3 instance(s) skipped (ValidationError)")
-        assert lines[1].startswith("2 instance(s) skipped (no history)")
+            skipped.log(logging.getLogger("prefpipe.rlengine"), logging.WARNING, "item(s) skipped")
+        assert [r.getMessage() for r in caplog.records if r.name == "prefpipe.rlengine"] == [
+            f"3 item(s) skipped (ValidationError), first: instance {self.histories[0].user_id} (0, 5): "
+            "instance (0, 5) has an empty history prefix",
+            "2 item(s) skipped (no history), first: instance ghost0 (4, 9): no history",
+        ]
 
     def test_parallel_matches_serial(self):
         serial, _ = self.run(self.instances(), jobs=1)

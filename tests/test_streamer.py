@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from prefpipe._util import decode, even_boundaries, json_dumps
 from prefpipe.core import HistorySegment, InteractionTriple, UserHistory
-from prefpipe.errors import InferenceError, ValidationError
+from prefpipe.errors import GenerationError, ValidationError
 from prefpipe.modelio import HashMockBackend, ModelClient, ModelEndpoint, ScriptBackend
 from prefpipe.streamer import StreamState, infer_full, infer_streaming, load_states, save_states, update
 
@@ -114,20 +114,16 @@ class TestUpdate:
         with pytest.raises(ValidationError, match="u2"):
             update(mock_client(), s1, HistorySegment(other, 4, 8))
 
-    def test_generator_failure_carries_lineage(self):
+    def test_generator_failure_propagates_as_itself(self):
+        """A failed update raises the client's own error, first update or
+        later, so a stage's failure policy sees its class."""
         history = make_history(8)
-        client, _ = counting_client(replies=["fine summary", ""])
-        s1 = update(client, None, HistorySegment(history, 0, 4))
-        with pytest.raises(InferenceError) as exc_info:
-            update(client, s1, HistorySegment(history, 4, 8))
-        assert exc_info.value.lineage == s1.lineage
-
-    def test_first_update_failure_has_empty_lineage(self):
-        history = make_history(4)
-        client, _ = counting_client(replies=[""])
-        with pytest.raises(InferenceError) as exc_info:
+        client, _ = counting_client(replies=["", "fine summary", ""])
+        with pytest.raises(GenerationError):
             update(client, None, HistorySegment(history, 0, 4))
-        assert exc_info.value.lineage == ()
+        s1 = update(client, None, HistorySegment(history, 0, 4))
+        with pytest.raises(GenerationError):
+            update(client, s1, HistorySegment(history, 4, 8))
 
 
 class TestStreaming:
@@ -141,7 +137,7 @@ class TestStreaming:
 
     def test_chunk_count_must_fit_history(self):
         history = make_history(3)
-        with pytest.raises(ValidationError, match="user u1: a history of 3 steps cannot be split into 4 chunks"):
+        with pytest.raises(ValidationError, match="a history of 3 steps cannot be split into 4 chunks"):
             infer_streaming(mock_client(), history, 4)
         with pytest.raises(ValidationError):
             infer_streaming(mock_client(), history, 0)

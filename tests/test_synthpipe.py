@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from prefpipe._util import Tally
 from prefpipe.core import HistorySegment, InteractionTriple, PreferenceSummary, UserHistory
 from prefpipe.errors import JudgeError, UserSkip, ValidationError
 from prefpipe.modelio import GenerationResult, ModelClient, ModelEndpoint, ScriptBackend
@@ -373,9 +374,7 @@ class TestRunCorpus:
 
     def test_stats_and_order(self):
         records, stats = self.run()
-        assert stats == {
-            "users_in": 4, "users_with_records": 4, "records": 12, "skipped_by_reason": {},
-        }
+        assert stats == {"users_in": 4, "users_with_records": 4, "records": 12}
         assert [r.user_id for r in records] == [h.user_id for h in self.histories for _ in range(3)]
 
     def test_parallel_run_matches_serial(self):
@@ -397,20 +396,24 @@ class TestRunCorpus:
         del scores[self.histories[0].user_id]
         generator = client_for(ScriptedGeneratorBackend(seed=3, quality=1.0, truth=self.truth))
         judge = scripted_client(completer=lambda p, c: "not parseable")
-        with caplog.at_level(logging.INFO, logger="prefpipe.synthpipe"):
-            records, stats = run_corpus(
-                self.histories, scores, generator, judge, generator, SynthConfig(seed=9), jobs=jobs
-            )
+        skipped = Tally()
+        records, _ = run_corpus(
+            self.histories, scores, generator, judge, generator, SynthConfig(seed=9), jobs=jobs, skipped=skipped
+        )
         assert records == []
-        assert stats["skipped_by_reason"] == {
+        assert skipped.counts() == {
             "JudgeError": 12,  # 3 users x 4 targets
             "fewer than 3 candidate(s) validated": 3,
             "tractable subset of at most 3 triple(s)": 1,
         }
         first, second = (h.user_id for h in self.histories[:2])
-        assert [(r.levelname, r.getMessage()) for r in caplog.records if r.name == "prefpipe.synthpipe"] == [
-            ("WARNING", f"12 synthesis step(s) skipped (JudgeError), first: user {second} target 0: "
-             "no judge sample produced a parseable selection"),
-            ("WARNING", f"3 synthesis step(s) skipped (fewer than 3 candidate(s) validated), first: user {second} segment 0"),
-            ("WARNING", f"1 synthesis step(s) skipped (tractable subset of at most 3 triple(s)), first: user {first} segment 0"),
+        with caplog.at_level(logging.WARNING, logger="prefpipe.synthpipe"):
+            skipped.log(logging.getLogger("prefpipe.synthpipe"), logging.WARNING, "item(s) skipped")
+        assert [r.getMessage() for r in caplog.records if r.name == "prefpipe.synthpipe"] == [
+            f"12 item(s) skipped (JudgeError), first: user {second} target 0: "
+            "no judge sample produced a parseable selection",
+            f"3 item(s) skipped (fewer than 3 candidate(s) validated), first: user {second} segment 0: "
+            "fewer than 3 candidate(s) validated",
+            f"1 item(s) skipped (tractable subset of at most 3 triple(s)), first: user {first} segment 0: "
+            "tractable subset of at most 3 triple(s)",
         ]

@@ -1,8 +1,10 @@
 import json
+import logging
 import math
 import os
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import pytest
@@ -10,6 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from prefpipe._util import (
+    Skipped,
+    Tally,
     atomic_write_text,
     build_config,
     count_tokens,
@@ -22,12 +26,22 @@ from prefpipe._util import (
     read_config,
     read_jsonl,
     sha256_file,
+    skipping,
     stable_hash,
     write_jsonl,
 )
 from prefpipe.core import InteractionTriple, PreferenceSummary, UserHistory
 from prefpipe.curriculum import RlInstance
-from prefpipe.errors import ConfigError, ValidationError
+from prefpipe.errors import (
+    BackendError,
+    CapabilityError,
+    ConfigError,
+    ContractError,
+    GenerationError,
+    JudgeError,
+    UserSkip,
+    ValidationError,
+)
 from prefpipe.evalharness import EvalInstance
 from prefpipe.rlengine import TrainingRecord
 from prefpipe.streamer import StreamState
@@ -394,20 +408,31 @@ class TestOrderedMap:
         assert len(read) <= 2 * jobs
         assert list(results) == [x * x for x in range(1, 50)]
 
-    def test_stopping_early_cancels_pending_calls(self):
-        started, gate = [], threading.Event()
+    def test_stopping_early_cancels_pending_calls(self, monkeypatch):
+        started, busy, gate = [], threading.Semaphore(0), threading.Event()
 
         def work(x):
             started.append(x)
             if x > 0:
+                busy.release()
                 gate.wait(timeout=5)  # keeps both workers busy, so item 3 waits in the queue
             return x
 
+        real_cancel = Future.cancel
+
+        def cancel(future):
+            cancelled = real_cancel(future)
+            if cancelled:  # item 3 is out of the queue: let the running calls finish
+                gate.set()
+            return cancelled
+
+        monkeypatch.setattr(Future, "cancel", cancel)
         results = ordered_map(work, range(40), jobs=2)
         assert next(results) == 0
-        threading.Timer(0.05, gate.set).start()
+        busy.acquire()
+        busy.acquire()  # items 1 and 2 hold both workers
         results.close()  # returns once the running calls have finished
-        time.sleep(0.05)
+        assert gate.is_set()
         assert sorted(started) == [0, 1, 2]
 
     def test_failure_stops_reading_items(self):
@@ -428,3 +453,74 @@ class TestOrderedMap:
             with pytest.raises(ValueError, match="item 3"):
                 list(ordered_map(work, items(), jobs=jobs))
             assert len(read) <= 4 + 2 * jobs
+
+
+class TestFailurePolicy:
+    @pytest.mark.parametrize(
+        "error, reason",
+        [
+            (ValidationError("bad record"), "ValidationError"),
+            (GenerationError("empty summary"), "GenerationError"),
+            (JudgeError("no verdict"), "JudgeError"),
+            (BackendError("HTTP 400", retryable=False), "BackendError"),
+            (UserSkip("too short"), "too short"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+    )
+    def test_per_item_errors_become_markers(self, error, reason):
+        def fn(x):
+            raise error
+
+        assert skipping(fn, lambda x: f"item {x}")(7) == Skipped(reason, f"item 7: {error}")
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ContractError("bug"),
+            ConfigError("bad setup"),
+            CapabilityError("cannot score"),
+            BackendError("HTTP 503", retryable=True),  # the retries ran out
+            KeyError("not a pipeline error"),
+        ],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_other_errors_propagate(self, error):
+        def fn(x):
+            raise error
+
+        with pytest.raises(type(error)):
+            skipping(fn, str)(7)
+
+    def test_results_pass_through(self):
+        assert skipping(lambda x: x * 2, str)(4) == 8
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_settle_counts_markers_in_input_order(self, jobs, caplog):
+        def fn(x):
+            if x % 3 == 0:
+                raise UserSkip("multiple of 3")
+            if x % 5 == 0:
+                raise GenerationError(f"no reply for {x}")
+            return x
+
+        tally = Tally()
+        results = list(tally.settle(ordered_map(skipping(fn, lambda x: f"item {x}"), range(1, 16), jobs)))
+        assert results == [None if x % 3 == 0 or x % 5 == 0 else x for x in range(1, 16)]
+        assert tally.counts() == {"GenerationError": 2, "multiple of 3": 5}
+        with caplog.at_level(logging.WARNING, logger="t"):
+            tally.log(logging.getLogger("t"), logging.WARNING, "item(s) skipped")
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 item(s) skipped (GenerationError), first: item 5: no reply for 5",
+            "5 item(s) skipped (multiple of 3), first: item 3: multiple of 3",
+        ]
+
+    def test_merge_keeps_the_earlier_first_example(self, caplog):
+        first, second = Tally(), Tally()
+        first.add("a", "one")
+        second.add("a", "two")
+        second.add("b", "three")
+        first.merge(second)
+        assert first.counts() == {"a": 2, "b": 1}
+        with caplog.at_level(logging.WARNING, logger="t"):
+            first.log(logging.getLogger("t"), logging.WARNING, "skipped")
+        assert [r.getMessage() for r in caplog.records] == ["2 skipped (a), first: one", "1 skipped (b), first: three"]
