@@ -90,11 +90,6 @@ def jsonl_writer(path: str) -> Iterator[Callable[[dict], None]]:
         yield write
 
 
-def read_jsonl(path: str) -> Iterator[dict]:
-    """The JSON object on each non-blank line of ``path``, as ``numbered_jsonl`` reads them."""
-    return (record for _, record in numbered_jsonl(path))
-
-
 def numbered_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     """Each JSON object in ``path`` with its 1-based line number. A line that
     is not UTF-8, not JSON or not a JSON object raises ValidationError naming

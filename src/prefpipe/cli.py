@@ -48,7 +48,8 @@ class Stage:
     ``None`` paths are optional files that were not given. The manifest sits
     next to ``anchor``, else next to the first output; ``command`` replaces
     the subcommand name it records. ``skipped`` counts the items the stage
-    left out, by reason."""
+    left out, by reason; ``clients`` holds each model client the stage built
+    once, by role, for their request counts."""
 
     config: dict
     inputs: list[str | None]
@@ -58,6 +59,7 @@ class Stage:
     anchor: str | None = None
     command: str | None = None
     skipped: Tally = field(default_factory=Tally)
+    clients: dict[str, "ModelClient"] = field(default_factory=dict)
 
 
 class ManifestWriter:
@@ -70,6 +72,7 @@ class ManifestWriter:
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
         self.stats: dict = {}
+        self.telemetry: dict = {}
         self.started_at = started_at
 
     def add_input(self, path: str | None) -> None:
@@ -89,6 +92,7 @@ class ManifestWriter:
             "inputs": self.inputs,
             "outputs": self.outputs,
             "stats": self.stats,
+            "telemetry": self.telemetry,
             "started_at": self.started_at,
             "finished_at": _now(),
         }
@@ -176,10 +180,12 @@ def cmd_synthesize_sft(args: argparse.Namespace) -> Stage:
     synth_config, cfg, file_cfg = _stage_config(
         args, synthpipe.SynthConfig, ("generator", "judge", "teacher"), seed=derive_seed(args.seed, "synthesize-sft")
     )
-    generator = _client(file_cfg.get("generator"), "generator")
-    judge = _client(file_cfg.get("judge"), "judge")
+    clients = {role: _client(file_cfg.get(role), role) for role in ("generator", "judge")}
+    if file_cfg.get("teacher"):
+        clients["teacher"] = _client(file_cfg["teacher"], "teacher")
+    generator, judge = clients["generator"], clients["judge"]
     # without a teacher section the generator merges too, within its own in-flight limit
-    teacher = _client(file_cfg["teacher"], "teacher") if file_cfg.get("teacher") else generator
+    teacher = clients.get("teacher", generator)
 
     tract: dict[str, dict[int, float]] = {}
     for s in curriculum.load_scores(args.scores):
@@ -194,6 +200,7 @@ def cmd_synthesize_sft(args: argparse.Namespace) -> Stage:
     return Stage(
         cfg, [args.histories, args.scores, args.config], [args.out], stats,
         f"synthesized {stats['records']} records from {stats['users_with_records']}/{stats['users_in']} users", skipped=skipped,
+        clients=clients,
     )
 
 
@@ -251,6 +258,7 @@ def cmd_rollout(args: argparse.Namespace) -> Stage:
         {**stats, "records": records},
         f"rolled out {stats['trees']}/{stats['instances_in']} instances "
         f"({records} records, mean reward {stats['mean_immediate_reward']})", skipped=skipped,
+        clients={"policy": policy, "judge": judge},
     )
 
 
@@ -300,7 +308,7 @@ def cmd_stream_infer(args: argparse.Namespace) -> Stage:
     return Stage(
         {"chunks": args.chunks}, [args.histories, args.generator], [states_path, summaries_path],
         {"users": users}, f"streamed {users} users in {args.chunks} chunk(s)",
-        anchor=os.path.join(args.state_dir, "manifest.json"), skipped=skipped,
+        anchor=os.path.join(args.state_dir, "manifest.json"), skipped=skipped, clients={"generator": generator},
     )
 
 
@@ -309,10 +317,12 @@ def cmd_build_transfer(args: argparse.Namespace) -> Stage:
 
     config: dict = {"mode": args.mode}
     skipped = Tally()
+    clients = {}
     if args.mode == "cross-domain":
         if not (args.histories_a and args.histories_b and args.embedder):
             raise ConfigError("cross-domain needs --histories-a, --histories-b, --embedder")
-        stats = _cross_domain(args, _endpoint_client(args.embedder), skipped)
+        clients["embedder"] = _endpoint_client(args.embedder)
+        stats = _cross_domain(args, clients["embedder"], skipped)
         config["top_k"] = args.top_k
         inputs, extra_output = [args.histories_a, args.histories_b], args.out_histories
     elif args.mode == "multi-interest":
@@ -325,7 +335,7 @@ def cmd_build_transfer(args: argparse.Namespace) -> Stage:
         noise = transferbench.NoiseConfig(intensity=args.intensity, seed=derive_seed(args.seed, "inject"))
         users = 0
         with jsonl_writer(args.out) as write_fused, _optional_writer(args.provenance) as write_provenance:
-            for result in transferbench.inject_corpus(core.iter_histories(args.histories), donors, noise, rng):
+            for result in transferbench.inject_corpus(core.iter_histories(args.histories), donors, noise, rng, skipped):
                 write_fused(result.history.to_dict())
                 if write_provenance:
                     write_provenance(
@@ -352,7 +362,7 @@ def cmd_build_transfer(args: argparse.Namespace) -> Stage:
         stats = {"users": users}
     return Stage(
         config, inputs, [args.out, extra_output], stats, f"build-transfer {args.mode}: wrote {args.out}",
-        command=f"build-transfer:{args.mode}", skipped=skipped,
+        command=f"build-transfer:{args.mode}", skipped=skipped, clients=clients,
     )
 
 
@@ -370,7 +380,7 @@ def _cross_domain(args: argparse.Namespace, client: "ModelClient", skipped: Tall
 
     def held_out(write_history):
         for side, path in enumerate((args.histories_a, args.histories_b)):
-            for trimmed, inst in evalharness.iter_holdout(core.iter_histories(path, seen)):
+            for trimmed, inst in evalharness.iter_holdout(core.iter_histories(path, seen), skipped):
                 if write_history:
                     write_history(trimmed.to_dict())
                 targets[inst.user_id] = core.InteractionTriple(
@@ -389,7 +399,7 @@ def _cross_domain(args: argparse.Namespace, client: "ModelClient", skipped: Tall
             if result is not None:
                 embedded[result[0]].append(result[1])
         pairs = transferbench.match_users(client, embedded[0], embedded[1], args.top_k)
-        instances, stats = transferbench.swap_targets(pairs, targets)
+        instances, stats = transferbench.swap_targets(pairs, targets, skipped)
         write_jsonl(args.out, instances)
     return stats
 
@@ -421,6 +431,7 @@ def cmd_evaluate(args: argparse.Namespace) -> Stage:
     return Stage(
         {"strict": args.strict, "label": args.label}, [args.summaries, args.instances, args.downstream],
         [args.out, args.outcomes], report.to_dict(), evalharness.format_reports([report]), skipped=skipped,
+        clients={"downstream": downstream},
     )
 
 
@@ -549,7 +560,14 @@ def main(argv: list[str] | None = None) -> int:
             for path in stage.outputs:
                 mw.add_output(path)
             mw.stats = {**stage.stats, "skipped_by_reason": stage.skipped.counts()}
+            mw.telemetry = {role: dict(sorted(client.stats.items())) for role, client in stage.clients.items()}
             stage.skipped.log(logger, logging.WARNING, "item(s) skipped")
+            for role, client in stage.clients.items():
+                if client.stats["truncations"]:
+                    logger.warning(
+                        "%s: %d prompt(s) truncated to %d tokens, %d leading token(s) dropped", role,
+                        client.stats["truncations"], client.endpoint.max_prompt_tokens, client.stats["truncated_tokens"],
+                    )
             mw.write(stage.anchor or stage.outputs[0])
             print(stage.message)
     except PipelineError as exc:

@@ -246,7 +246,3 @@ def load_summaries(path: str) -> dict[str, PreferenceSummary]:
 def summary_record(user_id: str, summary: PreferenceSummary) -> dict:
     """One line of a summary store."""
     return {"user_id": user_id, **summary.to_dict()}
-
-
-def save_summaries(path: str, summaries: dict[str, PreferenceSummary]) -> int:
-    return write_jsonl(path, (summary_record(uid, s) for uid, s in summaries.items()))

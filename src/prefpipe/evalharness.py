@@ -4,18 +4,14 @@ pair (in seeded random A/B order), parse its JSON selection, and score accuracy.
 Raw replies are kept per instance so any report can be reproduced offline by
 re-parsing them (rescore)."""
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._util import Tally, derive_seed, ordered_map, read_records, skipping, write_jsonl
+from ._util import Tally, derive_seed, ordered_map, read_records, skipping
 from .core import PreferenceSummary, UserHistory
 from .errors import ValidationError
 from .modelio import ModelClient, parse_selection
 from .prompts import render_judge_prompt
-from .streamer import infer_full, infer_streaming
-
-logger = logging.getLogger("prefpipe.evalharness")
 
 
 @dataclass(frozen=True)
@@ -160,19 +156,21 @@ def rescore(outcomes: Sequence[EvalOutcome], *, label: str = "rescore", strict: 
     )
 
 
-def iter_holdout(histories: Iterable[UserHistory]) -> Iterator[tuple[UserHistory, EvalInstance]]:
+def iter_holdout(
+    histories: Iterable[UserHistory], skipped: Tally | None = None
+) -> Iterator[tuple[UserHistory, EvalInstance]]:
     """Default evaluation protocol, one user at a time: hold out each user's
     final full pair as the question and yield it with everything before it.
     Users too short to split or whose last triple lacks a rejected item are
-    dropped, and counted in one log line per reason once ``histories`` ends."""
-    dropped = Tally()
+    dropped, and counted by reason in ``skipped``."""
+    skipped = skipped or Tally()
     for hist in histories:
         if len(hist) < 2:
-            dropped.add("fewer than 2 interactions", hist.user_id)
+            skipped.add("fewer than 2 interactions", f"user {hist.user_id}")
             continue
         last = hist.triples[-1]
         if last.rejected is None:
-            dropped.add("last interaction has no rejected item", hist.user_id)
+            skipped.add("last interaction has no rejected item", f"user {hist.user_id}")
             continue
         trimmed = UserHistory(user_id=hist.user_id, triples=hist.triples[:-1], dataset_tag=hist.dataset_tag)
         yield trimmed, EvalInstance(
@@ -183,34 +181,12 @@ def iter_holdout(histories: Iterable[UserHistory]) -> Iterator[tuple[UserHistory
             context=last.context,
             origin="holdout",
         )
-    dropped.log(logger, logging.INFO, "user(s) dropped from holdout evaluation")
 
 
 def holdout_instances(histories: Iterable[UserHistory]) -> tuple[list[UserHistory], list[EvalInstance]]:
     """``iter_holdout`` collected: the trimmed histories and their instances."""
     held = list(iter_holdout(histories))
     return [trimmed for trimmed, _ in held], [inst for _, inst in held]
-
-
-def compare_protocols(
-    histories: Sequence[UserHistory],
-    generator: ModelClient,
-    downstream: ModelClient,
-    *,
-    num_chunks: int = 2,
-    seed: int = 0,
-) -> dict[str, EvalReport]:
-    """Evaluate full-pass summaries against streamed ones on identical held-out
-    instances. Identical generator output (e.g. one chunk) gives identical
-    reports."""
-    trimmed, instances = holdout_instances(histories)
-    if not instances:
-        raise ValidationError("no usable evaluation instances in the corpus")
-    full = {h.user_id: infer_full(generator, h).current for h in trimmed}
-    streamed = {h.user_id: infer_streaming(generator, h, num_chunks).current for h in trimmed}
-    report_full, _ = evaluate_selection(downstream, full, instances, seed=seed, label="full-history")
-    report_stream, _ = evaluate_selection(downstream, streamed, instances, seed=seed, label="streaming")
-    return {"full": report_full, "streaming": report_stream}
 
 
 def format_reports(reports: Sequence[EvalReport]) -> str:
@@ -226,7 +202,3 @@ def format_reports(reports: Sequence[EvalReport]) -> str:
 
 def load_eval_instances(path: str) -> list[EvalInstance]:
     return list(read_records(path, EvalInstance))
-
-
-def save_eval_instances(path: str, instances: Sequence[EvalInstance]) -> int:
-    return write_jsonl(path, (i.to_dict() for i in instances))

@@ -100,7 +100,8 @@ class ModelClient:
         """Run a backend call, retrying retryable transport failures with
         exponential backoff up to the endpoint's budget. A server's
         ``Retry-After`` lengthens the wait, up to the endpoint's timeout. Each
-        attempt holds one in-flight slot; a call sleeping in backoff holds none."""
+        attempt holds one in-flight slot; a call sleeping in backoff holds none.
+        Retries and give-ups, by error class, are counted in ``stats``."""
         attempt = 0
         while True:
             try:
@@ -109,12 +110,13 @@ class ModelClient:
                     return fn()
             except BackendError as exc:
                 if not exc.retryable or attempt >= self.endpoint.retry_limit:
-                    logger.error("%s: giving up after %d attempt(s): %s", op, attempt + 1, exc)
+                    self._bump(f"give_ups.{type(exc).__name__}")
+                    logger.debug("%s: giving up after %d attempt(s): %s", op, attempt + 1, exc)
                     raise
                 delay = self.endpoint.backoff_base * (2**attempt)
                 if exc.retry_after is not None:
                     delay = max(delay, min(exc.retry_after, self.endpoint.timeout))
-                logger.warning("%s: retryable failure (%s); backing off %.2fs", op, exc, delay)
+                logger.debug("%s: retryable failure (%s); backing off %.2fs", op, exc, delay)
                 self._bump("retries")
                 self._sleep(delay)
                 attempt += 1
@@ -128,7 +130,7 @@ class ModelClient:
         if dropped:
             self._bump("truncations")
             self._bump("truncated_tokens", dropped)
-            logger.warning("prompt truncated: dropped %d leading tokens (budget %d)", dropped, limit)
+            logger.debug("prompt truncated: dropped %d leading tokens (budget %d)", dropped, limit)
         return truncated
 
     # -- operations ---------------------------------------------------------

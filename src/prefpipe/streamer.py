@@ -9,7 +9,7 @@ chunks build byte-identical prompts and summaries on a deterministic backend.
 
 from dataclasses import dataclass, field
 
-from ._util import even_boundaries, read_records, write_jsonl
+from ._util import even_boundaries, read_records
 from .core import HistorySegment, PreferenceSummary, UserHistory, by_user, segment
 from .errors import ValidationError
 from .modelio import ModelClient
@@ -98,10 +98,6 @@ def infer_streaming(generator: ModelClient, history: UserHistory, num_chunks: in
 def infer_full(generator: ModelClient, history: UserHistory) -> StreamState:
     """Single-pass inference over the whole history (one chunk)."""
     return infer_streaming(generator, history, 1)
-
-
-def save_states(path: str, states: list[StreamState]) -> int:
-    return write_jsonl(path, (s.to_dict() for s in states))
 
 
 def load_states(path: str) -> dict[str, StreamState]:

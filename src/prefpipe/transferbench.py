@@ -120,14 +120,13 @@ def match_users(
 
 
 def swap_targets(
-    pairs: Sequence[UserPair], targets: Mapping[str, InteractionTriple]
+    pairs: Sequence[UserPair], targets: Mapping[str, InteractionTriple], skipped: Tally | None = None
 ) -> tuple[list[dict], dict]:
     """Emit cross-evaluation instances: each pair yields (history A, target B)
     and (history B, target A). Pairs missing a usable target (absent, or a
-    positive-only triple) are skipped, counted, and logged as one line per
-    reason."""
+    positive-only triple) are skipped and counted by reason in ``skipped``."""
     instances = []
-    skipped = Tally()
+    skipped = skipped or Tally()
     for pair in pairs:
         t_a, t_b = targets.get(pair.user_a), targets.get(pair.user_b)
         if t_a is None or t_b is None:
@@ -152,8 +151,7 @@ def swap_targets(
                     "similarity": pair.similarity,
                 }
             )
-    skipped.log(logger, logging.INFO, "pair(s) skipped")
-    n_skipped = sum(skipped.counts().values())
+    n_skipped = len(pairs) - len(instances) // 2
     return instances, {"pairs_in": len(pairs), "pairs_skipped": n_skipped, "instances": len(instances)}
 
 
@@ -184,19 +182,23 @@ def pick_donors(
 
 
 def inject_corpus(
-    primaries: Iterable[UserHistory], donors: Sequence[UserHistory], config: NoiseConfig, rng: random.Random
+    primaries: Iterable[UserHistory],
+    donors: Sequence[UserHistory],
+    config: NoiseConfig,
+    rng: random.Random,
+    skipped: Tally | None = None,
 ) -> Iterator[InjectionResult]:
     """``inject_secondary`` over a corpus read one primary at a time, each
-    with the donor ``pick_donors`` draws for it. Donors too short for the
-    intensity are capped, and counted in one warning line once ``primaries``
-    ends."""
-    capped = Tally()
+    with the donor ``pick_donors`` draws for it. A primary whose donor is too
+    short for the intensity still gets every donor triple, and is counted in
+    ``skipped``."""
+    skipped = skipped or Tally()
     for primary, donor in pick_donors(primaries, donors, rng):
         wanted = _donor_count(len(primary), config.intensity)
         if wanted > len(donor):
-            capped.add("too few triples", f"donor {donor.user_id} has {len(donor)}, wanted {wanted}")
+            detail = f"user {primary.user_id}: donor {donor.user_id} has {len(donor)}, wanted {wanted}"
+            skipped.add("donor capped: too few triples", detail)
         yield inject_secondary(primary, donor, config)
-    capped.log(logger, logging.WARNING, "donor(s) capped")
 
 
 def _donor_count(n: int, intensity: float) -> int:

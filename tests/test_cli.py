@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from prefpipe import core
-from prefpipe._util import read_jsonl, sha256_file
+from prefpipe._util import read_records, sha256_file
 from prefpipe.cli import build_parser, main
 
 
@@ -138,7 +138,7 @@ class TestPipelineChain:
             assert sha256_file(path) == digest
 
     def test_sft_records_written(self, pipeline):
-        records = list(read_jsonl(pipeline["sft"]))
+        records = list(read_records(pipeline["sft"], dict))
         manifest = manifest_for(pipeline["sft"])
         assert manifest["stats"]["users_in"] == 12
         assert manifest["stats"]["records"] == len(records) > 0
@@ -166,12 +166,13 @@ class TestPipelineChain:
         ) == 0
         assert seen["teacher"] is seen["generator"]
         assert sha256_file(out) == sha256_file(pipeline["sft"])
+        assert sorted(manifest_for(out)["telemetry"]) == ["generator", "judge"]  # the one client counted once
 
     def test_prune_flag_overrides_config_file(self, pipeline):
         manifest = manifest_for(pipeline["instances"])
         assert manifest["config"]["alpha"] == 0.6
         assert manifest["config"]["tract_low"] == 0.55
-        instances = list(read_jsonl(pipeline["instances"]))
+        instances = list(read_records(pipeline["instances"], dict))
         assert manifest["stats"]["instances"] == len(instances) > 0
         assert all(inst["k1"] < inst["k2"] for inst in instances)
 
@@ -190,17 +191,17 @@ class TestPipelineChain:
         assert sha256_file(pipeline["batch"]) == sha256_file(pipeline["batch2"])
         manifest = manifest_for(pipeline["batch"])
         assert manifest["stats"]["trees"] > 0
-        assert manifest["stats"]["records"] == len(list(read_jsonl(pipeline["batch"])))
+        assert manifest["stats"]["records"] == len(list(read_records(pipeline["batch"], dict)))
 
     def test_loss_check_self_ratio_is_zero(self, pipeline, capsys):
         assert run("loss-check", "--batch", pipeline["batch"], "--self-check") == 0
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert abs(out["loss"]) < 1e-9
-        assert out["records"] == len(list(read_jsonl(pipeline["batch"])))
+        assert out["records"] == len(list(read_records(pipeline["batch"], dict)))
         assert out["clip_eps"] == 0.2
 
     def test_cross_domain_instances(self, pipeline):
-        instances = list(read_jsonl(pipeline["cross"]))
+        instances = list(read_records(pipeline["cross"], dict))
         assert len(instances) == 8  # top 4 pairs, both swap directions
         assert {i["origin"] for i in instances} == {"cross-swap"}
         combined = core.load_histories(pipeline["combined"])
@@ -208,7 +209,7 @@ class TestPipelineChain:
         assert all(len(h) == 5 for h in combined)  # holdout trims one pair
 
     def test_stream_outputs(self, pipeline):
-        states = list(read_jsonl(os.path.join(pipeline["stream"], "states.jsonl")))
+        states = list(read_records(os.path.join(pipeline["stream"], "states.jsonl"), dict))
         assert len(states) == 12
         assert all(len(s["lineage"]) == 2 for s in states)
         summaries = core.load_summaries(os.path.join(pipeline["stream"], "summaries.jsonl"))
@@ -217,7 +218,7 @@ class TestPipelineChain:
     def test_multi_interest_injection(self, pipeline):
         fused = core.load_histories(pipeline["fused"])
         assert all(len(h) == 9 for h in fused)  # n=6 at intensity 0.3 adds 3
-        for row in read_jsonl(pipeline["provenance"]):
+        for row in read_records(pipeline["provenance"], dict):
             assert len(row["injected_positions"]) == 3
             assert row["donor_user"].startswith("ub")
 
@@ -231,10 +232,10 @@ class TestPipelineChain:
         assert report["n"] == 8
         assert report["call_failures"] == 0
         assert report["parse_failures"] == 0
-        outcomes = list(read_jsonl(pipeline["outcomes"]))
+        outcomes = list(read_records(pipeline["outcomes"], dict))
         assert len(outcomes) == 8
         assert sum(o["correct"] for o in outcomes) == report["correct"]
-        instances = list(read_jsonl(pipeline["cross"]))
+        instances = list(read_records(pipeline["cross"], dict))
         assert len(instances) == 8
         assert manifest_for(pipeline["report"])["stats"] == {**report, "skipped_by_reason": {}}
 
@@ -440,7 +441,7 @@ class TestErrorHandling:
         ]
         with open(state_dir / "manifest.json", encoding="utf-8") as fh:
             assert json.load(fh)["stats"] == {"users": 11, "skipped_by_reason": {"ValidationError": 1}}
-        written = [s["user_id"] for s in read_jsonl(str(state_dir / "summaries.jsonl"))]
+        written = [s["user_id"] for s in read_records(str(state_dir / "summaries.jsonl"), dict)]
         assert written == [f"u{i:04d}" for i in range(12) if i != 2]
 
     def test_truth_line_without_latent_is_validation_error(self, pipeline, tmp_path, capsys):
@@ -627,6 +628,15 @@ def fail_for(monkeypatch, user, make_error):
     return failed
 
 
+def _warnings(caplog, *argv):
+    """Run the CLI at exit 0; return every prefpipe logger's lines at WARNING
+    and above, as ``"<logger> <level> <message>"``."""
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="prefpipe"):
+        assert run(*argv) == 0
+    return [f"{r.name} {r.levelname} {r.getMessage()}" for r in caplog.records if r.name.startswith("prefpipe")]
+
+
 def _first_user(path):
     with open(path, encoding="utf-8") as fh:
         return json.loads(fh.readline())["user_id"]
@@ -720,21 +730,26 @@ class TestOneBadUser:
         logs, skipped = [], []
         for jobs in ("1", "2"):
             out = str(tmp_path / f"jobs{jobs}")
-            caplog.clear()
-            with caplog.at_level("WARNING", logger="prefpipe.cli"):
-                assert run("--jobs", jobs, *argv(out)) == 0
-            logs.append([r.getMessage() for r in caplog.records if r.name == "prefpipe.cli"])
+            failed.clear()
+            logs.append(_warnings(caplog, "--jobs", jobs, *argv(out)))
             with open(os.path.join(out, manifest), encoding="utf-8") as fh:
-                skipped.append(json.load(fh)["stats"]["skipped_by_reason"])
+                written = json.load(fh)
+            skipped.append(written["stats"]["skipped_by_reason"])
+            # the client counts each request it gave up on, however many were in flight
+            assert failed
+            assert sum(counts.get("give_ups.BackendError", 0) for counts in written["telemetry"].values()) == len(failed)
             for name in whole:
                 assert sha256_file(os.path.join(out, name)) == sha256_file(os.path.join(without, name)), name
             for name in filtered:
                 assert _user_lines(os.path.join(out, name), bad) == _user_lines(os.path.join(without, name)), name
-        assert failed
         assert skipped[0] == skipped[1] and skipped[0]["BackendError"] >= 1
         assert logs[0] == logs[1]
-        assert any(line.startswith(f"{skipped[0]['BackendError']} item(s) skipped (BackendError)") for line in logs[0])
-        assert any(bad in line and "HTTP 400: bad request" in line for line in logs[0])
+        # one line per reason, all of them cli's: the client logs no failed request of its own
+        assert len(logs[0]) == len(skipped[0])
+        assert all(line.startswith("prefpipe.cli WARNING ") for line in logs[0])
+        (line,) = [line for line in logs[0] if "(BackendError)" in line]
+        assert line.startswith(f"prefpipe.cli WARNING {skipped[0]['BackendError']} item(s) skipped (BackendError)")
+        assert bad in line and "HTTP 400: bad request" in line
 
     @pytest.mark.parametrize("stage", STAGES)
     def test_retries_used_up_abort_after_the_first_item(self, pipeline, tmp_path, monkeypatch, capsys, stage):
@@ -768,6 +783,88 @@ class TestOneBadUser:
         err = capsys.readouterr().err
         assert f"error ({error}): cannot go on" in err and "Traceback" not in err
         assert sorted(os.listdir(out)) == ["input.jsonl"]
+
+
+class TestOneLinePerReason:
+    """A stage counts each item it drops in its tally, and a client counts
+    each request it gave up on or truncated; only cli logs them, one line per
+    reason or per client, and the counts and lines are the same at any --jobs."""
+
+    def test_three_failed_requests_log_one_line(self, pipeline, tmp_path, monkeypatch, caplog):
+        from prefpipe.errors import BackendError
+
+        bad = [json.loads(line)["user_id"] for line in _user_lines(pipeline["combined"])[:3]]
+        failed = [fail_for(monkeypatch, user, lambda: BackendError("HTTP 400: bad request", retryable=False)) for user in bad]
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert _warnings(
+                caplog, "--jobs", jobs, "stream-infer", "--histories", pipeline["combined"],
+                "--generator", str(pipeline["root"] / "generator.yaml"), "--state-dir", str(out),
+            ) == [f"prefpipe.cli WARNING 3 item(s) skipped (BackendError), first: user {bad[0]}: HTTP 400: bad request"]
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            assert manifest["stats"]["skipped_by_reason"] == {"BackendError": 3}
+            assert manifest["telemetry"]["generator"]["give_ups.BackendError"] == 3
+        assert [len(f) for f in failed] == [2, 2, 2]  # one request per user and run
+
+    def test_truncated_prompts_log_one_line(self, tmp_path, caplog):
+        lab = tmp_path / "lab"
+        assert run("simlab-gen", "--out-dir", str(lab), "--users", "100", "--history-len", "4") == 0
+        generator = write_yaml(
+            tmp_path / "generator.yaml",
+            {"base_url": f"mock:generator?truth={lab / 'truth.jsonl'}", "max_prompt_tokens": 40},
+        )
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            lines = _warnings(
+                caplog, "--jobs", jobs, "stream-infer", "--histories", str(lab / "histories.jsonl"),
+                "--generator", generator, "--chunks", "1", "--state-dir", str(out),
+            )
+            counts = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["telemetry"]["generator"]
+            assert counts["truncations"] == 100
+            assert lines == [
+                "prefpipe.cli WARNING generator: 100 prompt(s) truncated to 40 tokens, "
+                f"{counts['truncated_tokens']} leading token(s) dropped"
+            ]
+        assert sha256_file(str(tmp_path / "jobs1" / "states.jsonl")) == sha256_file(str(tmp_path / "jobs2" / "states.jsonl"))
+
+    def test_multi_interest_counts_capped_donors(self, pipeline, tmp_path, caplog):
+        out = str(tmp_path / "fused.jsonl")
+        assert _warnings(
+            caplog, "build-transfer", "--mode", "multi-interest", "--histories", str(pipeline["root"] / "labA" / "histories.jsonl"),
+            "--donors", str(pipeline["root"] / "labB" / "histories.jsonl"), "--intensity", "0.9", "--out", out,
+        ) == ["prefpipe.cli WARNING 6 item(s) skipped (donor capped: too few triples), first: user ua0000: donor ub0004 has 6, wanted 54"]
+        manifest = manifest_for(out)
+        assert manifest["stats"] == {"users": 6, "skipped_by_reason": {"donor capped: too few triples": 6}}
+        assert manifest["telemetry"] == {}
+
+    @pytest.mark.parametrize("case", ["user with 1 interaction", "pair without a target"])
+    def test_cross_domain_counts_what_it_drops(self, pipeline, tmp_path, monkeypatch, caplog, case):
+        from prefpipe import transferbench
+
+        root = pipeline["root"]
+        histories_a = tmp_path / "a.jsonl"
+        histories_a.write_text((root / "labA" / "histories.jsonl").read_text(encoding="utf-8"), encoding="utf-8")
+        if case == "user with 1 interaction":
+            with open(histories_a, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps({"user_id": "ushort", "triples": [{"index": 0, "chosen": "c", "rejected": "r"}]}) + "\n")
+            expected, first = {"fewer than 2 interactions": 1}, "user ushort"
+        else:
+            real = transferbench.match_users
+            monkeypatch.setattr(
+                transferbench, "match_users",
+                lambda *a, **kw: [*real(*a, **kw), transferbench.UserPair("ghost-a", "ghost-b", 0.0)],
+            )
+            expected, first = {"no target": 1}, "(ghost-a, ghost-b)"
+        reason = next(iter(expected))
+        for jobs in ("1", "2"):
+            out = str(tmp_path / f"cross{jobs}.jsonl")
+            assert _warnings(
+                caplog, "--jobs", jobs, "build-transfer", "--mode", "cross-domain", "--histories-a", str(histories_a),
+                "--histories-b", str(root / "labB" / "histories.jsonl"), "--embedder", str(root / "embedder.yaml"),
+                "--top-k", "4", "--out", out,
+            ) == [f"prefpipe.cli WARNING 1 item(s) skipped ({reason}), first: {first}"]
+            assert manifest_for(out)["stats"]["skipped_by_reason"] == expected
+            assert sha256_file(out) == sha256_file(pipeline["cross"])
 
 
 _STAGE_MODULES = {
@@ -875,7 +972,7 @@ class TestStreamingRollout:
         argv = self.rollout_argv(pipeline, tmp_path, pipeline["instances"])
         assert run(*argv) == 0
         assert sha256_file(tmp_path / "batch.jsonl") == sha256_file(pipeline["batch"])
-        trees = list(read_jsonl(str(tmp_path / "trees.jsonl")))
+        trees = list(read_records(str(tmp_path / "trees.jsonl"), dict))
         assert len(trees) == manifest_for(pipeline["batch"])["stats"]["trees"]
         assert all(rs["advantage"] is not None for t in trees for rs in t["initial"] + t["updated"])
 

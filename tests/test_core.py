@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prefpipe._util import decode, even_boundaries
+from prefpipe._util import decode, even_boundaries, write_jsonl
 from prefpipe.core import (
     HistorySegment,
     InteractionTriple,
@@ -14,9 +14,9 @@ from prefpipe.core import (
     load_histories,
     load_summaries,
     save_histories,
-    save_summaries,
     segment,
     strip_negatives,
+    summary_record,
 )
 from prefpipe.errors import ValidationError
 
@@ -186,7 +186,7 @@ def test_summary_store_round_trip(tmp_path):
         "a": PreferenceSummary(text="likes jazz", covers=(0, 4)),
         "b": PreferenceSummary(text="likes rock", covers=(0, 2), reasoning="why"),
     }
-    assert save_summaries(path, summaries) == 2
+    assert write_jsonl(path, (summary_record(uid, s) for uid, s in summaries.items())) == 2
     assert load_summaries(path) == summaries
 
 

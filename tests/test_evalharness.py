@@ -1,23 +1,23 @@
+import json
 import logging
 
 import pytest
 
-from prefpipe._util import Tally
-from prefpipe.core import InteractionTriple, PreferenceSummary, UserHistory
+from prefpipe._util import Tally, sha256_file, write_jsonl
+from prefpipe.core import InteractionTriple, PreferenceSummary, UserHistory, load_histories
 from prefpipe.errors import BackendError, ValidationError
 from prefpipe.evalharness import (
     EvalInstance,
     EvalReport,
-    compare_protocols,
     evaluate_selection,
     format_reports,
     holdout_instances,
+    iter_holdout,
     load_eval_instances,
     rescore,
-    save_eval_instances,
 )
 from prefpipe.modelio import ModelClient, ModelEndpoint, ScriptBackend
-from prefpipe.simlab import ScriptedGeneratorBackend, ScriptedJudgeBackend, gen_population, render_estimate
+from prefpipe.simlab import ScriptedJudgeBackend, gen_population, render_estimate
 
 
 def client_for(backend, **kw):
@@ -59,7 +59,7 @@ class TestEvalInstance:
             EvalInstance(user_id="u2", item_a="p", item_b="q", truth="A"),
         ]
         path = str(tmp_path / "instances.jsonl")
-        assert save_eval_instances(path, instances) == 2
+        assert write_jsonl(path, (i.to_dict() for i in instances)) == 2
         assert load_eval_instances(path) == instances
 
 
@@ -200,37 +200,50 @@ class TestHoldout(LabEval):
             user_id="bare",
             triples=(InteractionTriple(index=0, chosen="c0", rejected="r0"), InteractionTriple(index=1, chosen="c1")),
         )
-        with caplog.at_level(logging.INFO, logger="prefpipe.evalharness"):
-            trimmed, _ = holdout_instances([*short, bare, self.histories[0]])
-        assert len(trimmed) == 1
-        assert [r.getMessage() for r in caplog.records if r.name == "prefpipe.evalharness"] == [
-            "3 user(s) dropped from holdout evaluation (fewer than 2 interactions), first: short0",
-            "1 user(s) dropped from holdout evaluation (last interaction has no rejected item), first: bare",
+        skipped = Tally()
+        with caplog.at_level(logging.DEBUG, logger="prefpipe"):
+            held = list(iter_holdout([*short, bare, self.histories[0]], skipped))
+            assert not caplog.records  # the stage that passed the tally logs it
+            skipped.log(logging.getLogger("prefpipe.cli"), logging.WARNING, "item(s) skipped")
+        assert [trimmed.user_id for trimmed, _ in held] == [self.histories[0].user_id]
+        assert skipped.counts() == {"fewer than 2 interactions": 3, "last interaction has no rejected item": 1}
+        assert [r.getMessage() for r in caplog.records] == [
+            "3 item(s) skipped (fewer than 2 interactions), first: user short0",
+            "1 item(s) skipped (last interaction has no rejected item), first: user bare",
         ]
 
 
-class TestCompareProtocols(LabEval):
-    def generator(self):
-        return client_for(ScriptedGeneratorBackend(seed=7, quality=1.0, truth=self.truth))
+def test_streamed_and_full_summaries_score_alike(tmp_path):
+    """Comparing full-history with streamed inference is ``evaluate`` run on
+    the summaries of ``stream-infer --chunks 1`` and ``--chunks k``: both
+    runs ask the same questions in the same order, and a generator that
+    reproduces each user's preference scores perfectly either way."""
+    from prefpipe.cli import main
 
-    def test_single_chunk_matches_full_exactly(self):
-        reports = compare_protocols(self.histories, self.generator(), self.oracle_judge(), num_chunks=1, seed=5)
-        full, streaming = reports["full"], reports["streaming"]
-        assert full.label == "full-history"
-        assert streaming.label == "streaming"
-        assert (full.n, full.correct, full.parse_failures, full.call_failures) == (
-            streaming.n, streaming.correct, streaming.parse_failures, streaming.call_failures,
-        )
-
-    def test_accurate_generator_scores_perfectly_both_ways(self):
-        reports = compare_protocols(self.histories, self.generator(), self.oracle_judge(), num_chunks=2, seed=5)
-        assert reports["full"].accuracy == 1.0
-        assert reports["streaming"].accuracy == 1.0
-
-    def test_empty_corpus_rejected(self):
-        single = UserHistory(user_id="short", triples=(InteractionTriple(index=0, chosen="c", rejected="r"),))
-        with pytest.raises(ValidationError):
-            compare_protocols([single], self.generator(), self.oracle_judge())
+    lab = tmp_path / "lab"
+    assert main(["simlab-gen", "--out-dir", str(lab), "--users", "8", "--history-len", "6"]) == 0
+    trimmed, instances = holdout_instances(load_histories(str(lab / "histories.jsonl")))
+    write_jsonl(str(tmp_path / "trimmed.jsonl"), (h.to_dict() for h in trimmed))
+    write_jsonl(str(tmp_path / "instances.jsonl"), (i.to_dict() for i in instances))
+    (tmp_path / "gen.json").write_text(json.dumps({"base_url": f"mock:generator?truth={lab / 'truth.jsonl'}&quality=1.0"}))
+    (tmp_path / "judge.json").write_text(json.dumps({"base_url": "mock:judge?kappa=8"}))
+    reports = {}
+    for chunks, label in (("1", "full-history"), ("2", "streaming")):
+        state_dir = tmp_path / f"chunks{chunks}"
+        assert main([
+            "stream-infer", "--histories", str(tmp_path / "trimmed.jsonl"), "--generator", str(tmp_path / "gen.json"),
+            "--chunks", chunks, "--state-dir", str(state_dir),
+        ]) == 0
+        assert main([
+            "evaluate", "--summaries", str(state_dir / "summaries.jsonl"), "--instances", str(tmp_path / "instances.jsonl"),
+            "--downstream", str(tmp_path / "judge.json"), "--label", label,
+            "--out", str(state_dir / "report.json"), "--outcomes", str(state_dir / "outcomes.jsonl"),
+        ]) == 0
+        reports[label] = json.loads((state_dir / "report.json").read_text())
+    full, streaming = reports["full-history"], reports["streaming"]
+    assert {**full, "label": "streaming"} == streaming
+    assert full["n"] == 8 and full["accuracy"] == 1.0
+    assert sha256_file(str(tmp_path / "chunks1" / "outcomes.jsonl")) == sha256_file(str(tmp_path / "chunks2" / "outcomes.jsonl"))
 
 
 def test_format_reports_table():

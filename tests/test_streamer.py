@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefpipe._util import decode, even_boundaries, json_dumps
+from prefpipe._util import decode, even_boundaries, json_dumps, write_jsonl
 from prefpipe.core import HistorySegment, InteractionTriple, UserHistory
 from prefpipe.errors import GenerationError, ValidationError
 from prefpipe.modelio import HashMockBackend, ModelClient, ModelEndpoint, ScriptBackend
-from prefpipe.streamer import StreamState, infer_full, infer_streaming, load_states, save_states, update
+from prefpipe.streamer import StreamState, infer_full, infer_streaming, load_states, update
 
 
 def make_history(n, user_id="u1", tag="test"):
@@ -179,7 +179,7 @@ class TestStateStore:
             infer_full(mock_client(), make_history(4, "u2")),
         ]
         path = str(tmp_path / "states.jsonl")
-        assert save_states(path, states) == 2
+        assert write_jsonl(path, (s.to_dict() for s in states)) == 2
         loaded = load_states(path)
         assert set(loaded) == {"u1", "u2"}
         for s in states:
@@ -188,7 +188,7 @@ class TestStateStore:
     def test_duplicate_user_rejected(self, tmp_path):
         state = infer_full(mock_client(), make_history(3, "u1"))
         path = str(tmp_path / "states.jsonl")
-        save_states(path, [state, state])
+        write_jsonl(path, [state.to_dict(), state.to_dict()])
         with pytest.raises(ValidationError, match=r"states\.jsonl.*'u1'"):
             load_states(path)
 

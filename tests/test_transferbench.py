@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from prefpipe._util import Tally
 from prefpipe.core import InteractionTriple, UserHistory
 from prefpipe.errors import ContractError, ValidationError
 from prefpipe.modelio import ModelClient, ModelEndpoint, ScriptBackend
@@ -169,12 +170,16 @@ class TestSwapTargets:
         targets = self.targets_for([ha, hb])
         targets["uc"] = InteractionTriple(index=0, chosen="solo", rejected=None)
         pairs = [UserPair("ua", f"ghost{i}", 0.5) for i in range(3)] + [UserPair("uc", "ub", 0.4)] * 2
-        with caplog.at_level(logging.INFO, logger="prefpipe.transferbench"):
-            _, stats = swap_targets(pairs, targets)
+        skipped = Tally()
+        with caplog.at_level(logging.DEBUG, logger="prefpipe"):
+            _, stats = swap_targets(pairs, targets, skipped)
+            assert not caplog.records  # the stage that passed the tally logs it
+            skipped.log(logging.getLogger("prefpipe.cli"), logging.WARNING, "item(s) skipped")
         assert stats["pairs_skipped"] == 5
-        assert [r.getMessage() for r in caplog.records if r.name == "prefpipe.transferbench"] == [
-            "3 pair(s) skipped (no target), first: (ua, ghost0)",
-            "2 pair(s) skipped (pairless target), first: (uc, ub)",
+        assert skipped.counts() == {"no target": 3, "pairless target": 2}
+        assert [r.getMessage() for r in caplog.records] == [
+            "3 item(s) skipped (no target), first: (ua, ghost0)",
+            "2 item(s) skipped (pairless target), first: (uc, ub)",
         ]
 
 
@@ -213,11 +218,15 @@ class TestInjectCorpus:
     def test_capped_donors_are_logged_in_one_line(self, caplog):
         primaries = [make_history(8, user_id=f"p{i}") for i in range(4)]
         donors = [make_history(2, user_id="d0")]
-        with caplog.at_level(logging.INFO, logger="prefpipe.transferbench"):
-            results = list(inject_corpus(primaries, donors, NoiseConfig(intensity=0.5, seed=1), random.Random(0)))
+        skipped = Tally()
+        with caplog.at_level(logging.DEBUG, logger="prefpipe"):
+            results = list(inject_corpus(primaries, donors, NoiseConfig(intensity=0.5, seed=1), random.Random(0), skipped))
+            assert not caplog.records  # the stage that passed the tally logs it
+            skipped.log(logging.getLogger("prefpipe.cli"), logging.WARNING, "item(s) skipped")
         assert all(len(r.injected_positions) == 2 for r in results)
-        assert [r.getMessage() for r in caplog.records if r.name == "prefpipe.transferbench"] == [
-            "4 donor(s) capped (too few triples), first: donor d0 has 2, wanted 8",
+        assert skipped.counts() == {"donor capped: too few triples": 4}
+        assert [r.getMessage() for r in caplog.records] == [
+            "4 item(s) skipped (donor capped: too few triples), first: user p0: donor d0 has 2, wanted 8",
         ]
 
 

@@ -24,7 +24,7 @@ from prefpipe._util import (
     left_truncate,
     ordered_map,
     read_config,
-    read_jsonl,
+    read_records,
     sha256_file,
     skipping,
     stable_hash,
@@ -117,7 +117,7 @@ def test_jsonl_round_trip(tmp_path):
     path = str(tmp_path / "recs.jsonl")
     records = [{"b": 2, "a": 1}, {"text": "uniçode ✓"}]
     assert write_jsonl(path, records) == 2
-    assert list(read_jsonl(path)) == records
+    assert list(read_records(path, dict)) == records
     # canonical dumps: sorted keys, raw unicode
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
@@ -129,21 +129,21 @@ def test_read_jsonl_reports_bad_line(tmp_path):
     with open(path, "w") as fh:
         fh.write('{"ok": 1}\nnot json\n')
     with pytest.raises(ValidationError, match=":2:"):
-        list(read_jsonl(path))
+        list(read_records(path, dict))
 
 
 def test_read_jsonl_rejects_non_object_line(tmp_path):
     path = tmp_path / "list.jsonl"
     path.write_text('{"ok": 1}\n[1, 2]\n', encoding="utf-8")
     with pytest.raises(ValidationError, match=r"list\.jsonl:2: record is not a JSON object"):
-        list(read_jsonl(str(path)))
+        list(read_records(str(path), dict))
 
 
 def test_read_jsonl_reports_undecodable_line(tmp_path):
     path = tmp_path / "latin1.jsonl"
     path.write_bytes(b'{"ok": 1}\n\n{"name": "caf\xe9"}\n')
     with pytest.raises(ValidationError, match=r"latin1\.jsonl:3: .*utf-8"):
-        list(read_jsonl(str(path)))
+        list(read_records(str(path), dict))
 
 
 _JSON_VALUES = st.recursive(
@@ -158,7 +158,7 @@ _JSON_VALUES = st.recursive(
 def test_jsonl_round_trip_property(tmp_path, records):
     path = str(tmp_path / "recs.jsonl")
     assert write_jsonl(path, records) == len(records)
-    assert list(read_jsonl(path)) == records
+    assert list(read_records(path, dict)) == records
 
 
 def test_json_dumps_stable_key_order():
