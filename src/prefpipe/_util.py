@@ -171,7 +171,7 @@ def build_config(cls: type[C], *layers: Any, what: str, sections: Iterable[str] 
     ``decode``'s rule. Values are kept as given. Every failure is a
     ConfigError naming the key; range checks stay in ``cls.__post_init__``.
     """
-    fields = {name: (convert, required) for name, _, convert, required in _fields_of(cls) if name not in fixed}
+    fields = {f.name: f for f in _fields_of(cls) if f.name not in fixed}
     merged: dict[str, Any] = {}
     for layer in layers:
         if not isinstance(layer, Mapping):
@@ -182,10 +182,10 @@ def build_config(cls: type[C], *layers: Any, what: str, sections: Iterable[str] 
         for key, value in layer.items():
             if key in fields:
                 try:
-                    merged[key] = fields[key][0](value)
+                    merged[key] = fields[key].decode(value)
                 except _BadValue as exc:
                     raise ConfigError(f"{what} config key {key!r} {exc}") from None
-    missing = [name for name, (_, required) in fields.items() if required and name not in merged]
+    missing = [name for name, f in fields.items() if f.required and name not in merged]
     if missing:
         raise ConfigError(f"{what} needs an explicit {', '.join(missing)}")
     return cls(**merged, **fixed)
@@ -204,6 +204,13 @@ def decode(cls: type[C], record: Any, where: str = "record") -> C:
         raise ValidationError(f"{where}: {exc.path.lstrip('.')}{': ' if exc.path else ''}{exc}") from exc
 
 
+def encode(record: Any) -> dict:
+    """The JSON object of the dataclass ``record``, which ``decode`` reads
+    back: each field under its key, a nested record as its object, a tuple
+    as a list. Record classes take it as their ``to_dict``."""
+    return _to_json(type(record))(record)
+
+
 def read_records(path: str, cls: type[C]) -> Iterator[C]:
     """Each line of ``path`` decoded as ``cls``; a bad line raises ValidationError naming ``path:line``."""
     return (decode(cls, record, f"{path}:{line_no}") for line_no, record in numbered_jsonl(path))
@@ -213,14 +220,47 @@ class _BadValue(Exception):
     path = ""  # where the value sits in the record, like ".triples[2].chosen"
 
 
+class _Field(NamedTuple):
+    name: str
+    key: str  # the record key: ``metadata["key"]``, else the name
+    decode: Callable[[Any], Any]
+    encode: Callable[[Any], Any] | None  # None: the value is JSON as it is
+    required: bool
+
+
 @functools.cache
-def _fields_of(cls: type) -> tuple[tuple[str, str, Callable[[Any], Any], bool], ...]:
-    """``cls``'s fields as (name, record key, converter, required), built once per class."""
+def _fields_of(cls: type) -> tuple[_Field, ...]:
+    """``cls``'s fields on the wire, built once per class. A field whose
+    ``metadata["key"]`` is None is neither read nor written."""
     hints = typing.get_type_hints(cls)
     return tuple(
-        (f.name, f.metadata.get("key", f.name), _converter(hints[f.name]), f.default is dataclasses.MISSING is f.default_factory)
+        _Field(f.name, key, _converter(hints[f.name]), _to_json(hints[f.name]),
+               f.default is dataclasses.MISSING is f.default_factory)
         for f in dataclasses.fields(cls)
+        if (key := f.metadata.get("key", f.name)) is not None
     )
+
+
+@functools.cache
+def _to_json(annotation: Any) -> Callable[[Any], Any] | None:
+    """The inverse of ``_converter(annotation)`` for a value that is not
+    None: a record becomes an object and a tuple a list. None when JSON holds
+    the value as it is."""
+    if dataclasses.is_dataclass(annotation):
+        fields = [(f.name, f.key, f.encode) for f in _fields_of(annotation)]
+        return lambda record: {
+            key: value if convert is None or value is None else convert(value)
+            for name, key, convert in fields
+            for value in (getattr(record, name),)
+        }
+    args = [a for a in typing.get_args(annotation) if a not in (Ellipsis, type(None))]
+    if typing.get_origin(annotation) is tuple:
+        (item,) = {_to_json(a) for a in args}  # a tuple of records has one item type
+        return list if item is None else lambda value: [item(x) for x in value]
+    if isinstance(annotation, types.UnionType):  # only ``X | None``; None is written as it is
+        (convert,) = [_to_json(a) for a in args]
+        return convert
+    return None
 
 
 @functools.cache
@@ -237,7 +277,7 @@ def _converter(annotation: Any) -> Callable[[Any], Any]:
             if not isinstance(value, dict):
                 raise _mismatch(value, annotation)
             kwargs = {}
-            for name, key, convert, required in fields:
+            for name, key, convert, _, required in fields:
                 if key in value:
                     try:
                         kwargs[name] = convert(value[key])
@@ -309,20 +349,35 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> Iterator
     them. Nothing runs until the first result is asked for. With ``jobs <= 1``
     or fewer than two items every call runs inline in the consumer's thread.
     Otherwise ``items`` is read lazily and at most ``2 * jobs`` calls are
-    submitted ahead of the consumer. The first exception in input order, or
-    the consumer closing the iterator, cancels the calls not yet started;
-    the exception is re-raised, the same one the inline loop would raise.
+    submitted ahead of the consumer. A call that raises stops, in its own
+    thread, every call after it in input order that has not started, and no
+    further item is read; the consumer closing the iterator cancels the calls
+    not yet started. The first exception in input order is re-raised, the
+    same one the inline loop would raise.
     """
     it = iter(items)
     head = list(itertools.islice(it, 2 if jobs > 1 else 0))
     if len(head) < 2:
         yield from map(fn, itertools.chain(head, it))
         return
-    pending: collections.deque[Future[R]] = collections.deque()
+    failed: list[int] = []  # the input positions of the calls that raised
+
+    def call(pos: int, x: T) -> R | None:
+        if failed and pos > min(failed):
+            return None  # never yielded: the consumer raises at min(failed) first
+        try:
+            return fn(x)
+        except BaseException:
+            failed.append(pos)
+            raise
+
+    pending: collections.deque[Future] = collections.deque()
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         try:
-            for x in itertools.chain(head, it):
-                pending.append(pool.submit(fn, x))
+            for pos, x in enumerate(itertools.chain(head, it)):
+                if failed:  # every item from here on comes after the failure
+                    break
+                pending.append(pool.submit(call, pos, x))
                 if len(pending) >= 2 * jobs:
                     yield pending.popleft().result()
             while pending:

@@ -213,13 +213,7 @@ def cmd_prune(args: argparse.Namespace) -> Stage:
     instances = curriculum.build_rl_instances(kept)
     curriculum.save_instances(args.out, instances)
     if args.keep_scores:
-        write_jsonl(
-            args.keep_scores,
-            (
-                {"user_id": s.user_id, "index": s.index, "s_tract": s.s_tract, "s_learn": s.s_learn}
-                for s in kept
-            ),
-        )
+        write_jsonl(args.keep_scores, (s.to_dict() for s in kept))
     return Stage(
         cfg, [args.scores, args.config], [args.out, args.keep_scores],
         {"scores_in": len(scores), "kept": len(kept), "instances": len(instances)},

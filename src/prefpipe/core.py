@@ -8,7 +8,7 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence, TypeVar
 
-from ._util import count_tokens, decode, numbered_jsonl, read_records, write_jsonl
+from ._util import count_tokens, decode, encode, numbered_jsonl, read_records, write_jsonl
 from .errors import ValidationError
 
 T = TypeVar("T")
@@ -41,13 +41,7 @@ class InteractionTriple:
         if self.rejected is not None and self.rejected == self.chosen:
             raise ValidationError(f"triple {self.index}: rejected item equals chosen item")
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "context": self.context,
-            "chosen": self.chosen,
-            "rejected": self.rejected,
-        }
+    to_dict = encode
 
 
 @dataclass(frozen=True)
@@ -87,12 +81,7 @@ class UserHistory:
                 return pos
         raise ValidationError(f"user {self.user_id}: no triple with index {index}")
 
-    def to_dict(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "dataset_tag": self.dataset_tag,
-            "triples": [t.to_dict() for t in self.triples],
-        }
+    to_dict = encode
 
 
 @dataclass(frozen=True)
@@ -157,15 +146,7 @@ class PreferenceSummary:
                 self, "summary_id", _summary_id(self.text, self.reasoning, self.covers, self.parent_id)
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "summary_id": self.summary_id,
-            "text": self.text,
-            "reasoning": self.reasoning,
-            "parent_id": self.parent_id,
-            "covers": list(self.covers),
-            "token_count": self.token_count,
-        }
+    to_dict = encode
 
 
 def segment(history: UserHistory, boundaries: Sequence[int]) -> list[HistorySegment]:

@@ -3,10 +3,10 @@ tractable it is for a strong model and how much headroom it offers over a weak
 one, filter to a difficulty band, and pick per-user training instances."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ._util import read_records, write_jsonl
+from ._util import encode, read_records, write_jsonl
 from .core import InteractionTriple, UserHistory
 from .errors import ValidationError
 
@@ -26,6 +26,8 @@ class SampleScore:
     index: int
     s_tract: float
     s_learn: float
+
+    to_dict = encode
 
 
 @dataclass(frozen=True)
@@ -136,13 +138,14 @@ def prune(scores: Sequence[SampleScore], config: PruneConfig) -> list[SampleScor
 @dataclass(frozen=True)
 class RlInstance:
     """One two-stage training instance: summarize up to k1, then update through
-    k2. Target triples are resolved against the history store before rollout."""
+    k2. Target triples are resolved against the history store before rollout;
+    they are off the wire, so an instances line holds only user_id, k1 and k2."""
 
     user_id: str
     k1: int
     k2: int
-    target1: InteractionTriple | None = None
-    target2: InteractionTriple | None = None
+    target1: InteractionTriple | None = field(default=None, metadata={"key": None})
+    target2: InteractionTriple | None = field(default=None, metadata={"key": None})
 
     def __post_init__(self):
         if not (0 <= self.k1 < self.k2):
@@ -164,8 +167,7 @@ class RlInstance:
             target2=history.triples[pos2],
         )
 
-    def to_dict(self) -> dict:
-        return {"user_id": self.user_id, "k1": self.k1, "k2": self.k2}
+    to_dict = encode
 
 
 def pick_rl_instance(user_scores: Sequence[SampleScore]) -> RlInstance | None:

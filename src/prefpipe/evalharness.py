@@ -7,7 +7,7 @@ re-parsing them (rescore)."""
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._util import Tally, derive_seed, ordered_map, read_records, skipping
+from ._util import Tally, derive_seed, encode, ordered_map, read_records, skipping
 from .core import PreferenceSummary, UserHistory
 from .errors import ValidationError
 from .modelio import ModelClient, parse_selection
@@ -33,15 +33,7 @@ class EvalInstance:
         if not self.item_a or not self.item_b:
             raise ValidationError("both items must be non-empty")
 
-    def to_dict(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "item_a": self.item_a,
-            "item_b": self.item_b,
-            "truth": self.truth,
-            "context": self.context,
-            "origin": self.origin,
-        }
+    to_dict = encode
 
 
 @dataclass(frozen=True)

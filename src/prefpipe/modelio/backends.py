@@ -9,16 +9,13 @@ import os
 import random
 import urllib.parse
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol, TypeVar, runtime_checkable
+from typing import Callable, Protocol, TypeVar, runtime_checkable
 
 import numpy as np
 
 from .._util import count_tokens, stable_hash
 from ..errors import BackendError, CapabilityError, ConfigError
 from .endpoints import ModelEndpoint
-
-if TYPE_CHECKING:
-    import requests
 
 T = TypeVar("T")
 
@@ -61,35 +58,40 @@ class HttpBackend:
     support and the caller falls back to sampling.
     """
 
-    def __init__(self, endpoint: ModelEndpoint, session: "requests.Session | None" = None):
+    def __init__(self, endpoint: ModelEndpoint):
+        import requests  # only processes that talk HTTP pay for importing it
+
         self.endpoint = endpoint
-        if session is None:
-            import requests  # only processes that talk HTTP pay for importing it
+        # The client lets max_in_flight requests run at once; a smaller
+        # pool (requests' default is 10) would drop the extra connections.
+        self.session = requests.Session()
+        adapter = requests.adapters.HTTPAdapter(pool_maxsize=endpoint.max_in_flight)
+        self.session.mount("http://", adapter)
+        self.session.mount("https://", adapter)
 
-            # The client lets max_in_flight requests run at once; a smaller
-            # pool (requests' default is 10) would drop the extra connections.
-            session = requests.Session()
-            adapter = requests.adapters.HTTPAdapter(pool_maxsize=endpoint.max_in_flight)
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
-        self.session = session
-
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
+    def _auth(self) -> Callable | None:
+        """The configured API key as a Bearer header. Given as the request's
+        ``auth``, it keeps requests from replacing it with ``~/.netrc``'s
+        login; proxy and CA-bundle settings still come from the environment."""
         env = self.endpoint.api_key_env
-        if env:
-            key = os.environ.get(env)
-            if not key:
-                raise ConfigError(f"endpoint expects API key in ${env}, which is unset")
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
+        if not env:
+            return None
+        key = os.environ.get(env)
+        if not key:
+            raise ConfigError(f"endpoint expects API key in ${env}, which is unset")
+
+        def bearer(request):
+            request.headers["Authorization"] = f"Bearer {key}"
+            return request
+
+        return bearer
 
     def _post(self, path: str, body: dict) -> dict:
         import requests
 
         url = self.endpoint.base_url.rstrip("/") + path
         try:
-            resp = self.session.post(url, json=body, headers=self._headers(), timeout=self.endpoint.timeout)
+            resp = self.session.post(url, json=body, auth=self._auth(), timeout=self.endpoint.timeout)
         except requests.RequestException as exc:
             raise BackendError(f"POST {url} failed: {exc}", retryable=True) from exc
         if resp.status_code == 429 or resp.status_code >= 500:

@@ -18,7 +18,6 @@ class ModelEndpoint:
 
     base_url: str
     model_id: str = "default"
-    role: str = "policy"
     api_key_env: str | None = None
     max_prompt_tokens: int | None = None
     max_output_tokens: int = 1024

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._util import Tally, derive_seed, ordered_map, read_records, skipping, write_jsonl
+from ._util import Tally, derive_seed, encode, ordered_map, read_records, skipping, write_jsonl
 from .core import InteractionTriple, PreferenceSummary, UserHistory
 from .curriculum import RlInstance
 from .errors import ContractError, PipelineError, UserSkip, ValidationError
@@ -235,17 +235,7 @@ class TrainingRecord:
     advantage: float
     reward: float
 
-    def to_dict(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "group_id": self.group_id,
-            "stage": self.stage,
-            "prompt": self.prompt,
-            "response": self.response,
-            "old_token_logprobs": list(self.old_token_logprobs),
-            "advantage": self.advantage,
-            "reward": self.reward,
-        }
+    to_dict = encode
 
 
 def export_batch(trees: Iterable[RolloutTree]) -> list[TrainingRecord]:

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import count_tokens, derive_seed, read_records, stable_hash, write_jsonl
+from ._util import count_tokens, derive_seed, encode, read_records, stable_hash, write_jsonl
 from .core import InteractionTriple, UserHistory, by_user
+from .curriculum import ScoreRecord
 from .errors import CapabilityError, ContractError, ValidationError
 from .modelio.backends import RawCompletion, mock_param
 
@@ -192,20 +193,15 @@ def score_corpus(
             weak_est = weak_quality * strong_est + (1.0 - weak_quality) * noise
             wnorm = np.linalg.norm(weak_est)
             weak_est = weak_est / wnorm if wnorm > 1e-9 else noise
-            records.append(
-                {
-                    "user_id": hist.user_id,
-                    "index": t.index,
-                    "strong_p": scripted_judge(strong_est, pos, neg, kappa),
-                    "weak_p": scripted_judge(weak_est, pos, neg, kappa),
-                }
-            )
+            strong_p = scripted_judge(strong_est, pos, neg, kappa)
+            weak_p = scripted_judge(weak_est, pos, neg, kappa)
+            records.append(encode(ScoreRecord(hist.user_id, t.index, strong_p, weak_p)))
             running = running + (pos - neg)
     return records
 
 
 def save_truth(path: str, truth: dict[str, np.ndarray]) -> int:
-    return write_jsonl(path, ({"user_id": uid, "latent": [float(x) for x in vec]} for uid, vec in truth.items()))
+    return write_jsonl(path, (encode(TruthRecord(uid, tuple(float(x) for x in vec))) for uid, vec in truth.items()))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ chunks build byte-identical prompts and summaries on a deterministic backend.
 
 from dataclasses import dataclass, field
 
-from ._util import even_boundaries, read_records
+from ._util import encode, even_boundaries, read_records
 from .core import HistorySegment, PreferenceSummary, UserHistory, by_user, segment
 from .errors import ValidationError
 from .modelio import ModelClient
@@ -37,13 +37,7 @@ class StreamState:
         if not self.lineage or self.lineage[-1] != self.current.summary_id:
             raise ValidationError("lineage must be non-empty and end at the current summary")
 
-    def to_dict(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "frontier": self.consumed_until,
-            "summary": self.current.to_dict(),
-            "lineage": list(self.lineage),
-        }
+    to_dict = encode
 
 
 def update(generator: ModelClient, state: StreamState | None, segment: HistorySegment) -> StreamState:

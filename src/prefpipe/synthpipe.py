@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from ._util import Tally, derive_seed, even_boundaries, ordered_map, skipping
+from ._util import Tally, derive_seed, encode, even_boundaries, ordered_map, skipping
 from .core import HistorySegment, InteractionTriple, PreferenceSummary, UserHistory, segment
 from .errors import UserSkip, ValidationError
 from .modelio import GenerationResult, ModelClient
@@ -90,17 +90,7 @@ class SynthRecord:
     target_indices: tuple[int, ...]
     kept_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "segment": list(self.segment),
-            "prior_text": self.prior_text,
-            "reasoning": self.reasoning,
-            "summary": self.summary,
-            "accuracy": self.accuracy,
-            "target_indices": list(self.target_indices),
-            "kept_count": self.kept_count,
-        }
+    to_dict = encode
 
 
 def select_targets(

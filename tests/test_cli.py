@@ -727,7 +727,7 @@ class TestOneBadUser:
         without = str(tmp_path / "without")
         assert run(*argv(without, leave_out=bad)) == 0
         failed = fail_for(monkeypatch, bad, lambda: BackendError("HTTP 400: bad request", retryable=False))
-        logs, skipped = [], []
+        logs, skipped, gave_up = [], [], []
         for jobs in ("1", "2"):
             out = str(tmp_path / f"jobs{jobs}")
             failed.clear()
@@ -738,12 +738,17 @@ class TestOneBadUser:
             # the client counts each request it gave up on, however many were in flight
             assert failed
             assert sum(counts.get("give_ups.BackendError", 0) for counts in written["telemetry"].values()) == len(failed)
+            gave_up.append(len(failed))
             for name in whole:
                 assert sha256_file(os.path.join(out, name)) == sha256_file(os.path.join(without, name)), name
             for name in filtered:
                 assert _user_lines(os.path.join(out, name), bad) == _user_lines(os.path.join(without, name)), name
         assert skipped[0] == skipped[1] and skipped[0]["BackendError"] >= 1
         assert logs[0] == logs[1]
+        if stage == "rollout":
+            # the failed sample stops its instance's queued samples at once:
+            # at --jobs 2 only the sample already in flight beside it is spent
+            assert gave_up[0] == 1 and gave_up[1] <= 2
         # one line per reason, all of them cli's: the client logs no failed request of its own
         assert len(logs[0]) == len(skipped[0])
         assert all(line.startswith("prefpipe.cli WARNING ") for line in logs[0])

@@ -29,7 +29,7 @@ from prefpipe.modelio import (
     split_reasoning,
 )
 
-MOCK = ModelEndpoint(base_url="mock:hash", role="policy")
+MOCK = ModelEndpoint(base_url="mock:hash")
 
 
 def make_client(backend, **endpoint_overrides):
@@ -156,6 +156,10 @@ class TestModelEndpoint:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown endpoint"):
             ModelEndpoint.from_dict({"base_url": "mock:hash", "tempreature": 0.1})
+
+    def test_role_is_not_an_endpoint_key(self):
+        with pytest.raises(ConfigError, match=r"unknown endpoint config keys: \['role'\]"):
+            ModelEndpoint.from_dict({"base_url": "mock:hash", "role": "policy"})
 
     def test_nan_is_not_a_float_but_inf_is(self, tmp_path):
         path = tmp_path / "ep.yaml"
@@ -495,6 +499,17 @@ class TestHttpBackend:
         monkeypatch.setenv("TEST_MODEL_KEY", "sekrit")
         http_client(server, api_key_env="TEST_MODEL_KEY").generate_summary("p")
         assert server.requests[0]["headers"]["Authorization"] == "Bearer sekrit"
+
+    def test_api_key_wins_over_netrc(self, server, monkeypatch, tmp_path):
+        (tmp_path / ".netrc").write_text("machine 127.0.0.1 login netrc-user password netrc-pass\n")
+        (tmp_path / ".netrc").chmod(0o600)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.delenv("NETRC", raising=False)
+        monkeypatch.setenv("TEST_MODEL_KEY", "sekrit")
+        http_client(server, api_key_env="TEST_MODEL_KEY").generate_summary("p")
+        http_client(server).generate_summary("p")  # without a key, requests still reads .netrc
+        assert server.requests[0]["headers"]["Authorization"] == "Bearer sekrit"
+        assert server.requests[1]["headers"]["Authorization"].startswith("Basic ")
 
     def test_missing_api_key_is_config_error(self, server, monkeypatch):
         monkeypatch.delenv("NOPE_KEY", raising=False)

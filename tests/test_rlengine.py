@@ -9,7 +9,7 @@ import pytest
 
 from prefpipe._util import Tally, json_dumps
 from prefpipe.core import InteractionTriple, PreferenceSummary, UserHistory
-from prefpipe.curriculum import RlInstance
+from prefpipe.curriculum import RlInstance, load_instances
 from prefpipe.errors import ContractError, ValidationError
 from prefpipe.modelio import ModelClient, ModelEndpoint, ScriptBackend
 from prefpipe.prompts import render_judge_prompt
@@ -252,6 +252,27 @@ class TestRollout(LabSetup):
         with pytest.raises(ContractError, match="resolved"):
             rollout(policy, judge, half, self.history, RolloutConfig(gamma=0.5, group_size=2, seed=7))
         assert log == []  # rejected before any call
+
+    def test_targets_in_an_instances_file_are_ignored(self, tmp_path):
+        made_up = InteractionTriple(index=99, chosen="made-up chosen", rejected="made-up rejected").to_dict()
+        path = tmp_path / "instances.jsonl"
+        line = {"user_id": self.history.user_id, "k1": 4, "k2": 9, "target1": made_up, "target2": made_up}
+        path.write_text(json_dumps(line) + "\n")
+        (inst,) = load_instances(str(path))
+        log = []
+        judge = client_for(CallLog(self.judge().backend, "judge", log))
+        tree = rollout(self.policy(), judge, inst, self.history, RolloutConfig(gamma=0.5, group_size=2, seed=7))
+        at = self.history.position_of_index
+        targets = {"initial": self.history.triples[at(4)], "updated": self.history.triples[at(9)]}
+        assert (tree.instance.target1, tree.instance.target2) == (targets["initial"], targets["updated"])
+        expected = []
+        for rs in tree.all_summaries():
+            t = targets[rs.stage]
+            expected += [
+                ("judge", render_judge_prompt(rs.summary.text, t.context, t.chosen, t.rejected)),
+                ("judge", render_judge_prompt(rs.summary.text, t.context, t.rejected, t.chosen)),
+            ]
+        assert log == expected
 
     def test_each_sample_is_judged_before_the_next_is_generated(self):
         log = []

@@ -19,6 +19,7 @@ from prefpipe._util import (
     count_tokens,
     decode,
     derive_seed,
+    encode,
     even_boundaries,
     json_dumps,
     left_truncate,
@@ -31,7 +32,7 @@ from prefpipe._util import (
     write_jsonl,
 )
 from prefpipe.core import InteractionTriple, PreferenceSummary, UserHistory
-from prefpipe.curriculum import RlInstance
+from prefpipe.curriculum import RlInstance, SampleScore
 from prefpipe.errors import (
     BackendError,
     CapabilityError,
@@ -45,6 +46,7 @@ from prefpipe.errors import (
 from prefpipe.evalharness import EvalInstance
 from prefpipe.rlengine import TrainingRecord
 from prefpipe.streamer import StreamState
+from prefpipe.synthpipe import SynthRecord
 
 
 def test_stable_hash_deterministic_and_scoped():
@@ -334,6 +336,44 @@ def test_decode_inverts_to_dict_for_every_record_type(record):
     assert decode(type(record), json.loads(json_dumps(record.to_dict()))) == record
 
 
+@dataclass(frozen=True)
+class Wire:
+    name: str
+    count: int = field(metadata={"key": "n"})
+    cached: str | None = field(default=None, metadata={"key": None})
+
+    to_dict = encode
+
+
+_SUMMARY = PreferenceSummary("likes x", (0, 3), "because", "p0")
+_TRIPLES = (InteractionTriple(0, "a"), InteractionTriple(2, "x", "y", "ctx"))
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        _TRIPLES[1],
+        UserHistory("u1", _TRIPLES, "tag"),
+        _SUMMARY,
+        SynthRecord("u1", (0, 3), None, "why", "likes x", 0.75, (1, 2), 3),
+        TrainingRecord("u1", "u1:1-4:initial", "initial", "prompt", "reply", (-0.5, -0.25), 0.5, 0.75),
+        EvalInstance("u1", "a", "b", "B", "ctx", "cross-swap"),
+        StreamState("u1", _SUMMARY, 3, ("p0", _SUMMARY.summary_id)),
+        RlInstance("u1", 1, 4),
+        SampleScore("u1", 2, 0.5, -0.25),
+        Wire("a", 3),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_every_wire_record_round_trips(record):
+    assert decode(type(record), json.loads(json_dumps(record.to_dict()))) == record
+
+
+def test_a_record_key_renames_its_field_and_none_keeps_it_off_the_wire():
+    assert Wire("a", 3, cached="held in memory").to_dict() == {"name": "a", "n": 3}
+    assert decode(Wire, {"name": "a", "n": 3, "count": 9, "cached": "from a file"}) == Wire("a", 3)
+
+
 def test_read_config_picks_parser_by_extension(tmp_path):
     (tmp_path / "c.json").write_text('{"a": 1}')
     (tmp_path / "c.yaml").write_text("a: 1\n")
@@ -384,6 +424,22 @@ class TestOrderedMap:
         # the rest are cancelled
         assert 0 in started
         assert len(started) <= 3
+
+    def test_failure_stops_later_calls_before_the_consumer_reaches_it(self):
+        started = []
+
+        def work(x):
+            started.append(x)
+            if x == 0:
+                time.sleep(0.3)  # the consumer waits on item 0 while item 1 fails
+            if x == 1:
+                raise ValueError("item 1")
+            return x
+
+        with pytest.raises(ValueError, match="item 1"):
+            list(ordered_map(work, range(20), jobs=2))
+        # the worker that ran item 1 starts neither item 2 nor item 3
+        assert sorted(started) == [0, 1]
 
     def test_first_failure_in_input_order_wins(self):
         def work(x):
