@@ -230,14 +230,12 @@ class _Field(NamedTuple):
 
 @functools.cache
 def _fields_of(cls: type) -> tuple[_Field, ...]:
-    """``cls``'s fields on the wire, built once per class. A field whose
-    ``metadata["key"]`` is None is neither read nor written."""
+    """``cls``'s fields on the wire, built once per class."""
     hints = typing.get_type_hints(cls)
     return tuple(
-        _Field(f.name, key, _converter(hints[f.name]), _to_json(hints[f.name]),
+        _Field(f.name, f.metadata.get("key", f.name), _converter(hints[f.name]), _to_json(hints[f.name]),
                f.default is dataclasses.MISSING is f.default_factory)
         for f in dataclasses.fields(cls)
-        if (key := f.metadata.get("key", f.name)) is not None
     )
 
 
@@ -387,29 +385,6 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> Iterator
                 f.cancel()
 
 
-class Skipped(NamedTuple):
-    """What a ``skipping`` call returns in place of a failed item's result."""
-
-    reason: str
-    detail: str
-
-
-def skipping(fn: Callable[[T], R], name: Callable[[T], str]) -> Callable[[T], R | Skipped]:
-    """``fn``, but a per-item error returns ``Skipped(reason, f"{name(item)}: {error}")``,
-    the reason a UserSkip's own, else the class name; any other error
-    propagates. ``Tally.settle`` counts the markers."""
-
-    def call(item: T) -> R | Skipped:
-        try:
-            return fn(item)
-        except PipelineError as exc:
-            if not exc.per_item:
-                raise
-            return Skipped(exc.reason if isinstance(exc, UserSkip) else type(exc).__name__, f"{name(item)}: {exc}")
-
-    return call
-
-
 class Tally:
     """Items left out of a stage, counted by reason, each reason keeping its
     first item's detail as the example; ``log`` writes one line per reason."""
@@ -425,12 +400,24 @@ class Tally:
         for reason, (count, first) in other._seen.items():
             self._seen.setdefault(reason, [0, first])[0] += count
 
-    def settle(self, results: Iterable[R | Skipped]) -> Iterator[R | None]:
-        """``results`` in order, each Skipped marker counted in the consuming thread and yielded as None."""
-        for result in results:
-            if isinstance(result, Skipped):
-                self.add(*result)
-                result = None
+    def map(self, fn: Callable[[T], R], items: Iterable[T], jobs: int, name: Callable[[T], str]) -> Iterator[R | None]:
+        """``ordered_map(fn, items, jobs)``, but an item whose call raises a
+        per-item error yields None and is counted here under the error's
+        reason (a UserSkip's own, else its class name), with the detail
+        ``f"{name(item)}: {error}"``, in input order and in the consuming
+        thread. Any other error propagates."""
+
+        def call(item: T) -> tuple[R | None, tuple[str, str] | None]:
+            try:
+                return fn(item), None
+            except PipelineError as exc:
+                if not exc.per_item:
+                    raise
+                return None, (exc.reason if isinstance(exc, UserSkip) else type(exc).__name__, f"{name(item)}: {exc}")
+
+        for result, skip in ordered_map(call, items, jobs):
+            if skip is not None:
+                self.add(*skip)
             yield result
 
     def counts(self) -> dict[str, int]:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from . import core, curriculum
-from ._util import Tally, atomic_write_text, build_config, derive_seed, json_dumps, jsonl_writer, ordered_map
-from ._util import read_config, read_records, sha256_file, skipping, write_jsonl
+from ._util import Tally, atomic_write_text, build_config, derive_seed, json_dumps, jsonl_writer
+from ._util import read_config, read_records, sha256_file, write_jsonl
 from .errors import ConfigError, PipelineError, ValidationError
 
 if TYPE_CHECKING:
@@ -291,10 +291,13 @@ def cmd_stream_infer(args: argparse.Namespace) -> Stage:
     summaries_path = os.path.join(args.state_dir, "summaries.jsonl")
     users = 0
     skipped = Tally()
-    infer = skipping(lambda h: streamer.infer_streaming(generator, h, args.chunks), lambda h: f"user {h.user_id}")
+    states = skipped.map(
+        lambda h: streamer.infer_streaming(generator, h, args.chunks), core.iter_histories(args.histories),
+        args.jobs, lambda h: f"user {h.user_id}",
+    )
     # each user's state and summary are written as that user finishes
     with jsonl_writer(states_path) as write_state, jsonl_writer(summaries_path) as write_summary:
-        for state in skipped.settle(ordered_map(infer, core.iter_histories(args.histories), args.jobs)):
+        for state in states:
             if state is not None:
                 write_state(state.to_dict())
                 write_summary(core.summary_record(state.user_id, state.current))
@@ -388,8 +391,10 @@ def _cross_domain(args: argparse.Namespace, client: "ModelClient", skipped: Tall
 
     embedded: tuple[list, list] = ([], [])
     with _optional_writer(args.out_histories) as write_history:
-        embeds = skipping(embed, lambda side_history: f"user {side_history[1].user_id}")
-        for result in skipped.settle(ordered_map(embeds, held_out(write_history), args.jobs)):
+        embeds = skipped.map(
+            embed, held_out(write_history), args.jobs, lambda side_history: f"user {side_history[1].user_id}"
+        )
+        for result in embeds:
             if result is not None:
                 embedded[result[0]].append(result[1])
         pairs = transferbench.match_users(client, embedded[0], embedded[1], args.top_k)

@@ -3,11 +3,10 @@ tractable it is for a strong model and how much headroom it offers over a weak
 one, filter to a difficulty band, and pick per-user training instances."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ._util import encode, read_records, write_jsonl
-from .core import InteractionTriple, UserHistory
 from .errors import ValidationError
 
 PROB_FLOOR = 1e-6
@@ -138,34 +137,16 @@ def prune(scores: Sequence[SampleScore], config: PruneConfig) -> list[SampleScor
 @dataclass(frozen=True)
 class RlInstance:
     """One two-stage training instance: summarize up to k1, then update through
-    k2. Target triples are resolved against the history store before rollout;
-    they are off the wire, so an instances line holds only user_id, k1 and k2."""
+    k2. ``rollout`` takes the target triples at k1 and k2 from the user's
+    history, so an instances line holds only user_id, k1 and k2."""
 
     user_id: str
     k1: int
     k2: int
-    target1: InteractionTriple | None = field(default=None, metadata={"key": None})
-    target2: InteractionTriple | None = field(default=None, metadata={"key": None})
 
     def __post_init__(self):
         if not (0 <= self.k1 < self.k2):
             raise ValidationError(f"instance requires 0 <= k1 < k2, got ({self.k1}, {self.k2})")
-
-    def resolve(self, history: UserHistory) -> "RlInstance":
-        """Attach the target triples at k1 and k2 from the user's history."""
-        if history.user_id != self.user_id:
-            raise ValidationError(
-                f"instance user {self.user_id} does not match history user {history.user_id}"
-            )
-        pos1 = history.position_of_index(self.k1)
-        pos2 = history.position_of_index(self.k2)
-        return RlInstance(
-            user_id=self.user_id,
-            k1=self.k1,
-            k2=self.k2,
-            target1=history.triples[pos1],
-            target2=history.triples[pos2],
-        )
 
     to_dict = encode
 

@@ -7,7 +7,7 @@ re-parsing them (rescore)."""
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._util import Tally, derive_seed, encode, ordered_map, read_records, skipping
+from ._util import Tally, derive_seed, encode, read_records
 from .core import PreferenceSummary, UserHistory
 from .errors import ValidationError
 from .modelio import ModelClient, parse_selection
@@ -122,9 +122,9 @@ def evaluate_selection(
             meta={"user_id": inst.user_id, "stage": "evaluate"},
         ).summary
 
-    calls = ordered_map(skipping(ask, lambda item: f"instance {item[0]} ({item[1].user_id})"), kept, jobs)
+    replies = skipped.map(ask, kept, jobs, lambda item: f"instance {item[0]} ({item[1].user_id})")
     outcomes = []
-    for reply, (_, inst, swapped) in zip(skipped.settle(calls), kept):
+    for reply, (_, inst, swapped) in zip(replies, kept):
         parsed, ok = _judge_outcome(reply, swapped, inst.truth, strict)
         outcomes.append(
             EvalOutcome(instance=inst, swapped=swapped, reply=reply, parsed=parsed, correct=ok, failed=reply is None)

@@ -91,9 +91,17 @@ class HttpBackend:
 
         url = self.endpoint.base_url.rstrip("/") + path
         try:
-            resp = self.session.post(url, json=body, auth=self._auth(), timeout=self.endpoint.timeout)
+            # a redirect would re-read ~/.netrc, which replaces the Bearer key
+            resp = self.session.post(
+                url, json=body, auth=self._auth(), timeout=self.endpoint.timeout, allow_redirects=False
+            )
         except requests.RequestException as exc:
             raise BackendError(f"POST {url} failed: {exc}", retryable=True) from exc
+        if 300 <= resp.status_code < 400:
+            raise ConfigError(
+                f"POST {url} -> HTTP {resp.status_code} redirect to {resp.headers.get('Location')}; "
+                "endpoints must not redirect, so set base_url to the URL that answers"
+            )
         if resp.status_code == 429 or resp.status_code >= 500:
             retry_after = _retry_after(resp.headers) if resp.status_code in (429, 503) else None
             raise BackendError(f"POST {url} -> HTTP {resp.status_code}", retryable=True, retry_after=retry_after)

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._util import Tally, derive_seed, encode, ordered_map, read_records, skipping, write_jsonl
+from ._util import Tally, derive_seed, encode, ordered_map, read_records, write_jsonl
 from .core import InteractionTriple, PreferenceSummary, UserHistory
 from .curriculum import RlInstance
 from .errors import ContractError, PipelineError, UserSkip, ValidationError
@@ -122,24 +122,22 @@ def rollout(
     starts once the initial group is complete, and cumulative rewards are
     filled in before the tree is returned. Sampling is deterministic in
     (config.seed, user, k1, k2, stage, sample) for seed-honoring backends."""
-    inst = instance if instance.target1 is not None else instance.resolve(history)
-    if inst.target2 is None:
-        raise ContractError("instance targets must be resolved before rollout")
-    pos1 = history.position_of_index(inst.k1)
-    pos2 = history.position_of_index(inst.k2)
+    if history.user_id != instance.user_id:
+        raise ValidationError(f"instance user {instance.user_id} does not match history user {history.user_id}")
+    pos1 = history.position_of_index(instance.k1)
+    pos2 = history.position_of_index(instance.k2)
     if pos1 < 1:
-        raise ValidationError(f"instance ({inst.k1}, {inst.k2}) has an empty history prefix")
+        raise ValidationError(f"instance ({instance.k1}, {instance.k2}) has an empty history prefix")
     if pos2 <= pos1:
-        raise ValidationError(f"instance ({inst.k1}, {inst.k2}) has an empty update segment")
+        raise ValidationError(f"instance ({instance.k1}, {instance.k2}) has an empty update segment")
 
     def group(
         prompt: str, stage: str, target: InteractionTriple, covers: tuple[int, int], parent_id: str | None = None
     ) -> list[RewardedSummary]:
         def one(i: int) -> RewardedSummary:
+            seed = derive_seed(config.seed, "rollout", instance.user_id, instance.k1, instance.k2, stage, i)
             gen = policy.generate_summary(
-                prompt,
-                sample_seed=derive_seed(config.seed, "rollout", inst.user_id, inst.k1, inst.k2, stage, i) % (2**31),
-                meta={"user_id": inst.user_id, "stage": stage, "sample": i},
+                prompt, sample_seed=seed % (2**31), meta={"user_id": instance.user_id, "stage": stage, "sample": i}
             )
             summary = PreferenceSummary(text=gen.summary, reasoning=gen.reasoning, covers=covers, parent_id=parent_id)
             reward = immediate_reward(judge, summary, target, config)
@@ -148,12 +146,12 @@ def rollout(
         return list(ordered_map(one, range(config.group_size), jobs))
 
     prefix_prompt = render_generation_prompt(render_history_block(history.triples[:pos1]))
-    initial = group(prefix_prompt, "initial", inst.target1, (0, pos1))
-    rng = random.Random(derive_seed(config.seed, "rollout-select", inst.user_id, inst.k1, inst.k2))
+    initial = group(prefix_prompt, "initial", history.triples[pos1], (0, pos1))
+    rng = random.Random(derive_seed(config.seed, "rollout-select", instance.user_id, instance.k1, instance.k2))
     selected_index = rng.randrange(config.group_size)
     selected = initial[selected_index].summary
     update_prompt = render_generation_prompt(render_history_block(history.triples[pos1:pos2]), past_text=selected.text)
-    updated = group(update_prompt, "updated", inst.target2, (pos1, pos2), selected.summary_id)
+    updated = group(update_prompt, "updated", history.triples[pos2], (pos1, pos2), selected.summary_id)
 
     cum_init, cum_upd = cumulative_rewards(
         [rs.immediate for rs in initial],
@@ -164,7 +162,7 @@ def rollout(
     )
     for rs, c in zip(initial + updated, cum_init + cum_upd):
         rs.cumulative = c
-    return RolloutTree(instance=inst, initial=initial, selected_index=selected_index, updated=updated)
+    return RolloutTree(instance=instance, initial=initial, selected_index=selected_index, updated=updated)
 
 
 def immediate_reward(judge: ModelClient, summary: PreferenceSummary, target: InteractionTriple, config: RolloutConfig) -> float:
@@ -368,12 +366,14 @@ def run_rollouts(
             raise UserSkip("no history")
         return rollout(policy, judge, inst, history, config, jobs=jobs)
 
-    calls = ordered_map(skipping(one, lambda inst: f"instance {inst.user_id} ({inst.k1}, {inst.k2})"), instances, jobs)
+    calls = (skipped or Tally()).map(
+        one, instances, jobs, lambda inst: f"instance {inst.user_id} ({inst.k1}, {inst.k2})"
+    )
     trees: list[RolloutTree] = []
     emit = sink or trees.append
     n_trees = 0
     rewards: list[float] = []
-    for tree in (skipped or Tally()).settle(calls):
+    for tree in calls:
         if tree is not None:
             n_trees += 1
             rewards.extend(rs.immediate for rs in tree.all_summaries())

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from ._util import Tally, derive_seed, encode, even_boundaries, ordered_map, skipping
+from ._util import Tally, derive_seed, encode, even_boundaries, ordered_map
 from .core import HistorySegment, InteractionTriple, PreferenceSummary, UserHistory, segment
 from .errors import UserSkip, ValidationError
 from .modelio import GenerationResult, ModelClient
@@ -150,9 +150,10 @@ def generate_candidates(
         )
         return ProfileCandidate(target=target, generation=gen)
 
-    generate = skipping(one, lambda tf: f"user {user_id} target {tf[0].index}")
-    calls = ordered_map(generate, zip(target_set.targets, firsts), jobs)
-    candidates = [c for c in (skipped or Tally()).settle(calls) if c]
+    calls = (skipped or Tally()).map(
+        one, zip(target_set.targets, firsts), jobs, lambda tf: f"user {user_id} target {tf[0].index}"
+    )
+    candidates = [c for c in calls if c]
     if not candidates:
         raise UserSkip("all candidate generations failed")
     return candidates
@@ -177,9 +178,10 @@ def validate_candidates(
     choice, judging up to ``jobs`` at once. A failed judgment counts as failed
     validation and is counted in ``skipped``. Fewer than ``min_kept``
     survivors skip the user."""
-    check = skipping(lambda cand: _predicts_choice(judge, cand.summary_text, cand.target, config.debias, user_id),
-                     lambda cand: f"user {user_id} target {cand.target.index}")
-    passed = list((skipped or Tally()).settle(ordered_map(check, candidates, jobs)))
+    passed = list((skipped or Tally()).map(
+        lambda cand: _predicts_choice(judge, cand.summary_text, cand.target, config.debias, user_id),
+        candidates, jobs, lambda cand: f"user {user_id} target {cand.target.index}",
+    ))
     kept = [cand for cand, ok in zip(candidates, passed) if ok]
     if len(kept) < config.min_kept:
         raise UserSkip(f"fewer than {config.min_kept} candidate(s) validated")
@@ -209,9 +211,10 @@ def user_level_filter(
     once; accept iff the accuracy reaches the threshold (inclusive). Returns
     the accuracy. A failed judgment counts as wrong and is counted in ``skipped``."""
     user_id = target_set.segment.history.user_id
-    check = skipping(lambda target: _predicts_choice(judge, merged.text, target, config.debias, user_id),
-                     lambda target: f"user {user_id} target {target.index}")
-    correct = list((skipped or Tally()).settle(ordered_map(check, target_set.targets, jobs)))
+    correct = list((skipped or Tally()).map(
+        lambda target: _predicts_choice(judge, merged.text, target, config.debias, user_id),
+        target_set.targets, jobs, lambda target: f"user {user_id} target {target.index}",
+    ))
     accuracy = correct.count(True) / len(target_set.targets)
     if accuracy < config.accuracy_threshold:
         raise UserSkip(f"merged profile accuracy below {config.accuracy_threshold}")
@@ -259,10 +262,11 @@ def build_streaming_sft(
         )
         return record, merged
 
-    step = skipping(synthesize, lambda j_seg: f"user {history.user_id} segment {j_seg[0]}")
     records: list[SynthRecord] = []
-    # lazily, so each segment runs with the prior the one before it merged
-    for result in skipped.settle(map(step, enumerate(segments))):
+    # one at a time, inline: each segment runs with the prior the one before it merged
+    for result in skipped.map(
+        synthesize, enumerate(segments), 1, lambda j_seg: f"user {history.user_id} segment {j_seg[0]}"
+    ):
         if result is None:
             break
         record, prior = result

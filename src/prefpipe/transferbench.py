@@ -250,17 +250,3 @@ def inject_secondary(primary: UserHistory, donor: UserHistory, config: NoiseConf
         injected_positions=tuple(positions),
         source_indices=tuple(sources),
     )
-
-
-def reconstruct_primary(result: InjectionResult) -> UserHistory:
-    """Undo an injection: drop the injected positions and restore the surviving
-    triples' original indices."""
-    injected = set(result.injected_positions)
-    triples = tuple(
-        replace(t, index=result.source_indices[pos])
-        for pos, t in enumerate(result.history.triples)
-        if pos not in injected
-    )
-    return UserHistory(
-        user_id=result.history.user_id, triples=triples, dataset_tag=result.history.dataset_tag
-    )

@@ -388,6 +388,15 @@ class TestErrorHandling:
         assert f"error (ConfigError): endpoint config key '{key}' must be" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key, value", [("body", 5), ("completions_echo", "yes")])
+    def test_mistyped_extra_field_is_config_error(self, pipeline, tmp_path, capsys, key, value):
+        generator = write_yaml(tmp_path / "gen.yaml", {"base_url": "mock:hash", "extra": {key: value}})
+        argv = ["stream-infer", "--histories", pipeline["histories"], "--generator", generator]
+        assert run(*argv, "--state-dir", str(tmp_path / "s")) == 1
+        err = capsys.readouterr().err
+        assert f"error (ConfigError): extra.{key} must be" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["synthesize-sft", "stream-infer"])
     def test_zero_segments_is_validation_error(self, pipeline, tmp_path, capsys, command):
         mock = {"base_url": "mock:hash"}

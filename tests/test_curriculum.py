@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefpipe._util import write_jsonl
-from prefpipe.core import InteractionTriple, UserHistory
 from prefpipe.curriculum import (
     PRESET_CONFIGS,
     PruneConfig,
@@ -229,25 +228,6 @@ class TestRlInstance:
             RlInstance(user_id="u1", k1=7, k2=3)
         with pytest.raises(ValidationError):
             RlInstance(user_id="u1", k1=-1, k2=3)
-
-    def test_resolve_attaches_targets(self):
-        triples = tuple(InteractionTriple(index=i, chosen=f"c{i}", rejected=f"r{i}") for i in range(8))
-        history = UserHistory(user_id="u1", triples=triples)
-        resolved = RlInstance(user_id="u1", k1=2, k2=6).resolve(history)
-        assert resolved.target1 == triples[2]
-        assert resolved.target2 == triples[6]
-
-    def test_resolve_rejects_wrong_user(self):
-        history = UserHistory(user_id="u2", triples=(InteractionTriple(index=0, chosen="c", rejected="r"),
-                                                     InteractionTriple(index=1, chosen="c2", rejected="r2")))
-        with pytest.raises(ValidationError):
-            RlInstance(user_id="u1", k1=0, k2=1).resolve(history)
-
-    def test_resolve_requires_existing_indices(self):
-        triples = tuple(InteractionTriple(index=i, chosen=f"c{i}", rejected=f"r{i}") for i in range(3))
-        history = UserHistory(user_id="u1", triples=triples)
-        with pytest.raises(ValidationError):
-            RlInstance(user_id="u1", k1=1, k2=9).resolve(history)
 
     def test_store_round_trip(self, tmp_path):
         instances = [RlInstance("u1", 2, 6), RlInstance("u2", 0, 11)]

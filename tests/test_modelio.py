@@ -511,6 +511,30 @@ class TestHttpBackend:
         assert server.requests[0]["headers"]["Authorization"] == "Bearer sekrit"
         assert server.requests[1]["headers"]["Authorization"].startswith("Basic ")
 
+    def test_redirect_is_refused_before_netrc_can_replace_the_key(self, server, monkeypatch, tmp_path, capsys):
+        """requests re-reads .netrc on each redirect it follows, which would
+        send the netrc login in place of the key; a 3xx aborts the run."""
+        from prefpipe.cli import main
+        from prefpipe.core import InteractionTriple, UserHistory, save_histories
+
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login netrc-user password netrc-pass\n")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("NETRC", str(netrc))
+        monkeypatch.setenv("TEST_MODEL_KEY", "sekrit")
+        histories = str(tmp_path / "histories.jsonl")
+        triples = tuple(InteractionTriple(index=i, chosen=f"a{i}", rejected=f"b{i}") for i in range(4))
+        save_histories(histories, [UserHistory(user_id="u1", triples=triples)])
+        generator = tmp_path / "generator.json"
+        generator.write_text(json.dumps({"base_url": server.url, "api_key_env": "TEST_MODEL_KEY"}))
+        server.queue = [(307, {}, {"Location": f"{server.url}/v2/chat/completions"})]
+        argv = ["stream-infer", "--histories", histories, "--generator", str(generator), "--state-dir", str(tmp_path / "s")]
+        assert main(argv) == 1
+        assert [r["path"] for r in server.requests] == ["/chat/completions"]
+        assert server.requests[0]["headers"]["Authorization"] == "Bearer sekrit"
+        err = capsys.readouterr().err
+        assert "error (ConfigError)" in err and "HTTP 307" in err and "/v2/chat/completions" in err
+
     def test_missing_api_key_is_config_error(self, server, monkeypatch):
         monkeypatch.delenv("NOPE_KEY", raising=False)
         with pytest.raises(ConfigError):

@@ -3,7 +3,9 @@ holds the items it left out and a client's ``stats`` the requests it gave up
 on or truncated; ``cli.main`` writes both to the manifest and logs one line
 per reason or per client. This scan keeps a second reporting path, such as a
 module logging its own tally or the client logging each failed request, from
-coming back."""
+coming back. It also keeps the per-item failure policy in one place:
+``Tally.map`` is the only fan-out that decides, from ``per_item``, whether an
+error skips an item, and it counts every item it skips."""
 
 import ast
 import pathlib
@@ -11,30 +13,48 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "prefpipe"
 
 
-def _method_calls(path):
-    """(enclosing class/function path, receiver, method name) for each
-    ``<receiver>.<method>(...)`` call in ``path``."""
-    found = []
+def _nodes(path):
+    """(owner, node) for each node in ``path``. The owner is the outermost
+    function, or the ``Class.method``, that holds the node; a nested function
+    belongs to its owner."""
 
-    def visit(node, scope):
+    def visit(node, owner, in_class):
         for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
-                receiver = child.func.value.id if isinstance(child.func.value, ast.Name) else None
-                found.append((inner, receiver, child.func.attr))
-            visit(child, inner)
+            inner, is_class = owner, False
+            if isinstance(child, ast.ClassDef) and not owner:
+                inner, is_class = child.name, True
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and (not owner or in_class):
+                inner = f"{owner}.{child.name}" if owner else child.name
+            yield inner, child
+            yield from visit(child, inner, is_class)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), "")
-    return found
+    yield from visit(ast.parse(path.read_text(encoding="utf-8")), "", False)
+
+
+def _method_calls(path):
+    """(owner, receiver, method name) for each ``<receiver>.<method>(...)`` call in ``path``."""
+    return [
+        (owner, node.func.value.id if isinstance(node.func.value, ast.Name) else None, node.func.attr)
+        for owner, node in _nodes(path)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+
+
+def _owners(match):
+    """(file, owner) for each node under ``SRC`` that ``match`` accepts."""
+    return {
+        (path.relative_to(SRC).as_posix(), owner)
+        for path in SRC.rglob("*.py")
+        for owner, node in _nodes(path)
+        if match(node)
+    }
 
 
 def test_only_cli_logs_a_tally():
     callers = {
-        (path.relative_to(SRC).as_posix(), scope)
+        (path.relative_to(SRC).as_posix(), owner)
         for path in SRC.rglob("*.py")
-        for scope, receiver, name in _method_calls(path)
+        for owner, receiver, name in _method_calls(path)
         if name == "log" and receiver not in ("math", "np")
     }
     # the one ``logger.log`` inside Tally.log, and its one caller
@@ -43,9 +63,32 @@ def test_only_cli_logs_a_tally():
 
 def test_modelio_logs_nothing_above_debug():
     loud = [
-        (path.name, scope, name)
+        (path.name, owner, name)
         for path in (SRC / "modelio").rglob("*.py")
-        for scope, receiver, name in _method_calls(path)
+        for owner, receiver, name in _method_calls(path)
         if name in ("log", "info", "warning", "warn", "error", "exception", "critical") and receiver not in ("math", "np")
     ]
     assert not loud
+
+
+def test_only_tally_map_reads_per_item():
+    # errors.py sets it; a stage that read it would be a second failure policy
+    readers = _owners(lambda n: isinstance(n, ast.Attribute) and n.attr == "per_item" and isinstance(n.ctx, ast.Load))
+    assert readers == {("_util.py", "Tally.map")}
+
+
+def test_ordered_map_callers_do_not_skip_items():
+    """Each other caller lets every error through: a failed rollout sample
+    fails its instance, a failed embedding its ranking, a failed user (whose
+    own calls go through ``Tally.map``) the corpus."""
+
+    def calls_ordered_map(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return getattr(func, "id", None) == "ordered_map" or getattr(func, "attr", None) == "ordered_map"
+
+    assert _owners(calls_ordered_map) == {
+        ("_util.py", "Tally.map"),
+        ("synthpipe.py", "run_corpus"),
+        ("rlengine.py", "rollout"),
+        ("transferbench.py", "match_users"),
+    }

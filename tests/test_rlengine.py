@@ -187,7 +187,7 @@ class TestRollout(LabSetup):
         assert [rs.sample_index for rs in tree.initial] == [0, 1, 2]
         assert all(rs.stage == "initial" for rs in tree.initial)
         assert all(rs.stage == "updated" for rs in tree.updated)
-        assert tree.instance.target1 is not None  # auto-resolved
+        assert tree.instance == self.instance
 
     def test_coverage_and_lineage(self):
         config = RolloutConfig(gamma=0.5, group_size=2, seed=7)
@@ -244,14 +244,19 @@ class TestRollout(LabSetup):
         assert [rs.cumulative for rs in tree.initial] == expected_init
         assert [rs.cumulative for rs in tree.updated] == expected_upd
 
-    def test_unresolved_instance_rejected(self):
+    @pytest.mark.parametrize(
+        "user_id, k2, match",
+        [("someone else", 9, "does not match history user"), (None, 99, "no triple with index 99")],
+        ids=["wrong-user", "missing-index"],
+    )
+    def test_bad_instance_rejected_before_any_call(self, user_id, k2, match):
         log = []
         policy = client_for(CallLog(self.policy().backend, "generate", log))
         judge = client_for(CallLog(self.judge().backend, "judge", log))
-        half = RlInstance(user_id=self.history.user_id, k1=4, k2=9, target1=self.history.triples[4])
-        with pytest.raises(ContractError, match="resolved"):
-            rollout(policy, judge, half, self.history, RolloutConfig(gamma=0.5, group_size=2, seed=7))
-        assert log == []  # rejected before any call
+        instance = RlInstance(user_id or self.history.user_id, 4, k2)
+        with pytest.raises(ValidationError, match=match):
+            rollout(policy, judge, instance, self.history, RolloutConfig(gamma=0.5, group_size=2, seed=7))
+        assert log == []
 
     def test_targets_in_an_instances_file_are_ignored(self, tmp_path):
         made_up = InteractionTriple(index=99, chosen="made-up chosen", rejected="made-up rejected").to_dict()
@@ -264,7 +269,6 @@ class TestRollout(LabSetup):
         tree = rollout(self.policy(), judge, inst, self.history, RolloutConfig(gamma=0.5, group_size=2, seed=7))
         at = self.history.position_of_index
         targets = {"initial": self.history.triples[at(4)], "updated": self.history.triples[at(9)]}
-        assert (tree.instance.target1, tree.instance.target2) == (targets["initial"], targets["updated"])
         expected = []
         for rs in tree.all_summaries():
             t = targets[rs.stage]
@@ -280,9 +284,11 @@ class TestRollout(LabSetup):
         judge = client_for(CallLog(self.judge().backend, "judge", log))
         config = RolloutConfig(gamma=0.5, group_size=2, seed=7)
         tree = rollout(policy, judge, self.instance, self.history, config, jobs=1)
+        at = self.history.position_of_index
+        targets = {"initial": self.history.triples[at(4)], "updated": self.history.triples[at(9)]}
         expected = []
         for rs in tree.all_summaries():
-            t = tree.instance.target1 if rs.stage == "initial" else tree.instance.target2
+            t = targets[rs.stage]
             expected += [
                 ("generate", rs.stage, rs.sample_index),
                 ("judge", render_judge_prompt(rs.summary.text, t.context, t.chosen, t.rejected)),

@@ -1,5 +1,6 @@
 import logging
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,9 +22,20 @@ from prefpipe.transferbench import (
     inject_secondary,
     match_users,
     pick_donors,
-    reconstruct_primary,
     swap_targets,
 )
+
+
+def reconstruct_primary(result):
+    """The oracle for an injection: drop the injected positions and restore
+    the surviving triples' original indices."""
+    injected = set(result.injected_positions)
+    triples = tuple(
+        replace(t, index=result.source_indices[pos])
+        for pos, t in enumerate(result.history.triples)
+        if pos not in injected
+    )
+    return UserHistory(user_id=result.history.user_id, triples=triples, dataset_tag=result.history.dataset_tag)
 
 
 def client_for(backend):

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from prefpipe._util import (
-    Skipped,
     Tally,
     atomic_write_text,
     build_config,
@@ -27,7 +26,6 @@ from prefpipe._util import (
     read_config,
     read_records,
     sha256_file,
-    skipping,
     stable_hash,
     write_jsonl,
 )
@@ -340,7 +338,6 @@ def test_decode_inverts_to_dict_for_every_record_type(record):
 class Wire:
     name: str
     count: int = field(metadata={"key": "n"})
-    cached: str | None = field(default=None, metadata={"key": None})
 
     to_dict = encode
 
@@ -369,9 +366,9 @@ def test_every_wire_record_round_trips(record):
     assert decode(type(record), json.loads(json_dumps(record.to_dict()))) == record
 
 
-def test_a_record_key_renames_its_field_and_none_keeps_it_off_the_wire():
-    assert Wire("a", 3, cached="held in memory").to_dict() == {"name": "a", "n": 3}
-    assert decode(Wire, {"name": "a", "n": 3, "count": 9, "cached": "from a file"}) == Wire("a", 3)
+def test_a_record_key_renames_its_field():
+    assert Wire("a", 3).to_dict() == {"name": "a", "n": 3}
+    assert decode(Wire, {"name": "a", "n": 3, "count": 9}) == Wire("a", 3)
 
 
 def test_read_config_picks_parser_by_extension(tmp_path):
@@ -523,11 +520,18 @@ class TestFailurePolicy:
         ],
         ids=lambda v: v if isinstance(v, str) else type(v).__name__,
     )
-    def test_per_item_errors_become_markers(self, error, reason):
+    def test_per_item_errors_become_markers(self, error, reason, caplog):
+        """The marker is None in the item's place, and the tally counts it."""
+
         def fn(x):
             raise error
 
-        assert skipping(fn, lambda x: f"item {x}")(7) == Skipped(reason, f"item 7: {error}")
+        tally = Tally()
+        assert list(tally.map(fn, [7], 1, lambda x: f"item {x}")) == [None]
+        assert tally.counts() == {reason: 1}
+        with caplog.at_level(logging.WARNING, logger="t"):
+            tally.log(logging.getLogger("t"), logging.WARNING, "skipped")
+        assert [r.getMessage() for r in caplog.records] == [f"1 skipped ({reason}), first: item 7: {error}"]
 
     @pytest.mark.parametrize(
         "error",
@@ -544,14 +548,23 @@ class TestFailurePolicy:
         def fn(x):
             raise error
 
+        tally = Tally()
         with pytest.raises(type(error)):
-            skipping(fn, str)(7)
+            list(tally.map(fn, [7], 1, str))
+        assert tally.counts() == {}
 
     def test_results_pass_through(self):
-        assert skipping(lambda x: x * 2, str)(4) == 8
+        assert list(Tally().map(lambda x: x * 2, [4, 5], 2, str)) == [8, 10]
+
+    def test_nothing_runs_until_the_first_result_is_asked_for(self):
+        calls = []
+        results = Tally().map(calls.append, range(3), 1, str)
+        assert calls == []
+        next(results)
+        assert calls == [0]  # at one job each call runs when its result is asked for
 
     @pytest.mark.parametrize("jobs", [1, 3])
-    def test_settle_counts_markers_in_input_order(self, jobs, caplog):
+    def test_map_counts_skips_in_input_order(self, jobs, caplog):
         def fn(x):
             if x % 3 == 0:
                 raise UserSkip("multiple of 3")
@@ -560,7 +573,7 @@ class TestFailurePolicy:
             return x
 
         tally = Tally()
-        results = list(tally.settle(ordered_map(skipping(fn, lambda x: f"item {x}"), range(1, 16), jobs)))
+        results = list(tally.map(fn, range(1, 16), jobs, lambda x: f"item {x}"))
         assert results == [None if x % 3 == 0 or x % 5 == 0 else x for x in range(1, 16)]
         assert tally.counts() == {"GenerationError": 2, "multiple of 3": 5}
         with caplog.at_level(logging.WARNING, logger="t"):
