@@ -22,7 +22,7 @@ import logging
 import os
 import random
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from . import core, curriculum
@@ -47,9 +47,7 @@ class Stage:
 
     ``None`` paths are optional files that were not given. The manifest sits
     next to ``anchor``, else next to the first output; ``command`` replaces
-    the subcommand name it records. ``skipped`` counts the items the stage
-    left out, by reason; ``clients`` holds each model client the stage built
-    once, by role, for their request counts."""
+    the subcommand name it records."""
 
     config: dict
     inputs: list[str | None]
@@ -58,8 +56,22 @@ class Stage:
     message: str
     anchor: str | None = None
     command: str | None = None
-    skipped: Tally = field(default_factory=Tally)
-    clients: dict[str, "ModelClient"] = field(default_factory=dict)
+
+
+class Clients(dict[str, "ModelClient"]):
+    """The model clients one run builds, by role. ``main`` hands a fresh
+    registry to the subcommand and writes each client's ``stats`` to the
+    manifest's ``telemetry``."""
+
+    def build(self, role: str, section: dict | None = None, *, path: str | None = None) -> "ModelClient":
+        """Build the client for ``role`` from its ``--config`` file section,
+        or from the endpoint file at ``path``, and register it under ``role``."""
+        from .modelio import ModelClient, ModelEndpoint, load_endpoint
+
+        if path is None and not section:
+            raise ConfigError(f"config is missing the {role!r} endpoint section")
+        self[role] = ModelClient(load_endpoint(path) if path is not None else ModelEndpoint.from_dict(section))
+        return self[role]
 
 
 class ManifestWriter:
@@ -118,23 +130,9 @@ def _stage_config(args: argparse.Namespace, cls: type, sections: tuple[str, ...]
     return config, {k: getattr(config, k) for k in knobs}, file_cfg
 
 
-def _client(section: dict | None, what: str) -> "ModelClient":
-    from .modelio import ModelClient, ModelEndpoint
-
-    if not section:
-        raise ConfigError(f"config is missing the {what!r} endpoint section")
-    return ModelClient(ModelEndpoint.from_dict(section))
-
-
 def _optional_writer(path: str | None):
     """``jsonl_writer(path)``, or a block that yields None when no path is given."""
     return jsonl_writer(path) if path else contextlib.nullcontext(None)
-
-
-def _endpoint_client(path: str) -> "ModelClient":
-    from .modelio import ModelClient, load_endpoint
-
-    return ModelClient(load_endpoint(path))
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +140,14 @@ def _endpoint_client(path: str) -> "ModelClient":
 # ---------------------------------------------------------------------------
 
 
-def cmd_simlab_gen(args: argparse.Namespace) -> Stage:
+def cmd_simlab_gen(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Stage:
     from . import simlab
 
+    if args.dim < 1:
+        raise ValidationError(f"--dim must be >= 1, got {args.dim}")
+    for flag, rate in (("--context-rate", args.context_rate), ("--weak-quality", args.weak_quality)):
+        if not 0.0 <= rate <= 1.0:
+            raise ValidationError(f"{flag} must be in [0, 1], got {rate}")
     stage_seed = derive_seed(args.seed, "simlab-gen")
     os.makedirs(args.out_dir, exist_ok=True)
     histories, truth = simlab.gen_population(
@@ -174,24 +177,20 @@ def cmd_simlab_gen(args: argparse.Namespace) -> Stage:
     )
 
 
-def cmd_synthesize_sft(args: argparse.Namespace) -> Stage:
+def cmd_synthesize_sft(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Stage:
     from . import synthpipe
 
     synth_config, cfg, file_cfg = _stage_config(
         args, synthpipe.SynthConfig, ("generator", "judge", "teacher"), seed=derive_seed(args.seed, "synthesize-sft")
     )
-    clients = {role: _client(file_cfg.get(role), role) for role in ("generator", "judge")}
-    if file_cfg.get("teacher"):
-        clients["teacher"] = _client(file_cfg["teacher"], "teacher")
-    generator, judge = clients["generator"], clients["judge"]
+    generator, judge = (clients.build(role, file_cfg.get(role)) for role in ("generator", "judge"))
     # without a teacher section the generator merges too, within its own in-flight limit
-    teacher = clients.get("teacher", generator)
+    teacher = clients.build("teacher", file_cfg["teacher"]) if file_cfg.get("teacher") else generator
 
     tract: dict[str, dict[int, float]] = {}
     for s in curriculum.load_scores(args.scores):
         tract.setdefault(s.user_id, {})[s.index] = s.s_tract
 
-    skipped = Tally()
     with jsonl_writer(args.out) as write:
         _, stats = synthpipe.run_corpus(
             core.iter_histories(args.histories), tract, generator, judge, teacher, synth_config,
@@ -199,12 +198,11 @@ def cmd_synthesize_sft(args: argparse.Namespace) -> Stage:
         )
     return Stage(
         cfg, [args.histories, args.scores, args.config], [args.out], stats,
-        f"synthesized {stats['records']} records from {stats['users_with_records']}/{stats['users_in']} users", skipped=skipped,
-        clients=clients,
+        f"synthesized {stats['records']} records from {stats['users_with_records']}/{stats['users_in']} users",
     )
 
 
-def cmd_prune(args: argparse.Namespace) -> Stage:
+def cmd_prune(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Stage:
     preset = curriculum.PRESET_CONFIGS[args.preset] if args.preset else None
     prune_config, cfg, _ = _stage_config(args, curriculum.PruneConfig, preset=preset)
 
@@ -221,19 +219,17 @@ def cmd_prune(args: argparse.Namespace) -> Stage:
     )
 
 
-def cmd_rollout(args: argparse.Namespace) -> Stage:
+def cmd_rollout(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Stage:
     from . import rlengine
 
     config, cfg, file_cfg = _stage_config(
         args, rlengine.RolloutConfig, ("policy", "judge"), seed=derive_seed(args.seed, "rollout")
     )
-    policy = _client(file_cfg.get("policy"), "policy")
-    judge = _client(file_cfg.get("judge"), "judge")
+    policy, judge = (clients.build(role, file_cfg.get(role)) for role in ("policy", "judge"))
 
     histories = {h.user_id: h for h in core.load_histories(args.histories)}
     instances = curriculum.load_instances(args.instances)
     records = 0
-    skipped = Tally()
     # each tree is exported and dumped as it arrives; both files appear only
     # once every tree is written
     with jsonl_writer(args.out) as write_record, _optional_writer(args.trees) as write_tree:
@@ -251,12 +247,11 @@ def cmd_rollout(args: argparse.Namespace) -> Stage:
         cfg, [args.histories, args.instances, args.config], [args.out, args.trees],
         {**stats, "records": records},
         f"rolled out {stats['trees']}/{stats['instances_in']} instances "
-        f"({records} records, mean reward {stats['mean_immediate_reward']})", skipped=skipped,
-        clients={"policy": policy, "judge": judge},
+        f"({records} records, mean reward {stats['mean_immediate_reward']})",
     )
 
 
-def cmd_loss_check(args: argparse.Namespace) -> None:
+def cmd_loss_check(args: argparse.Namespace, skipped: Tally, clients: Clients) -> None:
     from . import rlengine
 
     clip_eps = rlengine.RolloutConfig.clip_eps if args.clip_eps is None else args.clip_eps
@@ -280,17 +275,16 @@ def cmd_loss_check(args: argparse.Namespace) -> None:
     print(json_dumps({"loss": loss, "records": seen, "clip_eps": clip_eps}))
 
 
-def cmd_stream_infer(args: argparse.Namespace) -> Stage:
+def cmd_stream_infer(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Stage:
     from . import streamer
 
     if args.chunks < 1:  # before any user is read
         raise ValidationError(f"chunk count must be >= 1, got {args.chunks}")
-    generator = _endpoint_client(args.generator)
+    generator = clients.build("generator", path=args.generator)
     os.makedirs(args.state_dir, exist_ok=True)
     states_path = os.path.join(args.state_dir, "states.jsonl")
     summaries_path = os.path.join(args.state_dir, "summaries.jsonl")
     users = 0
-    skipped = Tally()
     states = skipped.map(
         lambda h: streamer.infer_streaming(generator, h, args.chunks), core.iter_histories(args.histories),
         args.jobs, lambda h: f"user {h.user_id}",
@@ -305,21 +299,18 @@ def cmd_stream_infer(args: argparse.Namespace) -> Stage:
     return Stage(
         {"chunks": args.chunks}, [args.histories, args.generator], [states_path, summaries_path],
         {"users": users}, f"streamed {users} users in {args.chunks} chunk(s)",
-        anchor=os.path.join(args.state_dir, "manifest.json"), skipped=skipped, clients={"generator": generator},
+        anchor=os.path.join(args.state_dir, "manifest.json"),
     )
 
 
-def cmd_build_transfer(args: argparse.Namespace) -> Stage:
+def cmd_build_transfer(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Stage:
     from . import transferbench
 
     config: dict = {"mode": args.mode}
-    skipped = Tally()
-    clients = {}
     if args.mode == "cross-domain":
         if not (args.histories_a and args.histories_b and args.embedder):
             raise ConfigError("cross-domain needs --histories-a, --histories-b, --embedder")
-        clients["embedder"] = _endpoint_client(args.embedder)
-        stats = _cross_domain(args, clients["embedder"], skipped)
+        stats = _cross_domain(args, clients.build("embedder", path=args.embedder), skipped)
         config["top_k"] = args.top_k
         inputs, extra_output = [args.histories_a, args.histories_b], args.out_histories
     elif args.mode == "multi-interest":
@@ -359,7 +350,7 @@ def cmd_build_transfer(args: argparse.Namespace) -> Stage:
         stats = {"users": users}
     return Stage(
         config, inputs, [args.out, extra_output], stats, f"build-transfer {args.mode}: wrote {args.out}",
-        command=f"build-transfer:{args.mode}", skipped=skipped, clients=clients,
+        command=f"build-transfer:{args.mode}",
     )
 
 
@@ -403,13 +394,12 @@ def _cross_domain(args: argparse.Namespace, client: "ModelClient", skipped: Tall
     return stats
 
 
-def cmd_evaluate(args: argparse.Namespace) -> Stage:
+def cmd_evaluate(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Stage:
     from . import evalharness
 
-    downstream = _endpoint_client(args.downstream)
+    downstream = clients.build("downstream", path=args.downstream)
     summaries = core.load_summaries(args.summaries)
     instances = evalharness.load_eval_instances(args.instances)
-    skipped = Tally()
     report, outcomes = evalharness.evaluate_selection(
         downstream, summaries, instances,
         seed=derive_seed(args.seed, "evaluate"), strict=args.strict, label=args.label, jobs=args.jobs, skipped=skipped,
@@ -429,8 +419,7 @@ def cmd_evaluate(args: argparse.Namespace) -> Stage:
         )
     return Stage(
         {"strict": args.strict, "label": args.label}, [args.summaries, args.instances, args.downstream],
-        [args.out, args.outcomes], report.to_dict(), evalharness.format_reports([report]), skipped=skipped,
-        clients={"downstream": downstream},
+        [args.out, args.outcomes], report.to_dict(), evalharness.format_reports([report]),
     )
 
 
@@ -544,24 +533,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     logging.basicConfig(
         level=getattr(logging, args.log_level.upper()),
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
     started_at = _now()
+    skipped, clients = Tally(), Clients()
     try:
-        stage = args.func(args)
+        stage = args.func(args, skipped, clients)
         if stage is not None:
             mw = ManifestWriter(stage.command or args.command, args.seed, stage.config, started_at)
             for path in stage.inputs:
                 mw.add_input(path)
             for path in stage.outputs:
                 mw.add_output(path)
-            mw.stats = {**stage.stats, "skipped_by_reason": stage.skipped.counts()}
-            mw.telemetry = {role: dict(sorted(client.stats.items())) for role, client in stage.clients.items()}
-            stage.skipped.log(logger, logging.WARNING, "item(s) skipped")
-            for role, client in stage.clients.items():
+            mw.stats = {**stage.stats, "skipped_by_reason": skipped.counts()}
+            mw.telemetry = {role: dict(sorted(client.stats.items())) for role, client in clients.items()}
+            skipped.log(logger, logging.WARNING, "item(s) skipped")
+            for role, client in clients.items():
                 if client.stats["truncations"]:
                     logger.warning(
                         "%s: %d prompt(s) truncated to %d tokens, %d leading token(s) dropped", role,

@@ -6,7 +6,6 @@ from .backends import (
     Backend,
     RawCompletion,
     HttpBackend,
-    HashMockBackend,
     ScriptBackend,
     build_backend,
 )
@@ -16,7 +15,6 @@ from .client import GenerationResult, JudgeVerdict, ModelClient, label_probabili
 __all__ = [
     "Backend",
     "GenerationResult",
-    "HashMockBackend",
     "HttpBackend",
     "JudgeVerdict",
     "ModelClient",

@@ -1,4 +1,6 @@
-"""Backend implementations: the HTTP transport and the scripted mocks.
+"""Backend implementations: the HTTP transport and the callable-driven test
+backend, and ``build_backend``, which resolves an endpoint to its backend
+(every ``mock:<kind>`` is one of ``simlab``'s scripted backends).
 
 A backend is a thin, stateless adapter exposing four request shapes (complete,
 choice_logprobs, score, embed). Retries, truncation, and telemetry live in the
@@ -6,18 +8,13 @@ client, not here.
 """
 
 import os
-import random
 import urllib.parse
 from dataclasses import dataclass
-from typing import Callable, Protocol, TypeVar, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
-import numpy as np
-
-from .._util import count_tokens, stable_hash
+from .._util import count_tokens
 from ..errors import BackendError, CapabilityError, ConfigError
 from .endpoints import ModelEndpoint
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -212,65 +209,8 @@ def _retry_after(headers) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# Scripted backends
+# Script backend
 # ---------------------------------------------------------------------------
-
-
-class HashMockBackend:
-    """Deterministic stand-in model: every reply is a pure function of
-    (seed, request content). Useful for plumbing tests and byte-identical reruns."""
-
-    def __init__(
-        self,
-        seed: int = 0,
-        token_logprob: float | None = None,
-        embed_dim: int = 32,
-        think: bool = True,
-        think_tags: tuple[str, str] = ("<think>", "</think>"),
-    ):
-        self.seed = seed
-        self.token_logprob = token_logprob
-        self.embed_dim = embed_dim
-        self.think = think
-        self.think_tags = think_tags
-
-    def _rng(self, *scope) -> random.Random:
-        return random.Random(stable_hash(self.seed, *scope))
-
-    def _token_logprobs(self, text: str, rng: random.Random) -> tuple[float, ...]:
-        n = count_tokens(text)
-        if self.token_logprob is not None:
-            return tuple([self.token_logprob] * n)
-        return tuple(-rng.uniform(0.05, 2.0) for _ in range(n))
-
-    def complete(self, prompt, *, max_tokens, temperature, seed=None, meta=None) -> RawCompletion:
-        rng = self._rng("complete", prompt, max_tokens, temperature, seed, sorted((meta or {}).items()))
-        summary = (
-            f"Preference profile p{rng.randrange(100000):05d}: favors theme-{rng.randrange(100)} "
-            f"items and weighs attribute-{rng.randrange(10)} heavily."
-        )
-        if self.think:
-            head, tail = self.think_tags
-            reasoning = f"Recurring signal s{rng.randrange(1000)} stands out across the interactions."
-            text = f"{head}{reasoning}{tail}\n{summary}"
-        else:
-            text = summary
-        return RawCompletion(text, self._token_logprobs(text, rng))
-
-    def choice_logprobs(self, prompt, labels, *, meta=None):
-        rng = self._rng("choice", prompt, labels, sorted((meta or {}).items()))
-        return -rng.uniform(0.05, 3.0), -rng.uniform(0.05, 3.0)
-
-    def score(self, prompt, response, *, meta=None) -> list[float]:
-        rng = self._rng("score", prompt, response)
-        if self.token_logprob is not None:
-            return [self.token_logprob] * count_tokens(response)
-        return [-rng.uniform(0.05, 2.0) for _ in range(count_tokens(response))]
-
-    def embed(self, text, *, meta=None) -> list[float]:
-        gen = np.random.default_rng(stable_hash(self.seed, "embed", text))
-        v = gen.standard_normal(self.embed_dim)
-        return (v / np.linalg.norm(v)).tolist()
 
 
 class ScriptBackend:
@@ -327,47 +267,16 @@ class ScriptBackend:
 # Backend construction from endpoint configs
 # ---------------------------------------------------------------------------
 
-def _parse_mock_url(url: str) -> tuple[str, dict]:
-    rest = url[len("mock:") :]
-    kind, _, query = rest.partition("?")
-    params = dict(urllib.parse.parse_qsl(query, keep_blank_values=True))
-    return kind or "hash", params
-
-
-def mock_param(params: dict, key: str, convert: Callable[[str], T], default: T) -> T:
-    """Mock URL parameter ``key`` converted by ``convert``, or ``default``
-    when absent. A value that does not convert is a ConfigError naming it."""
-    if key not in params:
-        return default
-    try:
-        return convert(params[key])
-    except ValueError as exc:
-        raise ConfigError(f"mock URL parameter {key}={params[key]!r} is not a valid {convert.__name__}") from exc
-
-
 def build_backend(endpoint: ModelEndpoint) -> Backend:
     url = endpoint.base_url
     if url.startswith("mock:"):
-        kind, params = _parse_mock_url(url)
-        if kind == "hash":
-            return _hash_factory(params, endpoint)
         from ..simlab import MOCK_KINDS  # simlab imports this module, so look its kinds up per call
 
+        kind, _, query = url[len("mock:") :].partition("?")
         factory = MOCK_KINDS.get(kind)
         if factory is None:
-            raise ConfigError(f"unknown mock backend kind {kind!r}; known: {['hash', *sorted(MOCK_KINDS)]}")
-        return factory(params, endpoint)
+            raise ConfigError(f"unknown mock backend kind {kind!r}; known: {sorted(MOCK_KINDS)}")
+        return factory(dict(urllib.parse.parse_qsl(query, keep_blank_values=True)), endpoint)
     if url.startswith(("http://", "https://")):
         return HttpBackend(endpoint)
     raise ConfigError(f"unsupported base_url scheme: {url!r}")
-
-
-def _hash_factory(params: dict, endpoint: ModelEndpoint) -> Backend:
-    return HashMockBackend(
-        seed=mock_param(params, "seed", int, 0),
-        token_logprob=mock_param(params, "logprob", float, None),
-        embed_dim=mock_param(params, "dim", int, 32),
-        think=params.get("think", "1").lower() not in ("0", "false", "no"),
-        think_tags=(endpoint.think_open, endpoint.think_close),
-    )
-

@@ -15,17 +15,19 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from ._util import count_tokens, derive_seed, encode, read_records, stable_hash, write_jsonl
 from .core import InteractionTriple, UserHistory, by_user
 from .curriculum import ScoreRecord
-from .errors import CapabilityError, ContractError, ValidationError
-from .modelio.backends import RawCompletion, mock_param
+from .errors import CapabilityError, ConfigError, ContractError, ValidationError
+from .modelio.backends import RawCompletion
 
 _FEAT_RE = re.compile(r"\[feat ([^\]]+)\]")
 _EST_RE = re.compile(r"\[est ([^\]]+)\]")
+T = TypeVar("T")
 
 
 def sigmoid(x: float) -> float:
@@ -390,6 +392,17 @@ class ScriptedEmbedderBackend:
 
     def score(self, prompt, response, *, meta=None) -> list[float]:
         raise CapabilityError("embedder backend does not score text")
+
+
+def mock_param(params: dict, key: str, convert: Callable[[str], T], default: T) -> T:
+    """Mock URL parameter ``key`` converted by ``convert``, or ``default``
+    when absent. A value that does not convert is a ConfigError naming it."""
+    if key not in params:
+        return default
+    try:
+        return convert(params[key])
+    except ValueError as exc:
+        raise ConfigError(f"mock URL parameter {key}={params[key]!r} is not a valid {convert.__name__}") from exc
 
 
 def _truthy(value: str) -> bool:

@@ -78,10 +78,16 @@ def match_users(
     Each corpus entry is a history, embedded here up to ``jobs`` at once, or
     a ``(user_id, vector)`` pair its caller embedded already, so a caller that
     reads its corpora one user at a time need keep only those. Builds the full
-    |A| x |B| similarity matrix (exact inner products of the unit embeddings)
-    and returns the top_k pairs in descending similarity, ties broken on user
-    ids. A user may appear in several pairs; callers who care can detect that
-    from the result.
+    |A| x |B| similarity matrix (inner products of the unit embeddings) in one
+    matrix product and returns the top_k pairs in descending similarity, ties
+    broken on user ids. A user may appear in several pairs; callers who care
+    can detect that from the result.
+
+    A pair's similarity is exact only for the call shape that computed it: the
+    BLAS kernel depends on the matrix shapes, so when |A| or |B| changes (or
+    the product is taken in row blocks) the same pair can differ in the last
+    bit. The one product over all pairs is what keeps the bytes of a ranking
+    fixed for fixed corpora.
     """
     if top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {top_k}")

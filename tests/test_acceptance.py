@@ -86,7 +86,7 @@ def _check(name, budget, fn):
 
 
 def _client(backend):
-    return ModelClient(ModelEndpoint(base_url="mock:hash"), backend=backend, sleep=lambda s: None)
+    return ModelClient(ModelEndpoint(base_url="mock:generator"), backend=backend, sleep=lambda s: None)
 
 
 def _mini_history(user_id, n):
@@ -322,7 +322,7 @@ def test_generation_prompts_never_reveal_target_choices():
 
 def test_streaming_updates_compose_exactly():
     def body():
-        generator = ModelClient(ModelEndpoint(base_url="mock:hash"))
+        generator = ModelClient(ModelEndpoint(base_url="mock:generator"))
         history = _mini_history("s1", 8)
         first = update(generator, None, HistorySegment(history, 0, 4))
         second = update(generator, first, HistorySegment(history, 4, 8))
@@ -422,8 +422,12 @@ def test_transfer_builders_are_exact():
 
 
 def test_judge_debias_is_symmetric():
+    def biased(prompt, labels, ctx):  # a judge swayed by presentation order and wording alike
+        rng = random.Random(prompt)
+        return -rng.uniform(0.05, 3.0), -rng.uniform(0.05, 3.0)
+
     def body():
-        judge = ModelClient(ModelEndpoint(base_url="mock:hash"))
+        judge = _client(ScriptBackend(chooser=biased))
         rng = random.Random(99)
         for i in range(50):
             summary = f"profile {i}"

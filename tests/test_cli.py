@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import os
@@ -309,6 +310,31 @@ class TestErrorHandling:
             run("prune", "--scores", "somewhere.jsonl")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            run("--jobs", jobs, "simlab-gen", "--out-dir", str(tmp_path / "lab"))
+        assert exc.value.code == 2
+        assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "lab")
+
+    @pytest.mark.parametrize(
+        "flag, value, problem",
+        [
+            ("--dim", "0", "must be >= 1, got 0"),
+            ("--context-rate", "2", "must be in [0, 1], got 2.0"),
+            ("--context-rate", "-0.5", "must be in [0, 1], got -0.5"),
+            ("--weak-quality", "3", "must be in [0, 1], got 3.0"),
+            ("--weak-quality", "nan", "must be in [0, 1], got nan"),
+        ],
+    )
+    def test_simlab_gen_rejects_out_of_range_flags(self, tmp_path, capsys, flag, value, problem):
+        assert run("simlab-gen", "--out-dir", str(tmp_path / "lab"), "--users", "2", flag, value) == 1
+        err = capsys.readouterr().err
+        assert f"error (ValidationError): {flag} {problem}" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "lab")
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "bad.yaml", {"bogus": 1})
         rc = run(
@@ -325,7 +351,7 @@ class TestErrorHandling:
         assert "prune needs" in capsys.readouterr().err
 
     def test_rollout_without_gamma(self, tmp_path, capsys):
-        cfg = write_yaml(tmp_path / "cfg.yaml", {"policy": {"base_url": "mock:hash"}})
+        cfg = write_yaml(tmp_path / "cfg.yaml", {"policy": {"base_url": "mock:generator"}})
         rc = run(
             "rollout", "--instances", "x.jsonl", "--histories", "y.jsonl",
             "--config", cfg, "--out", str(tmp_path / "o.jsonl"),
@@ -344,12 +370,12 @@ class TestErrorHandling:
         ],
     )
     def test_wrongly_typed_knob_is_config_error(self, pipeline, tmp_path, capsys, command, key, value):
-        mock = {"base_url": "mock:hash"}
+        generator, judge = {"base_url": "mock:generator"}, {"base_url": "mock:judge"}
         out = str(tmp_path / "o.jsonl")
         argv = {
             "synthesize-sft": [
                 "synthesize-sft", "--histories", pipeline["histories"], "--scores", pipeline["scores"],
-                "--config", write_yaml(tmp_path / "synth.yaml", {"generator": mock, "judge": mock, key: value}),
+                "--config", write_yaml(tmp_path / "synth.yaml", {"generator": generator, "judge": judge, key: value}),
             ],
             "prune": [
                 "prune", "--scores", pipeline["scores"],
@@ -357,7 +383,7 @@ class TestErrorHandling:
             ],
             "rollout": [
                 "rollout", "--instances", pipeline["instances"], "--histories", pipeline["histories"],
-                "--config", write_yaml(tmp_path / "rollout.yaml", {"policy": mock, "judge": mock, "gamma": 0.5, key: value}),
+                "--config", write_yaml(tmp_path / "rollout.yaml", {"policy": generator, "judge": judge, "gamma": 0.5, key: value}),
             ],
         }[command]
         assert run(*argv, "--out", out) == 1
@@ -371,7 +397,7 @@ class TestErrorHandling:
         [("file", "max_in_flight", 2.5), ("file", "timeout", "abc"), ("section", "timeout", "abc")],
     )
     def test_wrongly_typed_endpoint_field_is_config_error(self, pipeline, tmp_path, capsys, where, key, value):
-        endpoint = {"base_url": "mock:hash", key: value}
+        endpoint = {"base_url": "mock:generator", key: value}
         if where == "file":
             argv = [
                 "stream-infer", "--histories", pipeline["histories"],
@@ -380,7 +406,7 @@ class TestErrorHandling:
         else:
             argv = [
                 "rollout", "--instances", pipeline["instances"], "--histories", pipeline["histories"], "--gamma", "0.5",
-                "--config", write_yaml(tmp_path / "cfg.yaml", {"policy": endpoint, "judge": {"base_url": "mock:hash"}}),
+                "--config", write_yaml(tmp_path / "cfg.yaml", {"policy": endpoint, "judge": {"base_url": "mock:judge"}}),
                 "--out", str(tmp_path / "o.jsonl"),
             ]
         assert run(*argv) == 1
@@ -390,7 +416,7 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("key, value", [("body", 5), ("completions_echo", "yes")])
     def test_mistyped_extra_field_is_config_error(self, pipeline, tmp_path, capsys, key, value):
-        generator = write_yaml(tmp_path / "gen.yaml", {"base_url": "mock:hash", "extra": {key: value}})
+        generator = write_yaml(tmp_path / "gen.yaml", {"base_url": "mock:generator", "extra": {key: value}})
         argv = ["stream-infer", "--histories", pipeline["histories"], "--generator", generator]
         assert run(*argv, "--state-dir", str(tmp_path / "s")) == 1
         err = capsys.readouterr().err
@@ -399,16 +425,16 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("command", ["synthesize-sft", "stream-infer"])
     def test_zero_segments_is_validation_error(self, pipeline, tmp_path, capsys, command):
-        mock = {"base_url": "mock:hash"}
+        generator, judge = {"base_url": "mock:generator"}, {"base_url": "mock:judge"}
         argv = {
             "synthesize-sft": [
                 "synthesize-sft", "--histories", pipeline["histories"], "--scores", pipeline["scores"],
-                "--config", write_yaml(tmp_path / "cfg.yaml", {"generator": mock, "judge": mock}),
+                "--config", write_yaml(tmp_path / "cfg.yaml", {"generator": generator, "judge": judge}),
                 "--num-segments", "0", "--out", str(tmp_path / "o.jsonl"),
             ],
             "stream-infer": [
                 "stream-infer", "--histories", pipeline["histories"], "--chunks", "0",
-                "--generator", write_yaml(tmp_path / "gen.yaml", mock), "--state-dir", str(tmp_path / "s"),
+                "--generator", write_yaml(tmp_path / "gen.yaml", generator), "--state-dir", str(tmp_path / "s"),
             ],
         }[command]
         assert run(*argv) == 1
@@ -416,7 +442,7 @@ class TestErrorHandling:
         assert "error (ValidationError)" in err and "must be >= 1" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("url", ["mock:judge?kappa=abc", "mock:hash?dim=x", "mock:judge?seed=1.5"])
+    @pytest.mark.parametrize("url", ["mock:judge?kappa=abc", "mock:embedder?dim=x", "mock:judge?seed=1.5"])
     def test_bad_mock_url_parameter_is_config_error(self, pipeline, tmp_path, capsys, url):
         rc = run(
             "evaluate", "--summaries", os.path.join(pipeline["stream"], "summaries.jsonl"),
@@ -442,7 +468,7 @@ class TestErrorHandling:
         with caplog.at_level("WARNING", logger="prefpipe.cli"):
             assert run(
                 "stream-infer", "--histories", str(corpus), "--chunks", "4",
-                "--generator", write_yaml(tmp_path / "gen.yaml", {"base_url": "mock:hash"}),
+                "--generator", write_yaml(tmp_path / "gen.yaml", {"base_url": "mock:generator"}),
                 "--state-dir", str(state_dir),
             ) == 0
         assert [r.getMessage() for r in caplog.records if r.name == "prefpipe.cli"] == [
@@ -472,7 +498,7 @@ class TestErrorHandling:
         lines = open(pipeline["histories"], encoding="utf-8").readlines()
         doubled = tmp_path / "doubled.jsonl"
         doubled.write_text("".join(lines + lines[:1]), encoding="utf-8")
-        cfg = write_yaml(tmp_path / "cfg.yaml", {"policy": {"base_url": "mock:hash"}, "judge": {"base_url": "mock:hash"}})
+        cfg = write_yaml(tmp_path / "cfg.yaml", {"policy": {"base_url": "mock:generator"}, "judge": {"base_url": "mock:judge"}})
         rc = run(
             "rollout", "--instances", pipeline["instances"], "--histories", str(doubled),
             "--config", cfg, "--gamma", "0.5", "--out", str(tmp_path / "o.jsonl"),
@@ -502,7 +528,7 @@ class TestErrorHandling:
             ],
             "stream-infer": [
                 "stream-infer", "--histories", str(doubled), "--state-dir", str(out),
-                "--generator", write_yaml(tmp_path / "gen.yaml", {"base_url": "mock:hash"}),
+                "--generator", write_yaml(tmp_path / "gen.yaml", {"base_url": "mock:generator"}),
             ],
             "multi-interest": [
                 "build-transfer", "--mode", "multi-interest", "--histories", str(doubled),
@@ -530,17 +556,17 @@ class TestErrorHandling:
     def test_malformed_jsonl_is_validation_error(self, pipeline, tmp_path, capsys, command):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{broken\n", encoding="utf-8")
-        mock = {"base_url": "mock:hash"}
+        generator, judge = {"base_url": "mock:generator"}, {"base_url": "mock:judge"}
         argv = {
             "loss-check": ["loss-check", "--self-check", "--batch", str(bad)],
             "rollout": [
                 "rollout", "--instances", str(bad), "--histories", pipeline["histories"],
-                "--config", write_yaml(tmp_path / "cfg.yaml", {"policy": mock, "judge": mock}),
+                "--config", write_yaml(tmp_path / "cfg.yaml", {"policy": generator, "judge": judge}),
                 "--gamma", "0.5", "--out", str(tmp_path / "o.jsonl"),
             ],
             "evaluate": [
                 "evaluate", "--summaries", os.path.join(pipeline["stream"], "summaries.jsonl"),
-                "--instances", str(bad), "--downstream", write_yaml(tmp_path / "judge.yaml", mock),
+                "--instances", str(bad), "--downstream", write_yaml(tmp_path / "judge.yaml", judge),
                 "--out", str(tmp_path / "report.json"),
             ],
         }[command]
@@ -578,7 +604,7 @@ class TestErrorHandling:
         bad = tmp_path / "bad.jsonl"
         bad.write_text(line + "\n", encoding="utf-8")
         out = str(tmp_path / "out")
-        judge = write_yaml(tmp_path / "judge.yaml", {"base_url": "mock:hash"})
+        judge = write_yaml(tmp_path / "judge.yaml", {"base_url": "mock:judge"})
         summaries = os.path.join(pipeline["stream"], "summaries.jsonl")
         argv = {
             "histories": ["build-transfer", "--mode", "positive-only", "--histories", str(bad), "--out", out],
@@ -591,7 +617,7 @@ class TestErrorHandling:
             "scores": ["prune", "--scores", str(bad), "--alpha", "0.5", "--tract-low", "0", "--tract-high", "1", "--out", out],
             "instances": [
                 "rollout", "--instances", str(bad), "--histories", pipeline["histories"], "--gamma", "0.5", "--out", out,
-                "--config", write_yaml(tmp_path / "rollout.yaml", {"policy": {"base_url": "mock:hash"}, "judge": {"base_url": "mock:hash"}}),
+                "--config", write_yaml(tmp_path / "rollout.yaml", {"policy": {"base_url": "mock:generator"}, "judge": {"base_url": "mock:judge"}}),
             ],
             "batch": ["loss-check", "--self-check", "--batch", str(bad)],
             "truth": [
@@ -611,7 +637,7 @@ class TestErrorHandling:
     def test_unreadable_input_is_io_error(self, tmp_path, capsys):
         rc = run(
             "stream-infer", "--histories", str(tmp_path / "nope.jsonl"),
-            "--generator", write_yaml(tmp_path / "gen.yaml", {"base_url": "mock:hash"}),
+            "--generator", write_yaml(tmp_path / "gen.yaml", {"base_url": "mock:generator"}),
             "--state-dir", str(tmp_path / "s"),
         )
         assert rc == 1
@@ -879,6 +905,59 @@ class TestOneLinePerReason:
             ) == [f"prefpipe.cli WARNING 1 item(s) skipped ({reason}), first: {first}"]
             assert manifest_for(out)["stats"]["skipped_by_reason"] == expected
             assert sha256_file(out) == sha256_file(pipeline["cross"])
+
+
+class TestTelemetry:
+    def test_attempts_equal_the_requests_each_backend_answered(self, pipeline, tmp_path, monkeypatch):
+        """Across a synthesize-sft, rollout, cross-domain, stream-infer and
+        evaluate chain, each manifest's ``telemetry[role]["attempts"]`` is the
+        number of requests that role's scripted backend answered, at any --jobs."""
+        from prefpipe import simlab
+
+        generator, judge, embedder = simlab.ScriptedGeneratorBackend, simlab.ScriptedJudgeBackend, simlab.ScriptedEmbedderBackend
+        answered, lock = collections.Counter(), threading.Lock()
+        for cls in (generator, judge, embedder):
+            for name in ("complete", "choice_logprobs", "score", "embed"):
+
+                def counted(self, *args, _real=getattr(cls, name), **kwargs):
+                    with lock:
+                        answered[type(self)] += 1
+                    return _real(self, *args, **kwargs)
+
+                monkeypatch.setattr(cls, name, counted)
+        root = pipeline["root"]
+        attempts = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            cross, combined, stream = str(out / "cross.jsonl"), str(out / "combined.jsonl"), out / "stream"
+            chain = [
+                (["synthesize-sft", "--histories", pipeline["histories"], "--scores", pipeline["scores"],
+                  "--config", str(root / "synth.yaml"), "--out", str(out / "sft.jsonl"), "--tau-tract", "0.3"],
+                 out / "sft.jsonl.manifest.json", {"generator": generator, "judge": judge}),
+                (["rollout", "--instances", pipeline["instances"], "--histories", pipeline["histories"],
+                  "--config", str(root / "rollout.yaml"), "--gamma", "0.5", "--out", str(out / "batch.jsonl")],
+                 out / "batch.jsonl.manifest.json", {"policy": generator, "judge": judge}),
+                (["build-transfer", "--mode", "cross-domain", "--histories-a", str(root / "labA" / "histories.jsonl"),
+                  "--histories-b", str(root / "labB" / "histories.jsonl"), "--embedder", str(root / "embedder.yaml"),
+                  "--top-k", "4", "--out", cross, "--out-histories", combined],
+                 out / "cross.jsonl.manifest.json", {"embedder": embedder}),
+                (["stream-infer", "--histories", combined, "--generator", str(root / "generator.yaml"),
+                  "--state-dir", str(stream)],
+                 stream / "manifest.json", {"generator": generator}),
+                (["evaluate", "--summaries", str(stream / "summaries.jsonl"), "--instances", cross,
+                  "--downstream", str(root / "judge.yaml"), "--out", str(out / "report.json")],
+                 out / "report.json.manifest.json", {"downstream": judge}),
+            ]
+            os.makedirs(out)
+            for argv, manifest, roles in chain:
+                answered.clear()
+                assert run("--jobs", jobs, *argv) == 0
+                telemetry = json.loads(manifest.read_text(encoding="utf-8"))["telemetry"]
+                counted = {role: answered[cls] for role, cls in roles.items()}
+                assert {role: counts["attempts"] for role, counts in telemetry.items()} == counted, argv[0]
+                assert all(counted.values()), argv[0]
+                attempts.append(counted)
+        assert attempts[:5] == attempts[5:]
 
 
 _STAGE_MODULES = {

@@ -21,7 +21,7 @@ from prefpipe.simlab import ScriptedJudgeBackend, gen_population, render_estimat
 
 
 def client_for(backend, **kw):
-    return ModelClient(ModelEndpoint(base_url="mock:hash", **kw), backend=backend, sleep=lambda s: None)
+    return ModelClient(ModelEndpoint(base_url="mock:generator", **kw), backend=backend, sleep=lambda s: None)
 
 
 def reply_client(fn):

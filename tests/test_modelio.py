@@ -17,7 +17,6 @@ from prefpipe.errors import (
     ValidationError,
 )
 from prefpipe.modelio import (
-    HashMockBackend,
     HttpBackend,
     ModelClient,
     ModelEndpoint,
@@ -28,12 +27,10 @@ from prefpipe.modelio import (
     parse_selection,
     split_reasoning,
 )
-
-MOCK = ModelEndpoint(base_url="mock:hash")
-
+from prefpipe.simlab import ScriptedEmbedderBackend, ScriptedGeneratorBackend
 
 def make_client(backend, **endpoint_overrides):
-    ep_kwargs = {"base_url": "mock:hash", **endpoint_overrides}
+    ep_kwargs = {"base_url": "mock:generator", **endpoint_overrides}
     return ModelClient(ModelEndpoint(**ep_kwargs), backend=backend, sleep=lambda s: None)
 
 
@@ -155,39 +152,39 @@ def test_label_probability_is_a_two_way_distribution(a, b):
 class TestModelEndpoint:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown endpoint"):
-            ModelEndpoint.from_dict({"base_url": "mock:hash", "tempreature": 0.1})
+            ModelEndpoint.from_dict({"base_url": "mock:generator", "tempreature": 0.1})
 
     def test_role_is_not_an_endpoint_key(self):
         with pytest.raises(ConfigError, match=r"unknown endpoint config keys: \['role'\]"):
-            ModelEndpoint.from_dict({"base_url": "mock:hash", "role": "policy"})
+            ModelEndpoint.from_dict({"base_url": "mock:generator", "role": "policy"})
 
     def test_nan_is_not_a_float_but_inf_is(self, tmp_path):
         path = tmp_path / "ep.yaml"
-        path.write_text("base_url: mock:hash\nbackoff_base: .nan\n")
+        path.write_text("base_url: mock:generator\nbackoff_base: .nan\n")
         with pytest.raises(ConfigError, match="endpoint config key 'backoff_base' must be float, got nan"):
             load_endpoint(str(path))
-        path.write_text("base_url: mock:hash\ntimeout: .inf\n")
+        path.write_text("base_url: mock:generator\ntimeout: .inf\n")
         assert load_endpoint(str(path)).timeout == float("inf")
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             ModelEndpoint(base_url="")
         with pytest.raises(ConfigError):
-            ModelEndpoint(base_url="mock:hash", retry_limit=-1)
+            ModelEndpoint(base_url="mock:generator", retry_limit=-1)
         with pytest.raises(ConfigError):
-            ModelEndpoint(base_url="mock:hash", max_prompt_tokens=0)
+            ModelEndpoint(base_url="mock:generator", max_prompt_tokens=0)
         with pytest.raises(ConfigError):
-            ModelEndpoint(base_url="mock:hash", judge_samples=0)
+            ModelEndpoint(base_url="mock:generator", judge_samples=0)
 
     def test_load_yaml_and_json(self, tmp_path):
         y = tmp_path / "ep.yaml"
-        y.write_text("base_url: mock:hash\ntemperature: 0.2\n")
+        y.write_text("base_url: mock:generator\ntemperature: 0.2\n")
         ep = load_endpoint(str(y))
-        assert ep.base_url == "mock:hash"
+        assert ep.base_url == "mock:generator"
         assert ep.temperature == 0.2
 
         j = tmp_path / "ep.json"
-        j.write_text('{"base_url": "mock:hash", "model_id": "m"}')
+        j.write_text('{"base_url": "mock:generator", "model_id": "m"}')
         assert load_endpoint(str(j)).model_id == "m"
 
     def test_load_rejects_bad_files(self, tmp_path):
@@ -204,18 +201,12 @@ class TestModelEndpoint:
 
 
 def test_build_backend_dispatch():
-    assert isinstance(build_backend(MOCK), HashMockBackend)
-    with pytest.raises(ConfigError, match="unknown mock backend"):
-        build_backend(ModelEndpoint(base_url="mock:nosuchkind"))
+    # each simlab kind resolves (tests/test_simlab.py::TestMockKinds); nothing else does
+    for url in ("mock:nosuchkind", "mock:", "mock:hash"):
+        with pytest.raises(ConfigError, match=r"unknown mock backend kind .*; known: \['embedder', 'generator', 'judge'\]"):
+            build_backend(ModelEndpoint(base_url=url))
     with pytest.raises(ConfigError, match="scheme"):
         build_backend(ModelEndpoint(base_url="ftp://example"))
-
-
-def test_mock_url_params_reach_backend():
-    backend = build_backend(ModelEndpoint(base_url="mock:hash?seed=9&logprob=-0.5&dim=4"))
-    assert backend.seed == 9
-    assert backend.token_logprob == -0.5
-    assert backend.embed_dim == 4
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +216,8 @@ def test_mock_url_params_reach_backend():
 
 class TestGenerateSummary:
     def test_mock_is_deterministic(self):
-        a = make_client(HashMockBackend(seed=3)).generate_summary("same prompt")
-        b = make_client(HashMockBackend(seed=3)).generate_summary("same prompt")
+        a = make_client(ScriptedGeneratorBackend(seed=3, quality=0.5)).generate_summary("same prompt")
+        b = make_client(ScriptedGeneratorBackend(seed=3, quality=0.5)).generate_summary("same prompt")
         assert a == b
         assert a.reasoning is not None
         assert a.summary
@@ -244,7 +235,7 @@ class TestGenerateSummary:
         assert seen == [1234]
 
     def test_logprob_length_matches_tokens(self):
-        result = make_client(HashMockBackend(seed=0)).generate_summary("p")
+        result = make_client(ScriptedGeneratorBackend(seed=0, quality=0.5)).generate_summary("p")
         assert len(result.token_logprobs) == len(result.raw.split())
 
 
@@ -284,7 +275,7 @@ class TestRetries:
         backend, calls = self.make_flaky(2)
         delays = []
         client = ModelClient(
-            ModelEndpoint(base_url="mock:hash", retry_limit=3, backoff_base=0.5),
+            ModelEndpoint(base_url="mock:generator", retry_limit=3, backoff_base=0.5),
             backend=backend,
             sleep=delays.append,
         )
@@ -297,7 +288,7 @@ class TestRetries:
     def test_gives_up_after_budget(self):
         backend, calls = self.make_flaky(10)
         client = ModelClient(
-            ModelEndpoint(base_url="mock:hash", retry_limit=2), backend=backend, sleep=lambda s: None
+            ModelEndpoint(base_url="mock:generator", retry_limit=2), backend=backend, sleep=lambda s: None
         )
         with pytest.raises(BackendError):
             client.generate_summary("p")
@@ -314,7 +305,7 @@ class TestRetries:
             free_while_sleeping.append(got)
 
         client = ModelClient(
-            ModelEndpoint(base_url="mock:hash", retry_limit=3, max_in_flight=1), backend=backend, sleep=sleep
+            ModelEndpoint(base_url="mock:generator", retry_limit=3, max_in_flight=1), backend=backend, sleep=sleep
         )
         assert client.generate_summary("p").summary == "recovered"
         assert free_while_sleeping == [True, True]
@@ -324,7 +315,7 @@ class TestRetries:
         backend, calls = self.make_flaky(10, retryable=False)
         delays = []
         client = ModelClient(
-            ModelEndpoint(base_url="mock:hash", retry_limit=5), backend=backend, sleep=delays.append
+            ModelEndpoint(base_url="mock:generator", retry_limit=5), backend=backend, sleep=delays.append
         )
         with pytest.raises(BackendError):
             client.generate_summary("p")
@@ -334,13 +325,17 @@ class TestRetries:
 
 class TestJudgePair:
     def test_debias_order_invariance(self):
-        client = make_client(HashMockBackend(seed=2))
+        def biased(prompt, labels, ctx):  # a judge swayed by presentation order and wording alike
+            rng = random.Random(prompt)
+            return -rng.uniform(0.05, 3.0), -rng.uniform(0.05, 3.0)
+
+        client = make_client(ScriptBackend(chooser=biased))
         p = client.judge_pair("pref", "ctx", "item one", "item two").prob_first
         q = client.judge_pair("pref", "ctx", "item two", "item one").prob_first
         assert abs(p + q - 1.0) < 1e-12
 
     def test_input_validation(self):
-        client = make_client(HashMockBackend())
+        client = make_client(ScriptBackend())
         with pytest.raises(ValidationError):
             client.judge_pair("p", None, "", "b")
         with pytest.raises(ValidationError):
@@ -379,7 +374,7 @@ class TestJudgePair:
 
 class TestPolicyLogprobs:
     def test_shape_and_constant(self):
-        client = make_client(HashMockBackend(token_logprob=-0.5))
+        client = make_client(ScriptBackend(scorer=lambda p, r: [-0.5] * len(r.split())))
         out = client.policy_logprobs("prompt", "four token long response")
         assert out == [-0.5, -0.5, -0.5, -0.5]
 
@@ -392,7 +387,7 @@ class TestPolicyLogprobs:
 
 class TestEmbed:
     def test_deterministic_and_normalized(self):
-        client = make_client(HashMockBackend(seed=1))
+        client = make_client(ScriptedEmbedderBackend(seed=1))
         v1 = client.embed("same text")
         v2 = client.embed("same text")
         assert np.array_equal(v1, v2)

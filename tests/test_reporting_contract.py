@@ -5,7 +5,10 @@ per reason or per client. This scan keeps a second reporting path, such as a
 module logging its own tally or the client logging each failed request, from
 coming back. It also keeps the per-item failure policy in one place:
 ``Tally.map`` is the only fan-out that decides, from ``per_item``, whether an
-error skips an item, and it counts every item it skips."""
+error skips an item, and it counts every item it skips. And it keeps one
+route from an endpoint to a client: ``Clients.build``, the registry that
+``main`` hands each subcommand, constructs every ``ModelClient``, so no
+client's counts can miss the manifest."""
 
 import ast
 import pathlib
@@ -92,3 +95,11 @@ def test_ordered_map_callers_do_not_skip_items():
         ("rlengine.py", "rollout"),
         ("transferbench.py", "match_users"),
     }
+
+
+def test_only_the_client_registry_builds_a_model_client():
+    def constructs_client(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return getattr(func, "id", None) == "ModelClient" or getattr(func, "attr", None) == "ModelClient"
+
+    assert _owners(constructs_client) == {("cli.py", "Clients.build")}

@@ -38,7 +38,7 @@ LN2 = math.log(2.0)
 
 
 def client_for(backend, **kw):
-    return ModelClient(ModelEndpoint(base_url="mock:hash", **kw), backend=backend, sleep=lambda s: None)
+    return ModelClient(ModelEndpoint(base_url="mock:generator", **kw), backend=backend, sleep=lambda s: None)
 
 
 def make_record(advantage, old=(0.0,), stage="initial"):

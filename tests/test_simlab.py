@@ -29,7 +29,7 @@ from prefpipe.simlab import (
 SIG4 = 1.0 / (1.0 + math.exp(-4.0))  # oracle confidence at kappa=8, margin=0.5
 
 
-def client_for(backend, base_url="mock:hash", **kw):
+def client_for(backend, base_url="mock:generator", **kw):
     return ModelClient(ModelEndpoint(base_url=base_url, **kw), backend=backend, sleep=lambda s: None)
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from prefpipe._util import decode, even_boundaries, json_dumps, write_jsonl
 from prefpipe.core import HistorySegment, InteractionTriple, UserHistory
 from prefpipe.errors import GenerationError, ValidationError
-from prefpipe.modelio import HashMockBackend, ModelClient, ModelEndpoint, ScriptBackend
+from prefpipe.modelio import ModelClient, ModelEndpoint, ScriptBackend
+from prefpipe.simlab import ScriptedGeneratorBackend
 from prefpipe.streamer import StreamState, infer_full, infer_streaming, load_states, update
 
 
@@ -26,7 +27,9 @@ def make_history(n, user_id="u1", tag="test"):
 
 
 def mock_client(seed=0):
-    return ModelClient(ModelEndpoint(base_url="mock:hash"), backend=HashMockBackend(seed=seed), sleep=lambda s: None)
+    return ModelClient(
+        ModelEndpoint(base_url="mock:generator"), backend=ScriptedGeneratorBackend(seed=seed, quality=0.5), sleep=lambda s: None
+    )
 
 
 def counting_client(replies=None):
@@ -39,7 +42,7 @@ def counting_client(replies=None):
         return f"<think>step {len(calls)}</think>\nprofile after call {len(calls)}"
 
     client = ModelClient(
-        ModelEndpoint(base_url="mock:hash"), backend=ScriptBackend(completer=completer), sleep=lambda s: None
+        ModelEndpoint(base_url="mock:generator"), backend=ScriptBackend(completer=completer), sleep=lambda s: None
     )
     return client, calls
 

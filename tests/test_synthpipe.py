@@ -44,7 +44,7 @@ def make_history(n=8, user_id="u1"):
 
 
 def client_for(backend, **kw):
-    return ModelClient(ModelEndpoint(base_url="mock:hash", **kw), backend=backend, sleep=lambda s: None)
+    return ModelClient(ModelEndpoint(base_url="mock:generator", **kw), backend=backend, sleep=lambda s: None)
 
 
 def scripted_client(completer=None, chooser=None):

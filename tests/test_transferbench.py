@@ -39,7 +39,7 @@ def reconstruct_primary(result):
 
 
 def client_for(backend):
-    return ModelClient(ModelEndpoint(base_url="mock:hash"), backend=backend, sleep=lambda s: None)
+    return ModelClient(ModelEndpoint(base_url="mock:embedder"), backend=backend, sleep=lambda s: None)
 
 
 def embed_client(dim=6):

@@ -228,7 +228,7 @@ class TestBuildConfig:
             build_config(Knobs, {"rate": 1.0, key: value}, what="t")
 
     def test_rejects_unknown_keys_but_not_sections(self):
-        build_config(Knobs, {"rate": 1.0, "judge": {"base_url": "mock:hash"}}, what="t", sections=("judge",))
+        build_config(Knobs, {"rate": 1.0, "judge": {"base_url": "mock:judge"}}, what="t", sections=("judge",))
         with pytest.raises(ConfigError, match=r"unknown t config keys: \['judge'\]"):
             build_config(Knobs, {"rate": 1.0, "judge": {}}, what="t")
         with pytest.raises(ConfigError, match=r"unknown t config keys: \['seed'\]"):
