@@ -182,7 +182,7 @@ def build_config(cls: type[C], *layers: Any, what: str, sections: Iterable[str] 
         for key, value in layer.items():
             if key in fields:
                 try:
-                    merged[key] = fields[key].decode(value)
+                    merged[key] = fields[key].codec.decode(value)
                 except _BadValue as exc:
                     raise ConfigError(f"{what} config key {key!r} {exc}") from None
     missing = [name for name, f in fields.items() if f.required and name not in merged]
@@ -194,12 +194,12 @@ def build_config(cls: type[C], *layers: Any, what: str, sections: Iterable[str] 
 def decode(cls: type[C], record: Any, where: str = "record") -> C:
     """Build the dataclass ``cls`` from ``record``, data from outside the
     program, checking each value against its field's annotation (see
-    ``_converter``). A field is read from its ``metadata["key"]``, else its
+    ``_codec``). A field is read from its ``metadata["key"]``, else its
     name; unknown keys are ignored and a missing field takes its default. Any
     failure, ``cls``'s own checks included, is a ValidationError naming
     ``where`` and the field, e.g. ``f.jsonl:3: triples[2].chosen: must be str, got 5``."""
     try:
-        return _converter(cls)(record)
+        return _codec(cls).decode(record)
     except _BadValue as exc:
         raise ValidationError(f"{where}: {exc.path.lstrip('.')}{': ' if exc.path else ''}{exc}") from exc
 
@@ -208,7 +208,7 @@ def encode(record: Any) -> dict:
     """The JSON object of the dataclass ``record``, which ``decode`` reads
     back: each field under its key, a nested record as its object, a tuple
     as a list. Record classes take it as their ``to_dict``."""
-    return _to_json(type(record))(record)
+    return _codec(type(record)).encode(record)
 
 
 def read_records(path: str, cls: type[C]) -> Iterator[C]:
@@ -220,11 +220,15 @@ class _BadValue(Exception):
     path = ""  # where the value sits in the record, like ".triples[2].chosen"
 
 
+class _Codec(NamedTuple):
+    decode: Callable[[Any], Any]  # JSON -> value, or _BadValue
+    encode: Callable[[Any], Any] | None  # value (not None) -> JSON; None: JSON holds it as it is
+
+
 class _Field(NamedTuple):
     name: str
     key: str  # the record key: ``metadata["key"]``, else the name
-    decode: Callable[[Any], Any]
-    encode: Callable[[Any], Any] | None  # None: the value is JSON as it is
+    codec: _Codec
     required: bool
 
 
@@ -233,49 +237,31 @@ def _fields_of(cls: type) -> tuple[_Field, ...]:
     """``cls``'s fields on the wire, built once per class."""
     hints = typing.get_type_hints(cls)
     return tuple(
-        _Field(f.name, f.metadata.get("key", f.name), _converter(hints[f.name]), _to_json(hints[f.name]),
+        _Field(f.name, f.metadata.get("key", f.name), _codec(hints[f.name]),
                f.default is dataclasses.MISSING is f.default_factory)
         for f in dataclasses.fields(cls)
     )
 
 
 @functools.cache
-def _to_json(annotation: Any) -> Callable[[Any], Any] | None:
-    """The inverse of ``_converter(annotation)`` for a value that is not
-    None: a record becomes an object and a tuple a list. None when JSON holds
-    the value as it is."""
-    if dataclasses.is_dataclass(annotation):
-        fields = [(f.name, f.key, f.encode) for f in _fields_of(annotation)]
-        return lambda record: {
-            key: value if convert is None or value is None else convert(value)
-            for name, key, convert in fields
-            for value in (getattr(record, name),)
-        }
-    args = [a for a in typing.get_args(annotation) if a not in (Ellipsis, type(None))]
-    if typing.get_origin(annotation) is tuple:
-        (item,) = {_to_json(a) for a in args}  # a tuple of records has one item type
-        return list if item is None else lambda value: [item(x) for x in value]
-    if isinstance(annotation, types.UnionType):  # only ``X | None``; None is written as it is
-        (convert,) = [_to_json(a) for a in args]
-        return convert
-    return None
-
-
-@functools.cache
-def _converter(annotation: Any) -> Callable[[Any], Any]:
-    """A function that returns a value as ``annotation`` holds it, or raises
-    _BadValue. A bool is not an int, an int is a float, NaN is not a float
-    (±inf is), ``X | None`` allows None, a ``tuple[X, ...]`` or ``tuple[X, Y]``
-    is a list, built as a tuple, and a dataclass is an object."""
+def _codec(annotation: Any) -> _Codec:
+    """Both directions between JSON and a value that ``annotation`` holds.
+    Decoding checks the value: a bool is not an int, an int is a float, NaN
+    is not a float (±inf is), ``X | None`` allows None, a ``tuple[X, ...]``
+    or ``tuple[X, Y]`` is a list, built as a tuple, and a dataclass is an
+    object. Encoding is the inverse: a record becomes an object and a tuple
+    a list."""
     args = typing.get_args(annotation)
     if dataclasses.is_dataclass(annotation):
         fields = _fields_of(annotation)
+        readers = [(f.name, f.key, f.codec.decode, f.required) for f in fields]
+        writers = [(f.name, f.key, f.codec.encode) for f in fields]
 
-        def check(value: Any) -> Any:
+        def decode(value: Any) -> Any:
             if not isinstance(value, dict):
                 raise _mismatch(value, annotation)
             kwargs = {}
-            for name, key, convert, _, required in fields:
+            for name, key, convert, required in readers:
                 if key in value:
                     try:
                         kwargs[name] = convert(value[key])
@@ -289,37 +275,43 @@ def _converter(annotation: Any) -> Callable[[Any], Any]:
             except ValidationError as exc:
                 raise _BadValue(str(exc)) from exc
 
-    elif typing.get_origin(annotation) is tuple:
-        items = [_converter(a) for a in args if a is not Ellipsis]
+        def encode(record: Any) -> dict:
+            return {
+                key: value if convert is None or value is None else convert(value)
+                for name, key, convert in writers
+                for value in (getattr(record, name),)
+            }
 
-        def check(value: Any) -> Any:
-            if not isinstance(value, list) or (Ellipsis not in args and len(value) != len(items)):
+        return _Codec(decode, encode)
+    if typing.get_origin(annotation) is tuple:
+        decoders, encoders = zip(*[_codec(a) for a in args if a is not Ellipsis])
+
+        def decode(value: Any) -> Any:
+            if not isinstance(value, list) or (Ellipsis not in args and len(value) != len(decoders)):
                 raise _mismatch(value, annotation)
             out: list = []
             try:
-                for convert, item in zip(itertools.cycle(items), value):
+                for convert, item in zip(itertools.cycle(decoders), value):
                     out.append(convert(item))
             except _BadValue as exc:
                 exc.path = f"[{len(out)}]{exc.path}"
                 raise
             return tuple(out)
 
-    elif isinstance(annotation, types.UnionType):  # only ``X | None`` is supported
-        (convert,) = [_converter(a) for a in args if a is not type(None)]
+        (item,) = set(encoders)  # a tuple of records has one item type
+        return _Codec(decode, list if item is None else lambda value: [item(x) for x in value])
+    if isinstance(annotation, types.UnionType):  # only ``X | None``; None is written as it is
+        ((convert, encode),) = [_codec(a) for a in args if a is not type(None)]
+        return _Codec(lambda value: None if value is None else convert(value), encode)
+    kinds = (int, float) if annotation is float else annotation
 
-        def check(value: Any) -> Any:
-            return None if value is None else convert(value)
+    def decode(value: Any) -> Any:
+        # value == value is False for NaN alone
+        if isinstance(value, kinds) and (annotation is bool or not isinstance(value, bool)) and value == value:
+            return value
+        raise _mismatch(value, annotation)
 
-    else:
-        kinds = (int, float) if annotation is float else annotation
-
-        def check(value: Any) -> Any:
-            # value == value is False for NaN alone
-            if isinstance(value, kinds) and (annotation is bool or not isinstance(value, bool)) and value == value:
-                return value
-            raise _mismatch(value, annotation)
-
-    return check
+    return _Codec(decode, None)
 
 
 def _mismatch(value: Any, annotation: Any) -> _BadValue:

@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import os
 import random
 import sys
@@ -148,6 +149,9 @@ def cmd_simlab_gen(args: argparse.Namespace, skipped: Tally, clients: Clients) -
     for flag, rate in (("--context-rate", args.context_rate), ("--weak-quality", args.weak_quality)):
         if not 0.0 <= rate <= 1.0:
             raise ValidationError(f"{flag} must be in [0, 1], got {rate}")
+    for flag, value in (("--kappa", args.kappa), ("--margin", args.margin)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{flag} must be finite, got {value}")
     stage_seed = derive_seed(args.seed, "simlab-gen")
     os.makedirs(args.out_dir, exist_ok=True)
     histories, truth = simlab.gen_population(

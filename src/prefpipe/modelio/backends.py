@@ -138,13 +138,11 @@ class HttpBackend:
             text = choice["message"]["content"] or ""
         except (KeyError, TypeError) as exc:
             raise BackendError("chat completion response lacks message content", retryable=False) from exc
-        logprobs = None
-        content = (choice.get("logprobs") or {}).get("content")
-        if content:
-            try:
-                logprobs = tuple(float(t["logprob"]) for t in content)
-            except (KeyError, TypeError, ValueError):
-                logprobs = None
+        try:  # no logprobs at all means "not reported"; a malformed one costs this request
+            content = (choice.get("logprobs") or {}).get("content")
+            logprobs = tuple(float(t["logprob"]) for t in content) if content else None
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise BackendError("chat completion response has a malformed token logprob", retryable=False) from exc
         return RawCompletion(text, logprobs)
 
     def choice_logprobs(self, prompt, labels, *, meta=None):

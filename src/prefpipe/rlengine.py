@@ -4,12 +4,14 @@ surrogate loss.
 ``rollout`` is the one sampling-and-reward primitive. For an instance (k1, k2)
 it samples G summaries from the history prefix before k1, picks one uniformly,
 and samples G updated summaries from (picked summary, the interactions from k1
-up to k2). Each summary earns its immediate reward (the judged probability of
-the true choice at its stage's target) as soon as it is sampled; the picked
-initial additionally earns the discounted mean of its children's rewards, so a
-tree is returned scored. Advantages normalize cumulative rewards within each
-G-sized rollout set, and the loss is the token-level clipped surrogate averaged
-per sequence, then per batch.
+up to k2), each through ``streamer.summarize``, the step streaming inference
+takes. Each summary earns its immediate reward (the judged probability of the
+true choice at its stage's target) as soon as it is sampled; the picked
+initial additionally earns the discounted mean of its children's rewards.
+Advantages normalize cumulative rewards within each G-sized rollout set. A
+tree is born with all three, so ``export_batch`` only flattens trees into
+records. The loss is the token-level clipped surrogate averaged per sequence,
+then per batch.
 """
 
 import itertools
@@ -21,11 +23,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from ._util import Tally, derive_seed, encode, ordered_map, read_records, write_jsonl
-from .core import InteractionTriple, PreferenceSummary, UserHistory
+from .core import HistorySegment, InteractionTriple, PreferenceSummary, UserHistory
 from .curriculum import RlInstance
 from .errors import ContractError, PipelineError, UserSkip, ValidationError
 from .modelio import GenerationResult, ModelClient
-from .prompts import render_generation_prompt, render_history_block
+from .streamer import summarize
 
 EPS_STD = 1e-8
 _MISSING = object()  # zip_longest's filler past the end of the shorter input
@@ -54,34 +56,35 @@ class RolloutConfig:
             raise ValidationError(f"future_credit must be 'selected' or 'all', got {self.future_credit!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RewardedSummary:
-    """One sampled summary plus its reward bookkeeping, filled in stage by stage."""
+    """One sampled summary with its immediate and cumulative rewards and its
+    advantage within its group."""
 
     summary: PreferenceSummary
     generation: GenerationResult
     stage: str
     sample_index: int
-    immediate: float | None = None
-    cumulative: float | None = None
-    advantage: float | None = None
+    immediate: float
+    cumulative: float
+    advantage: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class RolloutTree:
     """One instance's full two-stage rollout: G initials, one selected, G updated."""
 
     instance: RlInstance
-    initial: list[RewardedSummary]
+    initial: tuple[RewardedSummary, ...]
     selected_index: int
-    updated: list[RewardedSummary]
+    updated: tuple[RewardedSummary, ...]
 
     @property
     def user_id(self) -> str:
         return self.instance.user_id
 
     def all_summaries(self) -> list[RewardedSummary]:
-        return list(self.initial) + list(self.updated)
+        return [*self.initial, *self.updated]
 
     def to_dict(self) -> dict:
         def enc(rs: RewardedSummary) -> dict:
@@ -119,8 +122,8 @@ def rollout(
 
     Each of the G samples of a group is judged against its stage's target as
     soon as it is generated, up to ``jobs`` samples at once; the updated group
-    starts once the initial group is complete, and cumulative rewards are
-    filled in before the tree is returned. Sampling is deterministic in
+    starts once the initial group is complete, and the tree is returned with
+    every cumulative reward and advantage. Sampling is deterministic in
     (config.seed, user, k1, k2, stage, sample) for seed-honoring backends."""
     if history.user_id != instance.user_id:
         raise ValidationError(f"instance user {instance.user_id} does not match history user {history.user_id}")
@@ -131,38 +134,33 @@ def rollout(
     if pos2 <= pos1:
         raise ValidationError(f"instance ({instance.k1}, {instance.k2}) has an empty update segment")
 
-    def group(
-        prompt: str, stage: str, target: InteractionTriple, covers: tuple[int, int], parent_id: str | None = None
-    ) -> list[RewardedSummary]:
-        def one(i: int) -> RewardedSummary:
+    def group(segment: HistorySegment, prior: PreferenceSummary | None, stage: str) -> list[tuple]:
+        """(summary, generation, immediate reward) of each sample; the target follows the segment."""
+        target = history.triples[segment.end]
+
+        def one(i: int) -> tuple[PreferenceSummary, GenerationResult, float]:
             seed = derive_seed(config.seed, "rollout", instance.user_id, instance.k1, instance.k2, stage, i)
-            gen = policy.generate_summary(
-                prompt, sample_seed=seed % (2**31), meta={"user_id": instance.user_id, "stage": stage, "sample": i}
-            )
-            summary = PreferenceSummary(text=gen.summary, reasoning=gen.reasoning, covers=covers, parent_id=parent_id)
-            reward = immediate_reward(judge, summary, target, config)
-            return RewardedSummary(summary=summary, generation=gen, stage=stage, sample_index=i, immediate=reward)
+            meta = {"user_id": instance.user_id, "stage": stage, "sample": i}
+            summary, gen = summarize(policy, segment, prior, meta=meta, sample_seed=seed % (2**31))
+            return summary, gen, immediate_reward(judge, summary, target, config)
 
         return list(ordered_map(one, range(config.group_size), jobs))
 
-    prefix_prompt = render_generation_prompt(render_history_block(history.triples[:pos1]))
-    initial = group(prefix_prompt, "initial", history.triples[pos1], (0, pos1))
+    initial = group(HistorySegment(history, 0, pos1), None, "initial")
     rng = random.Random(derive_seed(config.seed, "rollout-select", instance.user_id, instance.k1, instance.k2))
     selected_index = rng.randrange(config.group_size)
-    selected = initial[selected_index].summary
-    update_prompt = render_generation_prompt(render_history_block(history.triples[pos1:pos2]), past_text=selected.text)
-    updated = group(update_prompt, "updated", history.triples[pos2], (pos1, pos2), selected.summary_id)
+    updated = group(HistorySegment(history, pos1, pos2), initial[selected_index][0], "updated")
+
+    def finish(stage: str, samples: list[tuple], cums: list[float]) -> tuple[RewardedSummary, ...]:
+        return tuple(
+            RewardedSummary(summary, gen, stage, i, reward, cum, float(adv))
+            for i, ((summary, gen, reward), cum, adv) in enumerate(zip(samples, cums, advantages(cums)))
+        )
 
     cum_init, cum_upd = cumulative_rewards(
-        [rs.immediate for rs in initial],
-        [rs.immediate for rs in updated],
-        selected_index,
-        config.gamma,
-        config.future_credit,
+        [r for *_, r in initial], [r for *_, r in updated], selected_index, config.gamma, config.future_credit
     )
-    for rs, c in zip(initial + updated, cum_init + cum_upd):
-        rs.cumulative = c
-    return RolloutTree(instance=instance, initial=initial, selected_index=selected_index, updated=updated)
+    return RolloutTree(instance, finish("initial", initial, cum_init), selected_index, finish("updated", updated, cum_upd))
 
 
 def immediate_reward(judge: ModelClient, summary: PreferenceSummary, target: InteractionTriple, config: RolloutConfig) -> float:
@@ -237,23 +235,13 @@ class TrainingRecord:
 
 
 def export_batch(trees: Iterable[RolloutTree]) -> list[TrainingRecord]:
-    """Turn scored trees into training records.
-
-    Advantages are computed here, normalized within each rollout set (one
-    group_id per set: a tree's initials share one, its updates another).
-    """
+    """Flatten rollout trees into training records, one group_id per rollout
+    set (a tree's initials share one, its updates another)."""
     records = []
     for tree in trees:
         for stage, group in (("initial", tree.initial), ("updated", tree.updated)):
             group_id = f"{tree.user_id}:{tree.instance.k1}-{tree.instance.k2}:{stage}"
-            cums = []
             for rs in group:
-                if rs.cumulative is None:
-                    raise ContractError(f"{group_id}: tree must be scored before export")
-                cums.append(rs.cumulative)
-            advs = advantages(cums)
-            for rs, adv in zip(group, advs):
-                rs.advantage = float(adv)
                 if rs.generation.token_logprobs is None:
                     raise ContractError(f"{group_id}: backend reported no token logprobs; cannot export")
                 if len(rs.generation.token_logprobs) == 0:
@@ -266,8 +254,8 @@ def export_batch(trees: Iterable[RolloutTree]) -> list[TrainingRecord]:
                         prompt=rs.generation.prompt,
                         response=rs.generation.raw,
                         old_token_logprobs=tuple(rs.generation.token_logprobs),
-                        advantage=float(adv),
-                        reward=float(rs.cumulative),
+                        advantage=rs.advantage,
+                        reward=rs.cumulative,
                     )
                 )
     return records

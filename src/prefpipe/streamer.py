@@ -2,9 +2,11 @@
 from contiguous history segments instead of re-reading the full log.
 
 The update is the only primitive; full-history inference is one update over
-[0, n), and chunked inference is a fold of updates. That shared code path is
-what makes composition exact: updating in two steps and inferring with two
-chunks build byte-identical prompts and summaries on a deterministic backend.
+[0, n), and chunked inference is a fold of updates. An update is its
+contiguity checks around ``summarize``, the one summary step, which rollouts
+sample through too. That shared code path is what makes composition exact:
+updating in two steps and inferring with two chunks build byte-identical
+prompts and summaries on a deterministic backend.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 from ._util import encode, even_boundaries, read_records
 from .core import HistorySegment, PreferenceSummary, UserHistory, by_user, segment
 from .errors import ValidationError
-from .modelio import ModelClient
+from .modelio import GenerationResult, ModelClient
 from .prompts import render_generation_prompt, render_history_block
 
 
@@ -40,6 +42,30 @@ class StreamState:
     to_dict = encode
 
 
+def summarize(
+    generator: ModelClient,
+    segment: HistorySegment,
+    prior: PreferenceSummary | None,
+    *,
+    meta: dict,
+    sample_seed: int | None = None,
+) -> tuple[PreferenceSummary, GenerationResult]:
+    """The one summary step: ``prior`` (None for a first summary) updated with
+    ``segment``'s interactions. Streaming updates and rollout samples both
+    take it, so the same prior and segment always send the same prompt."""
+    prompt = render_generation_prompt(
+        render_history_block(segment.triples), past_text=prior.text if prior else None
+    )
+    gen = generator.generate_summary(prompt, sample_seed=sample_seed, meta=meta)
+    summary = PreferenceSummary(
+        text=gen.summary,
+        reasoning=gen.reasoning,
+        covers=(segment.start, segment.end),
+        parent_id=prior.summary_id if prior else None,
+    )
+    return summary, gen
+
+
 def update(generator: ModelClient, state: StreamState | None, segment: HistorySegment) -> StreamState:
     """Fold one new contiguous segment into a user's state.
 
@@ -56,23 +82,10 @@ def update(generator: ModelClient, state: StreamState | None, segment: HistorySe
         raise ValidationError(
             f"segment belongs to {segment.history.user_id}, state to {state.user_id}"
         )
-    user_id = segment.history.user_id
-    prompt = render_generation_prompt(
-        render_history_block(segment.triples),
-        past_text=state.current.text if state else None,
-    )
-    gen = generator.generate_summary(
-        prompt,
-        meta={"user_id": user_id, "stage": "stream-update", "start": segment.start, "end": segment.end},
-    )
-    summary = PreferenceSummary(
-        text=gen.summary,
-        reasoning=gen.reasoning,
-        covers=(segment.start, segment.end),
-        parent_id=state.current.summary_id if state else None,
-    )
+    meta = {"user_id": segment.history.user_id, "stage": "stream-update", "start": segment.start, "end": segment.end}
+    summary, _ = summarize(generator, segment, state.current if state else None, meta=meta)
     lineage = (state.lineage if state else ()) + (summary.summary_id,)
-    return StreamState(user_id=user_id, current=summary, consumed_until=segment.end, lineage=lineage)
+    return StreamState(user_id=segment.history.user_id, current=summary, consumed_until=segment.end, lineage=lineage)
 
 
 def infer_streaming(generator: ModelClient, history: UserHistory, num_chunks: int) -> StreamState:

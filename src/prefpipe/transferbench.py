@@ -7,7 +7,6 @@ history with another user's interactions at a controlled intensity), and
 positive-only reduction (drop every rejected item).
 """
 
-import logging
 import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -19,8 +18,6 @@ from .core import InteractionTriple, UserHistory
 from .errors import ContractError, ValidationError
 from .modelio import ModelClient
 from .prompts import render_history_block
-
-logger = logging.getLogger("prefpipe.transferbench")
 
 
 Embedded = tuple[str, np.ndarray]  # (user_id, unit embedding of the user's history)
@@ -117,12 +114,7 @@ def match_users(
         for flat in np.flatnonzero(sims >= kth_best).tolist()
     ]
     ranked.sort(key=lambda t: (-t[0], t[1], t[2]))
-    pairs = [UserPair(user_a=a, user_b=b, similarity=s) for s, a, b in ranked[:top_k]]
-    dup_a = len(pairs) - len({p.user_a for p in pairs})
-    dup_b = len(pairs) - len({p.user_b for p in pairs})
-    if dup_a or dup_b:
-        logger.info("matched pairs reuse users: %d repeats on side A, %d on side B", dup_a, dup_b)
-    return pairs
+    return [UserPair(user_a=a, user_b=b, similarity=s) for s, a, b in ranked[:top_k]]
 
 
 def swap_targets(

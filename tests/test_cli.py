@@ -326,6 +326,9 @@ class TestErrorHandling:
             ("--context-rate", "-0.5", "must be in [0, 1], got -0.5"),
             ("--weak-quality", "3", "must be in [0, 1], got 3.0"),
             ("--weak-quality", "nan", "must be in [0, 1], got nan"),
+            ("--kappa", "nan", "must be finite, got nan"),
+            ("--kappa", "inf", "must be finite, got inf"),
+            ("--margin", "nan", "must be finite, got nan"),
         ],
     )
     def test_simlab_gen_rejects_out_of_range_flags(self, tmp_path, capsys, flag, value, problem):

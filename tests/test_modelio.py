@@ -715,9 +715,15 @@ def test_concurrent_calls_respect_in_flight_limit():
     assert client.stats["generate_calls"] == 8
 
 
-def test_rollout_skips_the_instance_whose_reply_has_a_nan_logprob(server, tmp_path):
-    """A NaN token logprob from the server costs only its instance: rollout
-    exits 0, counts it, and every line of batch.jsonl is JSON without NaN."""
+@pytest.mark.parametrize(
+    "bad_token",
+    [{"logprob": "NaN"}, {"logprob": "abc"}, {"logprob": None}, {}],
+    ids=["nan", "not-a-number", "null", "no-logprob-key"],
+)
+def test_rollout_skips_the_instance_whose_reply_has_a_bad_logprob(server, tmp_path, bad_token):
+    """A NaN, non-numeric, null or missing token logprob from the server
+    costs only its instance: rollout exits 0, counts it, and every line of
+    batch.jsonl is JSON without NaN."""
     from prefpipe._util import write_jsonl
     from prefpipe.cli import main
     from prefpipe.core import InteractionTriple, UserHistory, save_histories
@@ -734,8 +740,10 @@ def test_rollout_skips_the_instance_whose_reply_has_a_nan_logprob(server, tmp_pa
     write_jsonl(instances, [{"user_id": uid, "k1": 2, "k2": 4} for uid in users])
 
     def payload(path, body):
-        logprob = "NaN" if "bad-item" in body["messages"][0]["content"] else -0.5
-        return _ScriptedServer.chat_payload(logprobs=(logprob, -0.25))
+        reply = _ScriptedServer.chat_payload(logprobs=(-0.5, -0.25))
+        if "bad-item" in body["messages"][0]["content"]:
+            reply["choices"][0]["logprobs"]["content"][0] = {"token": "t0", **bad_token}
+        return reply
 
     server.default_payload = payload
     config = tmp_path / "rollout.json"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from prefpipe._util import Tally, json_dumps
-from prefpipe.core import InteractionTriple, PreferenceSummary, UserHistory
+from prefpipe.core import HistorySegment, InteractionTriple, PreferenceSummary, UserHistory
 from prefpipe.curriculum import RlInstance, load_instances
 from prefpipe.errors import ContractError, ValidationError
 from prefpipe.modelio import ModelClient, ModelEndpoint, ScriptBackend
@@ -33,6 +33,7 @@ from prefpipe.simlab import (
     render_estimate,
     render_item,
 )
+from prefpipe.streamer import StreamState, update
 
 LN2 = math.log(2.0)
 
@@ -163,6 +164,18 @@ class CallLog:
         return self.backend.choice_logprobs(prompt, labels, **kwargs)
 
 
+class PromptLog:
+    """Wraps a generator backend and records each prompt it is sent."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.prompts = []
+
+    def complete(self, prompt, **kwargs):
+        self.prompts.append(prompt)
+        return self.backend.complete(prompt, **kwargs)
+
+
 class LabSetup:
     def setup_method(self):
         self.histories, self.truth = gen_population(seed=81, n_users=3, history_len=12)
@@ -209,6 +222,21 @@ class TestRollout(LabSetup):
             assert (name in initial_prompt) == (i < 4)
             assert (name in update_prompt) == (4 <= i < 9)
         assert tree.initial[tree.selected_index].summary.text in update_prompt
+
+    def test_samples_send_the_prompts_a_stream_update_sends(self):
+        """Rollouts and streaming share one summary step: for the same prior
+        and segment, each sample's prompt is the one ``update`` sends."""
+        config = RolloutConfig(gamma=0.5, group_size=2, seed=7)
+        rolled = PromptLog(self.policy().backend)
+        tree = rollout(client_for(rolled), self.judge(), self.instance, self.history, config)
+        streamed = PromptLog(self.policy().backend)
+        streaming = client_for(streamed)
+        update(streaming, None, HistorySegment(self.history, 0, 4))
+        selected = tree.initial[tree.selected_index].summary
+        prior = StreamState(self.history.user_id, selected, 4, (selected.summary_id,))
+        update(streaming, prior, HistorySegment(self.history, 4, 9))
+        assert rolled.prompts == [streamed.prompts[0]] * 2 + [streamed.prompts[1]] * 2
+        assert [rs.generation.prompt for rs in tree.all_summaries()] == rolled.prompts
 
     def test_single_sample_group(self):
         config = RolloutConfig(gamma=0.5, group_size=1, seed=7)
@@ -343,12 +371,24 @@ class TestExportBatch(LabSetup):
             group = [r.advantage for r in records if r.group_id == gid]
             assert abs(sum(group)) < 1e-9
 
-    def test_unscored_tree_rejected(self):
-        config = RolloutConfig(gamma=0.5, group_size=2, seed=7)
-        tree = rollout(self.policy(), self.judge(), self.instance, self.history, config)
-        tree.updated[1] = dataclasses.replace(tree.updated[1], immediate=None, cumulative=None)
-        with pytest.raises(ContractError, match="scored"):
-            export_batch([tree])
+    def test_export_leaves_each_tree_as_it_was_born(self):
+        """A tree comes out of ``rollout`` frozen and complete, so exporting
+        it only reads it: its dump, advantages included, does not change."""
+        config = RolloutConfig(gamma=0.5, group_size=3, seed=7)
+        uid = self.history.user_id
+        trees = [
+            rollout(self.policy(quality=0.6), self.judge(), RlInstance(uid, k1, k2), self.history, config)
+            for k1, k2 in ((4, 9), (2, 6))
+        ]
+        before = [json_dumps(tree.to_dict()) for tree in trees]
+        records = export_batch(trees)
+        assert [json_dumps(tree.to_dict()) for tree in trees] == before
+        summaries = [rs for tree in trees for rs in tree.all_summaries()]
+        assert [r.advantage for r in records] == [rs.advantage for rs in summaries]
+        assert [r.reward for r in records] == [rs.cumulative for rs in summaries]
+        assert all(isinstance(rs.advantage, float) for rs in summaries)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trees[0].initial[0].advantage = 0.0
 
     def test_missing_token_logprobs_rejected(self):
         config = RolloutConfig(gamma=0.5, group_size=2, seed=7, debias=False)
