@@ -7,6 +7,7 @@ choice_logprobs, score, embed). Retries, truncation, and telemetry live in the
 client, not here.
 """
 
+import math
 import os
 import urllib.parse
 from dataclasses import dataclass
@@ -140,8 +141,8 @@ class HttpBackend:
             raise BackendError("chat completion response lacks message content", retryable=False) from exc
         try:  # no logprobs at all means "not reported"; a malformed one costs this request
             content = (choice.get("logprobs") or {}).get("content")
-            logprobs = tuple(float(t["logprob"]) for t in content) if content else None
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            logprobs = tuple(_logprob(t["logprob"]) for t in content) if content else None
+        except (AttributeError, KeyError, TypeError) as exc:
             raise BackendError("chat completion response has a malformed token logprob", retryable=False) from exc
         return RawCompletion(text, logprobs)
 
@@ -187,7 +188,7 @@ class HttpBackend:
             if off >= len(prompt):
                 if val is None:
                     raise CapabilityError("echo route returned null logprobs inside the response span")
-                out.append(float(val))
+                out.append(_logprob(val))
         return out
 
     def embed(self, text, *, meta=None) -> list[float]:
@@ -197,6 +198,22 @@ class HttpBackend:
             return [float(x) for x in data["data"][0]["embedding"]]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError("malformed embeddings response", retryable=False) from exc
+
+
+def _logprob(value) -> float:
+    """One token logprob of a reply. A JSON number passes, and so do NaN and
+    ±Infinity, bare or as strings, which the client refuses as non-finite.
+    A bool, null or any other string is a malformed reply, and so is a finite
+    value above 0, which is no log-probability."""
+    try:
+        lp = float(value) if isinstance(value, (int, float, str)) and not isinstance(value, bool) else None
+    except (ValueError, OverflowError):  # a string that is no number; an integer beyond float
+        lp = None
+    if lp is None or (isinstance(value, str) and math.isfinite(lp)):
+        raise BackendError(f"malformed token logprob {value!r}", retryable=False)
+    if 0 < lp < math.inf:
+        raise BackendError(f"token logprob {lp} is above 0, so not a log-probability", retryable=False)
+    return lp
 
 
 def _retry_after(headers) -> float | None:

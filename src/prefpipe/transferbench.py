@@ -21,6 +21,7 @@ from .prompts import render_history_block
 
 
 Embedded = tuple[str, np.ndarray]  # (user_id, unit embedding of the user's history)
+_BLOCK_PAIRS = 1 << 14  # similarities per block of match_users' ranking walk
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,17 @@ def match_users(
 
     Each corpus entry is a history, embedded here up to ``jobs`` at once, or
     a ``(user_id, vector)`` pair its caller embedded already, so a caller that
-    reads its corpora one user at a time need keep only those. Builds the full
-    |A| x |B| similarity matrix (inner products of the unit embeddings) in one
-    matrix product and returns the top_k pairs in descending similarity, ties
-    broken on user ids. A user may appear in several pairs; callers who care
-    can detect that from the result.
+    reads its corpora one user at a time need keep only those. A vector that
+    is not finite is a ContractError naming its user. Computes the |A| x |B|
+    similarities (inner products of the unit embeddings) in one matrix
+    product and returns the top_k pairs in descending similarity, ties broken
+    on user ids. A user may appear in several pairs; callers who care can
+    detect that from the result.
+
+    Memory: the product (8 bytes a pair) plus O(top_k + _BLOCK_PAIRS). The
+    ranking walks the product in blocks of views, keeps the best values seen
+    so far, and then collects the pairs at or above the k-th best; it holds
+    no index or mask with one entry per pair.
 
     A pair's similarity is exact only for the call shape that computed it: the
     BLAS kernel depends on the matrix shapes, so when |A| or |B| changes (or
@@ -104,17 +111,47 @@ def match_users(
         raise ContractError(
             f"embedding dimension mismatch: {emb_a.shape[1]} vs {emb_b.shape[1]}"
         )
+    for first, emb in ((0, emb_a), (n_a, emb_b)):
+        bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))
+        if bad.size:
+            raise ContractError(f"user {ids[first + bad[0]]} has a non-finite embedding")
     width = len(corpus_b)
-    sims = (emb_a @ emb_b.T).ravel()
+    sims = (emb_a @ emb_b.T).ravel()  # a view: the product is C-contiguous
+    kth_best = _kth_largest(sims, top_k)
     # Only pairs at least as similar as the k-th best can rank; keeping every
     # pair tied with it leaves the exact tie-break to the sort below.
-    kth_best = sims[np.argpartition(sims, sims.size - top_k)[sims.size - top_k]]
     ranked = [
         (float(sims[flat]), ids[flat // width], ids[n_a + flat % width])
-        for flat in np.flatnonzero(sims >= kth_best).tolist()
+        for start in range(0, sims.size, _BLOCK_PAIRS)
+        for flat in (np.flatnonzero(sims[start : start + _BLOCK_PAIRS] >= kth_best) + start).tolist()
     ]
     ranked.sort(key=lambda t: (-t[0], t[1], t[2]))
     return [UserPair(user_a=a, user_b=b, similarity=s) for s, a, b in ranked[:top_k]]
+
+
+def _kth_largest(values: np.ndarray, k: int) -> float:
+    """The k-th largest of a 1-d array, holding O(k + _BLOCK_PAIRS) extra.
+
+    Blocks of ``values`` are views, held until they and the best k so far
+    exceed 2k values; those are then merged and cut back to the best k with
+    an in-place quickselect. A cut takes in more than k new values and copies
+    at most 3k + _BLOCK_PAIRS, so each value is copied a bounded number of
+    times whatever k is.
+    """
+
+    def cut() -> np.ndarray:  # the best k of best and pending, as a view of their merge
+        merged = np.concatenate([best, *pending])
+        pending.clear()
+        merged.partition(merged.size - k)
+        return merged[merged.size - k :]
+
+    best, pending, held = values[:0], [], 0
+    for start in range(0, values.size, _BLOCK_PAIRS):
+        pending.append(values[start : start + _BLOCK_PAIRS])
+        held += pending[-1].size
+        if held > 2 * k:
+            best, held = cut().copy(), k  # a copy, so the merge is freed
+    return float(cut()[0])
 
 
 def swap_targets(

@@ -677,6 +677,29 @@ class TestHttpBackend:
         assert not exc_info.value.retryable and exc_info.value.per_item
         assert len(server.requests) == 1
 
+    @pytest.mark.parametrize("operation", ["complete", "score"])
+    @pytest.mark.parametrize(
+        "value, reason",
+        [(True, "malformed"), (" 1e3 ", "malformed"), (0.5, "above 0")],
+        ids=["bool", "numeric-string", "positive"],
+    )
+    def test_logprob_that_is_no_log_probability_fails_only_that_request(self, server, operation, value, reason):
+        """float() would read true as 1.0 and " 1e3 " as 1000.0, and a value
+        above 0 is a probability above 1."""
+        client = http_client(server, extra={"completions_echo": True})
+        call, payload = {
+            "complete": (lambda: client.generate_summary("p"), _ScriptedServer.chat_payload(logprobs=(value, -0.5))),
+            "score": (
+                lambda: client.policy_logprobs("prompt ", "resp"),
+                {"choices": [{"logprobs": {"text_offset": [0, 7], "token_logprobs": [None, value]}}]},
+            ),
+        }[operation]
+        server.queue = [(200, payload)]
+        with pytest.raises(BackendError, match=reason) as exc_info:
+            call()
+        assert not exc_info.value.retryable and exc_info.value.per_item
+        assert len(server.requests) == 1
+
 
 def _only_brace():
     return (
@@ -717,12 +740,12 @@ def test_concurrent_calls_respect_in_flight_limit():
 
 @pytest.mark.parametrize(
     "bad_token",
-    [{"logprob": "NaN"}, {"logprob": "abc"}, {"logprob": None}, {}],
-    ids=["nan", "not-a-number", "null", "no-logprob-key"],
+    [{"logprob": "NaN"}, {"logprob": "abc"}, {"logprob": None}, {}, {"logprob": True}, {"logprob": 0.5}],
+    ids=["nan", "not-a-number", "null", "no-logprob-key", "bool", "positive"],
 )
 def test_rollout_skips_the_instance_whose_reply_has_a_bad_logprob(server, tmp_path, bad_token):
-    """A NaN, non-numeric, null or missing token logprob from the server
-    costs only its instance: rollout exits 0, counts it, and every line of
+    """A NaN, non-numeric, null, missing, bool or positive token logprob from
+    the server costs only its instance: rollout exits 0, counts it, and every line of
     batch.jsonl is JSON without NaN."""
     from prefpipe._util import write_jsonl
     from prefpipe.cli import main

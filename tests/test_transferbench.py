@@ -1,5 +1,6 @@
 import logging
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +49,11 @@ def embed_client(dim=6):
 
 def embed_history_text(history):
     return render_history_block(history.triples)
+
+
+def unit_rows(rng, n, dim=8):
+    rows = rng.standard_normal((n, dim))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def make_history(n, user_id="u1", tag="test"):
@@ -127,6 +133,53 @@ class TestMatchUsers:
             match_users(embed_client(), corpus_a, corpus_b, top_k=10)
         with pytest.raises(ValidationError):
             match_users(embed_client(), [], corpus_b, top_k=1)
+
+    @pytest.mark.parametrize("n_a, n_b", [(60, 700), (2, 20000)], ids=["several-blocks", "row-wider-than-a-block"])
+    def test_matches_brute_force_over_blocks(self, n_a, n_b):
+        # a few random unit vectors, each shared by many users under shuffled
+        # ids, so equal similarities recur in every block of the ranking walk
+        rng = np.random.default_rng(n_a)
+
+        def corpus(n, prefix, distinct):
+            pool = unit_rows(rng, distinct)
+            return [(f"{prefix}{i:05d}", pool[rng.integers(distinct)]) for i in rng.permutation(n)]
+
+        corpus_a, corpus_b = corpus(n_a, "a", 5), corpus(n_b, "b", 4)
+        sims = np.stack([v for _, v in corpus_a]) @ np.stack([v for _, v in corpus_b]).T
+        brute = sorted(
+            ((float(sims[i, j]), a, b) for i, (a, _) in enumerate(corpus_a) for j, (b, _) in enumerate(corpus_b)),
+            key=lambda t: (-t[0], t[1], t[2]),
+        )
+        total = len(brute)
+        assert len({s for s, _, _ in brute}) < 50  # every value is tied many times over
+        for top_k in (1, 7, total // 2, total):
+            pairs = match_users(embed_client(), corpus_a, corpus_b, top_k=top_k)
+            assert [(p.similarity, p.user_a, p.user_b) for p in pairs] == brute[:top_k]
+
+    def test_ranking_holds_little_beyond_the_product(self):
+        rng = np.random.default_rng(0)
+        corpus_a = [(f"a{i}", v) for i, v in enumerate(unit_rows(rng, 600))]
+        corpus_b = [(f"b{i}", v) for i, v in enumerate(unit_rows(rng, 700))]
+        product = 600 * 700 * 8  # bytes of the float64 similarities
+        tracemalloc.start()
+        try:
+            match_users(embed_client(), corpus_a, corpus_b, top_k=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * product
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_vector_is_a_contract_error(self, side, bad):
+        corpus = {
+            "a": [("a1", [0.6, 0.8]), ("a2", [1.0, 0.0]), ("a3", [0.0, 1.0])],
+            "b": [("b1", [1.0, 0.0]), ("b2", [0.0, 1.0]), ("b3", [0.8, 0.6])],
+        }
+        corpus[side][1] = (f"{side}2", [bad, 0.0])
+        corpus[side][2] = (f"{side}3", [0.0, bad])
+        with pytest.raises(ContractError, match=f"user {side}2 "):
+            match_users(embed_client(), corpus["a"], corpus["b"], top_k=1)
 
     def test_dimension_mismatch_rejected(self):
         backend = ScriptBackend(
