@@ -37,28 +37,26 @@ def derive_seed(root_seed: int, *scope: Any) -> int:
 
 
 def count_tokens(text: str) -> int:
-    """Default token counter: whitespace-delimited chunks. Pluggable at the client level."""
+    """The one token rule, prompt budgets included: whitespace-delimited chunks."""
     return len(_TOKEN_RE.findall(text))
 
 
-def left_truncate(text: str, max_tokens: int, counter: Callable[[str], int] = count_tokens) -> tuple[str, int]:
-    """Drop the earliest tokens so that at most ``max_tokens`` remain.
+def left_truncate(text: str, max_tokens: int) -> tuple[str, int]:
+    """Drop the earliest ``count_tokens`` tokens so that at most ``max_tokens`` remain.
 
-    Returns (truncated_text, dropped_token_count). With the default counter the cut
-    lands on a whitespace boundary so the surviving suffix is byte-identical to the
-    original tail. A custom counter only changes the budget check, not the boundary.
+    Returns (truncated_text, dropped_token_count). The cut lands on a
+    whitespace boundary, so the surviving suffix is byte-identical to the
+    original tail.
     """
     if max_tokens < 0:
         raise ValueError("max_tokens must be >= 0")
-    total = counter(text)
-    if total <= max_tokens:
+    if count_tokens(text) <= max_tokens:
         return text, 0
     spans = [m.span() for m in _TOKEN_RE.finditer(text)]
     drop = len(spans) - max_tokens
     if drop >= len(spans):
         return "", len(spans)
-    start = spans[drop][0]
-    return text[start:], drop
+    return text[spans[drop][0] :], drop
 
 
 def json_dumps(obj: Any) -> str:

@@ -258,7 +258,7 @@ def cmd_rollout(args: argparse.Namespace, skipped: Tally, clients: Clients) -> S
 def cmd_loss_check(args: argparse.Namespace, skipped: Tally, clients: Clients) -> None:
     from . import rlengine
 
-    clip_eps = rlengine.RolloutConfig.clip_eps if args.clip_eps is None else args.clip_eps
+    clip_eps = rlengine.CLIP_EPS if args.clip_eps is None else args.clip_eps
     seen = 0
 
     def records():
@@ -492,14 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trees", help="optional path for full rollout tree dumps")
     p.add_argument("--gamma", type=float)
     p.add_argument("--group-size", type=int)
-    p.add_argument("--clip-eps", type=float)
     p.set_defaults(func=cmd_rollout)
 
     p = sub.add_parser("loss-check", help="compute the clipped surrogate loss for an exported batch")
     p.add_argument("--batch", required=True)
     p.add_argument("--new-logprobs", help="JSONL rows {logprobs: [...]} aligned with the batch")
     p.add_argument("--self-check", action="store_true", help="use the batch's own logprobs (ratio 1)")
-    p.add_argument("--clip-eps", type=float, help="default: the rollout config's clip_eps default")
+    p.add_argument("--clip-eps", type=float, help="ratio clip (default: rlengine.CLIP_EPS; inf disables clipping)")
     p.set_defaults(func=cmd_loss_check)
 
     p = sub.add_parser("stream-infer", help="streaming inference over a corpus")

@@ -122,7 +122,7 @@ class PreferenceSummary:
             For chained summaries this is the newest slice, not the union.
         reasoning: Optional chain-of-thought captured from the generator.
         parent_id: summary_id of the prior summary this one updated, if any.
-        token_count: Size of ``text`` under the active token counter.
+        token_count: Size of ``text`` in ``count_tokens`` tokens.
         summary_id: Content hash; identical content yields an identical id, which
             keeps lineage byte-stable across reruns.
     """

@@ -88,10 +88,10 @@ class ScoreRecord:
     weak_p: float
 
 
-def load_scores(path: str, floor: float = PROB_FLOOR) -> list[SampleScore]:
+def load_scores(path: str) -> list[SampleScore]:
     """Read a score sidecar (``ScoreRecord`` JSONL).
 
-    Probabilities are floored at ``floor`` before the log so judge outputs of
+    Probabilities are floored at PROB_FLOOR before the log so judge outputs of
     exactly zero stay in-domain. Duplicate (user_id, index) keys are an error.
     """
     scores = []
@@ -101,7 +101,7 @@ def load_scores(path: str, floor: float = PROB_FLOOR) -> list[SampleScore]:
         if key in seen:
             raise ValidationError(f"{path}: duplicate score for {key}")
         seen.add(key)
-        s_tract, s_learn = score_sample(max(rec.strong_p, floor), max(rec.weak_p, floor))
+        s_tract, s_learn = score_sample(max(rec.strong_p, PROB_FLOOR), max(rec.weak_p, PROB_FLOOR))
         scores.append(SampleScore(user_id=rec.user_id, index=rec.index, s_tract=s_tract, s_learn=s_learn))
     return scores
 

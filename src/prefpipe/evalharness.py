@@ -83,7 +83,7 @@ def _judge_outcome(outcome_reply: str | None, swapped: bool, truth: str, strict:
 
 def evaluate_selection(
     downstream: ModelClient,
-    summaries: Mapping[str, PreferenceSummary | str],
+    summaries: Mapping[str, PreferenceSummary],
     instances: Sequence[EvalInstance],
     *,
     seed: int = 0,
@@ -113,11 +113,9 @@ def evaluate_selection(
 
     def ask(item: tuple[int, EvalInstance, bool]) -> str:
         slot, inst, swapped = item
-        summary = summaries[inst.user_id]
-        summary_text = summary.text if isinstance(summary, PreferenceSummary) else summary
         first, second = (inst.item_b, inst.item_a) if swapped else (inst.item_a, inst.item_b)
         return downstream.generate_summary(
-            render_judge_prompt(summary_text, inst.context, first, second),
+            render_judge_prompt(summaries[inst.user_id].text, inst.context, first, second),
             sample_seed=derive_seed(seed, "eval-sample", inst.user_id, slot) % (2**31),
             meta={"user_id": inst.user_id, "stage": "evaluate"},
         ).summary

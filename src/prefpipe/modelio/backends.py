@@ -149,19 +149,15 @@ class HttpBackend:
     def choice_logprobs(self, prompt, labels, *, meta=None):
         discriminators = [label.split()[-1] for label in labels]
         choice = self._choice(self._chat(prompt, max_tokens=16, temperature=0.0, seed=None, top_logprobs=20))
-        content = (choice.get("logprobs") or {}).get("content") or []
-        for position in content:
-            alts: dict[str, float] = {}
-            candidates = [position] + list(position.get("top_logprobs") or [])
-            for alt in candidates:
-                token = str(alt.get("token", "")).strip().strip("\"'")
-                if token and token not in alts:
-                    try:
-                        alts[token] = float(alt["logprob"])
-                    except (KeyError, TypeError, ValueError):
-                        continue
-            if all(d in alts for d in discriminators):
-                return alts[discriminators[0]], alts[discriminators[1]]
+        try:  # only the labels' logprobs are read; a malformed one costs this request
+            for position in (choice.get("logprobs") or {}).get("content") or []:
+                alts: dict[str, dict] = {}
+                for alt in [position, *(position.get("top_logprobs") or [])]:
+                    alts.setdefault(str(alt.get("token", "")).strip().strip("\"'"), alt)
+                if all(d in alts for d in discriminators):
+                    return tuple(_logprob(alts[d]["logprob"]) for d in discriminators)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise BackendError("chat completion response has a malformed label logprob", retryable=False) from exc
         return None
 
     def score(self, prompt, response, *, meta=None) -> list[float]:
@@ -195,22 +191,27 @@ class HttpBackend:
         body = {"model": self.endpoint.model_id, "input": [text]}
         data = self._post("/embeddings", body)
         try:
-            return [float(x) for x in data["data"][0]["embedding"]]
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            return [_number(x, "embedding component") for x in data["data"][0]["embedding"]]
+        except (KeyError, IndexError, TypeError) as exc:
             raise BackendError("malformed embeddings response", retryable=False) from exc
 
 
-def _logprob(value) -> float:
-    """One token logprob of a reply. A JSON number passes, and so do NaN and
+def _number(value, what: str) -> float:
+    """One number of a reply. A JSON number passes, and so do NaN and
     ±Infinity, bare or as strings, which the client refuses as non-finite.
-    A bool, null or any other string is a malformed reply, and so is a finite
-    value above 0, which is no log-probability."""
+    A bool, null or any other string is a malformed reply."""
     try:
-        lp = float(value) if isinstance(value, (int, float, str)) and not isinstance(value, bool) else None
+        x = float(value) if isinstance(value, (int, float, str)) and not isinstance(value, bool) else None
     except (ValueError, OverflowError):  # a string that is no number; an integer beyond float
-        lp = None
-    if lp is None or (isinstance(value, str) and math.isfinite(lp)):
-        raise BackendError(f"malformed token logprob {value!r}", retryable=False)
+        x = None
+    if x is None or (isinstance(value, str) and math.isfinite(x)):
+        raise BackendError(f"malformed {what} {value!r}", retryable=False)
+    return x
+
+
+def _logprob(value) -> float:
+    """One logprob of a reply, read by ``_number``'s rule; a finite value above 0 is malformed too."""
+    lp = _number(value, "token logprob")
     if 0 < lp < math.inf:
         raise BackendError(f"token logprob {lp} is above 0, so not a log-probability", retryable=False)
     return lp

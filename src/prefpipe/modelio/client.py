@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .._util import count_tokens, left_truncate, stable_hash
+from .._util import left_truncate, stable_hash
 from ..errors import BackendError, GenerationError, JudgeError, ValidationError
 from ..prompts import render_judge_prompt
 from .backends import Backend, build_backend
@@ -81,12 +81,10 @@ class ModelClient:
         endpoint: ModelEndpoint,
         backend: Backend | None = None,
         *,
-        token_counter: Callable[[str], int] = count_tokens,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.endpoint = endpoint
         self.backend = backend if backend is not None else build_backend(endpoint)
-        self.token_counter = token_counter
         self.stats: Counter = Counter()
         self._sleep = sleep
         self._lock = threading.Lock()
@@ -122,11 +120,11 @@ class ModelClient:
                 attempt += 1
 
     def prepare_prompt(self, text: str) -> str:
-        """Left-truncate to the endpoint's prompt budget, keeping the newest tail."""
+        """Left-truncate to the endpoint's budget of ``count_tokens`` tokens, keeping the newest tail."""
         limit = self.endpoint.max_prompt_tokens
         if limit is None:
             return text
-        truncated, dropped = left_truncate(text, limit, self.token_counter)
+        truncated, dropped = left_truncate(text, limit)
         if dropped:
             self._bump("truncations")
             self._bump("truncated_tokens", dropped)

@@ -38,6 +38,12 @@ class ModelEndpoint:
             raise ConfigError("retry_limit must be >= 0")
         if self.max_prompt_tokens is not None and self.max_prompt_tokens <= 0:
             raise ConfigError("max_prompt_tokens must be positive when set")
+        if self.max_output_tokens < 1:
+            raise ConfigError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
+        if self.backoff_base < 0:
+            raise ConfigError(f"backoff_base must be >= 0, got {self.backoff_base}")
+        if self.timeout <= 0:
+            raise ConfigError(f"timeout must be positive, got {self.timeout}")
         if self.judge_samples < 1:
             raise ConfigError("judge_samples must be >= 1")
         if self.max_in_flight < 1:

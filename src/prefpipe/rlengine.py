@@ -30,17 +30,17 @@ from .modelio import GenerationResult, ModelClient
 from .streamer import summarize
 
 EPS_STD = 1e-8
+CLIP_EPS = 0.2  # surrogate_loss's ratio clip, and loss-check's default
 _MISSING = object()  # zip_longest's filler past the end of the shorter input
 
 
 @dataclass(frozen=True)
 class RolloutConfig:
-    """Rollout and optimization settings. ``gamma`` has no default on purpose:
-    the discount is an experiment-level choice the caller must state."""
+    """Rollout settings. ``gamma`` has no default on purpose: the discount is
+    an experiment-level choice the caller must state."""
 
     gamma: float
     group_size: int = 4
-    clip_eps: float = 0.2
     future_credit: str = "selected"
     debias: bool = True
     seed: int = 0
@@ -50,8 +50,6 @@ class RolloutConfig:
             raise ValidationError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.group_size < 1:
             raise ValidationError(f"group_size must be >= 1, got {self.group_size}")
-        if not (self.clip_eps > 0.0):
-            raise ValidationError(f"clip_eps must be positive (math.inf disables clipping), got {self.clip_eps}")
         if self.future_credit not in ("selected", "all"):
             raise ValidationError(f"future_credit must be 'selected' or 'all', got {self.future_credit!r}")
 
@@ -206,14 +204,14 @@ def cumulative_rewards(
     return cum_init, upd
 
 
-def advantages(rewards: Sequence[float], eps_std: float = EPS_STD) -> np.ndarray:
+def advantages(rewards: Sequence[float]) -> np.ndarray:
     """Normalize one rollout set's rewards: (r - mean) / population std.
-    Sets with (near-)zero variance get all-zero advantages."""
+    Sets whose std is at most EPS_STD get all-zero advantages."""
     arr = np.asarray(rewards, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ContractError("advantages need a non-empty 1-d reward set")
     std = float(arr.std())
-    if std <= eps_std:
+    if std <= EPS_STD:
         return np.zeros_like(arr)
     return (arr - arr.mean()) / std
 
@@ -271,7 +269,7 @@ class LogprobsRow:
 def surrogate_loss(
     records: Iterable[TrainingRecord],
     new_token_logprobs: Iterable[Sequence[float]],
-    clip_eps: float = 0.2,
+    clip_eps: float = CLIP_EPS,
 ) -> float:
     """Clipped surrogate objective, in one pass over both iterables.
 

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._util import Tally, derive_seed, ordered_map
+from ._util import Tally, derive_seed
 from .core import InteractionTriple, UserHistory
 from .errors import ContractError, ValidationError
 from .modelio import ModelClient
@@ -22,6 +22,7 @@ from .prompts import render_history_block
 
 Embedded = tuple[str, np.ndarray]  # (user_id, unit embedding of the user's history)
 _BLOCK_PAIRS = 1 << 14  # similarities per block of match_users' ranking walk
+_UNIT_TOL = 1e-6  # how far a caller's embedding norm may stray from 1
 
 
 @dataclass(frozen=True)
@@ -69,18 +70,17 @@ def match_users(
     corpus_a: Sequence[UserHistory | Embedded],
     corpus_b: Sequence[UserHistory | Embedded],
     top_k: int,
-    jobs: int = 1,
 ) -> list[UserPair]:
     """Pair users across two corpora by embedding similarity.
 
-    Each corpus entry is a history, embedded here up to ``jobs`` at once, or
-    a ``(user_id, vector)`` pair its caller embedded already, so a caller that
+    Each corpus entry is a history, embedded here one at a time, or a
+    ``(user_id, vector)`` pair its caller embedded already, so a caller that
     reads its corpora one user at a time need keep only those. A vector that
-    is not finite is a ContractError naming its user. Computes the |A| x |B|
-    similarities (inner products of the unit embeddings) in one matrix
-    product and returns the top_k pairs in descending similarity, ties broken
-    on user ids. A user may appear in several pairs; callers who care can
-    detect that from the result.
+    is not a finite unit vector is a ContractError naming its user. Computes
+    the |A| x |B| similarities (inner products of the unit embeddings) in
+    one matrix product and returns the top_k pairs in descending similarity,
+    ties broken on user ids. A user may appear in several pairs; callers who
+    care can detect that from the result.
 
     Memory: the product (8 bytes a pair) plus O(top_k + _BLOCK_PAIRS). The
     ranking walks the product in blocks of views, keeps the best values seen
@@ -105,16 +105,17 @@ def match_users(
         return (entry.user_id, embed_history(client, entry)) if isinstance(entry, UserHistory) else entry
 
     n_a = len(corpus_a)
-    ids, vectors = zip(*ordered_map(embedded, [*corpus_a, *corpus_b], jobs))
+    ids, vectors = zip(*map(embedded, [*corpus_a, *corpus_b]))
     emb_a, emb_b = np.stack(vectors[:n_a]), np.stack(vectors[n_a:])
     if emb_a.shape[1] != emb_b.shape[1]:
         raise ContractError(
             f"embedding dimension mismatch: {emb_a.shape[1]} vs {emb_b.shape[1]}"
         )
     for first, emb in ((0, emb_a), (n_a, emb_b)):
-        bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))
+        with np.errstate(over="ignore"):  # a huge vector's norm overflows to inf; inf and NaN both fail
+            bad = np.flatnonzero(~(np.abs(np.linalg.norm(emb, axis=1) - 1.0) <= _UNIT_TOL))
         if bad.size:
-            raise ContractError(f"user {ids[first + bad[0]]} has a non-finite embedding")
+            raise ContractError(f"user {ids[first + bad[0]]} has an embedding that is not a finite unit vector")
     width = len(corpus_b)
     sims = (emb_a @ emb_b.T).ravel()  # a view: the product is C-contiguous
     kth_best = _kth_largest(sims, top_k)

@@ -348,6 +348,19 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "error (ConfigError)" in err and "bogus" in err
 
+    def test_rollout_has_no_clip(self, tmp_path, capsys):
+        """The ratio clip belongs to loss-check alone: rollout takes it
+        neither as a flag nor as a config key."""
+        argv = [
+            "rollout", "--instances", "x.jsonl", "--histories", "y.jsonl",
+            "--gamma", "0.5", "--out", str(tmp_path / "o.jsonl"),
+        ]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--config", write_yaml(tmp_path / "ok.yaml", {}), "--clip-eps", "0.1")
+        assert exc.value.code == 2
+        assert run(*argv, "--config", write_yaml(tmp_path / "bad.yaml", {"clip_eps": 0.1})) == 1
+        assert "error (ConfigError): unknown rollout config keys: ['clip_eps']" in capsys.readouterr().err
+
     def test_prune_without_thresholds(self, tmp_path, capsys):
         rc = run("prune", "--scores", "missing.jsonl", "--out", str(tmp_path / "o.jsonl"))
         assert rc == 1
@@ -1089,12 +1102,15 @@ class TestStreamingRollout:
         assert run("loss-check", "--batch", str(batch), *source, *extra) == 0
         assert capsys.readouterr().out == expected + "\n"
 
-    def test_loss_check_clip_eps_default_is_the_rollout_configs(self):
+    def test_loss_check_clip_eps_default_is_the_rlengine_constant(self):
+        import inspect
+
         from prefpipe import rlengine
 
         args = build_parser().parse_args(["loss-check", "--batch", "b.jsonl", "--self-check"])
         assert args.clip_eps is None
-        assert rlengine.RolloutConfig.clip_eps == 0.2
+        assert rlengine.CLIP_EPS == 0.2
+        assert inspect.signature(rlengine.surrogate_loss).parameters["clip_eps"].default == rlengine.CLIP_EPS
 
 
 class TestStreamingCorpus:

@@ -175,6 +175,10 @@ class TestModelEndpoint:
             ModelEndpoint(base_url="mock:generator", max_prompt_tokens=0)
         with pytest.raises(ConfigError):
             ModelEndpoint(base_url="mock:generator", judge_samples=0)
+        for field, value in [("backoff_base", -1.0), ("timeout", 0.0), ("timeout", -5.0), ("max_output_tokens", 0)]:
+            with pytest.raises(ConfigError, match=f"^{field} must be"):
+                ModelEndpoint(base_url="mock:generator", **{field: value})
+        ModelEndpoint(base_url="mock:generator", backoff_base=0.0, max_output_tokens=1)  # the least legal values
 
     def test_load_yaml_and_json(self, tmp_path):
         y = tmp_path / "ep.yaml"
@@ -677,7 +681,7 @@ class TestHttpBackend:
         assert not exc_info.value.retryable and exc_info.value.per_item
         assert len(server.requests) == 1
 
-    @pytest.mark.parametrize("operation", ["complete", "score"])
+    @pytest.mark.parametrize("operation", ["complete", "score", "choice_logprobs"])
     @pytest.mark.parametrize(
         "value, reason",
         [(True, "malformed"), (" 1e3 ", "malformed"), (0.5, "above 0")],
@@ -693,12 +697,35 @@ class TestHttpBackend:
                 lambda: client.policy_logprobs("prompt ", "resp"),
                 {"choices": [{"logprobs": {"text_offset": [0, 7], "token_logprobs": [None, value]}}]},
             ),
+            "choice_logprobs": (lambda: client.judge_pair("pref", None, "x", "y", debias=False), _label_payload(value)),
         }[operation]
         server.queue = [(200, payload)]
         with pytest.raises(BackendError, match=reason) as exc_info:
             call()
         assert not exc_info.value.retryable and exc_info.value.per_item
         assert len(server.requests) == 1
+
+    @pytest.mark.parametrize("value", [True, None, "0.5", "x"], ids=["bool", "null", "numeric-string", "word"])
+    def test_label_logprob_or_embedding_that_is_no_number_fails_only_that_request(self, server, value):
+        """float() would read true as 1.0 and "0.5" as 0.5; a null label
+        logprob used to be passed over as if the label were absent."""
+        client = http_client(server)
+        for call, payload in [
+            (lambda: client.judge_pair("pref", None, "x", "y", debias=False), _label_payload(value)),
+            (lambda: client.embed("text"), {"data": [{"embedding": [value, 0.5, 1]}]}),
+        ]:
+            server.requests.clear()
+            server.queue = [(200, payload)]
+            with pytest.raises(BackendError, match="malformed") as exc_info:
+                call()
+            assert not exc_info.value.retryable and exc_info.value.per_item
+            assert len(server.requests) == 1
+
+
+def _label_payload(lp_a):
+    """A judge reply whose label position gives "A" the logprob ``lp_a`` and "B" -0.7."""
+    position = {"token": "A", "logprob": lp_a, "top_logprobs": [{"token": "B", "logprob": -0.7}]}
+    return {"choices": [{"message": {"content": '{"selection": "Item A"}'}, "logprobs": {"content": [position]}}]}
 
 
 def _only_brace():

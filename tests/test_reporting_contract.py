@@ -96,13 +96,12 @@ def test_only_tally_map_reads_per_item():
 
 def test_ordered_map_callers_do_not_skip_items():
     """Each other caller lets every error through: a failed rollout sample
-    fails its instance, a failed embedding its ranking, a failed user (whose
-    own calls go through ``Tally.map``) the corpus."""
+    fails its instance, a failed user (whose own calls go through
+    ``Tally.map``) the corpus."""
     assert _owners(_calls("ordered_map")) == {
         ("_util.py", "Tally.map"),
         ("synthpipe.py", "run_corpus"),
         ("rlengine.py", "rollout"),
-        ("transferbench.py", "match_users"),
     }
 
 

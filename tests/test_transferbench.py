@@ -116,7 +116,7 @@ class TestMatchUsers:
             ),
             key=lambda t: (-t[0], t[1], t[2]),
         )
-        pairs = match_users(client, corpus_a, corpus_b, top_k=top_k, jobs=3)
+        pairs = match_users(client, corpus_a, corpus_b, top_k=top_k)
         assert [(p.similarity, p.user_a, p.user_b) for p in pairs] == brute[:top_k]
 
     def test_top_k_truncates(self):
@@ -169,9 +169,14 @@ class TestMatchUsers:
             tracemalloc.stop()
         assert peak <= 1.25 * product
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), 1e200, 1.0 + 2e-6], ids=["nan", "inf", "-inf", "huge", "long"]
+    )
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_non_finite_vector_is_a_contract_error(self, side, bad):
+        """Every similarity is a cosine in [-1, 1] only for unit vectors: a
+        vector that is not finite, or whose norm is off 1 by more than 1e-6,
+        names its user."""
         corpus = {
             "a": [("a1", [0.6, 0.8]), ("a2", [1.0, 0.0]), ("a3", [0.0, 1.0])],
             "b": [("b1", [1.0, 0.0]), ("b2", [0.0, 1.0]), ("b3", [0.8, 0.6])],
