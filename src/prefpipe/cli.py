@@ -144,14 +144,17 @@ def _optional_writer(path: str | None):
 def cmd_simlab_gen(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Stage:
     from . import simlab
 
-    if args.dim < 1:
-        raise ValidationError(f"--dim must be >= 1, got {args.dim}")
+    for flag, count in (("--users", args.users), ("--dim", args.dim), ("--history-len", args.history_len)):
+        if count < 1:
+            raise ValidationError(f"{flag} must be >= 1, got {count}")
     for flag, rate in (("--context-rate", args.context_rate), ("--weak-quality", args.weak_quality)):
         if not 0.0 <= rate <= 1.0:
             raise ValidationError(f"{flag} must be in [0, 1], got {rate}")
     for flag, value in (("--kappa", args.kappa), ("--margin", args.margin)):
         if not math.isfinite(value):
             raise ValidationError(f"{flag} must be finite, got {value}")
+    if args.margin <= 0:
+        raise ValidationError(f"--margin must be > 0, got {args.margin}")
     stage_seed = derive_seed(args.seed, "simlab-gen")
     os.makedirs(args.out_dir, exist_ok=True)
     histories, truth = simlab.gen_population(
@@ -214,8 +217,9 @@ def cmd_prune(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Sta
     kept = curriculum.prune(scores, prune_config)
     instances = curriculum.build_rl_instances(kept)
     curriculum.save_instances(args.out, instances)
-    if args.keep_scores:
-        write_jsonl(args.keep_scores, (s.to_dict() for s in kept))
+    if args.keep_scores:  # the kept points' own sidecar lines, so the file is a --scores input
+        lines = {(r.user_id, r.index): r for r in read_records(args.scores, curriculum.ScoreRecord)}
+        write_jsonl(args.keep_scores, (lines[s.user_id, s.index].to_dict() for s in kept))
     return Stage(
         cfg, [args.scores, args.config], [args.out, args.keep_scores],
         {"scores_in": len(scores), "kept": len(kept), "instances": len(instances)},
@@ -481,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tract-high", type=float)
     p.add_argument("--tail-fraction", type=float)
     p.add_argument("--tail-side", choices=["hardest", "easiest"])
-    p.add_argument("--keep-scores", help="optional path for the surviving scores")
+    p.add_argument("--keep-scores", help="optional path for the kept points' score sidecar lines (a valid --scores)")
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("rollout", help="two-stage rollouts with rewards, advantages, and batch export")

@@ -26,8 +26,6 @@ class SampleScore:
     s_tract: float
     s_learn: float
 
-    to_dict = encode
-
 
 @dataclass(frozen=True)
 class PruneConfig:
@@ -86,6 +84,8 @@ class ScoreRecord:
     index: int
     strong_p: float
     weak_p: float
+
+    to_dict = encode
 
 
 def load_scores(path: str) -> list[SampleScore]:

@@ -50,25 +50,17 @@ class EvalOutcome:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """One evaluation's counts, as ``rescore`` derives them from outcomes;
+    ``accuracy`` is ``correct / n``, or 0.0 when ``n`` is 0."""
+
     label: str
     n: int
     correct: int
+    accuracy: float
     parse_failures: int
     call_failures: int
 
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.n if self.n else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "n": self.n,
-            "correct": self.correct,
-            "accuracy": self.accuracy,
-            "parse_failures": self.parse_failures,
-            "call_failures": self.call_failures,
-        }
+    to_dict = encode
 
 
 def _judge_outcome(outcome_reply: str | None, swapped: bool, truth: str, strict: bool) -> tuple[str | None, bool]:
@@ -141,9 +133,8 @@ def rescore(outcomes: Sequence[EvalOutcome], *, label: str = "rescore", strict: 
             parse_failures += 1
         if ok:
             correct += 1
-    return EvalReport(
-        label=label, n=len(outcomes), correct=correct, parse_failures=parse_failures, call_failures=call_failures
-    )
+    n = len(outcomes)
+    return EvalReport(label, n, correct, correct / n if n else 0.0, parse_failures, call_failures)
 
 
 def iter_holdout(

@@ -88,10 +88,11 @@ class HttpBackend:
         import requests
 
         url = self.endpoint.base_url.rstrip("/") + path
+        timeout = None if math.isinf(self.endpoint.timeout) else self.endpoint.timeout  # None: no timeout
         try:
             # a redirect would re-read ~/.netrc, which replaces the Bearer key
             resp = self.session.post(
-                url, json=body, auth=self._auth(), timeout=self.endpoint.timeout, allow_redirects=False
+                url, json=body, auth=self._auth(), timeout=timeout, allow_redirects=False
             )
         except requests.RequestException as exc:
             raise BackendError(f"POST {url} failed: {exc}", retryable=True) from exc

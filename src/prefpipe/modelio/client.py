@@ -62,17 +62,11 @@ class GenerationResult:
 
 @dataclass(frozen=True)
 class JudgeVerdict:
-    """Judge output for one ordered item pair.
-
-    ``prob_first`` is the probability that the first-passed item is preferred;
-    ``debiased`` marks the two-order average; ``sampled`` marks the k-sample
-    frequency fallback used when the backend exposes no label logprobs.
-    """
+    """Judge output for one ordered item pair: ``prob_first``, the probability
+    that the first-passed item is preferred (the two-order average when
+    debiased; a k-sample frequency when the backend exposes no label logprobs)."""
 
     prob_first: float
-    debiased: bool
-    sampled: bool
-    detail: dict
 
 
 class ModelClient:
@@ -164,16 +158,16 @@ class ModelClient:
             token_logprobs=result.token_logprobs,
         )
 
-    def _order_probability(self, preference: str, context: str | None, first: str, second: str, meta: dict | None) -> tuple[float, dict, bool]:
+    def _order_probability(self, preference: str, context: str | None, first: str, second: str, meta: dict | None) -> float:
         prompt = self.prepare_prompt(render_judge_prompt(preference, context, first, second))
         logprobs = self._with_retries(
             "judge", lambda: self.backend.choice_logprobs(prompt, JUDGE_LABELS, meta=meta)
         )
         if logprobs is not None:
-            lp_a, lp_b = logprobs
-            return label_probability(lp_a, lp_b), {"logprobs": [lp_a, lp_b]}, False
-        # No label logprobs: estimate by sampling k selections and counting.
-        counts = {"A": 0, "B": 0, "parse_failures": 0}
+            return label_probability(*logprobs)
+        # No label logprobs: estimate by sampling k selections and counting;
+        # an unparseable sample counts for neither label.
+        counts = Counter()
         for i in range(self.endpoint.judge_samples):
             sample = self._with_retries(
                 "judge_sample",
@@ -185,15 +179,11 @@ class ModelClient:
                     meta=meta,
                 ),
             )
-            label = parse_selection(sample.text)
-            if label is None:
-                counts["parse_failures"] += 1
-            else:
-                counts[label] += 1
+            counts[parse_selection(sample.text)] += 1
         decided = counts["A"] + counts["B"]
         if decided == 0:
             raise JudgeError("no judge sample produced a parseable selection")
-        return counts["A"] / decided, {"counts": counts}, True
+        return counts["A"] / decided
 
     def judge_pair(
         self,
@@ -216,14 +206,11 @@ class ModelClient:
         if item_first == item_second:
             raise ValidationError("judged items must be distinct")
         self._bump("judge_calls")
-        p_fwd, detail_fwd, sampled_fwd = self._order_probability(preference, context, item_first, item_second, meta)
+        p_fwd = self._order_probability(preference, context, item_first, item_second, meta)
         if not debias:
-            return JudgeVerdict(p_fwd, debiased=False, sampled=sampled_fwd, detail={"forward": detail_fwd})
-        p_rev, detail_rev, sampled_rev = self._order_probability(preference, context, item_second, item_first, meta)
-        prob = 0.5 * (p_fwd + (1.0 - p_rev))
-        return JudgeVerdict(
-            prob, debiased=True, sampled=sampled_fwd or sampled_rev, detail={"forward": detail_fwd, "reverse": detail_rev}
-        )
+            return JudgeVerdict(p_fwd)
+        p_rev = self._order_probability(preference, context, item_second, item_first, meta)
+        return JudgeVerdict(0.5 * (p_fwd + (1.0 - p_rev)))
 
     def policy_logprobs(self, prompt: str, response: str, *, meta: dict | None = None) -> list[float]:
         """Per-token logprobs of ``response`` under the endpoint's model given

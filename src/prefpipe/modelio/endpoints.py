@@ -1,5 +1,6 @@
 """Endpoint configuration: which model to call, where, and under what limits."""
 
+import math
 from dataclasses import dataclass, field
 
 from .._util import build_config, read_config
@@ -24,7 +25,7 @@ class ModelEndpoint:
     temperature: float = 1.0
     retry_limit: int = 3
     backoff_base: float = 0.5
-    timeout: float = 120.0
+    timeout: float = 120.0  # seconds per request; .inf waits as long as it takes
     max_in_flight: int = 8
     judge_samples: int = 8
     think_open: str = "<think>"
@@ -40,8 +41,8 @@ class ModelEndpoint:
             raise ConfigError("max_prompt_tokens must be positive when set")
         if self.max_output_tokens < 1:
             raise ConfigError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
-        if self.backoff_base < 0:
-            raise ConfigError(f"backoff_base must be >= 0, got {self.backoff_base}")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ConfigError(f"backoff_base must be finite and >= 0, got {self.backoff_base}")
         if self.timeout <= 0:
             raise ConfigError(f"timeout must be positive, got {self.timeout}")
         if self.judge_samples < 1:

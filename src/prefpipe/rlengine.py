@@ -10,8 +10,9 @@ true choice at its stage's target) as soon as it is sampled; the picked
 initial additionally earns the discounted mean of its children's rewards.
 Advantages normalize cumulative rewards within each G-sized rollout set. A
 tree is born with all three, so ``export_batch`` only flattens trees into
-records. The loss is the token-level clipped surrogate averaged per sequence,
-then per batch.
+records; the record codec writes it, so a ``--trees`` dump reads back as
+``RolloutTree``. The loss is the token-level clipped surrogate averaged per
+sequence, then per batch.
 """
 
 import itertools
@@ -26,7 +27,7 @@ from ._util import Tally, derive_seed, encode, ordered_map, read_records, write_
 from .core import HistorySegment, InteractionTriple, PreferenceSummary, UserHistory
 from .curriculum import RlInstance
 from .errors import ContractError, PipelineError, UserSkip, ValidationError
-from .modelio import GenerationResult, ModelClient
+from .modelio import ModelClient
 from .streamer import summarize
 
 EPS_STD = 1e-8
@@ -56,13 +57,16 @@ class RolloutConfig:
 
 @dataclass(frozen=True)
 class RewardedSummary:
-    """One sampled summary with its immediate and cumulative rewards and its
-    advantage within its group."""
+    """One sample: the prompt sent, the raw reply and its token logprobs (None
+    if the backend reports none), the parsed summary, its immediate and
+    cumulative rewards, and its advantage within its group."""
 
-    summary: PreferenceSummary
-    generation: GenerationResult
     stage: str
     sample_index: int
+    prompt: str
+    raw: str
+    summary: PreferenceSummary
+    token_logprobs: tuple[float, ...] | None
     immediate: float
     cumulative: float
     advantage: float
@@ -70,42 +74,20 @@ class RewardedSummary:
 
 @dataclass(frozen=True)
 class RolloutTree:
-    """One instance's full two-stage rollout: G initials, one selected, G updated."""
+    """One instance's two-stage rollout: G initials, the selected one's index,
+    G updated; a ``--trees`` line, read back by ``read_records``."""
 
-    instance: RlInstance
-    initial: tuple[RewardedSummary, ...]
+    user_id: str
+    k1: int
+    k2: int
     selected_index: int
+    initial: tuple[RewardedSummary, ...]
     updated: tuple[RewardedSummary, ...]
-
-    @property
-    def user_id(self) -> str:
-        return self.instance.user_id
 
     def all_summaries(self) -> list[RewardedSummary]:
         return [*self.initial, *self.updated]
 
-    def to_dict(self) -> dict:
-        def enc(rs: RewardedSummary) -> dict:
-            return {
-                "stage": rs.stage,
-                "sample_index": rs.sample_index,
-                "prompt": rs.generation.prompt,
-                "raw": rs.generation.raw,
-                "summary": rs.summary.to_dict(),
-                "token_logprobs": list(rs.generation.token_logprobs or []),
-                "immediate": rs.immediate,
-                "cumulative": rs.cumulative,
-                "advantage": rs.advantage,
-            }
-
-        return {
-            "user_id": self.user_id,
-            "k1": self.instance.k1,
-            "k2": self.instance.k2,
-            "selected_index": self.selected_index,
-            "initial": [enc(rs) for rs in self.initial],
-            "updated": [enc(rs) for rs in self.updated],
-        }
+    to_dict = encode
 
 
 def rollout(
@@ -136,7 +118,7 @@ def rollout(
         """(summary, generation, immediate reward) of each sample; the target follows the segment."""
         target = history.triples[segment.end]
 
-        def one(i: int) -> tuple[PreferenceSummary, GenerationResult, float]:
+        def one(i: int) -> tuple:
             seed = derive_seed(config.seed, "rollout", instance.user_id, instance.k1, instance.k2, stage, i)
             meta = {"user_id": instance.user_id, "stage": stage, "sample": i}
             summary, gen = summarize(policy, segment, prior, meta=meta, sample_seed=seed % (2**31))
@@ -151,14 +133,17 @@ def rollout(
 
     def finish(stage: str, samples: list[tuple], cums: list[float]) -> tuple[RewardedSummary, ...]:
         return tuple(
-            RewardedSummary(summary, gen, stage, i, reward, cum, float(adv))
+            RewardedSummary(stage, i, gen.prompt, gen.raw, summary, gen.token_logprobs, reward, cum, float(adv))
             for i, ((summary, gen, reward), cum, adv) in enumerate(zip(samples, cums, advantages(cums)))
         )
 
     cum_init, cum_upd = cumulative_rewards(
         [r for *_, r in initial], [r for *_, r in updated], selected_index, config.gamma, config.future_credit
     )
-    return RolloutTree(instance, finish("initial", initial, cum_init), selected_index, finish("updated", updated, cum_upd))
+    return RolloutTree(
+        instance.user_id, instance.k1, instance.k2, selected_index,
+        finish("initial", initial, cum_init), finish("updated", updated, cum_upd),
+    )
 
 
 def immediate_reward(judge: ModelClient, summary: PreferenceSummary, target: InteractionTriple, config: RolloutConfig) -> float:
@@ -238,20 +223,20 @@ def export_batch(trees: Iterable[RolloutTree]) -> list[TrainingRecord]:
     records = []
     for tree in trees:
         for stage, group in (("initial", tree.initial), ("updated", tree.updated)):
-            group_id = f"{tree.user_id}:{tree.instance.k1}-{tree.instance.k2}:{stage}"
+            group_id = f"{tree.user_id}:{tree.k1}-{tree.k2}:{stage}"
             for rs in group:
-                if rs.generation.token_logprobs is None:
+                if rs.token_logprobs is None:
                     raise ContractError(f"{group_id}: backend reported no token logprobs; cannot export")
-                if len(rs.generation.token_logprobs) == 0:
+                if len(rs.token_logprobs) == 0:
                     raise ContractError(f"{group_id}: empty token logprobs")
                 records.append(
                     TrainingRecord(
                         user_id=tree.user_id,
                         group_id=group_id,
                         stage=stage,
-                        prompt=rs.generation.prompt,
-                        response=rs.generation.raw,
-                        old_token_logprobs=tuple(rs.generation.token_logprobs),
+                        prompt=rs.prompt,
+                        response=rs.raw,
+                        old_token_logprobs=tuple(rs.token_logprobs),
                         advantage=rs.advantage,
                         reward=rs.cumulative,
                     )

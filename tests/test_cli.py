@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 from prefpipe import core
-from prefpipe._util import read_records, sha256_file
+from prefpipe._util import json_dumps, read_records, sha256_file
 from prefpipe.cli import build_parser, main
 
 
@@ -188,6 +188,18 @@ class TestPipelineChain:
         assert config == {"alpha": 0.5, "tract_low": 0.5, "tract_high": 1, "tail_fraction": 1.0, "tail_side": "hardest"}
         assert type(config["tract_high"]) is int  # recorded as written
 
+    def test_kept_scores_are_a_scores_input(self, pipeline, tmp_path):
+        """``--keep-scores`` writes the kept points' sidecar lines, so pruning
+        that file with a filter that keeps every point gives the same instances."""
+        kept, again = str(tmp_path / "kept.jsonl"), str(tmp_path / "instances.jsonl")
+        assert run(
+            "prune", "--scores", pipeline["scores"], "--config", str(pipeline["root"] / "prune.yaml"),
+            "--alpha", "0.6", "--out", str(tmp_path / "first.jsonl"), "--keep-scores", kept,
+        ) == 0
+        assert run("prune", "--scores", kept, "--alpha", "1", "--tract-low", "0", "--tract-high", "1", "--out", again) == 0
+        assert sha256_file(again) == sha256_file(pipeline["instances"])
+        assert manifest_for(again)["stats"]["scores_in"] == manifest_for(pipeline["instances"])["stats"]["kept"]
+
     def test_rollout_is_reproducible(self, pipeline):
         assert sha256_file(pipeline["batch"]) == sha256_file(pipeline["batch2"])
         manifest = manifest_for(pipeline["batch"])
@@ -321,7 +333,9 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "flag, value, problem",
         [
+            ("--users", "0", "must be >= 1, got 0"),
             ("--dim", "0", "must be >= 1, got 0"),
+            ("--history-len", "0", "must be >= 1, got 0"),
             ("--context-rate", "2", "must be in [0, 1], got 2.0"),
             ("--context-rate", "-0.5", "must be in [0, 1], got -0.5"),
             ("--weak-quality", "3", "must be in [0, 1], got 3.0"),
@@ -329,6 +343,8 @@ class TestErrorHandling:
             ("--kappa", "nan", "must be finite, got nan"),
             ("--kappa", "inf", "must be finite, got inf"),
             ("--margin", "nan", "must be finite, got nan"),
+            ("--margin", "0", "must be > 0, got 0.0"),
+            ("--margin", "-1", "must be > 0, got -1.0"),
         ],
     )
     def test_simlab_gen_rejects_out_of_range_flags(self, tmp_path, capsys, flag, value, problem):
@@ -1084,6 +1100,16 @@ class TestStreamingRollout:
         trees = list(read_records(str(tmp_path / "trees.jsonl"), dict))
         assert len(trees) == manifest_for(pipeline["batch"])["stats"]["trees"]
         assert all(rs["advantage"] is not None for t in trees for rs in t["initial"] + t["updated"])
+
+    def test_tree_dump_reads_back_as_rollout_trees(self, pipeline, tmp_path):
+        """Each ``--trees`` line decodes as a ``RolloutTree`` and encodes back to its own bytes."""
+        from prefpipe.rlengine import RolloutTree
+
+        assert run(*self.rollout_argv(pipeline, tmp_path, pipeline["instances"])) == 0
+        lines = (tmp_path / "trees.jsonl").read_text(encoding="utf-8").splitlines()
+        trees = list(read_records(str(tmp_path / "trees.jsonl"), RolloutTree))
+        assert len(trees) == len(lines) > 0
+        assert [json_dumps(tree.to_dict()) for tree in trees] == lines
 
     @pytest.mark.parametrize(
         "extra, expected",

@@ -241,8 +241,8 @@ def test_streamed_and_full_summaries_score_alike(tmp_path):
 
 def test_format_reports_table():
     reports = [
-        EvalReport(label="full-history", n=40, correct=36, parse_failures=1, call_failures=0),
-        EvalReport(label="streaming", n=40, correct=33, parse_failures=2, call_failures=1),
+        EvalReport(label="full-history", n=40, correct=36, accuracy=0.9, parse_failures=1, call_failures=0),
+        EvalReport(label="streaming", n=40, correct=33, accuracy=0.825, parse_failures=2, call_failures=1),
     ]
     table = format_reports(reports)
     lines = table.splitlines()

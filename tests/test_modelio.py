@@ -175,7 +175,9 @@ class TestModelEndpoint:
             ModelEndpoint(base_url="mock:generator", max_prompt_tokens=0)
         with pytest.raises(ConfigError):
             ModelEndpoint(base_url="mock:generator", judge_samples=0)
-        for field, value in [("backoff_base", -1.0), ("timeout", 0.0), ("timeout", -5.0), ("max_output_tokens", 0)]:
+        for field, value in [
+            ("backoff_base", -1.0), ("backoff_base", float("inf")), ("timeout", 0.0), ("timeout", -5.0), ("max_output_tokens", 0)
+        ]:
             with pytest.raises(ConfigError, match=f"^{field} must be"):
                 ModelEndpoint(base_url="mock:generator", **{field: value})
         ModelEndpoint(base_url="mock:generator", backoff_base=0.0, max_output_tokens=1)  # the least legal values
@@ -349,7 +351,7 @@ class TestJudgePair:
         chooser = lambda prompt, labels, ctx: (-0.1, -2.4)
         client = make_client(ScriptBackend(chooser=chooser))
         verdict = client.judge_pair("p", None, "a", "b", debias=False)
-        assert not verdict.debiased
+        assert client.stats["attempts"] == 1  # one order, read from its label logprobs
         assert abs(verdict.prob_first - label_probability(-0.1, -2.4)) < 1e-12
 
     def test_sampling_fallback_counts_selections(self):
@@ -358,7 +360,7 @@ class TestJudgePair:
             ScriptBackend(completer=lambda p, ctx: next(replies)), judge_samples=8
         )
         verdict = client.judge_pair("p", None, "a", "b", debias=False)
-        assert verdict.sampled
+        assert client.stats["attempts"] == 1 + 8  # no label logprobs, then k samples
         assert verdict.prob_first == 6 / 8
 
     def test_sampling_skips_unparseable(self):
@@ -367,8 +369,8 @@ class TestJudgePair:
             ScriptBackend(completer=lambda p, ctx: next(replies)), judge_samples=8
         )
         verdict = client.judge_pair("p", None, "a", "b", debias=False)
-        assert verdict.prob_first == 3 / 4
-        assert verdict.detail["forward"]["counts"]["parse_failures"] == 4
+        assert verdict.prob_first == 3 / 4  # the 4 unparseable samples count for neither label
+        assert client.stats["attempts"] == 1 + 8
 
     def test_all_unparseable_raises(self):
         client = make_client(ScriptBackend(completer=lambda p, ctx: "??"), judge_samples=4)
@@ -601,7 +603,7 @@ class TestHttpBackend:
         ]
         client = http_client(server)
         verdict = client.judge_pair("pref", None, "x", "y", debias=False)
-        assert not verdict.sampled
+        assert client.stats["attempts"] == 1
         assert abs(verdict.prob_first - label_probability(-0.1, -2.4)) < 1e-12
 
     def test_no_label_position_falls_back_to_sampling(self, server):
@@ -610,7 +612,7 @@ class TestHttpBackend:
         server.queue = [_only_brace(), sel, sel, sel]
         client = http_client(server, judge_samples=3)
         verdict = client.judge_pair("pref", None, "x", "y", debias=False)
-        assert verdict.sampled
+        assert client.stats["attempts"] == 1 + 3
         assert verdict.prob_first == 1.0
 
     def test_score_requires_echo_capability(self, server):
@@ -644,6 +646,11 @@ class TestHttpBackend:
         vec = http_client(server).embed("text")
         assert np.allclose(vec, [0.6, 0.8])
         assert server.requests[0]["path"] == "/embeddings"
+
+    def test_infinite_timeout_means_no_timeout(self, server):
+        client = http_client(server, timeout=float("inf"))
+        assert np.allclose(client.embed("text"), [0.6, 0.8])
+        assert client.generate_summary("p").summary == "an http summary"
 
     @pytest.mark.parametrize("max_in_flight", [2, 16])
     def test_connection_pool_matches_in_flight_limit(self, max_in_flight):

@@ -10,7 +10,8 @@ route from an endpoint to a client: ``Clients.build``, the registry that
 ``main`` hands each subcommand, constructs every ``ModelClient``, so no
 client's counts can miss the manifest. Last, it keeps one summary step:
 ``streamer.summarize`` is the only place a (prior, segment) pair becomes a
-prompt and a ``PreferenceSummary``."""
+prompt and a ``PreferenceSummary``, and every record is written by the one
+record codec, ``_util.encode``."""
 
 import ast
 import pathlib
@@ -118,3 +119,9 @@ def test_one_summary_step():
 
 def test_only_the_client_registry_builds_a_model_client():
     assert _owners(_calls("ModelClient")) == {("cli.py", "Clients.build")}
+
+
+def test_every_record_is_written_by_the_codec():
+    """A record class takes ``encode`` as its ``to_dict``: a hand-written one
+    would be a second wire format for ``decode`` to keep up with."""
+    assert _owners(lambda n: isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == "to_dict") == set()

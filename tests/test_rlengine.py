@@ -197,7 +197,7 @@ class TestRollout(LabSetup):
         assert [rs.sample_index for rs in tree.initial] == [0, 1, 2]
         assert all(rs.stage == "initial" for rs in tree.initial)
         assert all(rs.stage == "updated" for rs in tree.updated)
-        assert tree.instance == self.instance
+        assert (tree.user_id, tree.k1, tree.k2) == (self.instance.user_id, self.instance.k1, self.instance.k2)
 
     def test_coverage_and_lineage(self):
         config = RolloutConfig(gamma=0.5, group_size=2, seed=7)
@@ -212,8 +212,8 @@ class TestRollout(LabSetup):
         config = RolloutConfig(gamma=0.5, group_size=2, seed=7)
         tree = rollout(self.policy(), self.judge(), self.instance, self.history, config)
         uid = self.history.user_id
-        initial_prompt = tree.initial[0].generation.prompt
-        update_prompt = tree.updated[0].generation.prompt
+        initial_prompt = tree.initial[0].prompt
+        update_prompt = tree.updated[0].prompt
         for i in range(12):
             name = f"obj-{uid}-{i}-a"
             assert (name in initial_prompt) == (i < 4)
@@ -233,7 +233,7 @@ class TestRollout(LabSetup):
         prior = StreamState(self.history.user_id, selected, 4, (selected.summary_id,))
         update(streaming, prior, HistorySegment(self.history, 4, 9))
         assert rolled.prompts == [streamed.prompts[0]] * 2 + [streamed.prompts[1]] * 2
-        assert [rs.generation.prompt for rs in tree.all_summaries()] == rolled.prompts
+        assert [rs.prompt for rs in tree.all_summaries()] == rolled.prompts
 
     def test_single_sample_group(self):
         config = RolloutConfig(gamma=0.5, group_size=1, seed=7)

@@ -301,7 +301,7 @@ class TestScriptedJudgeBackend:
         verdict = client.judge_pair(
             render_estimate([1.0, 0.0]), None, render_item("a", [0.5, 0.3]), render_item("b", [0.0, 0.3])
         )
-        assert verdict.debiased and not verdict.sampled
+        assert client.stats["attempts"] == 2  # both orders, each from its label logprobs
         assert abs(verdict.prob_first - SIG4) < 1e-9
 
     def test_argmax_completion(self):
@@ -316,7 +316,7 @@ class TestScriptedJudgeBackend:
         verdict = client.judge_pair(
             render_estimate([1.0, 0.0]), None, render_item("a", [2.0, 0.0]), render_item("b", [-2.0, 0.0])
         )
-        assert verdict.sampled
+        assert client.stats["attempts"] == 2 * (1 + 4)  # per order: no label logprobs, then k samples
         assert verdict.prob_first == 1.0  # argmax completions all agree
 
     def test_sample_mode_frequency_tracks_probability(self):

@@ -30,7 +30,7 @@ from prefpipe._util import (
     write_jsonl,
 )
 from prefpipe.core import InteractionTriple, PreferenceSummary, UserHistory
-from prefpipe.curriculum import RlInstance, SampleScore
+from prefpipe.curriculum import RlInstance, ScoreRecord
 from prefpipe.errors import (
     BackendError,
     CapabilityError,
@@ -41,8 +41,8 @@ from prefpipe.errors import (
     UserSkip,
     ValidationError,
 )
-from prefpipe.evalharness import EvalInstance
-from prefpipe.rlengine import TrainingRecord
+from prefpipe.evalharness import EvalInstance, EvalReport
+from prefpipe.rlengine import RewardedSummary, RolloutTree, TrainingRecord
 from prefpipe.streamer import StreamState
 from prefpipe.synthpipe import SynthRecord
 
@@ -357,7 +357,13 @@ _TRIPLES = (InteractionTriple(0, "a"), InteractionTriple(2, "x", "y", "ctx"))
         EvalInstance("u1", "a", "b", "B", "ctx", "cross-swap"),
         StreamState("u1", _SUMMARY, 3, ("p0", _SUMMARY.summary_id)),
         RlInstance("u1", 1, 4),
-        SampleScore("u1", 2, 0.5, -0.25),
+        ScoreRecord("u1", 2, 0.5, 0.25),
+        RolloutTree(
+            "u1", 1, 4, 0,
+            (RewardedSummary("initial", 0, "prompt", "reply", _SUMMARY, (-0.5, -0.25), 0.5, 0.75, 1.0),),
+            (RewardedSummary("updated", 0, "prompt 2", "reply 2", _SUMMARY, None, 0.25, 0.25, 0.0),),
+        ),
+        EvalReport("eval", 4, 3, 0.75, 1, 0),
         Wire("a", 3),
     ],
     ids=lambda record: type(record).__name__,
