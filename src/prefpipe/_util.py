@@ -59,9 +59,14 @@ def left_truncate(text: str, max_tokens: int) -> tuple[str, int]:
     return text[spans[drop][0] :], drop
 
 
+_JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def json_dumps(obj: Any) -> str:
-    """Canonical JSON used for all on-disk records: UTF-8, stable key order."""
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+    """Canonical JSON used for all on-disk records: UTF-8, stable key order.
+    One encoder serves every call; ``json.dumps`` with these settings builds
+    a new one each time."""
+    return _JSON_ENCODER.encode(obj)
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> int:

@@ -157,29 +157,32 @@ def cmd_simlab_gen(args: argparse.Namespace, skipped: Tally, clients: Clients) -
         raise ValidationError(f"--margin must be > 0, got {args.margin}")
     stage_seed = derive_seed(args.seed, "simlab-gen")
     os.makedirs(args.out_dir, exist_ok=True)
-    histories, truth = simlab.gen_population(
-        seed=stage_seed,
-        n_users=args.users,
-        dim=args.dim,
-        history_len=args.history_len,
-        pair_margin=args.margin,
-        context_rate=args.context_rate,
-        user_prefix=args.user_prefix,
-        dataset_tag=args.dataset_tag,
-    )
-    scores = simlab.score_corpus(histories, truth, kappa=args.kappa, weak_quality=args.weak_quality, seed=stage_seed)
     paths = [os.path.join(args.out_dir, name) for name in ("histories.jsonl", "truth.jsonl", "scores.jsonl")]
-    core.save_histories(paths[0], histories)
-    simlab.save_truth(paths[1], truth)
-    write_jsonl(paths[2], scores)
+    users = score_rows = 0
+    with (
+        jsonl_writer(paths[0]) as write_history,
+        jsonl_writer(paths[1]) as write_truth,
+        jsonl_writer(paths[2]) as write_score,
+    ):
+        for hist, latent, diffs in simlab.gen_users(
+            stage_seed, args.users, args.dim, args.history_len, args.margin, args.context_rate,
+            args.dataset_tag, args.user_prefix,
+        ):
+            write_history(hist.to_dict())
+            write_truth(simlab.truth_record(hist.user_id, latent))
+            scores = simlab.score_user(hist.user_id, range(len(hist)), diffs, args.kappa, args.weak_quality, stage_seed)
+            for row in scores:
+                write_score(row)
+            users += 1
+            score_rows += len(hist)
     config = {
         "users": args.users, "dim": args.dim, "history_len": args.history_len,
         "margin": args.margin, "context_rate": args.context_rate, "kappa": args.kappa,
         "weak_quality": args.weak_quality, "user_prefix": args.user_prefix, "dataset_tag": args.dataset_tag,
     }
     return Stage(
-        config, [], paths, {"users": len(histories), "score_rows": len(scores)},
-        f"wrote {len(histories)} users to {args.out_dir}",
+        config, [], paths, {"users": users, "score_rows": score_rows},
+        f"wrote {users} users to {args.out_dir}",
         anchor=os.path.join(args.out_dir, "manifest.json"),
     )
 

@@ -46,6 +46,10 @@ class Backend(Protocol):
 # HTTP backend (chat-completion compatible)
 # ---------------------------------------------------------------------------
 
+# An endpoint timeout this long (about 32 years) or longer, ``.inf`` included,
+# means no timeout: a socket refuses one past about 9.2e9 s.
+NO_TIMEOUT_FROM_S = 1e9
+
 
 class HttpBackend:
     """Adapter for chat-completion compatible servers.
@@ -88,7 +92,7 @@ class HttpBackend:
         import requests
 
         url = self.endpoint.base_url.rstrip("/") + path
-        timeout = None if math.isinf(self.endpoint.timeout) else self.endpoint.timeout  # None: no timeout
+        timeout = self.endpoint.timeout if self.endpoint.timeout < NO_TIMEOUT_FROM_S else None  # None: no timeout
         try:
             # a redirect would re-read ~/.netrc, which replaces the Bearer key
             resp = self.session.post(

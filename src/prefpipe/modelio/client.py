@@ -25,6 +25,10 @@ from .parsing import parse_selection, split_reasoning
 logger = logging.getLogger("prefpipe.modelio")
 
 JUDGE_LABELS = ("Item A", "Item B")
+# The longest a server's Retry-After can make the client wait, whatever the
+# endpoint's timeout: with no timeout (or a huge one) an uncapped header such
+# as 1e20 s would overflow ``time.sleep``.
+MAX_RETRY_AFTER_S = 3600.0
 
 
 def label_probability(lp_first: float, lp_second: float) -> float:
@@ -91,7 +95,8 @@ class ModelClient:
     def _with_retries(self, op: str, fn: Callable):
         """Run a backend call, retrying retryable transport failures with
         exponential backoff up to the endpoint's budget. A server's
-        ``Retry-After`` lengthens the wait, up to the endpoint's timeout. Each
+        ``Retry-After`` lengthens the wait, up to the endpoint's timeout and
+        at most ``MAX_RETRY_AFTER_S``. Each
         attempt holds one in-flight slot; a call sleeping in backoff holds none.
         Retries and give-ups, by error class, are counted in ``stats``."""
         attempt = 0
@@ -107,7 +112,7 @@ class ModelClient:
                     raise
                 delay = self.endpoint.backoff_base * (2**attempt)
                 if exc.retry_after is not None:
-                    delay = max(delay, min(exc.retry_after, self.endpoint.timeout))
+                    delay = max(delay, min(exc.retry_after, self.endpoint.timeout, MAX_RETRY_AFTER_S))
                 logger.debug("%s: retryable failure (%s); backing off %.2fs", op, exc, delay)
                 self._bump("retries")
                 self._sleep(delay)

@@ -25,7 +25,7 @@ class ModelEndpoint:
     temperature: float = 1.0
     retry_limit: int = 3
     backoff_base: float = 0.5
-    timeout: float = 120.0  # seconds per request; .inf waits as long as it takes
+    timeout: float = 120.0  # seconds per request; .inf (or 1e9 and up) waits as long as it takes
     max_in_flight: int = 8
     judge_samples: int = 8
     think_open: str = "<think>"

@@ -15,7 +15,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -38,7 +38,7 @@ def sigmoid(x: float) -> float:
 
 
 def _render_vector(tag: str, vec) -> str:
-    return f"[{tag} " + " ".join(repr(float(x)) for x in vec) + "]"
+    return f"[{tag} " + " ".join(map(repr, np.asarray(vec, dtype=np.float64).tolist())) + "]"
 
 
 def _parse_vector(pattern: re.Pattern, text: str) -> np.ndarray | None:
@@ -110,6 +110,72 @@ def scripted_judge(estimate, positive, negative, kappa: float = 8.0) -> float:
     return sigmoid(kappa * float(est @ (pos - neg)))
 
 
+def gen_users(
+    seed: int,
+    n_users: int,
+    dim: int,
+    history_len: int,
+    pair_margin: float,
+    context_rate: float,
+    dataset_tag: str,
+    user_prefix: str,
+) -> Iterator[tuple[UserHistory, np.ndarray, np.ndarray]]:
+    """Draw a corpus with known latent directions, one user at a time: each
+    user's history, its unit latent, and the (chosen - rejected) feature
+    difference of every triple, one row per triple, which ``score_user``
+    scores without parsing the rendered items back.
+
+    Every pair satisfies latent . (chosen - rejected) >= pair_margin, so the
+    ground-truth user always prefers the chosen item and an oracle judge at
+    kappa * margin is confidently correct. Item differences also carry a
+    component orthogonal to the latent, so imperfect preference estimates pay a
+    measurable penalty. A user's draws depend only on ``seed``,
+    ``user_prefix`` and its number, not on the population size.
+    """
+    if n_users < 1 or history_len < 1:
+        raise ValidationError("population needs at least one user and one interaction")
+    if pair_margin <= 0:
+        raise ValidationError("pair_margin must be positive")
+    return (
+        _draw_user(seed, u, dim, history_len, pair_margin, context_rate, dataset_tag, user_prefix)
+        for u in range(n_users)
+    )
+
+
+def _draw_user(
+    seed, u, dim, history_len, pair_margin, context_rate, dataset_tag, user_prefix
+) -> tuple[UserHistory, np.ndarray, np.ndarray]:
+    user_id = f"{user_prefix}{u:04d}"
+    rng = np.random.default_rng(derive_seed(seed, "simlab-user", user_prefix, u))
+    latent = rng.standard_normal(dim)
+    latent /= np.linalg.norm(latent)
+    # The corpus bytes fix the order of the draws: triple by triple, its gap,
+    # base, noise and context coin.
+    gaps, coins = np.empty(history_len), np.empty(history_len)
+    base, noise = np.empty((history_len, dim)), np.empty((history_len, dim))
+    for i in range(history_len):
+        gaps[i] = rng.random()
+        rng.standard_normal(out=base[i])
+        rng.standard_normal(out=noise[i])
+        coins[i] = rng.random()
+    half_gap = 0.5 * (pair_margin + 1e-9 + 0.5 * gaps)[:, None]
+    base *= 0.5
+    noise *= 0.3
+    noise -= np.array([row.dot(latent) for row in noise])[:, None] * latent  # keep the gap along latent exact
+    pos = base + half_gap * latent + noise
+    neg = base - half_gap * latent - noise
+    triples = tuple(
+        InteractionTriple(
+            index=i,
+            chosen=render_item(f"obj-{user_id}-{i}-a", chosen),
+            rejected=render_item(f"obj-{user_id}-{i}-b", rejected),
+            context=f"Session {i}: pick the better match for this user." if coin < context_rate else None,
+        )
+        for i, (chosen, rejected, coin) in enumerate(zip(pos, neg, coins.tolist()))
+    )
+    return UserHistory(user_id=user_id, triples=triples, dataset_tag=dataset_tag), latent, pos - neg
+
+
 def gen_population(
     seed: int,
     n_users: int,
@@ -120,47 +186,57 @@ def gen_population(
     dataset_tag: str = "simlab",
     user_prefix: str = "u",
 ) -> tuple[list[UserHistory], dict[str, np.ndarray]]:
-    """Generate a corpus with known latent directions.
-
-    Every pair satisfies latent . (chosen - rejected) >= pair_margin, so the
-    ground-truth user always prefers the chosen item and an oracle judge at
-    kappa * margin is confidently correct. Item differences also carry a
-    component orthogonal to the latent, so imperfect preference estimates pay a
-    measurable penalty.
-    """
-    if n_users < 1 or history_len < 1:
-        raise ValidationError("population needs at least one user and one interaction")
-    if pair_margin <= 0:
-        raise ValidationError("pair_margin must be positive")
+    """The histories and latents (by user_id) that ``gen_users`` draws."""
     histories = []
     truth: dict[str, np.ndarray] = {}
-    for u in range(n_users):
-        user_id = f"{user_prefix}{u:04d}"
-        rng = np.random.default_rng(derive_seed(seed, "simlab-user", user_prefix, u))
-        latent = rng.standard_normal(dim)
-        latent /= np.linalg.norm(latent)
-        triples = []
-        for i in range(history_len):
-            gap = pair_margin + 1e-9 + rng.uniform(0.0, 0.5)
-            base = 0.5 * rng.standard_normal(dim)
-            noise = 0.3 * rng.standard_normal(dim)
-            noise -= (noise @ latent) * latent  # keep the gap along latent exact
-            pos = base + 0.5 * gap * latent + noise
-            neg = base - 0.5 * gap * latent - noise
-            context = None
-            if rng.uniform() < context_rate:
-                context = f"Session {i}: pick the better match for this user."
-            triples.append(
-                InteractionTriple(
-                    index=i,
-                    chosen=render_item(f"obj-{user_id}-{i}-a", pos),
-                    rejected=render_item(f"obj-{user_id}-{i}-b", neg),
-                    context=context,
-                )
-            )
-        histories.append(UserHistory(user_id=user_id, triples=tuple(triples), dataset_tag=dataset_tag))
-        truth[user_id] = latent
+    users = gen_users(seed, n_users, dim, history_len, pair_margin, context_rate, dataset_tag, user_prefix)
+    for hist, latent, _ in users:
+        histories.append(hist)
+        truth[hist.user_id] = latent
     return histories, truth
+
+
+def score_user(
+    user_id: str,
+    indices: Iterable[int],
+    diffs: np.ndarray,
+    kappa: float,
+    weak_quality: float,
+    seed: int,
+) -> list[dict]:
+    """``ScoreRecord`` rows for one user's triples, given their ``indices``
+    and their (chosen - rejected) feature ``diffs``, one row per triple.
+
+    Each point is scored given only the history *before* it, matching how the
+    scores are consumed: the strong model's estimate is the normalized running
+    sum of earlier differences (no earlier evidence means a chance-level 0.5),
+    the weak model's the same estimate degraded toward a per-user noise
+    direction. Early points therefore score near chance and tractability grows
+    as evidence accumulates.
+    """
+    n, dim = diffs.shape
+    rng = np.random.default_rng(derive_seed(seed, "simlab-weak", user_id))
+    noise = rng.standard_normal(dim)
+    noise /= np.linalg.norm(noise)
+    # running[t] is 0 + diffs[0] + ... + diffs[t - 1], added in that order
+    running = np.zeros((n, dim))
+    running[1:] = diffs[:-1]
+    np.cumsum(running, axis=0, out=running)
+    # One 1-D dot per norm and per judge score, as in scripted_judge: a batched
+    # product can round differently in the last bit.
+    norms = np.array([math.sqrt(row.dot(row)) for row in running])
+    strong = np.divide(running, norms[:, None], out=np.zeros((n, dim)), where=norms[:, None] > 1e-9)
+    weak = weak_quality * strong + (1.0 - weak_quality) * noise
+    for row in weak:
+        wnorm = math.sqrt(row.dot(row))
+        if wnorm > 1e-9:
+            row /= wnorm
+        else:
+            row[:] = noise
+    return [
+        encode(ScoreRecord(user_id, index, sigmoid(kappa * float(s.dot(d))), sigmoid(kappa * float(w.dot(d)))))
+        for index, s, w, d in zip(indices, strong, weak, diffs)
+    ]
 
 
 def score_corpus(
@@ -170,40 +246,32 @@ def score_corpus(
     weak_quality: float = 0.5,
     seed: int = 0,
 ) -> list[dict]:
-    """Per-triple sidecar scores.
-
-    Each point is scored given only the history *before* it, matching how the
-    scores are consumed: the strong model's estimate is the normalized running
-    sum of earlier (chosen - rejected) differences (no earlier evidence means a
-    chance-level 0.5), the weak model's the same estimate degraded toward a
-    per-user noise direction. Early points therefore score near chance and
-    tractability grows as evidence accumulates.
-    """
+    """``score_user`` over every history, its differences parsed from the
+    feature vectors rendered in its items."""
     records = []
     for hist in histories:
         dim = truth[hist.user_id].shape[0]
-        rng = np.random.default_rng(derive_seed(seed, "simlab-weak", hist.user_id))
-        noise = rng.standard_normal(dim)
-        noise /= np.linalg.norm(noise)
-        running = np.zeros(dim)
-        for t in hist.triples:
+        diffs = np.empty((len(hist), dim))
+        for diff, t in zip(diffs, hist.triples):
             pos, neg = parse_item_features(t.chosen), parse_item_features(t.rejected or "")
             if pos is None or neg is None:
                 raise ValidationError(f"user {hist.user_id} triple {t.index} lacks parseable features")
-            norm = np.linalg.norm(running)
-            strong_est = running / norm if norm > 1e-9 else np.zeros(dim)
-            weak_est = weak_quality * strong_est + (1.0 - weak_quality) * noise
-            wnorm = np.linalg.norm(weak_est)
-            weak_est = weak_est / wnorm if wnorm > 1e-9 else noise
-            strong_p = scripted_judge(strong_est, pos, neg, kappa)
-            weak_p = scripted_judge(weak_est, pos, neg, kappa)
-            records.append(encode(ScoreRecord(hist.user_id, t.index, strong_p, weak_p)))
-            running = running + (pos - neg)
+            if not pos.shape == neg.shape == diff.shape:
+                raise ContractError(
+                    f"dimension mismatch: estimate {diff.shape}, positive {pos.shape}, negative {neg.shape}"
+                )
+            np.subtract(pos, neg, out=diff)
+        records += score_user(hist.user_id, [t.index for t in hist.triples], diffs, kappa, weak_quality, seed)
     return records
 
 
+def truth_record(user_id: str, latent) -> dict:
+    """The ``TruthRecord`` line of one user's latent."""
+    return encode(TruthRecord(user_id, tuple(float(x) for x in latent)))
+
+
 def save_truth(path: str, truth: dict[str, np.ndarray]) -> int:
-    return write_jsonl(path, (encode(TruthRecord(uid, tuple(float(x) for x in vec))) for uid, vec in truth.items()))
+    return write_jsonl(path, (truth_record(uid, vec) for uid, vec in truth.items()))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from prefpipe.modelio import (
     parse_selection,
     split_reasoning,
 )
+from prefpipe.modelio.client import MAX_RETRY_AFTER_S
 from prefpipe.simlab import ScriptedEmbedderBackend, ScriptedGeneratorBackend
 
 def make_client(backend, **endpoint_overrides):
@@ -562,6 +563,16 @@ class TestHttpBackend:
         delays = []
         assert http_client(server, sleep=delays.append).generate_summary("p").summary == "an http summary"
         assert delays == [delay]
+        assert len(server.requests) == 2
+
+    @pytest.mark.parametrize("timeout", [float("inf"), 1e30])
+    def test_retry_after_beyond_any_timeout_is_capped(self, server, timeout):
+        # uncapped, a 1e20 s wait overflows time.sleep
+        server.queue = [(503, {}, {"Retry-After": "99999999999999999999"})]
+        delays = []
+        client = http_client(server, sleep=delays.append, timeout=timeout)
+        assert client.generate_summary("p").summary == "an http summary"
+        assert delays == [MAX_RETRY_AFTER_S]
         assert len(server.requests) == 2
 
     def test_client_error_fails_fast(self, server):

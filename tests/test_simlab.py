@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from prefpipe._util import json_dumps
+from prefpipe._util import derive_seed, json_dumps
+from prefpipe.cli import main
+from prefpipe.core import InteractionTriple, UserHistory
 from prefpipe.errors import CapabilityError, ContractError, ValidationError
 from prefpipe.modelio import ModelClient, ModelEndpoint, build_backend
 from prefpipe.prompts import render_generation_prompt, render_history_block, render_judge_prompt, render_merge_prompt
@@ -190,6 +192,110 @@ class TestScoreCorpus:
         histories, truth = gen_population(seed=8, n_users=40, history_len=6)
         records = score_corpus(histories, truth, weak_quality=0.0)
         assert abs(np.mean([r["weak_p"] for r in records]) - 0.5) < 0.2
+
+
+# ---------------------------------------------------------------------------
+# simlab-gen against the per-triple reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_item(name, vec):
+    return f"{name} [feat " + " ".join(repr(float(x)) for x in vec) + "]"
+
+
+def _reference_population(seed, n_users, dim, history_len, pair_margin, context_rate, dataset_tag, user_prefix):
+    """Draws one triple at a time, each vector a fresh array."""
+    histories, truth = [], {}
+    for u in range(n_users):
+        user_id = f"{user_prefix}{u:04d}"
+        rng = np.random.default_rng(derive_seed(seed, "simlab-user", user_prefix, u))
+        latent = rng.standard_normal(dim)
+        latent /= np.linalg.norm(latent)
+        triples = []
+        for i in range(history_len):
+            gap = pair_margin + 1e-9 + rng.uniform(0.0, 0.5)
+            base = 0.5 * rng.standard_normal(dim)
+            noise = 0.3 * rng.standard_normal(dim)
+            noise -= (noise @ latent) * latent
+            pos = base + 0.5 * gap * latent + noise
+            neg = base - 0.5 * gap * latent - noise
+            context = None
+            if rng.uniform() < context_rate:
+                context = f"Session {i}: pick the better match for this user."
+            triples.append(
+                InteractionTriple(
+                    index=i,
+                    chosen=_reference_item(f"obj-{user_id}-{i}-a", pos),
+                    rejected=_reference_item(f"obj-{user_id}-{i}-b", neg),
+                    context=context,
+                )
+            )
+        histories.append(UserHistory(user_id=user_id, triples=tuple(triples), dataset_tag=dataset_tag))
+        truth[user_id] = latent
+    return histories, truth
+
+
+def _reference_scores(histories, truth, kappa, weak_quality, seed):
+    """Scores one triple at a time from the features parsed back out of its text."""
+    records = []
+    for hist in histories:
+        dim = truth[hist.user_id].shape[0]
+        rng = np.random.default_rng(derive_seed(seed, "simlab-weak", hist.user_id))
+        noise = rng.standard_normal(dim)
+        noise /= np.linalg.norm(noise)
+        running = np.zeros(dim)
+        for t in hist.triples:
+            pos, neg = parse_item_features(t.chosen), parse_item_features(t.rejected)
+            norm = np.linalg.norm(running)
+            strong_est = running / norm if norm > 1e-9 else np.zeros(dim)
+            weak_est = weak_quality * strong_est + (1.0 - weak_quality) * noise
+            wnorm = np.linalg.norm(weak_est)
+            weak_est = weak_est / wnorm if wnorm > 1e-9 else noise
+            strong_p = scripted_judge(strong_est, pos, neg, kappa)
+            weak_p = scripted_judge(weak_est, pos, neg, kappa)
+            records.append({"user_id": hist.user_id, "index": t.index, "strong_p": strong_p, "weak_p": weak_p})
+            running = running + (pos - neg)
+    return records
+
+
+def _lines(records) -> bytes:
+    return "".join(json_dumps(r) + "\n" for r in records).encode()
+
+
+class TestSimlabGenMatchesReference:
+    SEED, USERS, HISTORY_LEN = 41, 6, 7
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            # weak_quality 1 with no evidence yet takes the weak model's noise fallback
+            ["--dim", "5", "--context-rate", "1.0", "--weak-quality", "1.0", "--margin", "0.8", "--kappa", "3"],
+            ["--context-rate", "0.0", "--weak-quality", "0.0"],
+        ],
+    )
+    def test_files_equal_the_reference_bytes(self, tmp_path, flags):
+        argv = ["--users", str(self.USERS), "--history-len", str(self.HISTORY_LEN), *flags]
+        assert main(["--seed", str(self.SEED), "simlab-gen", "--out-dir", str(tmp_path), *argv]) == 0
+        opt = {"dim": 8, "margin": 0.5, "context_rate": 0.5, "kappa": 8.0, "weak_quality": 0.5}
+        opt.update({flag[2:].replace("-", "_"): float(value) for flag, value in zip(flags[::2], flags[1::2])})
+        seed = derive_seed(self.SEED, "simlab-gen")
+        histories, truth = _reference_population(
+            seed, self.USERS, int(opt["dim"]), self.HISTORY_LEN, opt["margin"], opt["context_rate"], "simlab", "u"
+        )
+        scores = _reference_scores(histories, truth, opt["kappa"], opt["weak_quality"], seed)
+        expected = {
+            "histories.jsonl": _lines(h.to_dict() for h in histories),
+            "truth.jsonl": _lines({"user_id": uid, "latent": vec.tolist()} for uid, vec in truth.items()),
+            "scores.jsonl": _lines(scores),
+        }
+        for name, data in expected.items():
+            assert (tmp_path / name).read_bytes() == data, name
+
+        # score_corpus parses the rendered features back and scores them the same way
+        gen_args = (seed, self.USERS, int(opt["dim"]), self.HISTORY_LEN, opt["margin"], opt["context_rate"])
+        rows = score_corpus(*gen_population(*gen_args), kappa=opt["kappa"], weak_quality=opt["weak_quality"], seed=seed)
+        assert _lines(rows) == expected["scores.jsonl"]
 
 
 def test_truth_round_trip(tmp_path):

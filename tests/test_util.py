@@ -159,6 +159,8 @@ def test_jsonl_round_trip_property(tmp_path, records):
     path = str(tmp_path / "recs.jsonl")
     assert write_jsonl(path, records) == len(records)
     assert list(read_records(path, dict)) == records
+    # the one shared encoder writes the bytes json.dumps would
+    assert [json_dumps(r) for r in records] == [json.dumps(r, ensure_ascii=False, sort_keys=True) for r in records]
 
 
 def test_json_dumps_stable_key_order():
