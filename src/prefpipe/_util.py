@@ -99,16 +99,25 @@ def numbered_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     ``path:line``. Lines end at ``\n``, as JSON Lines defines them."""
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-            except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
-                raise ValidationError(f"{path}:{line_no}: invalid JSON line: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValidationError(f"{path}:{line_no}: record is not a JSON object")
-            yield line_no, record
+            record = jsonl_object(raw, f"{path}:{line_no}")
+            if record is not None:
+                yield line_no, record
+
+
+def jsonl_object(raw: bytes, where: str) -> dict | None:
+    """The JSON object on the raw line ``raw``, or None for a blank line. A
+    line that is not UTF-8, not JSON or not a JSON object raises
+    ValidationError naming ``where``."""
+    try:
+        line = raw.decode("utf-8").strip()
+        if not line:
+            return None
+        record = json.loads(line)
+    except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+        raise ValidationError(f"{where}: invalid JSON line: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ValidationError(f"{where}: record is not a JSON object")
+    return record
 
 
 def sha256_file(path: str) -> str:

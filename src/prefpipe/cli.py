@@ -238,12 +238,16 @@ def cmd_rollout(args: argparse.Namespace, skipped: Tally, clients: Clients) -> S
     )
     policy, judge = (clients.build(role, file_cfg.get(role)) for role in ("policy", "judge"))
 
-    histories = {h.user_id: h for h in core.load_histories(args.histories)}
     instances = curriculum.load_instances(args.instances)
     records = 0
-    # each tree is exported and dumped as it arrives; both files appear only
-    # once every tree is written
-    with jsonl_writer(args.out) as write_record, _optional_writer(args.trees) as write_tree:
+    # --histories is checked whole before the first call, then each instance's
+    # user is read back from its line; each tree is exported and dumped as it
+    # arrives, and both files appear only once every tree is written
+    with (
+        core.HistoryIndex(args.histories) as histories,
+        jsonl_writer(args.out) as write_record,
+        _optional_writer(args.trees) as write_tree,
+    ):
 
         def emit(tree) -> None:
             nonlocal records
@@ -366,14 +370,19 @@ def cmd_build_transfer(args: argparse.Namespace, skipped: Tally, clients: Client
 
 
 def _cross_domain(args: argparse.Namespace, client: "ModelClient", skipped: Tally) -> dict:
-    """Read A, then B, once each. Each user's last pair is held out as the
-    target and the rest is written to ``--out-histories`` and embedded; only
-    the id, the vector and the target are kept for the ranking, which covers
-    the users that were embedded."""
+    """Count the lines of A and B, then read A, then B, once each. Each
+    user's last pair is held out as the target and the rest is written to
+    ``--out-histories`` and embedded; only the id, the vector and the target
+    are kept for the ranking, which covers the users that were embedded."""
     from . import evalharness, transferbench
 
     if args.top_k < 1:  # before any embedding call is spent
         raise ValidationError(f"top_k must be >= 1, got {args.top_k}")
+    # a user is one non-blank line, so this bounds the pairs before any
+    # embedding call; match_users checks again, since the holdout may drop users
+    available = math.prod(_count_nonblank_lines(path) for path in (args.histories_a, args.histories_b))
+    if args.top_k > available:
+        raise ValidationError(f"top_k {args.top_k} exceeds the {available} available pairs")
     seen: set[str] = set()  # the ids of A, which B may not repeat
     targets: dict[str, core.InteractionTriple] = {}
 
@@ -403,6 +412,11 @@ def _cross_domain(args: argparse.Namespace, client: "ModelClient", skipped: Tall
         instances, stats = transferbench.swap_targets(pairs, targets, skipped)
         write_jsonl(args.out, instances)
     return stats
+
+
+def _count_nonblank_lines(path: str) -> int:
+    with open(path, "rb") as fh:
+        return sum(1 for raw in fh if raw.strip())
 
 
 def cmd_evaluate(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Stage:

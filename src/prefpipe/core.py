@@ -5,10 +5,12 @@ built on these four immutable types and their JSONL wire format.
 """
 
 import hashlib
+import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence, TypeVar
 
-from ._util import count_tokens, decode, encode, numbered_jsonl, read_records, write_jsonl
+from ._util import count_tokens, decode, encode, jsonl_object, numbered_jsonl, read_records, write_jsonl
 from .errors import ValidationError
 
 T = TypeVar("T")
@@ -186,8 +188,72 @@ def iter_histories(path: str, seen: set[str] | None = None) -> Iterator[UserHist
 
 
 def load_histories(path: str) -> list[UserHistory]:
-    """All of ``iter_histories(path)``, for a caller that looks users up."""
+    """All of ``iter_histories(path)`` at once, for a caller that reads every
+    history more than once (``build-transfer``'s multi-interest donors). A
+    caller that looks users up takes a ``HistoryIndex``."""
     return list(iter_histories(path))
+
+
+class HistoryIndex(Mapping[str, UserHistory]):
+    """The histories of ``path`` by user_id, each decoded from its line when
+    it is looked up: the index holds a byte offset per user, not the corpus.
+
+    Opening makes one validating pass with ``iter_histories``' decode and
+    duplicate check, so a bad line or a repeated user raises here, naming
+    ``path:line``, before any lookup. ``path`` stays open until ``close`` (or
+    the end of the ``with`` block). Lookups may come from several threads.
+    A line that no longer holds the user indexed at its offset, because the
+    file was rewritten after the pass, is a ValidationError that aborts the
+    stage rather than a skipped item."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self._lock = threading.Lock()
+        self._fh = open(path, "rb")
+        try:
+            self._offsets = dict(by_user(path, self._scan()))
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _scan(self) -> Iterator[tuple[str, int]]:
+        offset = 0
+        for line_no, raw in enumerate(self._fh, 1):
+            where = f"{self.path}:{line_no}"
+            record = jsonl_object(raw, where)
+            if record is not None:
+                yield decode(UserHistory, record, where).user_id, offset
+            offset += len(raw)
+
+    def __getitem__(self, user_id: str) -> UserHistory:
+        offset = self._offsets[user_id]
+        with self._lock:
+            self._fh.seek(offset)
+            raw = self._fh.readline()
+        where = f"{self.path}: changed after it was read: byte {offset}"
+        try:
+            history = decode(UserHistory, jsonl_object(raw, where) or {}, where)
+            if history.user_id != user_id:
+                raise ValidationError(f"{where} starts user {history.user_id!r}, not {user_id!r}")
+        except ValidationError as exc:
+            exc.per_item = False  # the input changed under the stage, not one item
+            raise
+        return history
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._offsets)
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "HistoryIndex":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def save_histories(path: str, histories: Iterable[UserHistory]) -> int:

@@ -19,7 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -315,14 +315,16 @@ def run_rollouts(
     policy: ModelClient,
     judge: ModelClient,
     instances: Sequence[RlInstance],
-    histories: dict[str, UserHistory],
+    histories: Mapping[str, UserHistory],
     config: RolloutConfig,
     jobs: int = 1,
     sink: Callable[[RolloutTree], None] | None = None,
     skipped: Tally | None = None,
 ) -> tuple[list[RolloutTree], dict]:
     """Roll out every instance, up to ``jobs`` at once, each fanning its own
-    samples out up to ``jobs`` wide. A per-item failure skips the instance
+    samples out up to ``jobs`` wide. ``histories`` is read only through its
+    ``get``, one instance's user at a time (a ``core.HistoryIndex`` decodes
+    each one as it is asked for). A per-item failure skips the instance
     and is counted by reason ("no history" or the error's class) in
     ``skipped``.
 

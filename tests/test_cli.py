@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import itertools
 import json
 import os
@@ -584,6 +585,21 @@ class TestErrorHandling:
         assert f"error (ValidationError): {corpus}: duplicate record for user 'u0000'" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    def test_cross_domain_top_k_beyond_every_pair_fails_before_embedding(self, tmp_path, monkeypatch, capsys):
+        for lab, prefix in (("labA", "ua"), ("labB", "ub")):
+            assert run("simlab-gen", "--out-dir", str(tmp_path / lab), "--users", "5", "--user-prefix", prefix) == 0
+        requests = count_requests(monkeypatch)
+        out = tmp_path / "cross.jsonl"
+        rc = run(
+            "build-transfer", "--mode", "cross-domain", "--histories-a", str(tmp_path / "labA" / "histories.jsonl"),
+            "--histories-b", str(tmp_path / "labB" / "histories.jsonl"),
+            "--embedder", write_yaml(tmp_path / "embedder.yaml", {"base_url": "mock:embedder"}), "--out", str(out),
+        )
+        assert rc == 1
+        assert "error (ValidationError): top_k 1000 exceeds the 25 available pairs" in capsys.readouterr().err
+        assert not requests
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("command", ["loss-check", "rollout", "evaluate"])
     def test_malformed_jsonl_is_validation_error(self, pipeline, tmp_path, capsys, command):
         bad = tmp_path / "bad.jsonl"
@@ -713,6 +729,47 @@ def _user_lines(path, drop=None):
     """The lines of JSONL ``path`` whose ``user_id`` is not ``drop``."""
     with open(path, encoding="utf-8") as fh:
         return [line for line in fh if json.loads(line)["user_id"] != drop]
+
+
+def count_requests(monkeypatch):
+    """Count every request a scripted backend answers, by backend class;
+    returns the live Counter."""
+    from prefpipe import simlab
+
+    answered, lock = collections.Counter(), threading.Lock()
+    for cls in (simlab.ScriptedGeneratorBackend, simlab.ScriptedJudgeBackend, simlab.ScriptedEmbedderBackend):
+        for name in ("complete", "choice_logprobs", "score", "embed"):
+
+            def counted(self, *args, _real=getattr(cls, name), **kwargs):
+                with lock:
+                    answered[type(self)] += 1
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+    return answered
+
+
+def hold_indexes(monkeypatch):
+    """Keep every ``core.HistoryIndex`` the run opens alive, so that only its
+    own ``close`` releases its file; returns the list that holds them."""
+    held, real_init = [], core.HistoryIndex.__init__
+
+    def init(self, path):
+        held.append(self)
+        real_init(self, path)
+
+    monkeypatch.setattr(core.HistoryIndex, "__init__", init)
+    return held
+
+
+def open_paths():
+    """The real paths of the files this process holds open."""
+    fd_dir = "/proc/self/fd"
+    paths = set()
+    for fd in os.listdir(fd_dir):
+        with contextlib.suppress(OSError):
+            paths.add(os.readlink(os.path.join(fd_dir, fd)))
+    return paths
 
 
 class TestOneBadUser:
@@ -947,16 +1004,7 @@ class TestTelemetry:
         from prefpipe import simlab
 
         generator, judge, embedder = simlab.ScriptedGeneratorBackend, simlab.ScriptedJudgeBackend, simlab.ScriptedEmbedderBackend
-        answered, lock = collections.Counter(), threading.Lock()
-        for cls in (generator, judge, embedder):
-            for name in ("complete", "choice_logprobs", "score", "embed"):
-
-                def counted(self, *args, _real=getattr(cls, name), **kwargs):
-                    with lock:
-                        answered[type(self)] += 1
-                    return _real(self, *args, **kwargs)
-
-                monkeypatch.setattr(cls, name, counted)
+        answered = count_requests(monkeypatch)
         root = pipeline["root"]
         attempts = []
         for jobs in ("1", "2"):
@@ -1150,6 +1198,12 @@ class TestStreamingCorpus:
         root = tmp_path_factory.mktemp("corpus")
         for lab, prefix in (("labA", "u"), ("labB", "v")):
             assert run("simlab-gen", "--out-dir", str(root / lab), "--users", str(self.USERS), "--user-prefix", prefix) == 0
+        # one rollout instance for each user of A
+        with open(root / "labA" / "histories.jsonl", encoding="utf-8") as fh:
+            users = [json.loads(line)["user_id"] for line in fh]
+        (root / "labA" / "instances.jsonl").write_text(
+            "".join(json_dumps({"user_id": user, "k1": 4, "k2": 8}) + "\n" for user in users), encoding="utf-8"
+        )
         return root
 
     @staticmethod
@@ -1162,6 +1216,16 @@ class TestStreamingCorpus:
                 ["synthesize-sft", "--histories", histories, "--scores", str(corpus / "labA" / "scores.jsonl"),
                  "--config", cfg, "--out", str(tmp_path / "sft.jsonl"), "--tau-tract", "0.3"],
                 [tmp_path / "sft.jsonl"],
+            )
+        if stage == "rollout":
+            cfg = write_yaml(tmp_path / "rollout.yaml", {
+                "policy": {"base_url": f"{gen['base_url']}&quality=1.0"}, "judge": {"base_url": "mock:judge?kappa=8"},
+            })
+            return (
+                ["rollout", "--instances", str(corpus / "labA" / "instances.jsonl"), "--histories", histories,
+                 "--config", cfg, "--gamma", "0.5", "--out", str(tmp_path / "batch.jsonl"),
+                 "--trees", str(tmp_path / "trees.jsonl")],
+                [tmp_path / "batch.jsonl", tmp_path / "trees.jsonl"],
             )
         if stage == "stream-infer":
             return (
@@ -1178,7 +1242,7 @@ class TestStreamingCorpus:
         )
 
     @pytest.mark.parametrize("jobs", [1, 3])
-    @pytest.mark.parametrize("stage", ["synthesize-sft", "stream-infer", "cross-domain"])
+    @pytest.mark.parametrize("stage", ["synthesize-sft", "stream-infer", "cross-domain", "rollout"])
     def test_live_histories_are_bounded_by_jobs(self, corpus, tmp_path, monkeypatch, stage, jobs):
         live, ids, peak, lock = weakref.WeakValueDictionary(), itertools.count(), [0], threading.Lock()
         real_post_init = core.UserHistory.__post_init__
@@ -1224,6 +1288,79 @@ class TestStreamingCorpus:
         assert seen_tmp == [True]  # the finished users were already being written
         assert [p.read_bytes() for p in outputs] == before
         assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+    def test_rollout_bytes_do_not_depend_on_jobs(self, corpus, tmp_path, monkeypatch):
+        held, written = hold_indexes(monkeypatch), []
+        for jobs in ("1", "3"):
+            (tmp_path / jobs).mkdir()
+            argv, outputs = self.argv(corpus, tmp_path / jobs, "rollout")
+            assert run("--jobs", jobs, *argv) == 0
+            written.append([p.read_bytes() for p in outputs] + [manifest_for(outputs[0])["stats"]])
+        assert written[0] == written[1]
+        assert written[0][-1]["trees"] == self.USERS
+        assert len(held) == 2
+        assert os.path.realpath(corpus / "labA" / "histories.jsonl") not in open_paths()
+
+    @staticmethod
+    def rollout_over(corpus, tmp_path, text):
+        """The rollout argv over a copy of A's histories whose text is ``text``."""
+        histories = tmp_path / "histories.jsonl"
+        histories.write_text(text, encoding="utf-8")
+        argv, outputs = TestStreamingCorpus.argv(corpus, tmp_path, "rollout")
+        argv[argv.index("--histories") + 1] = str(histories)
+        return histories, argv, outputs
+
+    def test_rollout_checks_every_history_before_any_request(self, corpus, tmp_path, monkeypatch, capsys):
+        lines = (corpus / "labA" / "histories.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        # no instance names this user, so only the up-front pass reads its line
+        bad = json_dumps({"user_id": "nobody", "triples": [{"index": 0, "chosen": 5}]}) + "\n"
+        histories, argv, outputs = self.rollout_over(corpus, tmp_path, "".join(lines + [bad]))
+        requests, held = count_requests(monkeypatch), hold_indexes(monkeypatch)
+        assert run("--jobs", "3", *argv) == 1
+        assert f"error (ValidationError): {histories}:{len(lines) + 1}: triples[0].chosen: " in capsys.readouterr().err
+        assert not requests
+        assert not [p for p in outputs if p.exists()]
+        assert len(held) == 1
+        assert os.path.realpath(histories) not in open_paths()
+
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    @pytest.mark.parametrize("rewrite", ["renamed users", "shifted lines", "truncated"])
+    def test_rollout_refuses_histories_rewritten_after_the_check(
+        self, corpus, tmp_path, monkeypatch, capsys, rewrite, jobs
+    ):
+        """A line read back must still hold the user indexed at its offset:
+        the stage aborts naming the file, and no tree is built from another
+        user's history."""
+        from prefpipe import rlengine
+
+        text = (corpus / "labA" / "histories.jsonl").read_text(encoding="utf-8")
+        first = text[: text.index("\n") + 1]
+        changed = {
+            "renamed users": text.replace('"user_id": "u', '"user_id": "w'),  # same offsets, other users
+            "shifted lines": " " * 7 + text,  # the second user's offset falls inside the first line
+            "truncated": first,
+        }[rewrite]
+        histories, argv, outputs = self.rollout_over(corpus, tmp_path, text)
+        real_run, real_rollout, rolled = rlengine.run_rollouts, rlengine.rollout, []
+
+        def rewrite_then_run(*args, **kwargs):  # after the index pass, in place: the open file sees the new bytes
+            histories.write_text(changed, encoding="utf-8")
+            return real_run(*args, **kwargs)
+
+        def checked(policy, judge, instance, history, *args, **kwargs):
+            rolled.append((instance.user_id, history.user_id))
+            return real_rollout(policy, judge, instance, history, *args, **kwargs)
+
+        monkeypatch.setattr(rlengine, "run_rollouts", rewrite_then_run)
+        monkeypatch.setattr(rlengine, "rollout", checked)
+        held = hold_indexes(monkeypatch)
+        assert run("--jobs", jobs, *argv) == 1
+        err = capsys.readouterr().err
+        assert f"error (ValidationError): {histories}: changed after it was read: byte " in err
+        assert all(user == history_user for user, history_user in rolled)
+        assert not [p for p in outputs if p.exists()]
+        assert len(held) == 1
+        assert os.path.realpath(histories) not in open_paths()
 
 
 class TestStartup:

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from prefpipe._util import decode, even_boundaries, write_jsonl
 from prefpipe.core import (
+    HistoryIndex,
     HistorySegment,
     InteractionTriple,
     PreferenceSummary,
@@ -178,6 +181,51 @@ def test_history_store_rejects_garbage(tmp_path):
         fh.write("{broken\n")
     with pytest.raises(ValidationError):
         load_histories(path)
+
+
+def test_history_index_reads_each_user_back_from_its_line(tmp_path):
+    path = str(tmp_path / "h.jsonl")
+    histories = [make_history(3, "a"), make_history(5, "b", with_rejected=False), make_history(1, "c")]
+    save_histories(path, histories)
+    # a blank line holds no user, but its byte counts in every offset after it
+    (tmp_path / "h.jsonl").write_text("\n" + (tmp_path / "h.jsonl").read_text())
+    with HistoryIndex(path) as index:
+        assert sorted(index) == ["a", "b", "c"] and len(index) == 3
+        assert [index["c"], index.get("a"), index.get("b")] == [histories[2], histories[0], histories[1]]
+        assert index.get("nobody") is None
+
+
+def test_history_index_is_shared_safely_by_threads(tmp_path):
+    """More threads than cores, switching as often as the interpreter allows:
+    each lookup still gets its own user's line whole."""
+    path = str(tmp_path / "h.jsonl")
+    histories = {f"u{i}": make_history(1 + i % 7, f"u{i}") for i in range(40)}
+    save_histories(path, histories.values())
+    wrong, interval = [], sys.getswitchinterval()
+
+    def lookups(seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            user = rng.choice(list(histories))
+            try:
+                got = index[user]
+            except ValidationError as exc:  # a line read from the middle
+                got = exc
+            if got != histories[user]:
+                wrong.append(user)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        with HistoryIndex(path) as index:
+            threads = [threading.Thread(target=lookups, args=(seed,)) for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_summary_store_round_trip(tmp_path):
