@@ -16,7 +16,7 @@ import typing
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO, TypeVar
 
-from .errors import ConfigError, PipelineError, UserSkip, ValidationError
+from .errors import ConfigError, ContractError, PipelineError, UserSkip, ValidationError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -59,14 +59,23 @@ def left_truncate(text: str, max_tokens: int) -> tuple[str, int]:
     return text[spans[drop][0] :], drop
 
 
-_JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+_JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False)
+_JSON_FILE_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 
-def json_dumps(obj: Any) -> str:
-    """Canonical JSON used for all on-disk records: UTF-8, stable key order.
-    One encoder serves every call; ``json.dumps`` with these settings builds
-    a new one each time."""
-    return _JSON_ENCODER.encode(obj)
+def json_dumps(obj: Any, where: str = "JSON output", encoder: json.JSONEncoder = _JSON_ENCODER) -> str:
+    """Canonical JSON used for all on-disk records: UTF-8, stable key order,
+    one encoder for every call. JSON has no NaN or ±inf: a non-finite float
+    raises ContractError naming ``where``, the output it was meant for."""
+    try:
+        return encoder.encode(obj)
+    except ValueError as exc:
+        raise ContractError(f"{where}: {exc}") from exc
+
+
+def write_json(path: str, obj: Any) -> None:
+    """Atomically write ``obj`` as indented JSON, the form of manifests and reports."""
+    atomic_write_text(path, json_dumps(obj, path, _JSON_FILE_ENCODER) + "\n")
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> int:
@@ -87,7 +96,7 @@ def jsonl_writer(path: str) -> Iterator[Callable[[dict], None]]:
     with _atomic_open(path) as fh:
 
         def write(rec: dict) -> None:
-            fh.write(json_dumps(rec))
+            fh.write(json_dumps(rec, path))
             fh.write("\n")
 
         yield write

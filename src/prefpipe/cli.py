@@ -17,7 +17,6 @@ import contextlib
 import datetime
 import hashlib
 import itertools
-import json
 import logging
 import math
 import os
@@ -27,8 +26,8 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from . import core, curriculum
-from ._util import Tally, atomic_write_text, build_config, derive_seed, json_dumps, jsonl_writer
-from ._util import read_config, read_records, sha256_file, write_jsonl
+from ._util import Tally, build_config, derive_seed, json_dumps, jsonl_writer
+from ._util import read_config, read_records, sha256_file, write_json, write_jsonl
 from .errors import ConfigError, PipelineError, ValidationError
 
 if TYPE_CHECKING:
@@ -97,11 +96,12 @@ class ManifestWriter:
             self.outputs[path] = sha256_file(path)
 
     def write(self, anchor: str) -> str:
+        path = anchor if anchor.endswith("manifest.json") else anchor + ".manifest.json"
         manifest = {
             "command": self.command,
             "seed": self.seed,
             "config": self.config,
-            "config_digest": hashlib.sha256(json_dumps(self.config).encode()).hexdigest(),
+            "config_digest": hashlib.sha256(json_dumps(self.config, path).encode()).hexdigest(),
             "inputs": self.inputs,
             "outputs": self.outputs,
             "stats": self.stats,
@@ -109,8 +109,7 @@ class ManifestWriter:
             "started_at": self.started_at,
             "finished_at": _now(),
         }
-        path = anchor if anchor.endswith("manifest.json") else anchor + ".manifest.json"
-        atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        write_json(path, manifest)
         return path
 
 
@@ -221,8 +220,7 @@ def cmd_prune(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Sta
     instances = curriculum.build_rl_instances(kept)
     curriculum.save_instances(args.out, instances)
     if args.keep_scores:  # the kept points' own sidecar lines, so the file is a --scores input
-        lines = {(r.user_id, r.index): r for r in read_records(args.scores, curriculum.ScoreRecord)}
-        write_jsonl(args.keep_scores, (lines[s.user_id, s.index].to_dict() for s in kept))
+        write_jsonl(args.keep_scores, (s.to_dict() for s in kept))
     return Stage(
         cfg, [args.scores, args.config], [args.out, args.keep_scores],
         {"scores_in": len(scores), "kept": len(kept), "instances": len(instances)},
@@ -287,7 +285,8 @@ def cmd_loss_check(args: argparse.Namespace, skipped: Tally, clients: Clients) -
         rows = read_records(args.new_logprobs, rlengine.LogprobsRow)
         batch, new_logprobs = records(), (row.logprobs for row in rows)
     loss = rlengine.surrogate_loss(batch, new_logprobs, clip_eps=clip_eps)
-    print(json_dumps({"loss": loss, "records": seen, "clip_eps": clip_eps}))
+    shown_eps = None if math.isinf(clip_eps) else clip_eps  # JSON has no inf: clipping off prints as null
+    print(json_dumps({"loss": loss, "records": seen, "clip_eps": shown_eps}, "loss-check output"))
 
 
 def cmd_stream_infer(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Stage:
@@ -429,7 +428,7 @@ def cmd_evaluate(args: argparse.Namespace, skipped: Tally, clients: Clients) -> 
         downstream, summaries, instances,
         seed=derive_seed(args.seed, "evaluate"), strict=args.strict, label=args.label, jobs=args.jobs, skipped=skipped,
     )
-    atomic_write_text(args.out, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(args.out, report.to_dict())
     if args.outcomes:
         write_jsonl(
             args.outcomes,
@@ -519,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", required=True)
     p.add_argument("--new-logprobs", help="JSONL rows {logprobs: [...]} aligned with the batch")
     p.add_argument("--self-check", action="store_true", help="use the batch's own logprobs (ratio 1)")
-    p.add_argument("--clip-eps", type=float, help="ratio clip (default: rlengine.CLIP_EPS; inf disables clipping)")
+    p.add_argument("--clip-eps", type=float, help="ratio clip (default: rlengine.CLIP_EPS; inf disables clipping, printed as null)")
     p.set_defaults(func=cmd_loss_check)
 
     p = sub.add_parser("stream-infer", help="streaming inference over a corpus")

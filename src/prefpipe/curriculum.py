@@ -1,6 +1,7 @@
-"""Curriculum pruning: score every (history-prefix, target) point by how
-tractable it is for a strong model and how much headroom it offers over a weak
-one, filter to a difficulty band, and pick per-user training instances."""
+"""Curriculum pruning: a ``ScoreRecord`` scores each (history-prefix, target)
+point by how tractable it is for a strong model and how much headroom it
+offers over a weak one; ``prune`` filters the records to a difficulty band and
+``build_rl_instances`` picks per-user training instances."""
 
 import math
 from dataclasses import dataclass
@@ -10,21 +11,6 @@ from ._util import encode, read_records, write_jsonl
 from .errors import ValidationError
 
 PROB_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class SampleScore:
-    """Difficulty scores for one interaction point.
-
-    ``s_tract`` is the strong model's probability of the true choice given the
-    preceding history; ``s_learn`` the log-ratio of strong over weak probability
-    (how much the stronger reasoning actually buys at this point).
-    """
-
-    user_id: str
-    index: int
-    s_tract: float
-    s_learn: float
 
 
 @dataclass(frozen=True)
@@ -65,35 +51,39 @@ PRESET_CONFIGS = {
 }
 
 
-def score_sample(strong_p: float, weak_p: float) -> tuple[float, float]:
-    """Compute (s_tract, s_learn) from the two model probabilities.
-
-    Both must lie in (0, 1]; zeros are a domain error (callers floor upstream,
-    see PROB_FLOOR)."""
-    for name, p in (("strong_p", strong_p), ("weak_p", weak_p)):
-        if not (0.0 < p <= 1.0):
-            raise ValidationError(f"{name} must be in (0, 1], got {p}")
-    return strong_p, math.log(strong_p / weak_p)
-
-
 @dataclass(frozen=True)
 class ScoreRecord:
-    """One score sidecar line: each model's probability of the true choice at one point."""
+    """One score sidecar line: each model's probability of the true choice at
+    one point, given the history before it. ``s_tract`` is the strong model's
+    probability, ``s_learn`` the log-ratio of strong over weak (how much the
+    stronger reasoning buys at this point); both floor an exact 0 at
+    PROB_FLOOR, so the log stays in-domain."""
 
     user_id: str
     index: int
     strong_p: float
     weak_p: float
 
+    def __post_init__(self):
+        for name, p in (("strong_p", self.strong_p), ("weak_p", self.weak_p)):
+            if not (0.0 <= p <= 1.0):  # NaN fails too
+                raise ValidationError(f"{name} must be in [0, 1], got {p}")
+
+    @property
+    def s_tract(self) -> float:
+        return max(self.strong_p, PROB_FLOOR)
+
+    @property
+    def s_learn(self) -> float:
+        return math.log(self.s_tract / max(self.weak_p, PROB_FLOOR))
+
     to_dict = encode
 
 
-def load_scores(path: str) -> list[SampleScore]:
-    """Read a score sidecar (``ScoreRecord`` JSONL).
-
-    Probabilities are floored at PROB_FLOOR before the log so judge outputs of
-    exactly zero stay in-domain. Duplicate (user_id, index) keys are an error.
-    """
+def load_scores(path: str) -> list[ScoreRecord]:
+    """Read a score sidecar (``ScoreRecord`` JSONL). A bad line raises
+    ValidationError naming ``path:line``; duplicate (user_id, index) keys are
+    an error too."""
     scores = []
     seen: set[tuple[str, int]] = set()
     for rec in read_records(path, ScoreRecord):
@@ -101,12 +91,11 @@ def load_scores(path: str) -> list[SampleScore]:
         if key in seen:
             raise ValidationError(f"{path}: duplicate score for {key}")
         seen.add(key)
-        s_tract, s_learn = score_sample(max(rec.strong_p, PROB_FLOOR), max(rec.weak_p, PROB_FLOOR))
-        scores.append(SampleScore(user_id=rec.user_id, index=rec.index, s_tract=s_tract, s_learn=s_learn))
+        scores.append(rec)
     return scores
 
 
-def prune(scores: Sequence[SampleScore], config: PruneConfig) -> list[SampleScore]:
+def prune(scores: Sequence[ScoreRecord], config: PruneConfig) -> list[ScoreRecord]:
     """Apply the three-step curriculum filter.
 
     1. Keep the top ceil(alpha * N) points by s_learn.
@@ -118,20 +107,13 @@ def prune(scores: Sequence[SampleScore], config: PruneConfig) -> list[SampleScor
     the score multiset; input order never matters. Output is in canonical
     (user_id, index) order.
     """
-    n = len(scores)
-    keep1 = math.ceil(config.alpha * n)
-    step1 = sorted(scores, key=lambda s: (-s.s_learn, s.user_id, s.index))[:keep1]
-    step2 = [s for s in step1 if config.tract_low <= s.s_tract <= config.tract_high]
-    if config.tail_fraction >= 1.0:
-        step3 = step2
-    else:
-        keep3 = math.ceil(config.tail_fraction * len(step2))
-        if config.tail_side == "hardest":
-            ordered = sorted(step2, key=lambda s: (s.s_tract, s.user_id, s.index))
-        else:
-            ordered = sorted(step2, key=lambda s: (-s.s_tract, s.user_id, s.index))
-        step3 = ordered[:keep3]
-    return sorted(step3, key=lambda s: (s.user_id, s.index))
+    step1 = sorted(scores, key=lambda s: (-s.s_learn, s.user_id, s.index))[: math.ceil(config.alpha * len(scores))]
+    kept = [s for s in step1 if config.tract_low <= s.s_tract <= config.tract_high]
+    if config.tail_fraction < 1.0:  # step 3: "hardest" keeps the lowest s_tract
+        sign = 1 if config.tail_side == "hardest" else -1
+        ordered = sorted(kept, key=lambda s: (sign * s.s_tract, s.user_id, s.index))
+        kept = ordered[: math.ceil(config.tail_fraction * len(kept))]
+    return sorted(kept, key=lambda s: (s.user_id, s.index))
 
 
 @dataclass(frozen=True)
@@ -151,7 +133,7 @@ class RlInstance:
     to_dict = encode
 
 
-def pick_rl_instance(user_scores: Sequence[SampleScore]) -> RlInstance | None:
+def pick_rl_instance(user_scores: Sequence[ScoreRecord]) -> RlInstance | None:
     """Pick a user's two hardest surviving points (lowest s_tract, ties to the
     earlier index) and order them by history position. Users with fewer than
     two surviving points are skipped."""
@@ -165,10 +147,10 @@ def pick_rl_instance(user_scores: Sequence[SampleScore]) -> RlInstance | None:
     return RlInstance(user_id=hardest[0].user_id, k1=k1, k2=k2)
 
 
-def build_rl_instances(pruned: Sequence[SampleScore]) -> list[RlInstance]:
+def build_rl_instances(pruned: Sequence[ScoreRecord]) -> list[RlInstance]:
     """Group pruned scores by user and pick one instance per eligible user,
     in user_id order."""
-    by_user: dict[str, list[SampleScore]] = {}
+    by_user: dict[str, list[ScoreRecord]] = {}
     for s in pruned:
         by_user.setdefault(s.user_id, []).append(s)
     instances = []

@@ -201,6 +201,24 @@ class TestPipelineChain:
         assert sha256_file(again) == sha256_file(pipeline["instances"])
         assert manifest_for(again)["stats"]["scores_in"] == manifest_for(pipeline["instances"])["stats"]["kept"]
 
+    def test_every_output_is_strict_json(self, pipeline, capsys):
+        """No output, manifest or printed line of the chain holds NaN or
+        ±inf, which JSON does not have; clipping off prints as null."""
+
+        def strict(text):
+            return json.loads(text, parse_constant=lambda name: pytest.fail(f"non-JSON constant {name}"))
+
+        assert run("loss-check", "--batch", pipeline["batch"], "--self-check", "--clip-eps", "inf") == 0
+        assert strict(capsys.readouterr().out.strip().splitlines()[-1])["clip_eps"] is None
+        checked = []
+        for folder, _, names in os.walk(pipeline["root"]):
+            for name in names:
+                if name.endswith((".json", ".jsonl")):
+                    with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                        lines = [fh.read()] if name.endswith(".json") else fh.readlines()
+                    checked += [strict(line) for line in lines]
+        assert len(checked) > 100
+
     def test_rollout_is_reproducible(self, pipeline):
         assert sha256_file(pipeline["batch"]) == sha256_file(pipeline["batch2"])
         manifest = manifest_for(pipeline["batch"])
@@ -527,8 +545,28 @@ class TestErrorHandling:
         assert f"error (ValidationError): {truth}:1: missing field 'latent'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [("weak_p", -0.2), ("strong_p", 1.5)])
+    def test_probability_outside_unit_interval_names_its_line(self, pipeline, tmp_path, capsys, monkeypatch, field, value):
+        """A score line whose probability is outside [0, 1] fails prune, and
+        synthesize-sft before any model request, naming its line."""
+        good = {"index": 0, "strong_p": 0.9, "user_id": "u1", "weak_p": 0.5}
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(json_dumps({**good, field: value}) + "\n" + json_dumps({**good, "index": 1}) + "\n", encoding="utf-8")
+        answered = count_requests(monkeypatch)
+        out = tmp_path / "out.jsonl"
+        for argv in (
+            ["prune", "--alpha", "1.0", "--tract-low", "0", "--tract-high", "1"],
+            ["synthesize-sft", "--histories", pipeline["histories"], "--config", str(pipeline["root"] / "synth.yaml")],
+        ):
+            assert run(*argv, "--scores", str(scores), "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert f"error (ValidationError): {scores}:1: {field} must be in [0, 1], got {value}\n" in err
+            assert not out.exists()
+        assert not answered
+
     def test_rollout_rejects_duplicate_histories(self, pipeline, tmp_path, capsys):
-        lines = open(pipeline["histories"], encoding="utf-8").readlines()
+        with open(pipeline["histories"], encoding="utf-8") as fh:
+            lines = fh.readlines()
         doubled = tmp_path / "doubled.jsonl"
         doubled.write_text("".join(lines + lines[:1]), encoding="utf-8")
         cfg = write_yaml(tmp_path / "cfg.yaml", {"policy": {"base_url": "mock:generator"}, "judge": {"base_url": "mock:judge"}})
@@ -550,7 +588,8 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("command", ["synthesize-sft", "stream-infer", "multi-interest", "positive-only"])
     def test_corpus_stages_reject_duplicate_histories(self, pipeline, tmp_path, capsys, command):
-        lines = open(pipeline["histories"], encoding="utf-8").readlines()
+        with open(pipeline["histories"], encoding="utf-8") as fh:
+            lines = fh.readlines()
         doubled = tmp_path / "doubled.jsonl"
         doubled.write_text("".join(lines[:3] + lines[:1] + lines[3:]), encoding="utf-8")
         out = tmp_path / "out"
@@ -1073,7 +1112,8 @@ class TestStreamingRollout:
 
     @staticmethod
     def many_instances(pipeline, tmp_path, n=40):
-        lines = open(pipeline["instances"], encoding="utf-8").readlines()
+        with open(pipeline["instances"], encoding="utf-8") as fh:
+            lines = fh.readlines()
         path = tmp_path / "many.jsonl"
         path.write_text("".join(itertools.islice(itertools.cycle(lines), n)), encoding="utf-8")
         return str(path)
@@ -1165,6 +1205,7 @@ class TestStreamingRollout:
             ([], '{"clip_eps": 0.2, "loss": -0.04793143346469453, "records": 3}'),
             (["--clip-eps", "0.05"], '{"clip_eps": 0.05, "loss": 0.05342664204644317, "records": 3}'),
             (["--self-check"], '{"clip_eps": 0.2, "loss": -0.0, "records": 3}'),
+            (["--clip-eps", "inf"], '{"clip_eps": null, "loss": -0.11562835500627455, "records": 3}'),
         ],
     )
     def test_loss_check_bytes(self, tmp_path, capsys, extra, expected):

@@ -3,28 +3,30 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prefpipe._util import write_jsonl
 from prefpipe.curriculum import (
     PRESET_CONFIGS,
+    PROB_FLOOR,
     PruneConfig,
     RlInstance,
-    SampleScore,
+    ScoreRecord,
     build_rl_instances,
     load_instances,
     load_scores,
     pick_rl_instance,
     prune,
     save_instances,
-    score_sample,
 )
 from prefpipe.errors import ValidationError
 
 
 def sample(user_id, index, s_tract, s_learn=0.0):
-    return SampleScore(user_id=user_id, index=index, s_tract=s_tract, s_learn=s_learn)
+    """The point whose tractability is ``s_tract`` and whose learnability is
+    ``s_learn`` (to rounding), for ``s_tract * exp(-s_learn) <= 1``."""
+    return ScoreRecord(user_id, index, strong_p=s_tract, weak_p=s_tract / math.exp(s_learn))
 
 
 def random_scores(rng, n_users=50, n_points=40):
@@ -33,8 +35,7 @@ def random_scores(rng, n_users=50, n_points=40):
     scores = []
     for u in range(n_users):
         for i in range(n_points):
-            s_tract, s_learn = score_sample(rng.choice(grid), rng.choice(grid))
-            scores.append(SampleScore(f"u{u:03d}", i, s_tract, s_learn))
+            scores.append(ScoreRecord(f"u{u:03d}", i, rng.choice(grid), rng.choice(grid)))
     return scores
 
 
@@ -54,28 +55,41 @@ def oracle_prune(scores, cfg):
     return sorted(survivors, key=lambda s: (s.user_id, s.index))
 
 
-class TestScoreSample:
+class TestScoreRecord:
     def test_hand_values(self):
-        s_tract, s_learn = score_sample(0.9, 0.45)
-        assert s_tract == 0.9
-        assert s_learn == math.log(2.0)
+        score = ScoreRecord("u1", 0, 0.9, 0.45)
+        assert score.s_tract == 0.9
+        assert score.s_learn == math.log(2.0)
 
     def test_equal_models_have_zero_headroom(self):
-        assert score_sample(0.7, 0.7) == (0.7, 0.0)
+        score = ScoreRecord("u1", 0, 0.7, 0.7)
+        assert (score.s_tract, score.s_learn) == (0.7, 0.0)
 
     def test_weak_model_ahead_is_negative(self):
-        assert score_sample(0.4, 0.8)[1] < 0.0
+        assert ScoreRecord("u1", 0, 0.4, 0.8).s_learn < 0.0
 
-    def test_domain(self):
-        with pytest.raises(ValidationError):
-            score_sample(0.0, 0.5)
-        with pytest.raises(ValidationError):
-            score_sample(0.5, 0.0)
-        with pytest.raises(ValidationError):
-            score_sample(1.1, 0.5)
-        with pytest.raises(ValidationError):
-            score_sample(0.5, -0.2)
-        score_sample(1.0, 1.0)  # closed at the top
+    def test_an_exact_zero_is_floored(self):
+        assert ScoreRecord("u1", 0, 0.0, 0.5).s_tract == PROB_FLOOR
+        assert ScoreRecord("u1", 0, 0.5, 0.0).s_learn == math.log(0.5 / PROB_FLOOR)
+
+    @pytest.mark.parametrize(
+        "strong_p, weak_p, message",
+        [
+            (1.1, 0.5, "strong_p must be in [0, 1], got 1.1"),
+            (0.5, -0.2, "weak_p must be in [0, 1], got -0.2"),
+            (math.nan, 0.5, "strong_p must be in [0, 1], got nan"),
+            (0.5, math.inf, "weak_p must be in [0, 1], got inf"),
+            (-math.inf, 0.5, "strong_p must be in [0, 1], got -inf"),
+        ],
+    )
+    def test_domain(self, strong_p, weak_p, message):
+        with pytest.raises(ValidationError) as info:
+            ScoreRecord("u1", 0, strong_p, weak_p)
+        assert str(info.value) == message
+
+    def test_closed_at_both_ends(self):
+        ScoreRecord("u1", 0, 1.0, 1.0)
+        ScoreRecord("u1", 0, 0.0, 0.0)
 
 
 class TestLoadScores:
@@ -93,8 +107,8 @@ class TestLoadScores:
             ],
         )
         scores = load_scores(path)
-        assert scores[0] == SampleScore("u1", 0, 0.9, math.log(2.0))
-        assert scores[1] == SampleScore("u1", 3, 0.5, 0.0)
+        assert scores == [ScoreRecord("u1", 0, 0.9, 0.45), ScoreRecord("u1", 3, 0.5, 0.5)]
+        assert [(s.s_tract, s.s_learn) for s in scores] == [(0.9, math.log(2.0)), (0.5, 0.0)]
 
     def test_zero_probabilities_are_floored(self, tmp_path):
         path = self.write(tmp_path, [{"user_id": "u1", "index": 0, "strong_p": 0.0, "weak_p": 0.0}])
@@ -112,6 +126,14 @@ class TestLoadScores:
         path = self.write(tmp_path, [{"user_id": "u1", "index": 0, "strong_p": 0.5}])
         with pytest.raises(ValidationError):
             load_scores(path)
+
+    @pytest.mark.parametrize("field, value", [("strong_p", 1.5), ("weak_p", -0.2)])
+    def test_probability_out_of_range_names_its_line(self, tmp_path, field, value):
+        good = {"user_id": "u1", "index": 0, "strong_p": 0.9, "weak_p": 0.5}
+        path = self.write(tmp_path, [good, {**good, "index": 1, field: value}])
+        with pytest.raises(ValidationError) as info:
+            load_scores(path)
+        assert str(info.value) == f"{path}:2: {field} must be in [0, 1], got {value}"
 
 
 class TestPrune:
@@ -242,9 +264,11 @@ _TRACT_LEVELS = [0.0, 0.25, 0.5, 0.75, 1.0]  # the interval's ends are drawn fro
 @st.composite
 def scored_points(draw):
     keys = draw(st.lists(st.tuples(st.sampled_from(["u1", "u2", "u3"]), st.integers(0, 20)), min_size=1, max_size=25, unique=True))
+    weaks = draw(st.lists(st.floats(0.001, 1.0), min_size=len(keys), max_size=len(keys), unique=True))
+    scores = [ScoreRecord(u, i, draw(st.sampled_from(_TRACT_LEVELS)), weak) for (u, i), weak in zip(keys, weaks)]
     # distinct learnabilities, so "the top ceil(alpha * N)" is one set whatever the tie-break
-    learns = draw(st.lists(st.floats(-5, 5), min_size=len(keys), max_size=len(keys), unique=True))
-    return [sample(u, i, draw(st.sampled_from(_TRACT_LEVELS)), learn) for (u, i), learn in zip(keys, learns)]
+    assume(len({s.s_learn for s in scores}) == len(scores))
+    return scores
 
 
 @settings(max_examples=200, deadline=None)

@@ -27,6 +27,7 @@ from prefpipe._util import (
     read_records,
     sha256_file,
     stable_hash,
+    write_json,
     write_jsonl,
 )
 from prefpipe.core import InteractionTriple, PreferenceSummary, UserHistory
@@ -167,12 +168,32 @@ def test_json_dumps_stable_key_order():
     assert json_dumps({"z": 0, "a": 0}) == '{"a": 0, "z": 0}'
 
 
+def test_write_json_writes_what_json_dumps_would(tmp_path):
+    obj = {"z": [1, {"b": "é"}], "a": 0.5}
+    write_json(str(tmp_path / "r.json"), obj)
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_writers_refuse_non_finite_numbers(tmp_path, value):
+    """JSON has no NaN or ±inf: every writer raises ContractError naming its
+    output, and leaves no file behind."""
+    records, report = tmp_path / "recs.jsonl", tmp_path / "report.json"
+    with pytest.raises(ContractError, match=f"^{records}: Out of range float"):
+        write_jsonl(str(records), [{"a": 1.0}, {"a": [0.5, value]}])
+    with pytest.raises(ContractError, match=f"^{report}: Out of range float"):
+        write_json(str(report), {"n": 1, "mean": value})
+    with pytest.raises(ContractError, match="^loss-check output: Out of range float"):
+        json_dumps({"loss": value}, "loss-check output")
+    assert os.listdir(tmp_path) == []
+
+
 def test_atomic_write_and_digest(tmp_path):
     path = str(tmp_path / "out.txt")
     atomic_write_text(path, "first")
     d1 = sha256_file(path)
     atomic_write_text(path, "second")
-    assert open(path).read() == "second"
+    assert (tmp_path / "out.txt").read_text() == "second"
     assert sha256_file(path) != d1
     assert not os.path.exists(path + ".tmp")
     atomic_write_text(path, "second")
@@ -182,7 +203,7 @@ def test_atomic_write_and_digest(tmp_path):
 def test_write_jsonl_failure_keeps_previous_file(tmp_path):
     path = str(tmp_path / "recs.jsonl")
     write_jsonl(path, [{"a": 1}, {"a": 2}])
-    before = open(path, "rb").read()
+    before = (tmp_path / "recs.jsonl").read_bytes()
 
     def records():
         yield {"a": 3}
@@ -190,7 +211,7 @@ def test_write_jsonl_failure_keeps_previous_file(tmp_path):
 
     with pytest.raises(RuntimeError, match="record source failed"):
         write_jsonl(path, records())
-    assert open(path, "rb").read() == before
+    assert (tmp_path / "recs.jsonl").read_bytes() == before
     assert not os.path.exists(path + ".tmp")
 
 
@@ -293,7 +314,8 @@ class TestDecode:
 
 _TEXT = st.text(min_size=1, max_size=8)
 _MAYBE_TEXT = st.none() | st.text(max_size=8)
-_FLOATS = st.floats(allow_nan=False)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)  # a writer refuses NaN and ±inf
+_PROBS = st.floats(0.0, 1.0)
 
 
 @st.composite
@@ -328,6 +350,7 @@ _RECORDS = st.one_of(
     st.builds(TrainingRecord, _TEXT, _TEXT, _TEXT, _TEXT, _TEXT, st.lists(_FLOATS).map(tuple), _FLOATS, _FLOATS),
     st.builds(EvalInstance, _TEXT, _TEXT, _TEXT, st.sampled_from("AB"), _MAYBE_TEXT, _MAYBE_TEXT),
     st.builds(lambda user, k1, gap: RlInstance(user, k1, k1 + gap), _TEXT, st.integers(0, 10**6), st.integers(1, 99)),
+    st.builds(ScoreRecord, _TEXT, st.integers(0, 10**6), _PROBS, _PROBS),
 )
 
 
