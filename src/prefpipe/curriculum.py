@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._util import encode, read_records, write_jsonl
+from ._util import decode, encode, numbered_jsonl, read_records, write_jsonl
 from .errors import ValidationError
 
 PROB_FLOOR = 1e-6
@@ -86,10 +86,11 @@ def load_scores(path: str) -> list[ScoreRecord]:
     an error too."""
     scores = []
     seen: set[tuple[str, int]] = set()
-    for rec in read_records(path, ScoreRecord):
+    for line_no, record in numbered_jsonl(path):
+        rec = decode(ScoreRecord, record, f"{path}:{line_no}")
         key = (rec.user_id, rec.index)
         if key in seen:
-            raise ValidationError(f"{path}: duplicate score for {key}")
+            raise ValidationError(f"{path}:{line_no}: duplicate score for {key}")
         seen.add(key)
         scores.append(rec)
     return scores

@@ -11,7 +11,7 @@ import math
 import os
 import urllib.parse
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Protocol
 
 from .._util import count_tokens
 from ..errors import BackendError, CapabilityError, ConfigError
@@ -27,7 +27,6 @@ class RawCompletion:
     token_logprobs: tuple[float, ...] | None = None
 
 
-@runtime_checkable
 class Backend(Protocol):
     def complete(
         self, prompt: str, *, max_tokens: int, temperature: float, seed: int | None = None, meta: dict | None = None
@@ -54,6 +53,11 @@ NO_TIMEOUT_FROM_S = 1e9
 class HttpBackend:
     """Adapter for chat-completion compatible servers.
 
+    The session is set up once, when the backend is built: the API key (a
+    missing one is a ``ConfigError`` here), the proxy and the CA bundle are
+    read from the environment then, and a request reads neither the
+    environment nor ``~/.netrc``.
+
     Judge label logprobs use the label-token convention: scan generated positions
     for the first one whose top-logprob alternatives contain both discriminator
     tokens (the labels' final words, e.g. "A" and "B"); absence means no logprob
@@ -64,40 +68,32 @@ class HttpBackend:
         import requests  # only processes that talk HTTP pay for importing it
 
         self.endpoint = endpoint
+        self.base_url = endpoint.base_url.rstrip("/")
+        self.timeout = endpoint.timeout if endpoint.timeout < NO_TIMEOUT_FROM_S else None  # None: no timeout
+        self.session = requests.Session()
+        env = endpoint.api_key_env
+        if env:
+            key = os.environ.get(env)
+            if not key:
+                raise ConfigError(f"endpoint expects API key in ${env}, which is unset")
+            self.session.headers["Authorization"] = f"Bearer {key}"
+        # The host never changes, so neither do its proxies (NO_PROXY included)
+        # nor its CA bundle: resolved here, they leave requests nothing to read.
+        self.session.trust_env = False
+        self.session.proxies = requests.utils.get_environ_proxies(self.base_url)
+        self.session.verify = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
         # The client lets max_in_flight requests run at once; a smaller
         # pool (requests' default is 10) would drop the extra connections.
-        self.session = requests.Session()
         adapter = requests.adapters.HTTPAdapter(pool_maxsize=endpoint.max_in_flight)
         self.session.mount("http://", adapter)
         self.session.mount("https://", adapter)
 
-    def _auth(self) -> Callable | None:
-        """The configured API key as a Bearer header. Given as the request's
-        ``auth``, it keeps requests from replacing it with ``~/.netrc``'s
-        login; proxy and CA-bundle settings still come from the environment."""
-        env = self.endpoint.api_key_env
-        if not env:
-            return None
-        key = os.environ.get(env)
-        if not key:
-            raise ConfigError(f"endpoint expects API key in ${env}, which is unset")
-
-        def bearer(request):
-            request.headers["Authorization"] = f"Bearer {key}"
-            return request
-
-        return bearer
-
     def _post(self, path: str, body: dict) -> dict:
         import requests
 
-        url = self.endpoint.base_url.rstrip("/") + path
-        timeout = self.endpoint.timeout if self.endpoint.timeout < NO_TIMEOUT_FROM_S else None  # None: no timeout
+        url = self.base_url + path
         try:
-            # a redirect would re-read ~/.netrc, which replaces the Bearer key
-            resp = self.session.post(
-                url, json=body, auth=self._auth(), timeout=timeout, allow_redirects=False
-            )
+            resp = self.session.post(url, json=body, timeout=self.timeout, allow_redirects=False)
         except requests.RequestException as exc:
             raise BackendError(f"POST {url} failed: {exc}", retryable=True) from exc
         if 300 <= resp.status_code < 400:

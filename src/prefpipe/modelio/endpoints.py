@@ -14,7 +14,7 @@ class ModelEndpoint:
     ``base_url`` selects the transport: ``http(s)://...`` for chat-completion
     compatible servers, ``mock:<kind>?param=value`` for scripted backends.
     API keys never live in config files; ``api_key_env`` names the environment
-    variable to read at request time.
+    variable that the HTTP backend reads once, when it is built.
     """
 
     base_url: str

@@ -119,8 +119,9 @@ class TestLoadScores:
     def test_duplicate_point_rejected(self, tmp_path):
         rec = {"user_id": "u1", "index": 0, "strong_p": 0.5, "weak_p": 0.5}
         path = self.write(tmp_path, [rec, rec])
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(ValidationError) as info:
             load_scores(path)
+        assert str(info.value) == f"{path}:2: duplicate score for ('u1', 0)"
 
     def test_malformed_record_rejected(self, tmp_path):
         path = self.write(tmp_path, [{"user_id": "u1", "index": 0, "strong_p": 0.5}])

@@ -499,7 +499,9 @@ class TestHttpBackend:
 
     def test_api_key_header(self, server, monkeypatch):
         monkeypatch.setenv("TEST_MODEL_KEY", "sekrit")
-        http_client(server, api_key_env="TEST_MODEL_KEY").generate_summary("p")
+        client = http_client(server, api_key_env="TEST_MODEL_KEY")
+        monkeypatch.delenv("TEST_MODEL_KEY")  # the key was read when the client was built
+        client.generate_summary("p")
         assert server.requests[0]["headers"]["Authorization"] == "Bearer sekrit"
 
     def test_api_key_wins_over_netrc(self, server, monkeypatch, tmp_path):
@@ -509,13 +511,14 @@ class TestHttpBackend:
         monkeypatch.delenv("NETRC", raising=False)
         monkeypatch.setenv("TEST_MODEL_KEY", "sekrit")
         http_client(server, api_key_env="TEST_MODEL_KEY").generate_summary("p")
-        http_client(server).generate_summary("p")  # without a key, requests still reads .netrc
+        http_client(server).generate_summary("p")  # without a key, no login is sent: .netrc is never read
         assert server.requests[0]["headers"]["Authorization"] == "Bearer sekrit"
-        assert server.requests[1]["headers"]["Authorization"].startswith("Basic ")
+        assert "Authorization" not in server.requests[1]["headers"]
 
-    def test_redirect_is_refused_before_netrc_can_replace_the_key(self, server, monkeypatch, tmp_path, capsys):
-        """requests re-reads .netrc on each redirect it follows, which would
-        send the netrc login in place of the key; a 3xx aborts the run."""
+    def test_redirect_is_refused_and_the_key_is_sent_once(self, server, monkeypatch, tmp_path, capsys):
+        """A 3xx aborts the run before anything follows it: the one request
+        sent carried the key, and the ``.netrc`` login for the same host is
+        never read."""
         from prefpipe.cli import main
         from prefpipe.core import InteractionTriple, UserHistory, save_histories
 
@@ -539,8 +542,25 @@ class TestHttpBackend:
 
     def test_missing_api_key_is_config_error(self, server, monkeypatch):
         monkeypatch.delenv("NOPE_KEY", raising=False)
-        with pytest.raises(ConfigError):
-            http_client(server, api_key_env="NOPE_KEY").generate_summary("p")
+        with pytest.raises(ConfigError, match="NOPE_KEY"):
+            http_client(server, api_key_env="NOPE_KEY")
+        assert server.requests == []
+
+    @pytest.mark.parametrize("direct", [False, True], ids=["proxied", "no-proxy"])
+    def test_proxy_from_the_environment(self, server, monkeypatch, direct):
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy", "ALL_PROXY", "HTTPS_PROXY", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        if direct:  # NO_PROXY bypasses a dead proxy: nothing listens on port 1
+            monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:1")
+            monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+            base_url, target = server.url, "/chat/completions"
+        else:  # the proxy gets the request in absolute form
+            monkeypatch.setenv("HTTP_PROXY", server.url)
+            base_url, target = "http://model.test/v1", "http://model.test/v1/chat/completions"
+        server.queue = [(200, _ScriptedServer.chat_payload())]
+        client = http_client(server, base_url=base_url, retry_limit=0)
+        assert client.generate_summary("p").summary == "an http summary"
+        assert [r["path"] for r in server.requests] == [target]
 
     def test_retries_on_server_errors(self, server):
         server.queue = [(500, {}), (429, {})]
