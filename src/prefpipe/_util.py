@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import os
 import re
 import types
@@ -189,10 +190,11 @@ def build_config(cls: type[C], *layers: Any, what: str, sections: Iterable[str] 
     Each layer may hold only ``cls``'s fields and the named ``sections``
     (endpoint blocks, skipped here); ``fixed`` fields are set by the caller
     and are not config keys. A value must match its field's annotation by
-    ``decode``'s rule. Values are kept as given. Every failure is a
-    ConfigError naming the key; range checks stay in ``cls.__post_init__``.
+    ``decode``'s rule, save that ±inf is a float here (``timeout: .inf``).
+    Values are kept as given. Every failure is a ConfigError naming the key;
+    range checks stay in ``cls.__post_init__``.
     """
-    fields = {f.name: f for f in _fields_of(cls) if f.name not in fixed}
+    fields = {f.name: f for f in _fields_of(cls, finite=False) if f.name not in fixed}
     merged: dict[str, Any] = {}
     for layer in layers:
         if not isinstance(layer, Mapping):
@@ -254,27 +256,27 @@ class _Field(NamedTuple):
 
 
 @functools.cache
-def _fields_of(cls: type) -> tuple[_Field, ...]:
-    """``cls``'s fields on the wire, built once per class."""
+def _fields_of(cls: type, finite: bool = True) -> tuple[_Field, ...]:
+    """``cls``'s fields on the wire, built once per class (see ``_codec`` for ``finite``)."""
     hints = typing.get_type_hints(cls)
     return tuple(
-        _Field(f.name, f.metadata.get("key", f.name), _codec(hints[f.name]),
+        _Field(f.name, f.metadata.get("key", f.name), _codec(hints[f.name], finite),
                f.default is dataclasses.MISSING is f.default_factory)
         for f in dataclasses.fields(cls)
     )
 
 
 @functools.cache
-def _codec(annotation: Any) -> _Codec:
+def _codec(annotation: Any, finite: bool = True) -> _Codec:
     """Both directions between JSON and a value that ``annotation`` holds.
     Decoding checks the value: a bool is not an int, an int is a float, NaN
-    is not a float (±inf is), ``X | None`` allows None, a ``tuple[X, ...]``
-    or ``tuple[X, Y]`` is a list, built as a tuple, and a dataclass is an
-    object. Encoding is the inverse: a record becomes an object and a tuple
-    a list."""
+    is not a float and neither is ±inf unless ``finite`` is False (configs
+    only), ``X | None`` allows None, a ``tuple[X, ...]`` or ``tuple[X, Y]``
+    is a list, built as a tuple, and a dataclass is an object. Encoding is
+    the inverse: a record becomes an object and a tuple a list."""
     args = typing.get_args(annotation)
     if dataclasses.is_dataclass(annotation):
-        fields = _fields_of(annotation)
+        fields = _fields_of(annotation, finite)
         readers = [(f.name, f.key, f.codec.decode, f.required) for f in fields]
         writers = [(f.name, f.key, f.codec.encode) for f in fields]
 
@@ -305,7 +307,7 @@ def _codec(annotation: Any) -> _Codec:
 
         return _Codec(decode, encode)
     if typing.get_origin(annotation) is tuple:
-        decoders, encoders = zip(*[_codec(a) for a in args if a is not Ellipsis])
+        decoders, encoders = zip(*[_codec(a, finite) for a in args if a is not Ellipsis])
 
         def decode(value: Any) -> Any:
             if not isinstance(value, list) or (Ellipsis not in args and len(value) != len(decoders)):
@@ -322,13 +324,15 @@ def _codec(annotation: Any) -> _Codec:
         (item,) = set(encoders)  # a tuple of records has one item type
         return _Codec(decode, list if item is None else lambda value: [item(x) for x in value])
     if isinstance(annotation, types.UnionType):  # only ``X | None``; None is written as it is
-        ((convert, encode),) = [_codec(a) for a in args if a is not type(None)]
+        ((convert, encode),) = [_codec(a, finite) for a in args if a is not type(None)]
         return _Codec(lambda value: None if value is None else convert(value), encode)
     kinds = (int, float) if annotation is float else annotation
+    refused = (math.inf, -math.inf) if finite and annotation is float else ()
 
     def decode(value: Any) -> Any:
         # value == value is False for NaN alone
-        if isinstance(value, kinds) and (annotation is bool or not isinstance(value, bool)) and value == value:
+        if (isinstance(value, kinds) and (annotation is bool or not isinstance(value, bool)) and value == value
+                and value not in refused):
             return value
         raise _mismatch(value, annotation)
 

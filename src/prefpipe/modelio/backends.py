@@ -51,7 +51,11 @@ NO_TIMEOUT_FROM_S = 1e9
 
 
 class HttpBackend:
-    """Adapter for chat-completion compatible servers.
+    """Adapter for chat-completion compatible servers: it posts to
+    ``/chat/completions`` and ``/embeddings`` and to no other route. A chat
+    endpoint cannot score supplied text, so ``score`` raises CapabilityError
+    without a request; ``loss-check`` reads new-policy logprobs from
+    ``--new-logprobs``.
 
     The session is set up once, when the backend is built: the API key (a
     missing one is a ``ConfigError`` here), the proxy and the CA bundle are
@@ -162,31 +166,9 @@ class HttpBackend:
         return None
 
     def score(self, prompt, response, *, meta=None) -> list[float]:
-        if not self.endpoint.extra.get("completions_echo"):
-            raise CapabilityError(
-                "endpoint does not support per-token scoring of supplied text "
-                "(set extra.completions_echo for servers with a legacy echo route)"
-            )
-        body = {
-            "model": self.endpoint.model_id,
-            "prompt": prompt + response,
-            "max_tokens": 0,
-            "echo": True,
-            "logprobs": 0,
-        }
-        data = self._post("/completions", body)
-        try:
-            lp = data["choices"][0]["logprobs"]
-            offsets, token_lps = lp["text_offset"], lp["token_logprobs"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise CapabilityError("echo route returned no usable logprobs") from exc
-        out = []
-        for off, val in zip(offsets, token_lps):
-            if off >= len(prompt):
-                if val is None:
-                    raise CapabilityError("echo route returned null logprobs inside the response span")
-                out.append(_logprob(val))
-        return out
+        raise CapabilityError(
+            "chat endpoints cannot score supplied text; give loss-check the new policy's logprobs with --new-logprobs"
+        )
 
     def embed(self, text, *, meta=None) -> list[float]:
         body = {"model": self.endpoint.model_id, "input": [text]}

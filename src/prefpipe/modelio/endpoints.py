@@ -49,10 +49,11 @@ class ModelEndpoint:
             raise ConfigError("judge_samples must be >= 1")
         if self.max_in_flight < 1:
             raise ConfigError("max_in_flight must be >= 1")
+        unknown = [f"extra.{key}" for key in self.extra if key != "body"]
+        if unknown:
+            raise ConfigError(f"unknown endpoint setting {', '.join(unknown)}: extra holds only body")
         if not isinstance(self.extra.get("body", {}), dict):
             raise ConfigError(f"extra.body must be a mapping, got {self.extra['body']!r}")
-        if not isinstance(self.extra.get("completions_echo", False), bool):
-            raise ConfigError(f"extra.completions_echo must be a bool, got {self.extra['completions_echo']!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelEndpoint":

@@ -465,14 +465,21 @@ class TestErrorHandling:
         assert f"error (ConfigError): endpoint config key '{key}' must be" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("key, value", [("body", 5), ("completions_echo", "yes")])
-    def test_mistyped_extra_field_is_config_error(self, pipeline, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("body", 5, "extra.body must be"),
+         ("completions_echo", True, "unknown endpoint setting extra.completions_echo: extra holds only body"),
+         ("top_p", 0.9, "unknown endpoint setting extra.top_p: extra holds only body")],
+    )
+    def test_mistyped_extra_field_is_config_error(self, pipeline, tmp_path, capsys, monkeypatch, key, value, message):
+        answered = count_requests(monkeypatch)
         generator = write_yaml(tmp_path / "gen.yaml", {"base_url": "mock:generator", "extra": {key: value}})
         argv = ["stream-infer", "--histories", pipeline["histories"], "--generator", generator]
         assert run(*argv, "--state-dir", str(tmp_path / "s")) == 1
         err = capsys.readouterr().err
-        assert f"error (ConfigError): extra.{key} must be" in err
+        assert f"error (ConfigError): {message}" in err
         assert "Traceback" not in err
+        assert not answered  # refused before any request
 
     @pytest.mark.parametrize("command", ["synthesize-sft", "stream-infer"])
     def test_zero_segments_is_validation_error(self, pipeline, tmp_path, capsys, command):
@@ -585,6 +592,26 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert f"error (ValidationError): {rows}:1: missing field 'logprobs'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [('"old_token_logprobs": [-0.5], "advantage": Infinity', "advantage: must be float, got inf"),
+         ('"old_token_logprobs": [-Infinity], "advantage": 0.5', "old_token_logprobs[0]: must be float, got -inf")],
+        ids=["infinite-advantage", "minus-infinity-logprob"],
+    )
+    def test_infinite_number_in_a_record_names_line_and_field(self, tmp_path, capsys, fields, message):
+        """JSON has no ±inf, but json.loads reads Infinity; a record refuses it
+        when decoded, rather than at the output that would carry it."""
+        batch = tmp_path / "b.jsonl"
+        batch.write_text(
+            '{"user_id": "u1", "group_id": "g", "stage": "initial", "prompt": "p", "response": "r", '
+            f'{fields}, "reward": 0.5}}\n',
+            encoding="utf-8",
+        )
+        assert run("loss-check", "--batch", str(batch), "--self-check") == 1
+        captured = capsys.readouterr()
+        assert f"error (ValidationError): {batch}:1: {message}\n" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["synthesize-sft", "stream-infer", "multi-interest", "positive-only"])
     def test_corpus_stages_reject_duplicate_histories(self, pipeline, tmp_path, capsys, command):

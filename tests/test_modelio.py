@@ -164,8 +164,10 @@ class TestModelEndpoint:
         path.write_text("base_url: mock:generator\nbackoff_base: .nan\n")
         with pytest.raises(ConfigError, match="endpoint config key 'backoff_base' must be float, got nan"):
             load_endpoint(str(path))
-        path.write_text("base_url: mock:generator\ntimeout: .inf\n")
-        assert load_endpoint(str(path)).timeout == float("inf")
+        path.write_text("base_url: http://127.0.0.1:1\ntimeout: .inf\n")
+        endpoint = load_endpoint(str(path))
+        assert endpoint.timeout == float("inf")
+        assert HttpBackend(endpoint).timeout is None  # no timeout
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -473,7 +475,7 @@ class _ScriptedServer(ThreadingHTTPServer):
 @pytest.fixture()
 def server():
     srv = _ScriptedServer()
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield srv
     srv.shutdown()
@@ -646,32 +648,16 @@ class TestHttpBackend:
         assert client.stats["attempts"] == 1 + 3
         assert verdict.prob_first == 1.0
 
-    def test_score_requires_echo_capability(self, server):
-        with pytest.raises(CapabilityError):
+    def test_score_is_refused_without_a_request(self, server):
+        with pytest.raises(CapabilityError, match="--new-logprobs"):
             http_client(server).policy_logprobs("prompt ", "response")
+        assert server.requests == []
 
-    def test_score_with_echo_route(self, server):
-        prompt, response = "prompt text ", "resp one two"
-        server.queue = [
-            (
-                200,
-                {
-                    "choices": [
-                        {
-                            "logprobs": {
-                                "text_offset": [0, 7, 12, 17, 21],
-                                "token_logprobs": [None, -0.9, -0.1, -0.2, -0.3],
-                            }
-                        }
-                    ]
-                },
-            )
-        ]
-        client = http_client(server, extra={"completions_echo": True})
-        out = client.policy_logprobs(prompt, response)
-        assert out == [-0.1, -0.2, -0.3]
-        assert server.requests[0]["path"] == "/completions"
-        assert server.requests[0]["body"]["echo"] is True
+    @pytest.mark.parametrize("key", ["completions_echo", "top_p"])
+    def test_extra_key_other_than_body_is_config_error(self, server, key):
+        with pytest.raises(ConfigError, match=rf"^unknown endpoint setting extra\.{key}: extra holds only body$"):
+            http_client(server, extra={"body": {}, key: True})
+        assert server.requests == []
 
     def test_embed_route(self, server):
         vec = http_client(server).embed("text")
@@ -697,20 +683,15 @@ class TestHttpBackend:
 
     @pytest.mark.parametrize(
         "operation, value",
-        [("complete", "NaN"), ("complete", float("nan")), ("complete", float("inf")),
-         ("score", float("nan")), ("embed", float("inf"))],
-        ids=["complete-string-nan", "complete-json-nan", "complete-json-infinity", "score-json-nan", "embed-json-infinity"],
+        [("complete", "NaN"), ("complete", float("nan")), ("complete", float("inf")), ("embed", float("inf"))],
+        ids=["complete-string-nan", "complete-json-nan", "complete-json-infinity", "embed-json-infinity"],
     )
     def test_non_finite_number_fails_only_that_request(self, server, operation, value):
         """json.dumps writes a float NaN as the bare token NaN and inf as
         Infinity, as some servers do; the string "NaN" parses to the same."""
-        client = http_client(server, extra={"completions_echo": True})
+        client = http_client(server)
         call, payload = {
             "complete": (lambda: client.generate_summary("p"), _ScriptedServer.chat_payload(logprobs=(value, -0.5))),
-            "score": (
-                lambda: client.policy_logprobs("prompt ", "resp"),
-                {"choices": [{"logprobs": {"text_offset": [0, 7], "token_logprobs": [None, value]}}]},
-            ),
             "embed": (lambda: client.embed("text"), {"data": [{"embedding": [3.0, value]}]}),
         }[operation]
         server.queue = [(200, payload)]
@@ -719,7 +700,7 @@ class TestHttpBackend:
         assert not exc_info.value.retryable and exc_info.value.per_item
         assert len(server.requests) == 1
 
-    @pytest.mark.parametrize("operation", ["complete", "score", "choice_logprobs"])
+    @pytest.mark.parametrize("operation", ["complete", "choice_logprobs"])
     @pytest.mark.parametrize(
         "value, reason",
         [(True, "malformed"), (" 1e3 ", "malformed"), (0.5, "above 0")],
@@ -728,13 +709,9 @@ class TestHttpBackend:
     def test_logprob_that_is_no_log_probability_fails_only_that_request(self, server, operation, value, reason):
         """float() would read true as 1.0 and " 1e3 " as 1000.0, and a value
         above 0 is a probability above 1."""
-        client = http_client(server, extra={"completions_echo": True})
+        client = http_client(server)
         call, payload = {
             "complete": (lambda: client.generate_summary("p"), _ScriptedServer.chat_payload(logprobs=(value, -0.5))),
-            "score": (
-                lambda: client.policy_logprobs("prompt ", "resp"),
-                {"choices": [{"logprobs": {"text_offset": [0, 7], "token_logprobs": [None, value]}}]},
-            ),
             "choice_logprobs": (lambda: client.judge_pair("pref", None, "x", "y", debias=False), _label_payload(value)),
         }[operation]
         server.queue = [(200, payload)]

@@ -287,9 +287,9 @@ class TestDecode:
     def test_builds_tuples_and_nested_dataclasses_and_ignores_unknown_keys(self):
         rec = {
             "name": "a", "items": [{"n": 1}, {"n": 2, "label": "x", "more": 1}], "pair": [3, 4],
-            "weights": [1, 0.5, math.inf], "alias": 7, "renamed": "ignored", "other": [],
+            "weights": [1, 0.5, 1e308], "alias": 7, "renamed": "ignored", "other": [],
         }
-        assert decode(Outer, rec) == Outer("a", (Inner(1), Inner(2, "x")), (3, 4), (1, 0.5, math.inf), 7)
+        assert decode(Outer, rec) == Outer("a", (Inner(1), Inner(2, "x")), (3, 4), (1, 0.5, 1e308), 7)
 
     @pytest.mark.parametrize(
         "rec, message",
@@ -302,6 +302,7 @@ class TestDecode:
             ({"name": "a", "items": ({"n": 1},)}, r"items: must be tuple\[.*Inner, \.\.\.\], got \(\{'n': 1\},\)"),
             ({"name": "a", "items": [], "pair": [1, 2, 3]}, r"pair: must be tuple\[int, int\], got \[1, 2, 3\]"),
             ({"name": "a", "items": [], "weights": [0.5, math.nan]}, r"weights\[1\]: must be float, got nan"),
+            ({"name": "a", "items": [], "weights": [-math.inf]}, r"weights\[0\]: must be float, got -inf"),
             ({"name": "a", "items": [], "weights": ["0.5"]}, r"weights\[0\]: must be float, got '0\.5'"),
             ({"name": "a", "items": [], "alias": 1.5}, "alias: must be int, got 1.5"),
             ({"name": None, "items": []}, "name: must be str, got None"),
