@@ -218,7 +218,7 @@ def cmd_prune(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Sta
     scores = curriculum.load_scores(args.scores)
     kept = curriculum.prune(scores, prune_config)
     instances = curriculum.build_rl_instances(kept)
-    curriculum.save_instances(args.out, instances)
+    write_jsonl(args.out, (inst.to_dict() for inst in instances))
     if args.keep_scores:  # the kept points' own sidecar lines, so the file is a --scores input
         write_jsonl(args.keep_scores, (s.to_dict() for s in kept))
     return Stage(

@@ -10,7 +10,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence, TypeVar
 
-from ._util import count_tokens, decode, encode, jsonl_object, numbered_jsonl, read_records, write_jsonl
+from ._util import count_tokens, decode, encode, jsonl_object, numbered_jsonl, read_records
 from .errors import ValidationError
 
 T = TypeVar("T")
@@ -254,10 +254,6 @@ class HistoryIndex(Mapping[str, UserHistory]):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def save_histories(path: str, histories: Iterable[UserHistory]) -> int:
-    return write_jsonl(path, (h.to_dict() for h in histories))
 
 
 def by_user(path: str, pairs: Iterable[tuple[str, T]], seen: set[str] | None = None) -> Iterator[tuple[str, T]]:

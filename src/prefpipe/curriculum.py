@@ -5,9 +5,9 @@ offers over a weak one; ``prune`` filters the records to a difficulty band and
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from ._util import decode, encode, numbered_jsonl, read_records, write_jsonl
+from ._util import decode, encode, numbered_jsonl, read_records
 from .errors import ValidationError
 
 PROB_FLOOR = 1e-6
@@ -160,10 +160,6 @@ def build_rl_instances(pruned: Sequence[ScoreRecord]) -> list[RlInstance]:
         if inst is not None:
             instances.append(inst)
     return instances
-
-
-def save_instances(path: str, instances: Iterable[RlInstance]) -> int:
-    return write_jsonl(path, (inst.to_dict() for inst in instances))
 
 
 def load_instances(path: str) -> list[RlInstance]:

@@ -2,9 +2,10 @@
 backend, and ``build_backend``, which resolves an endpoint to its backend
 (every ``mock:<kind>`` is one of ``simlab``'s scripted backends).
 
-A backend is a thin, stateless adapter exposing four request shapes (complete,
-choice_logprobs, score, embed). Retries, truncation, and telemetry live in the
-client, not here.
+A backend is a thin, stateless adapter exposing three request shapes (complete,
+choice_logprobs, embed). Retries, truncation, and telemetry live in the client,
+not here. ``score`` only raises CapabilityError: no backend scores supplied
+text, and the name stays because ``perfbench/tracing.py`` patches it.
 """
 
 import math
@@ -35,8 +36,6 @@ class Backend(Protocol):
     def choice_logprobs(
         self, prompt: str, labels: tuple[str, str], *, meta: dict | None = None
     ) -> tuple[float, float] | None: ...
-
-    def score(self, prompt: str, response: str, *, meta: dict | None = None) -> list[float]: ...
 
     def embed(self, text: str, *, meta: dict | None = None) -> list[float]: ...
 
@@ -217,7 +216,6 @@ class ScriptBackend:
 
     ``completer(prompt, ctx)`` returns the reply text (or a RawCompletion);
     ``chooser(prompt, labels, ctx)`` returns (logprob_a, logprob_b) or None;
-    ``scorer(prompt, response)`` returns per-token logprobs;
     ``embedder(text)`` returns a vector.
     """
 
@@ -225,13 +223,11 @@ class ScriptBackend:
         self,
         completer: Callable | None = None,
         chooser: Callable | None = None,
-        scorer: Callable | None = None,
         embedder: Callable | None = None,
         token_logprob: float | None = -0.5,
     ):
         self.completer = completer
         self.chooser = chooser
-        self.scorer = scorer
         self.embedder = embedder
         self.token_logprob = token_logprob
 
@@ -250,11 +246,6 @@ class ScriptBackend:
         if self.chooser is None:
             return None
         return self.chooser(prompt, labels, {"meta": meta or {}})
-
-    def score(self, prompt, response, *, meta=None) -> list[float]:
-        if self.scorer is None:
-            raise CapabilityError("script backend has no scorer")
-        return list(self.scorer(prompt, response))
 
     def embed(self, text, *, meta=None) -> list[float]:
         if self.embedder is None:

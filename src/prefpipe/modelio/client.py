@@ -1,8 +1,8 @@
 """The retrying, truncating, telemetry-counting client wrapped around a backend.
 
-One client per endpoint. All pipeline stages go through the four operations here
-(generate_summary, judge_pair, policy_logprobs, embed) so limits and accounting
-are enforced in exactly one place.
+One client per endpoint. All pipeline stages go through the three operations
+here (generate_summary, judge_pair, embed) so limits and accounting are enforced
+in exactly one place.
 """
 
 import logging
@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .._util import left_truncate, stable_hash
-from ..errors import BackendError, GenerationError, JudgeError, ValidationError
+from ..errors import BackendError, CapabilityError, GenerationError, JudgeError, ValidationError
 from ..prompts import render_judge_prompt
 from .backends import Backend, build_backend
 from .endpoints import ModelEndpoint
@@ -163,7 +163,10 @@ class ModelClient:
             token_logprobs=result.token_logprobs,
         )
 
-    def _order_probability(self, preference: str, context: str | None, first: str, second: str, meta: dict | None) -> float:
+    def _order_probability(
+        self, preference: str, context: str | None, first: str, second: str, meta: dict | None,
+        decides: Callable[[float], bool] | None = None,
+    ) -> float:
         prompt = self.prepare_prompt(render_judge_prompt(preference, context, first, second))
         logprobs = self._with_retries(
             "judge", lambda: self.backend.choice_logprobs(prompt, JUDGE_LABELS, meta=meta)
@@ -171,9 +174,12 @@ class ModelClient:
         if logprobs is not None:
             return label_probability(*logprobs)
         # No label logprobs: estimate by sampling k selections and counting;
-        # an unparseable sample counts for neither label.
+        # an unparseable sample counts for neither label. With ``decides``,
+        # sampling stops once it gives the same answer whether every remaining
+        # sample says "B" or "A", so no remaining sample can change it.
         counts = Counter()
-        for i in range(self.endpoint.judge_samples):
+        k = self.endpoint.judge_samples
+        for i in range(k):
             sample = self._with_retries(
                 "judge_sample",
                 lambda i=i: self.backend.complete(
@@ -185,10 +191,12 @@ class ModelClient:
                 ),
             )
             counts[parse_selection(sample.text)] += 1
-        decided = counts["A"] + counts["B"]
-        if decided == 0:
+            a, decided, rest = counts["A"], counts["A"] + counts["B"], k - 1 - i
+            if decides and decided and rest and decides(a / (decided + rest)) == decides((a + rest) / (decided + rest)):
+                break
+        if decided == 0:  # judge_samples >= 1, so the loop ran
             raise JudgeError("no judge sample produced a parseable selection")
-        return counts["A"] / decided
+        return a / decided
 
     def judge_pair(
         self,
@@ -198,6 +206,7 @@ class ModelClient:
         item_second: str,
         *,
         debias: bool = True,
+        decision_only: bool = False,
         meta: dict | None = None,
     ) -> JudgeVerdict:
         """Probability that the user described by ``preference`` picks
@@ -205,28 +214,35 @@ class ModelClient:
 
         With ``debias`` the items are judged in both presentation orders and the
         probabilities averaged, which cancels position bias by construction.
+        With ``decision_only`` the caller reads only ``prob_first > 0.5``: a
+        sampled order (the reverse one when debiased) stops once its remaining
+        samples cannot change that answer, so ``prob_first`` may rest on fewer
+        than k samples while ``prob_first > 0.5`` is what all k would give.
         """
         if not item_first or not item_second:
             raise ValidationError("judged items must be non-empty")
         if item_first == item_second:
             raise ValidationError("judged items must be distinct")
         self._bump("judge_calls")
-        p_fwd = self._order_probability(preference, context, item_first, item_second, meta)
         if not debias:
-            return JudgeVerdict(p_fwd)
-        p_rev = self._order_probability(preference, context, item_second, item_first, meta)
-        return JudgeVerdict(0.5 * (p_fwd + (1.0 - p_rev)))
+            return JudgeVerdict(self._order_probability(
+                preference, context, item_first, item_second, meta, (lambda p: p > 0.5) if decision_only else None
+            ))
+        p_fwd = self._order_probability(preference, context, item_first, item_second, meta)
+
+        def debiased(p_rev: float) -> float:  # the stop rule must decide by this very float expression
+            return 0.5 * (p_fwd + (1.0 - p_rev))
+
+        p_rev = self._order_probability(
+            preference, context, item_second, item_first, meta, (lambda p: debiased(p) > 0.5) if decision_only else None
+        )
+        return JudgeVerdict(debiased(p_rev))
 
     def policy_logprobs(self, prompt: str, response: str, *, meta: dict | None = None) -> list[float]:
-        """Per-token logprobs of ``response`` under the endpoint's model given
-        ``prompt``. Raises CapabilityError when the backend cannot score text."""
-        self._bump("score_calls")
-        sent = self.prepare_prompt(prompt)
-        out = self._with_retries("score", lambda: self.backend.score(sent, response, meta=meta))
-        logprobs = [float(x) for x in out]
-        if not all(map(math.isfinite, logprobs)):
-            raise BackendError("backend sent a non-finite scored logprob", retryable=False)
-        return logprobs
+        """No backend scores supplied text: ``loss-check`` takes the new
+        policy's logprobs from ``--new-logprobs``. The name stays only because
+        the benchmark's census (``perfbench/worker.py``) patches it."""
+        raise CapabilityError("no backend scores supplied text; give loss-check the new policy's logprobs with --new-logprobs")
 
     def embed(self, text: str, *, meta: dict | None = None) -> np.ndarray:
         """Embed ``text`` and return a unit-norm float64 vector."""

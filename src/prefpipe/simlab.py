@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
-from ._util import count_tokens, derive_seed, encode, read_records, stable_hash, write_jsonl
+from ._util import count_tokens, derive_seed, encode, read_records, stable_hash
 from .core import InteractionTriple, UserHistory, by_user
 from .curriculum import ScoreRecord
 from .errors import CapabilityError, ConfigError, ContractError, ValidationError
@@ -270,10 +270,6 @@ def truth_record(user_id: str, latent) -> dict:
     return encode(TruthRecord(user_id, tuple(float(x) for x in latent)))
 
 
-def save_truth(path: str, truth: dict[str, np.ndarray]) -> int:
-    return write_jsonl(path, (truth_record(uid, vec) for uid, vec in truth.items()))
-
-
 @dataclass(frozen=True)
 class TruthRecord:
     """One line of a ground-truth file: a user's latent preference vector."""
@@ -364,8 +360,7 @@ class ScriptedGeneratorBackend:
         return None
 
     def score(self, prompt, response, *, meta=None) -> list[float]:
-        rng = random.Random(stable_hash(self.seed, "gen-score", prompt, response))
-        return [-rng.uniform(0.05, 2.0) for _ in range(count_tokens(response))]
+        raise CapabilityError("generator backend does not score text")
 
     def embed(self, text, *, meta=None) -> list[float]:
         return _hash_unit_vector(self.dim, "gen-embed", self.seed, text).tolist()
@@ -430,8 +425,7 @@ class ScriptedJudgeBackend:
         return RawCompletion(text, (-0.1,) * len(text.split()))
 
     def score(self, prompt, response, *, meta=None) -> list[float]:
-        rng = random.Random(stable_hash(self.seed, "judge-score", prompt, response))
-        return [-rng.uniform(0.05, 2.0) for _ in range(count_tokens(response))]
+        raise CapabilityError("judge backend does not score text")
 
     def embed(self, text, *, meta=None) -> list[float]:
         return _hash_unit_vector(self.dim, "judge-embed", self.seed, text).tolist()

@@ -165,7 +165,7 @@ def _predicts_choice(
     """True when the judge, reading the summary, picks the actually-chosen item."""
     verdict = judge.judge_pair(
         summary_text, target.context, target.chosen, target.rejected,
-        debias=debias, meta={"user_id": user_id, "target": target.index},
+        debias=debias, decision_only=True, meta={"user_id": user_id, "target": target.index},
     )
     return verdict.prob_first > 0.5
 

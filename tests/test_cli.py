@@ -317,6 +317,42 @@ class TestDeterminism:
         for parallel, serial in pairs:
             assert sha256_file(parallel) == sha256_file(serial), parallel
 
+    def test_decision_only_judging_saves_requests_not_bytes(self, pipeline, tmp_path, monkeypatch):
+        """On a judge without label logprobs, synthesize-sft stops sampling an
+        order once its verdict is settled: at least 30% fewer judge requests
+        than a probe and k samples per order, and the sft.jsonl of sampling
+        all k, at --jobs 1 and 2."""
+        from prefpipe.modelio import ModelClient
+
+        config = write_yaml(tmp_path / "synth.yaml", {
+            "generator": {"base_url": f"mock:generator?truth={pipeline['truth']}"},
+            "judge": {"base_url": "mock:judge?sample_only=1", "judge_samples": 8},
+        })
+        judge_pair = ModelClient.judge_pair
+
+        def synthesize(jobs, name):
+            out = str(tmp_path / f"{name}-{jobs}.jsonl")
+            assert run(
+                "--jobs", str(jobs), "synthesize-sft", "--histories", pipeline["histories"],
+                "--scores", pipeline["scores"], "--config", config, "--out", out, "--tau-tract", "0.3",
+            ) == 0
+            manifest = manifest_for(out)
+            assert manifest["stats"]["records"] > 0
+            return sha256_file(out), manifest["telemetry"]["judge"]
+
+        digests = set()
+        for jobs in (1, 2):
+            digest, judge = synthesize(jobs, "early")
+            full_k = judge["judge_calls"] * 2 * (1 + 8)
+            assert judge["attempts"] <= 0.7 * full_k
+            digests.add(digest)
+            with monkeypatch.context() as patch:  # the stop rule patched out: every order samples all k
+                patch.setattr(ModelClient, "judge_pair", lambda client, *a, decision_only=False, **kw: judge_pair(client, *a, **kw))
+                digest, judge = synthesize(jobs, "full")
+            assert judge["attempts"] == full_k
+            digests.add(digest)
+        assert len(digests) == 1
+
     def test_same_seed_same_corpus(self, tmp_path):
         for name in ("one", "two"):
             assert run("simlab-gen", "--out-dir", str(tmp_path / name), "--users", "4", seed=3) == 0

@@ -16,7 +16,6 @@ from prefpipe.core import (
     UserHistory,
     load_histories,
     load_summaries,
-    save_histories,
     segment,
     strip_negatives,
     summary_record,
@@ -171,7 +170,7 @@ class TestStripNegatives:
 def test_history_store_round_trip(tmp_path):
     path = str(tmp_path / "h.jsonl")
     histories = [make_history(3, "a"), make_history(5, "b", with_rejected=False)]
-    assert save_histories(path, histories) == 2
+    assert write_jsonl(path, (h.to_dict() for h in histories)) == 2
     assert load_histories(path) == histories
 
 
@@ -186,7 +185,7 @@ def test_history_store_rejects_garbage(tmp_path):
 def test_history_index_reads_each_user_back_from_its_line(tmp_path):
     path = str(tmp_path / "h.jsonl")
     histories = [make_history(3, "a"), make_history(5, "b", with_rejected=False), make_history(1, "c")]
-    save_histories(path, histories)
+    write_jsonl(path, (h.to_dict() for h in histories))
     # a blank line holds no user, but its byte counts in every offset after it
     (tmp_path / "h.jsonl").write_text("\n" + (tmp_path / "h.jsonl").read_text())
     with HistoryIndex(path) as index:
@@ -200,7 +199,7 @@ def test_history_index_is_shared_safely_by_threads(tmp_path):
     each lookup still gets its own user's line whole."""
     path = str(tmp_path / "h.jsonl")
     histories = {f"u{i}": make_history(1 + i % 7, f"u{i}") for i in range(40)}
-    save_histories(path, histories.values())
+    write_jsonl(path, (h.to_dict() for h in histories.values()))
     wrong, interval = [], sys.getswitchinterval()
 
     def lookups(seed):

@@ -18,7 +18,6 @@ from prefpipe.curriculum import (
     load_scores,
     pick_rl_instance,
     prune,
-    save_instances,
 )
 from prefpipe.errors import ValidationError
 
@@ -255,7 +254,7 @@ class TestRlInstance:
     def test_store_round_trip(self, tmp_path):
         instances = [RlInstance("u1", 2, 6), RlInstance("u2", 0, 11)]
         path = str(tmp_path / "instances.jsonl")
-        assert save_instances(path, instances) == 2
+        assert write_jsonl(path, (inst.to_dict() for inst in instances)) == 2
         assert load_instances(path) == instances
 
 

@@ -5,7 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from prefpipe.errors import (
@@ -381,17 +381,54 @@ class TestJudgePair:
             client.judge_pair("p", None, "a", "b", debias=False)
 
 
-class TestPolicyLogprobs:
-    def test_shape_and_constant(self):
-        client = make_client(ScriptBackend(scorer=lambda p, r: [-0.5] * len(r.split())))
-        out = client.policy_logprobs("prompt", "four token long response")
-        assert out == [-0.5, -0.5, -0.5, -0.5]
+    def test_decision_only_stops_once_the_rest_cannot_flip_it(self):
+        client = make_client(ScriptBackend(completer=lambda p, ctx: '{"selection": "Item A"}'), judge_samples=8)
+        verdict = client.judge_pair("p", None, "a", "b", debias=False, decision_only=True)
+        assert client.stats["attempts"] == 1 + 5  # after 5 of 8 "A"s, 3 "B"s would still leave 5/8 > 0.5
+        assert verdict.prob_first == 1.0
 
-    def test_sum_matches_sequence_logprob(self):
-        rows = [-0.25, -1.5, -0.125]
-        client = make_client(ScriptBackend(scorer=lambda p, r: rows))
-        out = client.policy_logprobs("p", "a b c")
-        assert abs(sum(out) - sum(rows)) < 1e-9
+    def test_decision_only_never_stops_without_a_decided_sample(self):
+        client = make_client(ScriptBackend(completer=lambda p, ctx: "??"), judge_samples=4)
+        with pytest.raises(JudgeError):
+            client.judge_pair("p", None, "a", "b", decision_only=True)
+        assert client.stats["attempts"] == 1 + 4
+
+    @given(
+        st.lists(st.sampled_from("AB?"), min_size=5, max_size=5),
+        st.lists(st.sampled_from("AB?"), min_size=5, max_size=5),
+        st.booleans(),
+    )
+    @example(list("BBBBB"), list("?AAAA"), True)  # answered "no" whatever p_rev is, yet still needs a decided sample
+    def test_decision_only_keeps_the_full_k_decision(self, forward, reverse, debias):
+        """Whatever the samples say, stopping early gives the decision all k
+        samples give, or the same JudgeError, and never costs more requests."""
+        replies = {"A": '{"selection": "Item A"}', "B": '{"selection": "Item B"}', "?": "??"}
+
+        def judge(decision_only):
+            orders, served = iter((forward, reverse)), {}  # the forward order's prompt comes first
+
+            def completer(prompt, ctx):
+                if prompt not in served:
+                    served[prompt] = iter(next(orders))
+                return replies[next(served[prompt])]
+
+            client = make_client(ScriptBackend(completer=completer), judge_samples=5)
+            try:
+                verdict = client.judge_pair("p", None, "a", "b", debias=debias, decision_only=decision_only)
+            except JudgeError:
+                return None, client.stats["attempts"]
+            return verdict.prob_first > 0.5, client.stats["attempts"]
+
+        (full, full_attempts), (early, early_attempts) = judge(False), judge(True)
+        assert early == full
+        assert early_attempts <= full_attempts
+
+
+def test_policy_logprobs_is_a_stub_that_calls_no_backend():
+    client = make_client(ScriptBackend())  # no callables: any backend call would raise its own error
+    with pytest.raises(CapabilityError, match="--new-logprobs"):
+        client.policy_logprobs("prompt", "response")
+    assert client.stats == {}
 
 
 class TestEmbed:
@@ -521,8 +558,9 @@ class TestHttpBackend:
         """A 3xx aborts the run before anything follows it: the one request
         sent carried the key, and the ``.netrc`` login for the same host is
         never read."""
+        from prefpipe._util import write_jsonl
         from prefpipe.cli import main
-        from prefpipe.core import InteractionTriple, UserHistory, save_histories
+        from prefpipe.core import InteractionTriple, UserHistory
 
         netrc = tmp_path / "netrc"
         netrc.write_text("machine 127.0.0.1 login netrc-user password netrc-pass\n")
@@ -531,7 +569,7 @@ class TestHttpBackend:
         monkeypatch.setenv("TEST_MODEL_KEY", "sekrit")
         histories = str(tmp_path / "histories.jsonl")
         triples = tuple(InteractionTriple(index=i, chosen=f"a{i}", rejected=f"b{i}") for i in range(4))
-        save_histories(histories, [UserHistory(user_id="u1", triples=triples)])
+        write_jsonl(histories, [UserHistory(user_id="u1", triples=triples).to_dict()])
         generator = tmp_path / "generator.json"
         generator.write_text(json.dumps({"base_url": server.url, "api_key_env": "TEST_MODEL_KEY"}))
         server.queue = [(307, {}, {"Location": f"{server.url}/v2/chat/completions"})]
@@ -791,14 +829,14 @@ def test_rollout_skips_the_instance_whose_reply_has_a_bad_logprob(server, tmp_pa
     batch.jsonl is JSON without NaN."""
     from prefpipe._util import write_jsonl
     from prefpipe.cli import main
-    from prefpipe.core import InteractionTriple, UserHistory, save_histories
+    from prefpipe.core import InteractionTriple, UserHistory
 
     users = ("u1", "bad", "u3")
     histories = str(tmp_path / "histories.jsonl")
-    save_histories(histories, [
+    write_jsonl(histories, [
         UserHistory(user_id=uid, triples=tuple(
             InteractionTriple(index=i, chosen=f"{uid}-item-{i}-a", rejected=f"{uid}-item-{i}-b") for i in range(6)
-        ))
+        )).to_dict()
         for uid in users
     ])
     instances = str(tmp_path / "instances.jsonl")

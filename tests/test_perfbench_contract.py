@@ -35,6 +35,16 @@ def test_every_traced_method_is_defined_on_its_class(monkeypatch):
     assert not missing
 
 
+def test_every_censused_operation_is_defined_on_the_client(monkeypatch):
+    """``perfbench/worker.py`` wraps each ``OPERATIONS`` name on ModelClient at
+    start-up, so a missing one would crash every benchmark run."""
+    from prefpipe.modelio import ModelClient
+
+    monkeypatch.syspath_prepend(PERFBENCH)
+    worker = importlib.import_module("worker")
+    assert [name for name in worker.OPERATIONS if not callable(ModelClient.__dict__.get(name))] == []
+
+
 def test_traced_corpus_stages_run_and_count_their_pairs(monkeypatch, tmp_path):
     """The info hooks read the traced functions' arguments by position; a new
     call shape must not make ``--trace 1`` fail."""

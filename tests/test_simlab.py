@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from prefpipe._util import derive_seed, json_dumps
+from prefpipe._util import derive_seed, json_dumps, write_jsonl
 from prefpipe.cli import main
 from prefpipe.core import InteractionTriple, UserHistory
 from prefpipe.errors import CapabilityError, ContractError, ValidationError
@@ -22,10 +22,10 @@ from prefpipe.simlab import (
     preference_direction,
     render_estimate,
     render_item,
-    save_truth,
     score_corpus,
     scripted_judge,
     sigmoid,
+    truth_record,
 )
 
 SIG4 = 1.0 / (1.0 + math.exp(-4.0))  # oracle confidence at kappa=8, margin=0.5
@@ -301,7 +301,7 @@ class TestSimlabGenMatchesReference:
 def test_truth_round_trip(tmp_path):
     _, truth = gen_population(seed=6, n_users=3, dim=4, history_len=2)
     path = str(tmp_path / "truth.jsonl")
-    assert save_truth(path, truth) == 3
+    assert write_jsonl(path, (truth_record(uid, vec) for uid, vec in truth.items())) == 3
     loaded = load_truth(path)
     assert set(loaded) == set(truth)
     assert all(np.array_equal(loaded[k], truth[k]) for k in truth)
@@ -467,6 +467,14 @@ class TestScriptedEmbedder:
             backend.score("p", "r")
 
 
+@pytest.mark.parametrize(
+    "backend", [ScriptedGeneratorBackend(seed=0, quality=1.0), ScriptedJudgeBackend()], ids=["generator", "judge"]
+)
+def test_scripted_backends_score_no_text(backend):
+    with pytest.raises(CapabilityError, match="does not score text"):
+        backend.score("p", "r")
+
+
 # ---------------------------------------------------------------------------
 # Endpoint URL registration
 # ---------------------------------------------------------------------------
@@ -476,7 +484,7 @@ class TestMockKinds:
     def test_generator_kind_with_truth_file(self, tmp_path):
         _, truth = gen_population(seed=41, n_users=2, dim=4, history_len=2)
         path = str(tmp_path / "truth.jsonl")
-        save_truth(path, truth)
+        write_jsonl(path, (truth_record(uid, vec) for uid, vec in truth.items()))
         backend = build_backend(ModelEndpoint(base_url=f"mock:generator?quality=1&seed=2&truth={path}&dim=4"))
         assert isinstance(backend, ScriptedGeneratorBackend)
         assert backend.quality == 1.0

@@ -401,6 +401,7 @@ class TestRunCorpus:
             self.histories, scores, generator, judge, generator, SynthConfig(seed=9), jobs=jobs, skipped=skipped
         )
         assert records == []
+        assert judge.stats["attempts"] == 12 * (1 + 2)  # no early stop without a decided sample
         assert skipped.counts() == {
             "JudgeError": 12,  # 3 users x 4 targets
             "fewer than 3 candidate(s) validated": 3,
