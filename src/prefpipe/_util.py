@@ -103,15 +103,18 @@ def jsonl_writer(path: str) -> Iterator[Callable[[dict], None]]:
         yield write
 
 
-def numbered_jsonl(path: str) -> Iterator[tuple[int, dict]]:
-    """Each JSON object in ``path`` with its 1-based line number. A line that
-    is not UTF-8, not JSON or not a JSON object raises ValidationError naming
-    ``path:line``. Lines end at ``\n``, as JSON Lines defines them."""
+def numbered_jsonl(path: str) -> Iterator[tuple[int, int, dict]]:
+    """Each JSON object in ``path`` with its 1-based line number and the byte
+    offset where its line starts. A line that is not UTF-8, not JSON or not a
+    JSON object raises ValidationError naming ``path:line``. Lines end at
+    ``\n``, as JSON Lines defines them."""
     with open(path, "rb") as fh:
+        offset = 0
         for line_no, raw in enumerate(fh, 1):
             record = jsonl_object(raw, f"{path}:{line_no}")
             if record is not None:
-                yield line_no, record
+                yield line_no, offset, record
+            offset += len(raw)
 
 
 def jsonl_object(raw: bytes, where: str) -> dict | None:
@@ -236,7 +239,7 @@ def encode(record: Any) -> dict:
 
 def read_records(path: str, cls: type[C]) -> Iterator[C]:
     """Each line of ``path`` decoded as ``cls``; a bad line raises ValidationError naming ``path:line``."""
-    return (decode(cls, record, f"{path}:{line_no}") for line_no, record in numbered_jsonl(path))
+    return (decode(cls, record, f"{path}:{line_no}") for line_no, _, record in numbered_jsonl(path))
 
 
 class _BadValue(Exception):

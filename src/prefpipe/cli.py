@@ -236,7 +236,7 @@ def cmd_rollout(args: argparse.Namespace, skipped: Tally, clients: Clients) -> S
     )
     policy, judge = (clients.build(role, file_cfg.get(role)) for role in ("policy", "judge"))
 
-    instances = curriculum.load_instances(args.instances)
+    instances = list(read_records(args.instances, curriculum.RlInstance))
     records = 0
     # --histories is checked whole before the first call, then each instance's
     # user is read back from its line; each tree is exported and dumped as it
@@ -272,7 +272,7 @@ def cmd_loss_check(args: argparse.Namespace, skipped: Tally, clients: Clients) -
 
     def records():
         nonlocal seen
-        for seen, rec in enumerate(rlengine.iter_batch(args.batch), 1):
+        for seen, rec in enumerate(read_records(args.batch, rlengine.TrainingRecord), 1):
             yield rec
 
     # both inputs are folded one line at a time; tee's buffer holds one record
@@ -423,7 +423,7 @@ def cmd_evaluate(args: argparse.Namespace, skipped: Tally, clients: Clients) -> 
 
     downstream = clients.build("downstream", path=args.downstream)
     summaries = core.load_summaries(args.summaries)
-    instances = evalharness.load_eval_instances(args.instances)
+    instances = list(read_records(args.instances, evalharness.EvalInstance))
     report, outcomes = evalharness.evaluate_selection(
         downstream, summaries, instances,
         seed=derive_seed(args.seed, "evaluate"), strict=args.strict, label=args.label, jobs=args.jobs, skipped=skipped,

@@ -8,9 +8,9 @@ import hashlib
 import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
-from ._util import count_tokens, decode, encode, jsonl_object, numbered_jsonl, read_records
+from ._util import count_tokens, decode, encode, jsonl_object, numbered_jsonl
 from .errors import ValidationError
 
 T = TypeVar("T")
@@ -181,10 +181,35 @@ def strip_negatives(history: UserHistory) -> UserHistory:
     )
 
 
+def read_by_user(path: str, cls: type[T], seen: set[str] | None = None) -> Iterator[tuple[str, T, int]]:
+    """Each line of the per-user store ``path`` decoded as ``cls``, in file
+    order, as ``(user_id, record, byte offset of the line)``; every line
+    carries a ``user_id``. A line that does not decode raises first. Then a
+    user_id read twice, or already in ``seen`` (the ids of a store read
+    before this one), raises ValidationError naming ``path:line`` and the
+    user, instead of the later record silently replacing the earlier one.
+    Each id read is added to ``seen``."""
+    seen = set() if seen is None else seen
+    for line_no, offset, record in numbered_jsonl(path):
+        where = f"{path}:{line_no}"
+        value = decode(cls, record, where)
+        user_id = decode(UserKey, record, where).user_id
+        if user_id in seen:
+            raise ValidationError(f"{where}: duplicate record for user {user_id!r}")
+        seen.add(user_id)
+        yield user_id, value, offset
+
+
+@dataclass(frozen=True)
+class UserKey:
+    """The ``user_id`` that each line of a per-user store carries."""
+
+    user_id: str
+
+
 def iter_histories(path: str, seen: set[str] | None = None) -> Iterator[UserHistory]:
-    """The histories in ``path``, one at a time in file order; a user read
-    twice, or already in ``seen``, is an error (see ``by_user``)."""
-    return (h for _, h in by_user(path, ((h.user_id, h) for h in read_records(path, UserHistory)), seen))
+    """The histories in ``path``, one at a time in file order (see ``read_by_user``)."""
+    return (h for _, h, _ in read_by_user(path, UserHistory, seen))
 
 
 def load_histories(path: str) -> list[UserHistory]:
@@ -198,32 +223,19 @@ class HistoryIndex(Mapping[str, UserHistory]):
     """The histories of ``path`` by user_id, each decoded from its line when
     it is looked up: the index holds a byte offset per user, not the corpus.
 
-    Opening makes one validating pass with ``iter_histories``' decode and
-    duplicate check, so a bad line or a repeated user raises here, naming
-    ``path:line``, before any lookup. ``path`` stays open until ``close`` (or
-    the end of the ``with`` block). Lookups may come from several threads.
-    A line that no longer holds the user indexed at its offset, because the
-    file was rewritten after the pass, is a ValidationError that aborts the
-    stage rather than a skipped item."""
+    Opening makes one validating pass with ``read_by_user``, so a bad line
+    or a repeated user raises here, naming ``path:line``, before any lookup.
+    ``path`` is then open until ``close`` (or the end of the ``with``
+    block). Lookups may come from several threads. A line that no longer
+    holds the user indexed at its offset, because the file was rewritten
+    after the pass, is a ValidationError that aborts the stage rather than
+    a skipped item."""
 
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
+        self._offsets = {user_id: offset for user_id, _, offset in read_by_user(path, UserHistory)}
         self._fh = open(path, "rb")
-        try:
-            self._offsets = dict(by_user(path, self._scan()))
-        except BaseException:
-            self._fh.close()
-            raise
-
-    def _scan(self) -> Iterator[tuple[str, int]]:
-        offset = 0
-        for line_no, raw in enumerate(self._fh, 1):
-            where = f"{self.path}:{line_no}"
-            record = jsonl_object(raw, where)
-            if record is not None:
-                yield decode(UserHistory, record, where).user_id, offset
-            offset += len(raw)
 
     def __getitem__(self, user_id: str) -> UserHistory:
         offset = self._offsets[user_id]
@@ -256,34 +268,9 @@ class HistoryIndex(Mapping[str, UserHistory]):
         self.close()
 
 
-def by_user(path: str, pairs: Iterable[tuple[str, T]], seen: set[str] | None = None) -> Iterator[tuple[str, T]]:
-    """The ``(user_id, value)`` pairs read from ``path``, in order. A user_id
-    read twice, or already in ``seen`` (the ids of a corpus read before this
-    one), raises ValidationError naming the path and the user, instead of the
-    later record silently replacing the earlier one. Each id read is added
-    to ``seen``."""
-    seen = set() if seen is None else seen
-    for user_id, value in pairs:
-        if user_id in seen:
-            raise ValidationError(f"{path}: duplicate record for user {user_id!r}")
-        seen.add(user_id)
-        yield user_id, value
-
-
-@dataclass(frozen=True)
-class UserKey:
-    """The ``user_id`` that each line of a per-user store carries."""
-
-    user_id: str
-
-
 def load_summaries(path: str) -> dict[str, PreferenceSummary]:
     """Read a {user_id -> summary} JSONL store (records carry a ``user_id`` field)."""
-    pairs = (
-        (decode(UserKey, rec, f"{path}:{n}").user_id, decode(PreferenceSummary, rec, f"{path}:{n}"))
-        for n, rec in numbered_jsonl(path)
-    )
-    return dict(by_user(path, pairs))
+    return {user_id: summary for user_id, summary, _ in read_by_user(path, PreferenceSummary)}
 
 
 def summary_record(user_id: str, summary: PreferenceSummary) -> dict:

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._util import decode, encode, numbered_jsonl, read_records
+from ._util import decode, encode, numbered_jsonl
 from .errors import ValidationError
 
 PROB_FLOOR = 1e-6
@@ -86,7 +86,7 @@ def load_scores(path: str) -> list[ScoreRecord]:
     an error too."""
     scores = []
     seen: set[tuple[str, int]] = set()
-    for line_no, record in numbered_jsonl(path):
+    for line_no, _, record in numbered_jsonl(path):
         rec = decode(ScoreRecord, record, f"{path}:{line_no}")
         key = (rec.user_id, rec.index)
         if key in seen:
@@ -160,7 +160,3 @@ def build_rl_instances(pruned: Sequence[ScoreRecord]) -> list[RlInstance]:
         if inst is not None:
             instances.append(inst)
     return instances
-
-
-def load_instances(path: str) -> list[RlInstance]:
-    return list(read_records(path, RlInstance))

@@ -7,7 +7,7 @@ re-parsing them (rescore)."""
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._util import Tally, derive_seed, encode, read_records
+from ._util import Tally, derive_seed, encode
 from .core import PreferenceSummary, UserHistory
 from .errors import ValidationError
 from .modelio import ModelClient, parse_selection
@@ -179,7 +179,3 @@ def format_reports(reports: Sequence[EvalReport]) -> str:
             f"{r.label:<16} {r.n:>6} {r.correct:>8} {r.accuracy:>9.4f} {r.parse_failures:>11} {r.call_failures:>10}"
         )
     return "\n".join(lines)
-
-
-def load_eval_instances(path: str) -> list[EvalInstance]:
-    return list(read_records(path, EvalInstance))

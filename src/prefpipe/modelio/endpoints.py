@@ -3,8 +3,8 @@
 import math
 from dataclasses import dataclass, field
 
-from .._util import build_config, read_config
-from ..errors import ConfigError
+from .._util import build_config, json_dumps, read_config
+from ..errors import ConfigError, ContractError
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,8 @@ class ModelEndpoint:
             raise ConfigError("max_prompt_tokens must be positive when set")
         if self.max_output_tokens < 1:
             raise ConfigError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not 0 <= self.backoff_base < math.inf:
             raise ConfigError(f"backoff_base must be finite and >= 0, got {self.backoff_base}")
         if self.timeout <= 0:
@@ -54,6 +56,10 @@ class ModelEndpoint:
             raise ConfigError(f"unknown endpoint setting {', '.join(unknown)}: extra holds only body")
         if not isinstance(self.extra.get("body", {}), dict):
             raise ConfigError(f"extra.body must be a mapping, got {self.extra['body']!r}")
+        try:  # the body is posted as JSON, which has no NaN or ±inf
+            json_dumps(self.extra.get("body", {}))
+        except (ContractError, TypeError) as exc:
+            raise ConfigError(f"extra.body must be strict JSON: {exc.__cause__ or exc}") from None
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelEndpoint":

@@ -19,7 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -302,13 +302,8 @@ def save_batch(path: str, records: Iterable[TrainingRecord]) -> int:
     return write_jsonl(path, (r.to_dict() for r in records))
 
 
-def iter_batch(path: str) -> Iterator[TrainingRecord]:
-    """The training records of ``path``, one line at a time."""
-    return read_records(path, TrainingRecord)
-
-
 def load_batch(path: str) -> list[TrainingRecord]:
-    return list(iter_batch(path))
+    return list(read_records(path, TrainingRecord))
 
 
 def run_rollouts(

@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
-from ._util import count_tokens, derive_seed, encode, read_records, stable_hash
-from .core import InteractionTriple, UserHistory, by_user
+from ._util import count_tokens, derive_seed, encode, stable_hash
+from .core import InteractionTriple, UserHistory, read_by_user
 from .curriculum import ScoreRecord
 from .errors import CapabilityError, ConfigError, ContractError, ValidationError
 from .modelio.backends import RawCompletion
@@ -279,8 +279,7 @@ class TruthRecord:
 
 
 def load_truth(path: str) -> dict[str, np.ndarray]:
-    latents = ((rec.user_id, np.array(rec.latent, dtype=np.float64)) for rec in read_records(path, TruthRecord))
-    return dict(by_user(path, latents))
+    return {user_id: np.array(rec.latent, dtype=np.float64) for user_id, rec, _ in read_by_user(path, TruthRecord)}
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ prompts and summaries on a deterministic backend.
 
 from dataclasses import dataclass, field
 
-from ._util import encode, even_boundaries, read_records
-from .core import HistorySegment, PreferenceSummary, UserHistory, by_user, segment
+from ._util import encode, even_boundaries
+from .core import HistorySegment, PreferenceSummary, UserHistory, read_by_user, segment
 from .errors import ValidationError
 from .modelio import GenerationResult, ModelClient
 from .prompts import render_generation_prompt, render_history_block
@@ -108,4 +108,4 @@ def infer_full(generator: ModelClient, history: UserHistory) -> StreamState:
 
 
 def load_states(path: str) -> dict[str, StreamState]:
-    return dict(by_user(path, ((s.user_id, s) for s in read_records(path, StreamState))))
+    return {user_id: state for user_id, state, _ in read_by_user(path, StreamState)}

@@ -505,7 +505,10 @@ class TestErrorHandling:
         "key, value, message",
         [("body", 5, "extra.body must be"),
          ("completions_echo", True, "unknown endpoint setting extra.completions_echo: extra holds only body"),
-         ("top_p", 0.9, "unknown endpoint setting extra.top_p: extra holds only body")],
+         ("top_p", 0.9, "unknown endpoint setting extra.top_p: extra holds only body"),
+         # the body is posted as JSON, which has no NaN or ±inf
+         ("body", {"top_p": float("nan")}, "extra.body must be strict JSON: "),
+         ("body", {"stop": [{"after": float("-inf")}]}, "extra.body must be strict JSON: ")],
     )
     def test_mistyped_extra_field_is_config_error(self, pipeline, tmp_path, capsys, monkeypatch, key, value, message):
         answered = count_requests(monkeypatch)
@@ -618,7 +621,8 @@ class TestErrorHandling:
             "--config", cfg, "--gamma", "0.5", "--out", str(tmp_path / "o.jsonl"),
         )
         assert rc == 1
-        assert "duplicate record for user 'u0000'" in capsys.readouterr().err
+        repeat = f"{doubled}:{len(lines) + 1}"  # the repeat of line 1, appended
+        assert f"error (ValidationError): {repeat}: duplicate record for user 'u0000'\n" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o.jsonl")
 
     def test_new_logprobs_row_without_logprobs_is_validation_error(self, pipeline, tmp_path, capsys):
@@ -649,7 +653,9 @@ class TestErrorHandling:
         assert f"error (ValidationError): {batch}:1: {message}\n" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("command", ["synthesize-sft", "stream-infer", "multi-interest", "positive-only"])
+    @pytest.mark.parametrize(
+        "command", ["synthesize-sft", "stream-infer", "multi-interest", "positive-only", "cross-domain"]
+    )
     def test_corpus_stages_reject_duplicate_histories(self, pipeline, tmp_path, capsys, command):
         with open(pipeline["histories"], encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -670,9 +676,15 @@ class TestErrorHandling:
                 "--donors", pipeline["histories"], "--out", str(out), "--provenance", str(tmp_path / "prov"),
             ],
             "positive-only": ["build-transfer", "--mode", "positive-only", "--histories", str(doubled), "--out", str(out)],
+            "cross-domain": [
+                "build-transfer", "--mode", "cross-domain", "--histories-a", str(doubled),
+                "--histories-b", str(pipeline["lab"] / "histories.jsonl"),
+                "--embedder", str(pipeline["root"] / "embedder.yaml"), "--top-k", "4",
+                "--out", str(out), "--out-histories", str(tmp_path / "combined.jsonl"),
+            ],
         }[command]
         assert run(*argv) == 1
-        assert f"error (ValidationError): {doubled}: duplicate record for user 'u0000'" in capsys.readouterr().err
+        assert f"error (ValidationError): {doubled}:4: duplicate record for user 'u0000'\n" in capsys.readouterr().err
         written = os.listdir(out) if command == "stream-infer" else os.listdir(tmp_path)
         assert not [name for name in written if name not in ("doubled.jsonl", "gen.yaml")]
 
@@ -684,7 +696,7 @@ class TestErrorHandling:
             "--out", str(tmp_path / "cross.jsonl"), "--out-histories", str(tmp_path / "combined.jsonl"),
         )
         assert rc == 1
-        assert f"error (ValidationError): {corpus}: duplicate record for user 'u0000'" in capsys.readouterr().err
+        assert f"error (ValidationError): {corpus}:1: duplicate record for user 'u0000'\n" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_cross_domain_top_k_beyond_every_pair_fails_before_embedding(self, tmp_path, monkeypatch, capsys):

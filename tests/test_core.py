@@ -16,6 +16,7 @@ from prefpipe.core import (
     UserHistory,
     load_histories,
     load_summaries,
+    read_by_user,
     segment,
     strip_negatives,
     summary_record,
@@ -182,6 +183,20 @@ def test_history_store_rejects_garbage(tmp_path):
         load_histories(path)
 
 
+def test_per_user_store_names_the_line_of_a_repeated_user(tmp_path):
+    path = tmp_path / "h.jsonl"
+    a, b = make_history(2, "a"), make_history(1, "b")
+    write_jsonl(str(path), [a.to_dict(), b.to_dict()])
+    path.write_bytes(b"\n" + path.read_bytes())  # a blank line is skipped but counted
+    first = path.read_bytes().split(b"\n")[1]
+    seen: set[str] = set()
+    assert list(read_by_user(str(path), UserHistory, seen)) == [("a", a, 1), ("b", b, 2 + len(first))]
+    assert seen == {"a", "b"}
+    # a user read from a store before this one names this store's line
+    with pytest.raises(ValidationError, match=f"^{path}:3: duplicate record for user 'b'$"):
+        list(read_by_user(str(path), UserHistory, {"b"}))
+
+
 def test_history_index_reads_each_user_back_from_its_line(tmp_path):
     path = str(tmp_path / "h.jsonl")
     histories = [make_history(3, "a"), make_history(5, "b", with_rejected=False), make_history(1, "c")]
@@ -250,5 +265,5 @@ def test_summary_store_rejects_duplicate_user(tmp_path):
     with open(path, "w") as fh:
         fh.write('{"user_id": "a", "text": "x", "covers": [0, 1]}\n')
         fh.write('{"user_id": "a", "text": "y", "covers": [0, 2]}\n')
-    with pytest.raises(ValidationError, match=r"s\.jsonl.*'a'"):
+    with pytest.raises(ValidationError, match=f"^{path}:2: duplicate record for user 'a'$"):
         load_summaries(path)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from prefpipe._util import write_jsonl
+from prefpipe._util import read_records, write_jsonl
 from prefpipe.curriculum import (
     PRESET_CONFIGS,
     PROB_FLOOR,
@@ -14,7 +14,6 @@ from prefpipe.curriculum import (
     RlInstance,
     ScoreRecord,
     build_rl_instances,
-    load_instances,
     load_scores,
     pick_rl_instance,
     prune,
@@ -255,7 +254,7 @@ class TestRlInstance:
         instances = [RlInstance("u1", 2, 6), RlInstance("u2", 0, 11)]
         path = str(tmp_path / "instances.jsonl")
         assert write_jsonl(path, (inst.to_dict() for inst in instances)) == 2
-        assert load_instances(path) == instances
+        assert list(read_records(path, RlInstance)) == instances
 
 
 _TRACT_LEVELS = [0.0, 0.25, 0.5, 0.75, 1.0]  # the interval's ends are drawn from these too

@@ -3,7 +3,7 @@ import logging
 
 import pytest
 
-from prefpipe._util import Tally, sha256_file, write_jsonl
+from prefpipe._util import Tally, read_records, sha256_file, write_jsonl
 from prefpipe.core import InteractionTriple, PreferenceSummary, UserHistory, load_histories
 from prefpipe.errors import BackendError, ValidationError
 from prefpipe.evalharness import (
@@ -13,7 +13,6 @@ from prefpipe.evalharness import (
     format_reports,
     holdout_instances,
     iter_holdout,
-    load_eval_instances,
     rescore,
 )
 from prefpipe.modelio import ModelClient, ModelEndpoint, ScriptBackend
@@ -62,7 +61,7 @@ class TestEvalInstance:
         ]
         path = str(tmp_path / "instances.jsonl")
         assert write_jsonl(path, (i.to_dict() for i in instances)) == 2
-        assert load_eval_instances(path) == instances
+        assert list(read_records(path, EvalInstance)) == instances
 
 
 class TestEvaluateSelection(LabEval):

@@ -179,11 +179,13 @@ class TestModelEndpoint:
         with pytest.raises(ConfigError):
             ModelEndpoint(base_url="mock:generator", judge_samples=0)
         for field, value in [
-            ("backoff_base", -1.0), ("backoff_base", float("inf")), ("timeout", 0.0), ("timeout", -5.0), ("max_output_tokens", 0)
+            ("backoff_base", -1.0), ("backoff_base", float("inf")), ("timeout", 0.0), ("timeout", -5.0), ("max_output_tokens", 0),
+            ("temperature", -1.0), ("temperature", float("inf")),
         ]:
             with pytest.raises(ConfigError, match=f"^{field} must be"):
                 ModelEndpoint(base_url="mock:generator", **{field: value})
-        ModelEndpoint(base_url="mock:generator", backoff_base=0.0, max_output_tokens=1)  # the least legal values
+        # the least legal values
+        ModelEndpoint(base_url="mock:generator", backoff_base=0.0, max_output_tokens=1, temperature=0.0)
 
     def test_load_yaml_and_json(self, tmp_path):
         y = tmp_path / "ep.yaml"

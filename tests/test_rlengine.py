@@ -7,9 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from prefpipe._util import Tally, json_dumps
+from prefpipe._util import Tally, json_dumps, read_records
 from prefpipe.core import HistorySegment, InteractionTriple, PreferenceSummary, UserHistory
-from prefpipe.curriculum import RlInstance, load_instances
+from prefpipe.curriculum import RlInstance
 from prefpipe.errors import ContractError, ValidationError
 from prefpipe.modelio import ModelClient, ModelEndpoint, ScriptBackend
 from prefpipe.prompts import render_judge_prompt
@@ -288,7 +288,7 @@ class TestRollout(LabSetup):
         path = tmp_path / "instances.jsonl"
         line = {"user_id": self.history.user_id, "k1": 4, "k2": 9, "target1": made_up, "target2": made_up}
         path.write_text(json_dumps(line) + "\n")
-        (inst,) = load_instances(str(path))
+        (inst,) = read_records(str(path), RlInstance)
         log = []
         judge = client_for(CallLog(self.judge().backend, "judge", log))
         tree = rollout(self.policy(), judge, inst, self.history, RolloutConfig(gamma=0.5, group_size=2, seed=7))

@@ -310,7 +310,7 @@ def test_truth_round_trip(tmp_path):
 def test_truth_rejects_a_repeated_user(tmp_path):
     path = tmp_path / "truth.jsonl"
     path.write_text('{"user_id": "u0", "latent": [1.0]}\n{"user_id": "u0", "latent": [0.5]}\n')
-    with pytest.raises(ValidationError, match="duplicate record for user 'u0'"):
+    with pytest.raises(ValidationError, match=f"^{path}:2: duplicate record for user 'u0'$"):
         load_truth(str(path))
 
 

@@ -192,7 +192,7 @@ class TestStateStore:
         state = infer_full(mock_client(), make_history(3, "u1"))
         path = str(tmp_path / "states.jsonl")
         write_jsonl(path, [state.to_dict(), state.to_dict()])
-        with pytest.raises(ValidationError, match=r"states\.jsonl.*'u1'"):
+        with pytest.raises(ValidationError, match=f"^{path}:2: duplicate record for user 'u1'$"):
             load_states(path)
 
     @pytest.mark.parametrize(
