@@ -170,7 +170,7 @@ def read_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if path.endswith(".json"):
         parse, parse_error = json.loads, ValueError
@@ -344,19 +344,6 @@ def _codec(annotation: Any, finite: bool = True) -> _Codec:
 
 def _mismatch(value: Any, annotation: Any) -> _BadValue:
     return _BadValue(f"must be {annotation.__name__ if isinstance(annotation, type) else annotation}, got {value!r}")
-
-
-def even_boundaries(n: int, k: int) -> list[int]:
-    """Split [0, n) into k near-equal contiguous chunks; the remainder lands in the
-    last chunk. Returns the k boundary end-points (the last one is n)."""
-    if k < 1:
-        raise ValidationError(f"chunk count must be >= 1, got {k}")
-    if n < k:
-        raise ValidationError(f"cannot split {n} items into {k} non-empty chunks")
-    base = n // k
-    ends = [base * i for i in range(1, k)]
-    ends.append(n)
-    return ends
 
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> Iterator[R]:

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand reads explicit files, writes explicit files, and drops a run
-manifest (`<primary output>.manifest.json`) recording the resolved config, the
-seed, and content digests of every input and output, so any artifact can be
-traced back to exactly what produced it.
+manifest (`<first output>.manifest.json`, or `<dir>/manifest.json` for a stage
+that writes a directory) recording the resolved config, the seed, and content
+digests of every input and output, so any artifact can be traced back to
+exactly what produced it.
 
 Exit codes: 0 success, 1 stage failure (categorized message on stderr),
 2 usage/argument errors (argparse).
@@ -45,9 +46,9 @@ logger = logging.getLogger("prefpipe.cli")
 class Stage:
     """What one subcommand did; ``main`` records it in the run manifest.
 
-    ``None`` paths are optional files that were not given. The manifest sits
-    next to ``anchor``, else next to the first output; ``command`` replaces
-    the subcommand name it records."""
+    ``None`` paths are optional files that were not given. The manifest is
+    written to ``anchor``, else to ``<first output>.manifest.json``;
+    ``command`` replaces the subcommand name it records."""
 
     config: dict
     inputs: list[str | None]
@@ -95,8 +96,7 @@ class ManifestWriter:
         if path:
             self.outputs[path] = sha256_file(path)
 
-    def write(self, anchor: str) -> str:
-        path = anchor if anchor.endswith("manifest.json") else anchor + ".manifest.json"
+    def write(self, path: str) -> str:
         manifest = {
             "command": self.command,
             "seed": self.seed,
@@ -555,11 +555,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the output file flags; two of them naming one file would overwrite each other
+_OUTPUT_FLAGS = ("out", "trees", "keep_scores", "out_histories", "provenance", "outcomes")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
+    named: dict[str, str] = {}  # each output file's real path -> the flag that names it
+    for dest in _OUTPUT_FLAGS:
+        path = getattr(args, dest, None)
+        if path:
+            flag = "--" + dest.replace("_", "-")
+            other = named.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                parser.error(f"arguments {other} and {flag} name the same file: {path}")
     logging.basicConfig(
         level=getattr(logging, args.log_level.upper()),
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
@@ -583,7 +595,7 @@ def main(argv: list[str] | None = None) -> int:
                         "%s: %d prompt(s) truncated to %d tokens, %d leading token(s) dropped", role,
                         client.stats["truncations"], client.endpoint.max_prompt_tokens, client.stats["truncated_tokens"],
                     )
-            mw.write(stage.anchor or stage.outputs[0])
+            mw.write(stage.anchor or f"{stage.outputs[0]}.manifest.json")
             print(stage.message)
     except PipelineError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ import hashlib
 import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterator, TypeVar
 
 from ._util import count_tokens, decode, encode, jsonl_object, numbered_jsonl
 from .errors import ValidationError
@@ -151,25 +151,17 @@ class PreferenceSummary:
     to_dict = encode
 
 
-def segment(history: UserHistory, boundaries: Sequence[int]) -> list[HistorySegment]:
-    """Split a history at the given end positions.
-
-    ``boundaries`` are strictly increasing positions; the first segment starts at 0
-    and the k-th ends at ``boundaries[k]``. Segments tile [0, boundaries[-1]) with
-    no gaps or overlaps.
-    """
-    if not boundaries:
-        raise ValidationError("boundaries must be non-empty")
-    prev = 0
-    out = []
-    for b in boundaries:
-        if b <= prev:
-            raise ValidationError(f"boundaries must be strictly increasing and > 0, got {list(boundaries)}")
-        if b > len(history):
-            raise ValidationError(f"boundary {b} exceeds history length {len(history)}")
-        out.append(HistorySegment(history, prev, b))
-        prev = b
-    return out
+def segment(history: UserHistory, k: int) -> list[HistorySegment]:
+    """Split a history into ``k`` contiguous segments that tile [0, n): the
+    first ``k - 1`` hold ``n // k`` positions each and the last one also holds
+    the remainder."""
+    n = len(history)
+    if k < 1:
+        raise ValidationError(f"chunk count must be >= 1, got {k}")
+    if n < k:
+        raise ValidationError(f"a history of {n} steps cannot be split into {k} chunks")
+    ends = [n // k * i for i in range(k)] + [n]
+    return [HistorySegment(history, start, end) for start, end in zip(ends, ends[1:])]
 
 
 def strip_negatives(history: UserHistory) -> UserHistory:

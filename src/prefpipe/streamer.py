@@ -11,7 +11,7 @@ prompts and summaries on a deterministic backend.
 
 from dataclasses import dataclass, field
 
-from ._util import encode, even_boundaries
+from ._util import encode
 from .core import HistorySegment, PreferenceSummary, UserHistory, read_by_user, segment
 from .errors import ValidationError
 from .modelio import GenerationResult, ModelClient
@@ -89,14 +89,10 @@ def update(generator: ModelClient, state: StreamState | None, segment: HistorySe
 
 
 def infer_streaming(generator: ModelClient, history: UserHistory, num_chunks: int) -> StreamState:
-    """Infer over the whole history in ``num_chunks`` near-equal contiguous
-    segments (the division remainder goes to the last chunk)."""
-    if len(history) == 0:
-        raise ValidationError("cannot infer over an empty history")
-    if len(history) < num_chunks:
-        raise ValidationError(f"a history of {len(history)} steps cannot be split into {num_chunks} chunks")
+    """Infer over the whole history as a fold of updates over
+    ``segment(history, num_chunks)``."""
     state: StreamState | None = None
-    for seg in segment(history, even_boundaries(len(history), num_chunks)):
+    for seg in segment(history, num_chunks):
         state = update(generator, state, seg)
     assert state is not None
     return state

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from ._util import Tally, derive_seed, encode, even_boundaries, ordered_map
+from ._util import Tally, derive_seed, encode, ordered_map
 from .core import HistorySegment, InteractionTriple, PreferenceSummary, UserHistory, segment
 from .errors import UserSkip, ValidationError
 from .modelio import GenerationResult, ModelClient
@@ -241,7 +241,7 @@ def build_streaming_sft(
         reason = f"fewer than {config.min_per_segment} interactions per segment"
         skipped.add(reason, f"user {history.user_id}: {len(history)} interactions, {config.num_segments} segments")
         return []
-    segments = segment(history, even_boundaries(len(history), config.num_segments))
+    segments = segment(history, config.num_segments)
     prior: PreferenceSummary | None = None
 
     def synthesize(j_seg: tuple[int, HistorySegment]) -> tuple[SynthRecord, PreferenceSummary]:

@@ -201,6 +201,16 @@ class TestPipelineChain:
         assert sha256_file(again) == sha256_file(pipeline["instances"])
         assert manifest_for(again)["stats"]["scores_in"] == manifest_for(pipeline["instances"])["stats"]["kept"]
 
+    def test_output_named_like_a_manifest_keeps_its_own_manifest(self, pipeline, tmp_path, capsys):
+        out = str(tmp_path / "run.manifest.json")
+        assert run(
+            "prune", "--scores", pipeline["scores"], "--alpha", "0.6", "--tract-low", "0.55",
+            "--tract-high", "0.98", "--out", out,
+        ) == 0
+        assert sha256_file(out) == sha256_file(pipeline["instances"])
+        assert manifest_for(out)["outputs"] == {out: sha256_file(out)}
+        assert sorted(os.listdir(tmp_path)) == ["run.manifest.json", "run.manifest.json.manifest.json"]
+
     def test_every_output_is_strict_json(self, pipeline, capsys):
         """No output, manifest or printed line of the chain holds NaN or
         ±inf, which JSON does not have; clipping off prints as null."""
@@ -805,6 +815,51 @@ class TestErrorHandling:
         assert rc == 1
         assert "error (" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["cfg.yaml", "cfg.json"])
+    @pytest.mark.parametrize("role", ["stage", "endpoint"])
+    def test_config_that_is_not_utf8_is_config_error(self, pipeline, tmp_path, capsys, name, role):
+        cfg = tmp_path / name
+        cfg.write_bytes(b'{"model_id": "caf\xe9"}' if name.endswith(".json") else b"model_id: caf\xe9\n")
+        argv = {
+            "stage": ["prune", "--scores", pipeline["scores"], "--config", str(cfg), "--out", str(tmp_path / "o.jsonl")],
+            "endpoint": [
+                "stream-infer", "--histories", pipeline["histories"], "--generator", str(cfg),
+                "--state-dir", str(tmp_path / "s"),
+            ],
+        }[role]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"error (ConfigError): cannot read config {cfg}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["prune", "rollout", "multi-interest"])
+    def test_two_output_flags_naming_one_file_is_usage_error(self, pipeline, tmp_path, capsys, case):
+        out = str(tmp_path / "x.jsonl")
+        same = os.path.join(str(tmp_path), ".", "x.jsonl")  # another spelling of the same file
+        lab_a, lab_b = pipeline["root"] / "labA", pipeline["root"] / "labB"
+        argv, flags = {
+            "prune": (
+                ["prune", "--scores", pipeline["scores"], "--alpha", "0.6", "--tract-low", "0.55",
+                 "--tract-high", "0.98", "--out", out, "--keep-scores", same],
+                "--out and --keep-scores",
+            ),
+            "rollout": (
+                ["rollout", "--instances", pipeline["instances"], "--histories", pipeline["histories"],
+                 "--config", str(pipeline["root"] / "rollout.yaml"), "--gamma", "0.5", "--out", out, "--trees", out],
+                "--out and --trees",
+            ),
+            "multi-interest": (
+                ["build-transfer", "--mode", "multi-interest", "--histories", str(lab_a / "histories.jsonl"),
+                 "--donors", str(lab_b / "histories.jsonl"), "--out", out, "--provenance", out],
+                "--out and --provenance",
+            ),
+        }[case]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert f"arguments {flags} name the same file" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 def fail_for(monkeypatch, user, make_error):
     """Make every scripted-backend request made for ``user`` raise
@@ -1160,12 +1215,15 @@ _STAGE_MODULES = {
 }
 
 
+# a child interpreter imports the checkout's package, installed or not
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def _modules_loaded_by(code):
     """The ``sys.modules`` names a fresh interpreter holds after running ``code``."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": _SRC}, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
@@ -1534,7 +1592,8 @@ def test_readme_walkthrough(tmp_path, monkeypatch):
 
 def test_console_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "prefpipe.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "prefpipe.cli", "--help"], env={**os.environ, "PYTHONPATH": _SRC},
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert "simlab-gen" in proc.stdout

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prefpipe._util import decode, even_boundaries, write_jsonl
+from prefpipe._util import decode, write_jsonl
 from prefpipe.core import (
     HistoryIndex,
     HistorySegment,
@@ -115,34 +115,41 @@ class TestPreferenceSummary:
 class TestSegmentation:
     def test_single_boundary_is_identity_partition(self):
         h = make_history(6)
-        segs = segment(h, [6])
+        segs = segment(h, 1)
         assert len(segs) == 1
         assert (segs[0].start, segs[0].end) == (0, 6)
         assert segs[0].triples == h.triples
 
+    def test_hand_cases(self):
+        for n, k, ends in ((9, 2, [4, 9]), (10, 3, [3, 6, 10]), (5, 1, [5]), (4, 4, [1, 2, 3, 4])):
+            assert [s.end for s in segment(make_history(n), k)] == ends
+
     def test_concat_reconstructs_original(self):
-        # round-trip over seeded random boundary choices
-        h = make_history(20)
+        # round-trip over seeded random lengths and chunk counts
         rng = random.Random(99)
         for _ in range(100):
-            k = rng.randint(1, 6)
-            cuts = sorted(rng.sample(range(1, 20), k - 1)) + [20]
-            segs = segment(h, cuts)
+            n = rng.randint(1, 20)
+            h = make_history(n)
+            segs = segment(h, rng.randint(1, n))
             flattened = tuple(t for s in segs for t in s.triples)
             assert flattened == h.triples
 
     def test_rejects_bad_boundaries(self):
         h = make_history(4)
-        for cuts in ([], [0], [2, 2], [3, 1], [5]):
-            with pytest.raises(ValidationError):
-                segment(h, cuts)
+        for k in (0, -1):
+            with pytest.raises(ValidationError, match=f"^chunk count must be >= 1, got {k}$"):
+                segment(h, k)
+        with pytest.raises(ValidationError, match="^a history of 4 steps cannot be split into 5 chunks$"):
+            segment(h, 5)
+        with pytest.raises(ValidationError, match="^a history of 0 steps cannot be split into 1 chunks$"):
+            segment(UserHistory(user_id="u1", triples=()), 1)
 
 
 @given(st.integers(min_value=1, max_value=60).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
 def test_even_segments_tile_the_history(n_k):
     n, k = n_k
     h = make_history(n)
-    segs = segment(h, even_boundaries(n, k))
+    segs = segment(h, k)
     assert len(segs) == k
     assert [s.start for s in segs] == [0] + [s.end for s in segs[:-1]]
     assert segs[-1].end == n

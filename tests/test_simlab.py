@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -509,6 +510,9 @@ class TestMockKinds:
             "assert 'prefpipe.simlab' not in sys.modules\n"
             "print(type(build_backend(ModelEndpoint(base_url='mock:judge'))).__name__)\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ScriptedJudgeBackend"

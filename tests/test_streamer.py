@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefpipe._util import decode, even_boundaries, json_dumps, write_jsonl
+from prefpipe._util import decode, json_dumps, write_jsonl
 from prefpipe.core import HistorySegment, InteractionTriple, UserHistory
 from prefpipe.errors import GenerationError, ValidationError
 from prefpipe.modelio import ModelClient, ModelEndpoint, ScriptBackend
@@ -24,6 +24,12 @@ def make_history(n, user_id="u1", tag="test"):
         for i in range(n)
     )
     return UserHistory(user_id=user_id, triples=triples, dataset_tag=tag)
+
+
+def even_ends(n, k):
+    """The chunk ends infer_streaming uses, computed here so the composition
+    tests do not lean on the segmenter they check."""
+    return [n // k * i for i in range(1, k)] + [n]
 
 
 def mock_client(seed=0):
@@ -84,7 +90,7 @@ class TestUpdate:
 
     def test_two_updates_compose_to_two_chunk_streaming(self):
         history = make_history(9)
-        mid = even_boundaries(9, 2)[0]
+        mid = even_ends(9, 2)[0]
         s1 = update(mock_client(), None, HistorySegment(history, 0, mid))
         s2 = update(mock_client(), s1, HistorySegment(history, mid, 9))
         streamed = infer_streaming(mock_client(), history, 2)
@@ -166,7 +172,7 @@ class TestStreaming:
     def test_parent_chain_matches_lineage(self):
         history = make_history(9)
         client, calls = counting_client()
-        mid1, mid2 = even_boundaries(9, 3)[:2]
+        mid1, mid2 = even_ends(9, 3)[:2]
         s1 = update(client, None, HistorySegment(history, 0, mid1))
         s2 = update(client, s1, HistorySegment(history, mid1, mid2))
         s3 = update(client, s2, HistorySegment(history, mid2, 9))
@@ -243,7 +249,7 @@ def test_update_fold_equals_streaming_at_every_chunk_count(items, seed):
     )
     for chunks in range(1, len(history) + 1):
         state, start = None, 0
-        for end in even_boundaries(len(history), chunks):
+        for end in even_ends(len(history), chunks):
             # each step resumes from a stored state, as a restarted stream would
             stored = decode(StreamState, json.loads(json_dumps(state.to_dict()))) if state else None
             state = update(mock_client(seed), stored, HistorySegment(history, start, end))

@@ -19,7 +19,6 @@ from prefpipe._util import (
     decode,
     derive_seed,
     encode,
-    even_boundaries,
     json_dumps,
     left_truncate,
     ordered_map,
@@ -86,32 +85,6 @@ def test_left_truncate_zero_budget():
     assert left_truncate("a b c", 0) == ("", 3)
     with pytest.raises(ValueError):
         left_truncate("a", -1)
-
-
-def test_even_boundaries_hand_cases():
-    assert even_boundaries(9, 2) == [4, 9]
-    assert even_boundaries(10, 3) == [3, 6, 10]
-    assert even_boundaries(5, 1) == [5]
-    assert even_boundaries(4, 4) == [1, 2, 3, 4]
-
-
-def test_even_boundaries_cover_without_gaps():
-    for n in range(1, 40):
-        for k in range(1, n + 1):
-            ends = even_boundaries(n, k)
-            assert len(ends) == k
-            assert ends[-1] == n
-            prev = 0
-            for e in ends:
-                assert e > prev
-                prev = e
-
-
-def test_even_boundaries_rejects_bad_args():
-    with pytest.raises(ValidationError):
-        even_boundaries(3, 0)
-    with pytest.raises(ValidationError):
-        even_boundaries(2, 3)
 
 
 def test_jsonl_round_trip(tmp_path):
