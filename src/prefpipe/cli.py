@@ -1,10 +1,9 @@
 """Command-line front end.
 
-Every subcommand reads explicit files, writes explicit files, and drops a run
-manifest (`<first output>.manifest.json`, or `<dir>/manifest.json` for a stage
-that writes a directory) recording the resolved config, the seed, and content
-digests of every input and output, so any artifact can be traced back to
-exactly what produced it.
+Every subcommand reads explicit files, writes explicit files (``STAGE_FILES``
+declares both), and drops a run manifest recording the resolved config, the
+seed, and content digests of every input and output, so any artifact can be
+traced back to exactly what produced it.
 
 Exit codes: 0 success, 1 stage failure (categorized message on stderr),
 2 usage/argument errors (argparse).
@@ -44,19 +43,12 @@ logger = logging.getLogger("prefpipe.cli")
 
 @dataclass
 class Stage:
-    """What one subcommand did; ``main`` records it in the run manifest.
-
-    ``None`` paths are optional files that were not given. The manifest is
-    written to ``anchor``, else to ``<first output>.manifest.json``;
-    ``command`` replaces the subcommand name it records."""
+    """What one subcommand did; ``main`` records it in the run manifest,
+    beside the files that ``STAGE_FILES`` declares for the stage."""
 
     config: dict
-    inputs: list[str | None]
-    outputs: list[str | None]
     stats: dict
     message: str
-    anchor: str | None = None
-    command: str | None = None
 
 
 class Clients(dict[str, "ModelClient"]):
@@ -88,13 +80,11 @@ class ManifestWriter:
         self.telemetry: dict = {}
         self.started_at = started_at
 
-    def add_input(self, path: str | None) -> None:
-        if path:
-            self.inputs[path] = sha256_file(path)
+    def add_input(self, path: str) -> None:
+        self.inputs[path] = sha256_file(path)
 
-    def add_output(self, path: str | None) -> None:
-        if path:
-            self.outputs[path] = sha256_file(path)
+    def add_output(self, path: str) -> None:
+        self.outputs[path] = sha256_file(path)
 
     def write(self, path: str) -> str:
         manifest = {
@@ -156,12 +146,12 @@ def cmd_simlab_gen(args: argparse.Namespace, skipped: Tally, clients: Clients) -
         raise ValidationError(f"--margin must be > 0, got {args.margin}")
     stage_seed = derive_seed(args.seed, "simlab-gen")
     os.makedirs(args.out_dir, exist_ok=True)
-    paths = [os.path.join(args.out_dir, name) for name in ("histories.jsonl", "truth.jsonl", "scores.jsonl")]
+    histories_path, truth_path, scores_path = args.outputs
     users = score_rows = 0
     with (
-        jsonl_writer(paths[0]) as write_history,
-        jsonl_writer(paths[1]) as write_truth,
-        jsonl_writer(paths[2]) as write_score,
+        jsonl_writer(histories_path) as write_history,
+        jsonl_writer(truth_path) as write_truth,
+        jsonl_writer(scores_path) as write_score,
     ):
         for hist, latent, diffs in simlab.gen_users(
             stage_seed, args.users, args.dim, args.history_len, args.margin, args.context_rate,
@@ -179,11 +169,7 @@ def cmd_simlab_gen(args: argparse.Namespace, skipped: Tally, clients: Clients) -
         "margin": args.margin, "context_rate": args.context_rate, "kappa": args.kappa,
         "weak_quality": args.weak_quality, "user_prefix": args.user_prefix, "dataset_tag": args.dataset_tag,
     }
-    return Stage(
-        config, [], paths, {"users": users, "score_rows": score_rows},
-        f"wrote {users} users to {args.out_dir}",
-        anchor=os.path.join(args.out_dir, "manifest.json"),
-    )
+    return Stage(config, {"users": users, "score_rows": score_rows}, f"wrote {users} users to {args.out_dir}")
 
 
 def cmd_synthesize_sft(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Stage:
@@ -205,10 +191,8 @@ def cmd_synthesize_sft(args: argparse.Namespace, skipped: Tally, clients: Client
             core.iter_histories(args.histories), tract, generator, judge, teacher, synth_config,
             jobs=args.jobs, sink=lambda rec: write(rec.to_dict()), skipped=skipped,
         )
-    return Stage(
-        cfg, [args.histories, args.scores, args.config], [args.out], stats,
-        f"synthesized {stats['records']} records from {stats['users_with_records']}/{stats['users_in']} users",
-    )
+    message = f"synthesized {stats['records']} records from {stats['users_with_records']}/{stats['users_in']} users"
+    return Stage(cfg, stats, message)
 
 
 def cmd_prune(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Stage:
@@ -221,11 +205,8 @@ def cmd_prune(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Sta
     write_jsonl(args.out, (inst.to_dict() for inst in instances))
     if args.keep_scores:  # the kept points' own sidecar lines, so the file is a --scores input
         write_jsonl(args.keep_scores, (s.to_dict() for s in kept))
-    return Stage(
-        cfg, [args.scores, args.config], [args.out, args.keep_scores],
-        {"scores_in": len(scores), "kept": len(kept), "instances": len(instances)},
-        f"kept {len(kept)}/{len(scores)} points -> {len(instances)} instances",
-    )
+    stats = {"scores_in": len(scores), "kept": len(kept), "instances": len(instances)}
+    return Stage(cfg, stats, f"kept {len(kept)}/{len(scores)} points -> {len(instances)} instances")
 
 
 def cmd_rollout(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Stage:
@@ -257,8 +238,7 @@ def cmd_rollout(args: argparse.Namespace, skipped: Tally, clients: Clients) -> S
 
         _, stats = rlengine.run_rollouts(policy, judge, instances, histories, config, jobs=args.jobs, sink=emit, skipped=skipped)
     return Stage(
-        cfg, [args.histories, args.instances, args.config], [args.out, args.trees],
-        {**stats, "records": records},
+        cfg, {**stats, "records": records},
         f"rolled out {stats['trees']}/{stats['instances_in']} instances "
         f"({records} records, mean reward {stats['mean_immediate_reward']})",
     )
@@ -280,8 +260,6 @@ def cmd_loss_check(args: argparse.Namespace, skipped: Tally, clients: Clients) -
         batch, own = itertools.tee(records())
         new_logprobs = (r.old_token_logprobs for r in own)
     else:
-        if not args.new_logprobs:
-            raise ConfigError("loss-check needs --new-logprobs (or --self-check)")
         rows = read_records(args.new_logprobs, rlengine.LogprobsRow)
         batch, new_logprobs = records(), (row.logprobs for row in rows)
     loss = rlengine.surrogate_loss(batch, new_logprobs, clip_eps=clip_eps)
@@ -296,8 +274,7 @@ def cmd_stream_infer(args: argparse.Namespace, skipped: Tally, clients: Clients)
         raise ValidationError(f"chunk count must be >= 1, got {args.chunks}")
     generator = clients.build("generator", path=args.generator)
     os.makedirs(args.state_dir, exist_ok=True)
-    states_path = os.path.join(args.state_dir, "states.jsonl")
-    summaries_path = os.path.join(args.state_dir, "summaries.jsonl")
+    states_path, summaries_path = args.outputs
     users = 0
     states = skipped.map(
         lambda h: streamer.infer_streaming(generator, h, args.chunks), core.iter_histories(args.histories),
@@ -310,11 +287,7 @@ def cmd_stream_infer(args: argparse.Namespace, skipped: Tally, clients: Clients)
                 write_state(state.to_dict())
                 write_summary(core.summary_record(state.user_id, state.current))
                 users += 1
-    return Stage(
-        {"chunks": args.chunks}, [args.histories, args.generator], [states_path, summaries_path],
-        {"users": users}, f"streamed {users} users in {args.chunks} chunk(s)",
-        anchor=os.path.join(args.state_dir, "manifest.json"),
-    )
+    return Stage({"chunks": args.chunks}, {"users": users}, f"streamed {users} users in {args.chunks} chunk(s)")
 
 
 def cmd_build_transfer(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Stage:
@@ -322,14 +295,9 @@ def cmd_build_transfer(args: argparse.Namespace, skipped: Tally, clients: Client
 
     config: dict = {"mode": args.mode}
     if args.mode == "cross-domain":
-        if not (args.histories_a and args.histories_b and args.embedder):
-            raise ConfigError("cross-domain needs --histories-a, --histories-b, --embedder")
         stats = _cross_domain(args, clients.build("embedder", path=args.embedder), skipped)
         config["top_k"] = args.top_k
-        inputs, extra_output = [args.histories_a, args.histories_b], args.out_histories
     elif args.mode == "multi-interest":
-        if not (args.histories and args.donors):
-            raise ConfigError("multi-interest needs --histories and --donors")
         donors = core.load_histories(args.donors)
         if not donors:
             raise ConfigError("donor corpus is empty")
@@ -350,22 +318,15 @@ def cmd_build_transfer(args: argparse.Namespace, skipped: Tally, clients: Client
                     )
                 users += 1
         config["intensity"] = args.intensity
-        inputs, extra_output = [args.histories, args.donors], args.provenance
         stats = {"users": users}
     else:  # positive-only
-        if not args.histories:
-            raise ConfigError("positive-only needs --histories")
         users = 0
         with jsonl_writer(args.out) as write:
             for history in core.iter_histories(args.histories):
                 write(core.strip_negatives(history).to_dict())
                 users += 1
-        inputs, extra_output = [args.histories], None
         stats = {"users": users}
-    return Stage(
-        config, inputs, [args.out, extra_output], stats, f"build-transfer {args.mode}: wrote {args.out}",
-        command=f"build-transfer:{args.mode}",
-    )
+    return Stage(config, stats, f"build-transfer {args.mode}: wrote {args.out}")
 
 
 def _cross_domain(args: argparse.Namespace, client: "ModelClient", skipped: Tally) -> dict:
@@ -430,21 +391,12 @@ def cmd_evaluate(args: argparse.Namespace, skipped: Tally, clients: Clients) -> 
     )
     write_json(args.out, report.to_dict())
     if args.outcomes:
-        write_jsonl(
-            args.outcomes,
-            (
-                {
-                    **o.instance.to_dict(),
-                    "swapped": o.swapped, "reply": o.reply, "parsed": o.parsed,
-                    "correct": o.correct, "failed": o.failed,
-                }
-                for o in outcomes
-            ),
-        )
-    return Stage(
-        {"strict": args.strict, "label": args.label}, [args.summaries, args.instances, args.downstream],
-        [args.out, args.outcomes], report.to_dict(), evalharness.format_reports([report]),
-    )
+        write_jsonl(args.outcomes, (
+            {**o.instance.to_dict(), "swapped": o.swapped, "reply": o.reply, "parsed": o.parsed,
+             "correct": o.correct, "failed": o.failed}
+            for o in outcomes
+        ))
+    return Stage({"strict": args.strict, "label": args.label}, report.to_dict(), evalharness.format_reports([report]))
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loss-check", help="compute the clipped surrogate loss for an exported batch")
     p.add_argument("--batch", required=True)
-    p.add_argument("--new-logprobs", help="JSONL rows {logprobs: [...]} aligned with the batch")
-    p.add_argument("--self-check", action="store_true", help="use the batch's own logprobs (ratio 1)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--new-logprobs", help="JSONL rows {logprobs: [...]} aligned with the batch")
+    source.add_argument("--self-check", action="store_true", help="use the batch's own logprobs (ratio 1)")
     p.add_argument("--clip-eps", type=float, help="ratio clip (default: rlengine.CLIP_EPS; inf disables clipping, printed as null)")
     p.set_defaults(func=cmd_loss_check)
 
@@ -555,8 +508,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the output file flags; two of them naming one file would overwrite each other
-_OUTPUT_FLAGS = ("out", "trees", "keep_scores", "out_histories", "provenance", "outcomes")
+# Each stage's file flags, by the command its manifest records (build-transfer's
+# by mode): inputs, then outputs. A mode needs every input it lists. "--dir/name"
+# is a file the stage writes into the directory --dir names, and then the
+# manifest is <dir>/manifest.json, else <first output>.manifest.json.
+STAGE_FILES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "simlab-gen": ((), ("--out-dir/histories.jsonl", "--out-dir/truth.jsonl", "--out-dir/scores.jsonl")),
+    "synthesize-sft": (("--histories", "--scores", "--config"), ("--out",)),
+    "prune": (("--scores", "--config"), ("--out", "--keep-scores")),
+    "rollout": (("--histories", "--instances", "--config"), ("--out", "--trees")),
+    "loss-check": (("--batch", "--new-logprobs"), ()),
+    "stream-infer": (("--histories", "--generator"), ("--state-dir/states.jsonl", "--state-dir/summaries.jsonl")),
+    "build-transfer:cross-domain": (("--histories-a", "--histories-b", "--embedder"), ("--out", "--out-histories")),
+    "build-transfer:multi-interest": (("--histories", "--donors"), ("--out", "--provenance")),
+    "build-transfer:positive-only": (("--histories",), ("--out",)),
+    "evaluate": (("--summaries", "--instances", "--downstream"), ("--out", "--outcomes")),
+}
+
+
+def _given(args: argparse.Namespace, specs: tuple[str, ...]) -> list[tuple[str, str]]:
+    """(flag, path) for each ``STAGE_FILES`` entry of ``specs`` whose flag was given."""
+    found = []
+    for spec in specs:
+        flag, _, name = spec.partition("/")
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value:
+            found.append((flag, os.path.join(value, name) if name else value))
+    return found
+
+
+def _stage_files(parser: argparse.ArgumentParser, args: argparse.Namespace) -> tuple[str, list, list, str | None]:
+    """The command, input paths, output paths (``main`` hands them to the stage
+    as ``args.outputs``) and manifest path of this run. Before any file is
+    read, refuses as usage errors a file flag that the mode needs and was not
+    given or does not read, and an output or manifest that names the same
+    file as another flag; two inputs may name one file."""
+    command = f"{args.command}:{args.mode}" if "mode" in args else args.command
+    ins, outs = STAGE_FILES[command]
+    inputs, outputs = _given(args, ins), _given(args, outs)
+    if "mode" in args and len(inputs) < len(ins):
+        parser.error(f"{args.mode} needs {', '.join(ins)}")
+    modes = [i + o for key, (i, o) in STAGE_FILES.items() if key.startswith(f"{args.command}:")]
+    unread = {flag for specs in modes for flag, _ in _given(args, specs)} - {flag for flag, _ in inputs + outputs}
+    if unread:
+        parser.error(f"--mode {args.mode} does not read {', '.join(sorted(unread))}")
+    named, manifest = inputs + outputs, None
+    if outputs:  # the first output flag is required
+        flag, path = outputs[0]
+        manifest = os.path.join(os.path.dirname(path), "manifest.json") if "/" in outs[0] else f"{path}.manifest.json"
+        named.append((f"the manifest of {flag}", manifest))
+    for i in range(len(inputs), len(named)):  # each output and manifest against every flag before it
+        flag, path = named[i]
+        for other, other_path in named[:i]:
+            if os.path.realpath(other_path) == os.path.realpath(path):
+                parser.error(f"arguments {other} and {flag} name the same file: {path}")
+    return command, [path for _, path in inputs], [path for _, path in outputs], manifest
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -564,14 +570,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
-    named: dict[str, str] = {}  # each output file's real path -> the flag that names it
-    for dest in _OUTPUT_FLAGS:
-        path = getattr(args, dest, None)
-        if path:
-            flag = "--" + dest.replace("_", "-")
-            other = named.setdefault(os.path.realpath(path), flag)
-            if other != flag:
-                parser.error(f"arguments {other} and {flag} name the same file: {path}")
+    command, inputs, args.outputs, manifest = _stage_files(parser, args)
     logging.basicConfig(
         level=getattr(logging, args.log_level.upper()),
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
@@ -581,10 +580,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         stage = args.func(args, skipped, clients)
         if stage is not None:
-            mw = ManifestWriter(stage.command or args.command, args.seed, stage.config, started_at)
-            for path in stage.inputs:
+            mw = ManifestWriter(command, args.seed, stage.config, started_at)
+            for path in inputs:
                 mw.add_input(path)
-            for path in stage.outputs:
+            for path in args.outputs:
                 mw.add_output(path)
             mw.stats = {**stage.stats, "skipped_by_reason": skipped.counts()}
             mw.telemetry = {role: dict(sorted(client.stats.items())) for role, client in clients.items()}
@@ -595,7 +594,7 @@ def main(argv: list[str] | None = None) -> int:
                         "%s: %d prompt(s) truncated to %d tokens, %d leading token(s) dropped", role,
                         client.stats["truncations"], client.endpoint.max_prompt_tokens, client.stats["truncated_tokens"],
                     )
-            mw.write(stage.anchor or f"{stage.outputs[0]}.manifest.json")
+            mw.write(manifest)
             print(stage.message)
     except PipelineError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

@@ -140,7 +140,7 @@ class HttpBackend:
     def complete(self, prompt, *, max_tokens, temperature, seed=None, meta=None) -> RawCompletion:
         choice = self._choice(self._chat(prompt, max_tokens=max_tokens, temperature=temperature, seed=seed, top_logprobs=1))
         try:
-            text = choice["message"]["content"] or ""
+            text = _text(choice["message"]["content"])
         except (KeyError, TypeError) as exc:
             raise BackendError("chat completion response lacks message content", retryable=False) from exc
         try:  # no logprobs at all means "not reported"; a malformed one costs this request
@@ -189,6 +189,17 @@ def _number(value, what: str) -> float:
     if x is None or (isinstance(value, str) and math.isfinite(x)):
         raise BackendError(f"malformed {what} {value!r}", retryable=False)
     return x
+
+
+def _text(value) -> str:
+    """The message content of a reply: a string passes and null is no text.
+    Any other JSON value (a number, a bool, a list, an object) is a
+    malformed reply."""
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise BackendError(f"malformed message content {value!r:.80}", retryable=False)
+    return value
 
 
 def _logprob(value) -> float:

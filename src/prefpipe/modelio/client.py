@@ -249,7 +249,8 @@ class ModelClient:
         self._bump("embed_calls")
         raw = self._with_retries("embed", lambda: self.backend.embed(text, meta=meta))
         vec = np.asarray(raw, dtype=np.float64)
-        norm = float(np.linalg.norm(vec))
+        with np.errstate(over="ignore"):  # a norm past the float range is inf, refused below
+            norm = float(np.linalg.norm(vec))
         if vec.ndim != 1 or not math.isfinite(norm) or norm == 0.0:  # an empty vector's norm is 0
             raise BackendError("embedding is not a 1-d vector with a finite, non-zero norm", retryable=False)
         return vec / norm

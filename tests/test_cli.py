@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import threading
@@ -832,33 +833,69 @@ class TestErrorHandling:
         assert f"error (ConfigError): cannot read config {cfg}: " in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("case", ["prune", "rollout", "multi-interest"])
+    @pytest.mark.parametrize(
+        "case",
+        ["prune", "rollout", "multi-interest", "manifest", "input", "state-dir", "unread", "missing",
+         "loss-check-both", "loss-check-neither"],
+    )
     def test_two_output_flags_naming_one_file_is_usage_error(self, pipeline, tmp_path, capsys, case):
+        """So is an output or a manifest that names an input, another output
+        or a manifest, a file flag that the mode does not read, and one that
+        it needs but was not given. Each is refused before the stage runs, so
+        the directory is left as it was, its input included."""
         out = str(tmp_path / "x.jsonl")
         same = os.path.join(str(tmp_path), ".", "x.jsonl")  # another spelling of the same file
         lab_a, lab_b = pipeline["root"] / "labA", pipeline["root"] / "labB"
-        argv, flags = {
-            "prune": (
-                ["prune", "--scores", pipeline["scores"], "--alpha", "0.6", "--tract-low", "0.55",
-                 "--tract-high", "0.98", "--out", out, "--keep-scores", same],
-                "--out and --keep-scores",
-            ),
+        own = str(tmp_path / "h.jsonl")
+        shutil.copy(pipeline["histories"], own)
+        prune = ["prune", "--scores", pipeline["scores"], "--alpha", "0.6", "--tract-low", "0.55", "--tract-high", "0.98"]
+        positive = ["build-transfer", "--mode", "positive-only", "--histories", own]
+        argv, message = {
+            "prune": ([*prune, "--out", out, "--keep-scores", same], "arguments --out and --keep-scores name the same file"),
             "rollout": (
                 ["rollout", "--instances", pipeline["instances"], "--histories", pipeline["histories"],
                  "--config", str(pipeline["root"] / "rollout.yaml"), "--gamma", "0.5", "--out", out, "--trees", out],
-                "--out and --trees",
+                "arguments --out and --trees name the same file",
             ),
             "multi-interest": (
                 ["build-transfer", "--mode", "multi-interest", "--histories", str(lab_a / "histories.jsonl"),
                  "--donors", str(lab_b / "histories.jsonl"), "--out", out, "--provenance", out],
-                "--out and --provenance",
+                "arguments --out and --provenance name the same file",
+            ),
+            "manifest": (
+                [*prune, "--out", out, "--keep-scores", f"{out}.manifest.json"],
+                "arguments --keep-scores and the manifest of --out name the same file",
+            ),
+            "input": ([*positive, "--out", own], f"arguments --histories and --out name the same file: {own}"),
+            "state-dir": (
+                ["stream-infer", "--histories", os.path.join(str(tmp_path), "states.jsonl"),
+                 "--generator", str(pipeline["root"] / "generator.yaml"), "--state-dir", str(tmp_path)],
+                "arguments --histories and --state-dir name the same file",
+            ),
+            "unread": (
+                [*positive, "--out", out, "--provenance", str(tmp_path / "q.jsonl"),
+                 "--out-histories", str(tmp_path / "r.jsonl")],
+                "--mode positive-only does not read --out-histories, --provenance",
+            ),
+            "missing": (
+                ["build-transfer", "--mode", "cross-domain", "--histories-a", str(lab_a / "histories.jsonl"),
+                 "--histories-b", str(lab_b / "histories.jsonl"), "--out", out],
+                "cross-domain needs --histories-a, --histories-b, --embedder",
+            ),
+            "loss-check-both": (
+                ["loss-check", "--batch", pipeline["batch"], "--self-check", "--new-logprobs", own],
+                "argument --new-logprobs: not allowed with argument --self-check",
+            ),
+            "loss-check-neither": (
+                ["loss-check", "--batch", pipeline["batch"]], "one of the arguments --new-logprobs --self-check is required"
             ),
         }[case]
+        before = {name: sha256_file(tmp_path / name) for name in os.listdir(tmp_path)}
         with pytest.raises(SystemExit) as exc:
             run(*argv)
         assert exc.value.code == 2
-        assert f"arguments {flags} name the same file" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
+        assert message in capsys.readouterr().err
+        assert {name: sha256_file(tmp_path / name) for name in os.listdir(tmp_path)} == before
 
 
 def fail_for(monkeypatch, user, make_error):

@@ -452,6 +452,12 @@ class TestEmbed:
                 make_client(ScriptBackend(embedder=lambda t: vector)).embed("t")
             assert exc_info.value.per_item
 
+    @pytest.mark.filterwarnings("error")
+    def test_norm_past_the_float_range_is_refused_without_a_warning(self):
+        with pytest.raises(BackendError, match="finite, non-zero norm") as exc_info:
+            make_client(ScriptBackend(embedder=lambda t: [1e308, 1e308])).embed("t")
+        assert exc_info.value.per_item
+
 
 # ---------------------------------------------------------------------------
 # HTTP transport against a local server
@@ -776,6 +782,22 @@ class TestHttpBackend:
             assert not exc_info.value.retryable and exc_info.value.per_item
             assert len(server.requests) == 1
 
+    @pytest.mark.parametrize("content", [5, True, [1], {"a": 1}], ids=["number", "bool", "list", "object"])
+    def test_message_content_that_is_no_string_fails_only_that_request(self, server, content):
+        """Only a string or null is message content; anything else used to
+        reach the reply parsers and end in an AttributeError."""
+        client = http_client(server, judge_samples=3)
+        for call, queue in [
+            (lambda: client.generate_summary("p"), []),
+            (lambda: client.judge_pair("pref", None, "x", "y", debias=False), [_only_brace()]),  # the sampling fallback
+        ]:
+            server.requests.clear()
+            server.queue = [*queue, (200, _ScriptedServer.chat_payload(text=content))]
+            with pytest.raises(BackendError, match="malformed message content") as exc_info:
+                call()
+            assert not exc_info.value.retryable and exc_info.value.per_item
+            assert len(server.requests) == len(queue) + 1
+
 
 def _label_payload(lp_a):
     """A judge reply whose label position gives "A" the logprob ``lp_a`` and "B" -0.7."""
@@ -867,4 +889,35 @@ def test_rollout_skips_the_instance_whose_reply_has_a_bad_logprob(server, tmp_pa
     assert {rec["user_id"] for rec in records} == {"u1", "u3"}
     assert len(records) == 2 * 2 * 2  # two instances, two stages, two samples
     with open(f"{batch}.manifest.json", encoding="utf-8") as fh:
+        assert json.load(fh)["stats"]["skipped_by_reason"] == {"BackendError": 1}
+
+
+def test_stream_infer_skips_the_user_whose_reply_content_is_no_string(server, tmp_path):
+    """A message content that is a number costs only its user: stream-infer
+    exits 0 and counts the user under its reason."""
+    from prefpipe._util import write_jsonl
+    from prefpipe.cli import main
+    from prefpipe.core import InteractionTriple, UserHistory
+
+    histories = str(tmp_path / "histories.jsonl")
+    write_jsonl(histories, [
+        UserHistory(user_id=uid, triples=tuple(
+            InteractionTriple(index=i, chosen=f"{uid}-item-{i}-a", rejected=f"{uid}-item-{i}-b") for i in range(4)
+        )).to_dict()
+        for uid in ("u1", "bad", "u3")
+    ])
+
+    def payload(path, body):
+        return _ScriptedServer.chat_payload(text=5 if "bad-item" in body["messages"][0]["content"] else "a summary")
+
+    server.default_payload = payload
+    generator = tmp_path / "generator.json"
+    generator.write_text(json.dumps({"base_url": server.url, "retry_limit": 0}))
+    state_dir = tmp_path / "stream"
+    assert main([
+        "stream-infer", "--histories", histories, "--generator", str(generator), "--state-dir", str(state_dir),
+    ]) == 0
+    with open(state_dir / "summaries.jsonl", encoding="utf-8") as fh:
+        assert [json.loads(line)["user_id"] for line in fh] == ["u1", "u3"]
+    with open(state_dir / "manifest.json", encoding="utf-8") as fh:
         assert json.load(fh)["stats"]["skipped_by_reason"] == {"BackendError": 1}
