@@ -74,33 +74,34 @@ def json_dumps(obj: Any, where: str = "JSON output", encoder: json.JSONEncoder =
         raise ContractError(f"{where}: {exc}") from exc
 
 
+def write_record(fh: TextIO, path: str, record: Any, document: bool = False) -> None:
+    """Write ``record`` to ``fh`` as one JSON line or, with ``document``, as
+    the indented JSON document of manifests and reports. ``path`` names the
+    output in errors."""
+    fh.write(json_dumps(record, path, _JSON_FILE_ENCODER if document else _JSON_ENCODER))
+    fh.write("\n")
+
+
 def write_json(path: str, obj: Any) -> None:
-    """Atomically write ``obj`` as indented JSON, the form of manifests and reports."""
-    atomic_write_text(path, json_dumps(obj, path, _JSON_FILE_ENCODER) + "\n")
+    """Atomically write ``obj`` as an indented JSON document."""
+    with atomic_open(path) as fh:
+        write_record(fh, path, obj, document=True)
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> int:
     """Atomically write records as one JSON object per line. Returns the record count."""
     n = 0
-    with jsonl_writer(path) as write:
+    with atomic_open(path) as fh:
         for rec in records:
-            write(rec)
+            write_record(fh, path, rec)
             n += 1
     return n
 
 
-@contextlib.contextmanager
-def jsonl_writer(path: str) -> Iterator[Callable[[dict], None]]:
-    """``write_jsonl`` for a caller that produces records one at a time:
-    yields a function that writes one record. ``path`` appears, complete,
-    only when the block ends without an exception."""
-    with _atomic_open(path) as fh:
-
-        def write(rec: dict) -> None:
-            fh.write(json_dumps(rec, path))
-            fh.write("\n")
-
-        yield write
+def count_nonblank_lines(path: str) -> int:
+    """How many lines of ``path`` hold more than whitespace: its records, if it is JSONL."""
+    with open(path, "rb") as fh:
+        return sum(1 for raw in fh if raw.strip())
 
 
 def numbered_jsonl(path: str) -> Iterator[tuple[int, int, dict]]:
@@ -141,13 +142,8 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    with _atomic_open(path) as fh:
-        fh.write(text)
-
-
 @contextlib.contextmanager
-def _atomic_open(path: str) -> Iterator[TextIO]:
+def atomic_open(path: str) -> Iterator[TextIO]:
     """Open ``path + ".tmp"`` for writing and rename it over ``path`` on exit.
 
     Readers see either the old file or the complete new one. If the block

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Every subcommand reads explicit files, writes explicit files (``STAGE_FILES``
-declares both), and drops a run manifest recording the resolved config, the
-seed, and content digests of every input and output, so any artifact can be
-traced back to exactly what produced it.
+Every subcommand reads and writes explicit files (``STAGE_FILES`` declares
+both; ``main`` opens the outputs and commits them together) and drops a run
+manifest recording the resolved config, the seed, and content digests of every
+input and output, so any artifact can be traced back to exactly what produced it.
 
 Exit codes: 0 success, 1 stage failure (categorized message on stderr),
 2 usage/argument errors (argparse).
@@ -15,6 +15,7 @@ parser only when it runs, so a command loads just what it uses.
 import argparse
 import contextlib
 import datetime
+import functools
 import hashlib
 import itertools
 import logging
@@ -23,11 +24,11 @@ import os
 import random
 import sys
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from . import core, curriculum
-from ._util import Tally, build_config, derive_seed, json_dumps, jsonl_writer
-from ._util import read_config, read_records, sha256_file, write_json, write_jsonl
+from ._util import Tally, atomic_open, build_config, count_nonblank_lines, derive_seed, json_dumps
+from ._util import read_config, read_records, sha256_file, write_json, write_record
 from .errors import ConfigError, PipelineError, ValidationError
 
 if TYPE_CHECKING:
@@ -120,11 +121,6 @@ def _stage_config(args: argparse.Namespace, cls: type, sections: tuple[str, ...]
     return config, {k: getattr(config, k) for k in knobs}, file_cfg
 
 
-def _optional_writer(path: str | None):
-    """``jsonl_writer(path)``, or a block that yields None when no path is given."""
-    return jsonl_writer(path) if path else contextlib.nullcontext(None)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -145,25 +141,18 @@ def cmd_simlab_gen(args: argparse.Namespace, skipped: Tally, clients: Clients) -
     if args.margin <= 0:
         raise ValidationError(f"--margin must be > 0, got {args.margin}")
     stage_seed = derive_seed(args.seed, "simlab-gen")
-    os.makedirs(args.out_dir, exist_ok=True)
-    histories_path, truth_path, scores_path = args.outputs
+    write_history, write_truth, write_score = args.outputs
     users = score_rows = 0
-    with (
-        jsonl_writer(histories_path) as write_history,
-        jsonl_writer(truth_path) as write_truth,
-        jsonl_writer(scores_path) as write_score,
+    for hist, latent, diffs in simlab.gen_users(
+        stage_seed, args.users, args.dim, args.history_len, args.margin, args.context_rate,
+        args.dataset_tag, args.user_prefix,
     ):
-        for hist, latent, diffs in simlab.gen_users(
-            stage_seed, args.users, args.dim, args.history_len, args.margin, args.context_rate,
-            args.dataset_tag, args.user_prefix,
-        ):
-            write_history(hist.to_dict())
-            write_truth(simlab.truth_record(hist.user_id, latent))
-            scores = simlab.score_user(hist.user_id, range(len(hist)), diffs, args.kappa, args.weak_quality, stage_seed)
-            for row in scores:
-                write_score(row)
-            users += 1
-            score_rows += len(hist)
+        write_history(hist.to_dict())
+        write_truth(simlab.truth_record(hist.user_id, latent))
+        for row in simlab.score_user(hist.user_id, range(len(hist)), diffs, args.kappa, args.weak_quality, stage_seed):
+            write_score(row)
+        users += 1
+        score_rows += len(hist)
     config = {
         "users": args.users, "dim": args.dim, "history_len": args.history_len,
         "margin": args.margin, "context_rate": args.context_rate, "kappa": args.kappa,
@@ -186,11 +175,11 @@ def cmd_synthesize_sft(args: argparse.Namespace, skipped: Tally, clients: Client
     for s in curriculum.load_scores(args.scores):
         tract.setdefault(s.user_id, {})[s.index] = s.s_tract
 
-    with jsonl_writer(args.out) as write:
-        _, stats = synthpipe.run_corpus(
-            core.iter_histories(args.histories), tract, generator, judge, teacher, synth_config,
-            jobs=args.jobs, sink=lambda rec: write(rec.to_dict()), skipped=skipped,
-        )
+    (write,) = args.outputs
+    _, stats = synthpipe.run_corpus(
+        core.iter_histories(args.histories), tract, generator, judge, teacher, synth_config,
+        jobs=args.jobs, sink=lambda rec: write(rec.to_dict()), skipped=skipped,
+    )
     message = f"synthesized {stats['records']} records from {stats['users_with_records']}/{stats['users_in']} users"
     return Stage(cfg, stats, message)
 
@@ -202,9 +191,12 @@ def cmd_prune(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Sta
     scores = curriculum.load_scores(args.scores)
     kept = curriculum.prune(scores, prune_config)
     instances = curriculum.build_rl_instances(kept)
-    write_jsonl(args.out, (inst.to_dict() for inst in instances))
-    if args.keep_scores:  # the kept points' own sidecar lines, so the file is a --scores input
-        write_jsonl(args.keep_scores, (s.to_dict() for s in kept))
+    write_instance, write_kept = args.outputs
+    for inst in instances:
+        write_instance(inst.to_dict())
+    if write_kept:  # the kept points' own sidecar lines, so the file is a --scores input
+        for s in kept:
+            write_kept(s.to_dict())
     stats = {"scores_in": len(scores), "kept": len(kept), "instances": len(instances)}
     return Stage(cfg, stats, f"kept {len(kept)}/{len(scores)} points -> {len(instances)} instances")
 
@@ -218,20 +210,16 @@ def cmd_rollout(args: argparse.Namespace, skipped: Tally, clients: Clients) -> S
     policy, judge = (clients.build(role, file_cfg.get(role)) for role in ("policy", "judge"))
 
     instances = list(read_records(args.instances, curriculum.RlInstance))
+    write_batch, write_tree = args.outputs
     records = 0
     # --histories is checked whole before the first call, then each instance's
-    # user is read back from its line; each tree is exported and dumped as it
-    # arrives, and both files appear only once every tree is written
-    with (
-        core.HistoryIndex(args.histories) as histories,
-        jsonl_writer(args.out) as write_record,
-        _optional_writer(args.trees) as write_tree,
-    ):
+    # user is read back from its line; each tree is exported and dumped as it arrives
+    with core.HistoryIndex(args.histories) as histories:
 
         def emit(tree) -> None:
             nonlocal records
             for rec in rlengine.export_batch([tree]):
-                write_record(rec.to_dict())
+                write_batch(rec.to_dict())
                 records += 1
             if write_tree:
                 write_tree(tree.to_dict())
@@ -273,20 +261,17 @@ def cmd_stream_infer(args: argparse.Namespace, skipped: Tally, clients: Clients)
     if args.chunks < 1:  # before any user is read
         raise ValidationError(f"chunk count must be >= 1, got {args.chunks}")
     generator = clients.build("generator", path=args.generator)
-    os.makedirs(args.state_dir, exist_ok=True)
-    states_path, summaries_path = args.outputs
+    write_state, write_summary = args.outputs
     users = 0
     states = skipped.map(
         lambda h: streamer.infer_streaming(generator, h, args.chunks), core.iter_histories(args.histories),
         args.jobs, lambda h: f"user {h.user_id}",
     )
-    # each user's state and summary are written as that user finishes
-    with jsonl_writer(states_path) as write_state, jsonl_writer(summaries_path) as write_summary:
-        for state in states:
-            if state is not None:
-                write_state(state.to_dict())
-                write_summary(core.summary_record(state.user_id, state.current))
-                users += 1
+    for state in states:  # each user's state and summary are written as that user finishes
+        if state is not None:
+            write_state(state.to_dict())
+            write_summary(core.summary_record(state.user_id, state.current))
+            users += 1
     return Stage({"chunks": args.chunks}, {"users": users}, f"streamed {users} users in {args.chunks} chunk(s)")
 
 
@@ -303,28 +288,26 @@ def cmd_build_transfer(args: argparse.Namespace, skipped: Tally, clients: Client
             raise ConfigError("donor corpus is empty")
         rng = random.Random(derive_seed(args.seed, "build-transfer", "pairing"))
         noise = transferbench.NoiseConfig(intensity=args.intensity, seed=derive_seed(args.seed, "inject"))
+        write_fused, write_provenance = args.outputs
         users = 0
-        with jsonl_writer(args.out) as write_fused, _optional_writer(args.provenance) as write_provenance:
-            for result in transferbench.inject_corpus(core.iter_histories(args.histories), donors, noise, rng, skipped):
-                write_fused(result.history.to_dict())
-                if write_provenance:
-                    write_provenance(
-                        {
-                            "user_id": result.history.user_id,
-                            "donor_user": result.donor_user,
-                            "injected_positions": list(result.injected_positions),
-                            "source_indices": list(result.source_indices),
-                        }
-                    )
-                users += 1
+        for result in transferbench.inject_corpus(core.iter_histories(args.histories), donors, noise, rng, skipped):
+            write_fused(result.history.to_dict())
+            if write_provenance:
+                write_provenance({
+                    "user_id": result.history.user_id,
+                    "donor_user": result.donor_user,
+                    "injected_positions": list(result.injected_positions),
+                    "source_indices": list(result.source_indices),
+                })
+            users += 1
         config["intensity"] = args.intensity
         stats = {"users": users}
     else:  # positive-only
+        (write,) = args.outputs
         users = 0
-        with jsonl_writer(args.out) as write:
-            for history in core.iter_histories(args.histories):
-                write(core.strip_negatives(history).to_dict())
-                users += 1
+        for history in core.iter_histories(args.histories):
+            write(core.strip_negatives(history).to_dict())
+            users += 1
         stats = {"users": users}
     return Stage(config, stats, f"build-transfer {args.mode}: wrote {args.out}")
 
@@ -340,13 +323,14 @@ def _cross_domain(args: argparse.Namespace, client: "ModelClient", skipped: Tall
         raise ValidationError(f"top_k must be >= 1, got {args.top_k}")
     # a user is one non-blank line, so this bounds the pairs before any
     # embedding call; match_users checks again, since the holdout may drop users
-    available = math.prod(_count_nonblank_lines(path) for path in (args.histories_a, args.histories_b))
+    available = math.prod(count_nonblank_lines(path) for path in (args.histories_a, args.histories_b))
     if args.top_k > available:
         raise ValidationError(f"top_k {args.top_k} exceeds the {available} available pairs")
     seen: set[str] = set()  # the ids of A, which B may not repeat
+    write_instance, write_history = args.outputs
     targets: dict[str, core.InteractionTriple] = {}
 
-    def held_out(write_history):
+    def held_out():
         for side, path in enumerate((args.histories_a, args.histories_b)):
             for trimmed, inst in evalharness.iter_holdout(core.iter_histories(path, seen), skipped):
                 if write_history:
@@ -361,22 +345,15 @@ def _cross_domain(args: argparse.Namespace, client: "ModelClient", skipped: Tall
         return side, (history.user_id, transferbench.embed_history(client, history))
 
     embedded: tuple[list, list] = ([], [])
-    with _optional_writer(args.out_histories) as write_history:
-        embeds = skipped.map(
-            embed, held_out(write_history), args.jobs, lambda side_history: f"user {side_history[1].user_id}"
-        )
-        for result in embeds:
-            if result is not None:
-                embedded[result[0]].append(result[1])
-        pairs = transferbench.match_users(client, embedded[0], embedded[1], args.top_k)
-        instances, stats = transferbench.swap_targets(pairs, targets, skipped)
-        write_jsonl(args.out, instances)
+    embeds = skipped.map(embed, held_out(), args.jobs, lambda side_history: f"user {side_history[1].user_id}")
+    for result in embeds:
+        if result is not None:
+            embedded[result[0]].append(result[1])
+    pairs = transferbench.match_users(client, embedded[0], embedded[1], args.top_k)
+    instances, stats = transferbench.swap_targets(pairs, targets, skipped)
+    for inst in instances:
+        write_instance(inst)
     return stats
-
-
-def _count_nonblank_lines(path: str) -> int:
-    with open(path, "rb") as fh:
-        return sum(1 for raw in fh if raw.strip())
 
 
 def cmd_evaluate(args: argparse.Namespace, skipped: Tally, clients: Clients) -> Stage:
@@ -389,13 +366,12 @@ def cmd_evaluate(args: argparse.Namespace, skipped: Tally, clients: Clients) -> 
         downstream, summaries, instances,
         seed=derive_seed(args.seed, "evaluate"), strict=args.strict, label=args.label, jobs=args.jobs, skipped=skipped,
     )
-    write_json(args.out, report.to_dict())
-    if args.outcomes:
-        write_jsonl(args.outcomes, (
-            {**o.instance.to_dict(), "swapped": o.swapped, "reply": o.reply, "parsed": o.parsed,
-             "correct": o.correct, "failed": o.failed}
-            for o in outcomes
-        ))
+    write_report, write_outcome = args.outputs
+    write_report(report.to_dict(), document=True)
+    if write_outcome:
+        for o in outcomes:
+            write_outcome({**o.instance.to_dict(), "swapped": o.swapped, "reply": o.reply, "parsed": o.parsed,
+                           "correct": o.correct, "failed": o.failed})
     return Stage({"strict": args.strict, "label": args.label}, report.to_dict(), evalharness.format_reports([report]))
 
 
@@ -526,43 +502,64 @@ STAGE_FILES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 
-def _given(args: argparse.Namespace, specs: tuple[str, ...]) -> list[tuple[str, str]]:
-    """(flag, path) for each ``STAGE_FILES`` entry of ``specs`` whose flag was given."""
+def _given(args: argparse.Namespace, specs: tuple[str, ...]) -> list[tuple[str, str | None]]:
+    """(flag, path) for each ``STAGE_FILES`` entry of ``specs``; the path is None where the flag was not given."""
     found = []
     for spec in specs:
         flag, _, name = spec.partition("/")
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value:
-            found.append((flag, os.path.join(value, name) if name else value))
+        value = getattr(args, flag[2:].replace("-", "_")) or None
+        found.append((flag, os.path.join(value, name) if value and name else value))
     return found
 
 
-def _stage_files(parser: argparse.ArgumentParser, args: argparse.Namespace) -> tuple[str, list, list, str | None]:
-    """The command, input paths, output paths (``main`` hands them to the stage
-    as ``args.outputs``) and manifest path of this run. Before any file is
-    read, refuses as usage errors a file flag that the mode needs and was not
-    given or does not read, and an output or manifest that names the same
-    file as another flag; two inputs may name one file."""
+def _stage_files(parser: argparse.ArgumentParser, args: argparse.Namespace) -> tuple[str, list, list, str | None, str | None]:
+    """The command, input paths, output paths (one per declared output, None where not given),
+    manifest path and "--dir/name" outputs' directory (else None) of this run. Before any file is
+    read, refuses as usage errors a file flag that the mode needs and was not given or does not
+    read, and an output or manifest that names the same file as another flag; two inputs may name one file."""
     command = f"{args.command}:{args.mode}" if "mode" in args else args.command
     ins, outs = STAGE_FILES[command]
     inputs, outputs = _given(args, ins), _given(args, outs)
-    if "mode" in args and len(inputs) < len(ins):
+    if "mode" in args and not all(path for _, path in inputs):
         parser.error(f"{args.mode} needs {', '.join(ins)}")
     modes = [i + o for key, (i, o) in STAGE_FILES.items() if key.startswith(f"{args.command}:")]
-    unread = {flag for specs in modes for flag, _ in _given(args, specs)} - {flag for flag, _ in inputs + outputs}
+    unread = {flag for specs in modes for flag, path in _given(args, specs) if path} - {flag for flag, _ in inputs + outputs}
     if unread:
         parser.error(f"--mode {args.mode} does not read {', '.join(sorted(unread))}")
-    named, manifest = inputs + outputs, None
+    inputs = [(flag, path) for flag, path in inputs if path]
+    named, manifest, directory = inputs + [(flag, path) for flag, path in outputs if path], None, None
     if outputs:  # the first output flag is required
         flag, path = outputs[0]
-        manifest = os.path.join(os.path.dirname(path), "manifest.json") if "/" in outs[0] else f"{path}.manifest.json"
+        directory = os.path.dirname(path) if "/" in outs[0] else None
+        manifest = os.path.join(directory, "manifest.json") if directory else f"{path}.manifest.json"
         named.append((f"the manifest of {flag}", manifest))
     for i in range(len(inputs), len(named)):  # each output and manifest against every flag before it
         flag, path = named[i]
         for other, other_path in named[:i]:
             if os.path.realpath(other_path) == os.path.realpath(path):
                 parser.error(f"arguments {other} and {flag} name the same file: {path}")
-    return command, [path for _, path in inputs], [path for _, path in outputs], manifest
+    return command, [path for _, path in inputs], [path for _, path in outputs], manifest, directory
+
+
+@contextlib.contextmanager
+def _open_outputs(paths: list[str | None], directory: str | None) -> Iterator[list]:
+    """Yield a writer of records to ``<path>.tmp`` for each of ``paths`` (None for None), having made
+    ``directory`` if missing. Once the block returns, every tmp file is renamed over its path; if it
+    raises, every tmp file and every directory made here is removed, so no previous output changes."""
+    made = []  # the directories that os.makedirs will make, deepest first
+    while directory and not os.path.isdir(directory):
+        made.append(directory)
+        directory = os.path.dirname(directory)
+    try:
+        with contextlib.ExitStack() as stack:
+            if made:
+                os.makedirs(made[0])
+            yield [path and functools.partial(write_record, stack.enter_context(atomic_open(path)), path) for path in paths]
+    except BaseException:
+        for made_dir in made:
+            with contextlib.suppress(OSError):  # not made, or holding an output renamed before the failure
+                os.rmdir(made_dir)
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -570,7 +567,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
-    command, inputs, args.outputs, manifest = _stage_files(parser, args)
+    command, inputs, outputs, manifest, directory = _stage_files(parser, args)
     logging.basicConfig(
         level=getattr(logging, args.log_level.upper()),
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
@@ -578,12 +575,13 @@ def main(argv: list[str] | None = None) -> int:
     started_at = _now()
     skipped, clients = Tally(), Clients()
     try:
-        stage = args.func(args, skipped, clients)
+        with _open_outputs(outputs, directory) as args.outputs:
+            stage = args.func(args, skipped, clients)
         if stage is not None:
             mw = ManifestWriter(command, args.seed, stage.config, started_at)
             for path in inputs:
                 mw.add_input(path)
-            for path in args.outputs:
+            for path in filter(None, outputs):
                 mw.add_output(path)
             mw.stats = {**stage.stats, "skipped_by_reason": skipped.counts()}
             mw.telemetry = {role: dict(sorted(client.stats.items())) for role, client in clients.items()}

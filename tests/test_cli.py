@@ -696,8 +696,8 @@ class TestErrorHandling:
         }[command]
         assert run(*argv) == 1
         assert f"error (ValidationError): {doubled}:4: duplicate record for user 'u0000'\n" in capsys.readouterr().err
-        written = os.listdir(out) if command == "stream-infer" else os.listdir(tmp_path)
-        assert not [name for name in written if name not in ("doubled.jsonl", "gen.yaml")]
+        # stream-infer's --state-dir is made for the run and removed with its outputs
+        assert not [name for name in os.listdir(tmp_path) if name not in ("doubled.jsonl", "gen.yaml")]
 
     def test_cross_domain_rejects_a_user_in_both_corpora(self, pipeline, tmp_path, capsys):
         corpus = str(pipeline["lab"] / "histories.jsonl")
@@ -896,6 +896,81 @@ class TestErrorHandling:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert {name: sha256_file(tmp_path / name) for name in os.listdir(tmp_path)} == before
+
+    @pytest.mark.parametrize(
+        "stage, missing",
+        [
+            ("simlab-gen", "--out-dir"), ("stream-infer", "--state-dir"),
+            ("prune", "--out"), ("prune", "--keep-scores"), ("rollout", "--out"), ("rollout", "--trees"),
+            ("cross-domain", "--out"), ("cross-domain", "--out-histories"),
+            ("multi-interest", "--out"), ("multi-interest", "--provenance"),
+            ("evaluate", "--out"), ("evaluate", "--outcomes"),
+        ],
+    )
+    def test_an_output_in_a_missing_directory_fails_before_the_stage_runs(
+        self, pipeline, tmp_path, monkeypatch, capsys, stage, missing
+    ):
+        """Every output is opened before the stage runs, so one that cannot be
+        is exit 1 ``error (io)`` before any model request, and every other
+        output keeps its previous bytes, with no tmp file or manifest left. A
+        "--dir" flag's directory is made when missing, so its output is put
+        below a file instead."""
+        root, lab_a, lab_b = pipeline["root"], pipeline["root"] / "labA", pipeline["root"] / "labB"
+        argv, outputs = {
+            "simlab-gen": (["simlab-gen", "--users", "2"], ["--out-dir"]),
+            "stream-infer": (
+                ["stream-infer", "--histories", pipeline["combined"], "--generator", str(root / "generator.yaml")],
+                ["--state-dir"],
+            ),
+            "prune": (["prune", "--scores", pipeline["scores"], "--config", str(root / "prune.yaml")], ["--out", "--keep-scores"]),
+            "rollout": (
+                ["rollout", "--instances", pipeline["instances"], "--histories", pipeline["histories"],
+                 "--config", str(root / "rollout.yaml"), "--gamma", "0.5"],
+                ["--out", "--trees"],
+            ),
+            "cross-domain": (
+                ["build-transfer", "--mode", "cross-domain", "--histories-a", str(lab_a / "histories.jsonl"),
+                 "--histories-b", str(lab_b / "histories.jsonl"), "--embedder", str(root / "embedder.yaml"), "--top-k", "4"],
+                ["--out", "--out-histories"],
+            ),
+            "multi-interest": (
+                ["build-transfer", "--mode", "multi-interest", "--histories", str(lab_a / "histories.jsonl"),
+                 "--donors", str(lab_b / "histories.jsonl")],
+                ["--out", "--provenance"],
+            ),
+            "evaluate": (
+                ["evaluate", "--summaries", os.path.join(pipeline["stream"], "summaries.jsonl"),
+                 "--instances", pipeline["cross"], "--downstream", str(root / "judge.yaml")],
+                ["--out", "--outcomes"],
+            ),
+        }[stage]
+        (tmp_path / "blocker").write_text("a file, not a directory\n", encoding="utf-8")
+        for flag in outputs:
+            if flag != missing:
+                path = tmp_path / flag.strip("-")
+                path.write_text(f"previous {flag}\n", encoding="utf-8")
+            else:
+                path = tmp_path / ("blocker" if flag.endswith("-dir") else "nodir") / "out"
+            argv = [*argv, flag, str(path)]
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        requests = count_requests(monkeypatch)
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (io): ") and "Traceback" not in err
+        assert not requests
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+    def test_a_failed_stage_removes_every_directory_it_made(self, pipeline, tmp_path, capsys):
+        with open(pipeline["histories"], encoding="utf-8") as fh:
+            line = fh.readline()
+        (tmp_path / "doubled.jsonl").write_text(line + line, encoding="utf-8")
+        rc = run(
+            "stream-infer", "--histories", str(tmp_path / "doubled.jsonl"),
+            "--generator", str(pipeline["root"] / "generator.yaml"), "--state-dir", str(tmp_path / "a" / "b" / "state"),
+        )
+        assert rc == 1
+        assert "duplicate record for user" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["doubled.jsonl"]
 
 
 def fail_for(monkeypatch, user, make_error):

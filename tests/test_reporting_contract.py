@@ -11,7 +11,8 @@ route from an endpoint to a client: ``Clients.build``, the registry that
 client's counts can miss the manifest. Last, it keeps one summary step:
 ``streamer.summarize`` is the only place a (prior, segment) pair becomes a
 prompt and a ``PreferenceSummary``, and every record is written by the one
-record codec, ``_util.encode``."""
+record codec, ``_util.encode``. And the stage runner, ``cli._open_outputs``,
+is the one place in ``cli`` that opens, commits and removes an output."""
 
 import ast
 import pathlib
@@ -125,3 +126,18 @@ def test_every_record_is_written_by_the_codec():
     """A record class takes ``encode`` as its ``to_dict``: a hand-written one
     would be a second wire format for ``decode`` to keep up with."""
     assert _owners(lambda n: isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == "to_dict") == set()
+
+
+def test_only_the_stage_runner_touches_files():
+    """``cli.main`` opens every output a stage declares before the stage runs
+    and commits them all once it returns, so that a failed run changes no
+    output. A subcommand, or a helper of one, only writes records to the
+    writers it is handed: it neither opens, makes nor renames a file."""
+    cli = SRC / "cli.py"
+    writes = ("open", "atomic_open", "jsonl_writer", "write_jsonl", "write_json")
+    owners = {owner for owner, node in _nodes(cli) if any(_calls(name)(node) for name in writes)}
+    owners |= {
+        owner for owner, receiver, name in _method_calls(cli)
+        if receiver == "os" and name in ("makedirs", "mkdir", "replace", "rename", "remove", "rmdir")
+    }
+    assert owners == {"_open_outputs", "ManifestWriter.write"}

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from prefpipe._util import (
     Tally,
-    atomic_write_text,
     build_config,
     count_tokens,
     decode,
@@ -162,15 +161,16 @@ def test_writers_refuse_non_finite_numbers(tmp_path, value):
 
 
 def test_atomic_write_and_digest(tmp_path):
-    path = str(tmp_path / "out.txt")
-    atomic_write_text(path, "first")
+    path = str(tmp_path / "out.json")
+    write_json(path, "first")
     d1 = sha256_file(path)
-    atomic_write_text(path, "second")
-    assert (tmp_path / "out.txt").read_text() == "second"
+    write_json(path, "second")
+    assert (tmp_path / "out.json").read_text() == '"second"\n'
     assert sha256_file(path) != d1
     assert not os.path.exists(path + ".tmp")
-    atomic_write_text(path, "second")
-    assert sha256_file(path) == sha256_file(path)
+    d2 = sha256_file(path)
+    write_json(path, "second")
+    assert sha256_file(path) == d2
 
 
 def test_write_jsonl_failure_keeps_previous_file(tmp_path):
