@@ -10,7 +10,6 @@ text, and the name stays because ``perfbench/tracing.py`` patches it.
 
 import math
 import os
-import urllib.parse
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -271,13 +270,9 @@ class ScriptBackend:
 def build_backend(endpoint: ModelEndpoint) -> Backend:
     url = endpoint.base_url
     if url.startswith("mock:"):
-        from ..simlab import MOCK_KINDS  # simlab imports this module, so look its kinds up per call
+        from ..simlab import mock_backend  # simlab imports this module, so import it per call
 
-        kind, _, query = url[len("mock:") :].partition("?")
-        factory = MOCK_KINDS.get(kind)
-        if factory is None:
-            raise ConfigError(f"unknown mock backend kind {kind!r}; known: {sorted(MOCK_KINDS)}")
-        return factory(dict(urllib.parse.parse_qsl(query, keep_blank_values=True)), endpoint)
+        return mock_backend(url[len("mock:") :], endpoint)
     if url.startswith(("http://", "https://")):
         return HttpBackend(endpoint)
     raise ConfigError(f"unsupported base_url scheme: {url!r}")

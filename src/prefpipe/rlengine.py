@@ -111,8 +111,6 @@ def rollout(
     pos2 = history.position_of_index(instance.k2)
     if pos1 < 1:
         raise ValidationError(f"instance ({instance.k1}, {instance.k2}) has an empty history prefix")
-    if pos2 <= pos1:
-        raise ValidationError(f"instance ({instance.k1}, {instance.k2}) has an empty update segment")
 
     def group(segment: HistorySegment, prior: PreferenceSummary | None, stage: str) -> list[tuple]:
         """(summary, generation, immediate reward) of each sample; the target follows the segment."""

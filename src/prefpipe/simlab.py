@@ -7,27 +7,29 @@ verification that needs "a model" runs against these, so expected outcomes are
 computable in closed form.
 
 The scripted backends are the ``mock:generator``, ``mock:judge`` and
-``mock:embedder`` endpoint kinds: ``build_backend`` looks them up in
-``MOCK_KINDS`` when an endpoint names one.
+``mock:embedder`` endpoint kinds, which ``build_backend`` hands to
+``mock_backend``: the URL's parameters are their fields.
 """
 
+import json
 import math
 import random
 import re
+import urllib.parse
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._util import count_tokens, derive_seed, encode, stable_hash
+from ._util import build_config, count_tokens, derive_seed, encode, stable_hash
 from .core import InteractionTriple, UserHistory, read_by_user
 from .curriculum import ScoreRecord
 from .errors import CapabilityError, ConfigError, ContractError, ValidationError
-from .modelio.backends import RawCompletion
+from .modelio.backends import Backend, RawCompletion
+from .modelio.endpoints import ModelEndpoint
 
 _FEAT_RE = re.compile(r"\[feat ([^\]]+)\]")
 _EST_RE = re.compile(r"\[est ([^\]]+)\]")
-T = TypeVar("T")
 
 
 def sigmoid(x: float) -> float:
@@ -287,6 +289,7 @@ def load_truth(path: str) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class ScriptedGeneratorBackend:
     """Summary generator with a quality dial.
 
@@ -295,29 +298,23 @@ class ScriptedGeneratorBackend:
     request content. quality 1 reproduces the latent exactly; quality 0 is a
     random direction. ``invert`` flips the sign (the planted-wrong adversary).
 
-    The ground-truth latent is looked up from request metadata (user_id); when
-    unavailable it is re-estimated from the feature vectors rendered in the
-    prompt. Merge-style prompts (numbered candidate sections) are answered with
-    the renormalized mean of the candidates' estimates instead.
+    The ground-truth latent is looked up in ``truth`` by the request's
+    user_id; when unavailable it is re-estimated from the feature vectors
+    rendered in the prompt. Merge-style prompts (numbered candidate sections)
+    are answered with the renormalized mean of the candidates' estimates instead.
     """
 
-    def __init__(
-        self,
-        seed: int,
-        quality: float,
-        truth: dict[str, np.ndarray] | None = None,
-        invert: bool = False,
-        dim: int = 8,
-        think_tags: tuple[str, str] = ("<think>", "</think>"),
-    ):
-        if not (0.0 <= quality <= 1.0):
-            raise ValidationError(f"quality must be in [0, 1], got {quality}")
-        self.seed = seed
-        self.quality = quality
-        self.truth = truth or {}
-        self.invert = invert
-        self.dim = dim
-        self.think_tags = think_tags
+    seed: int = 0
+    quality: float = 1.0
+    truth: dict[str, np.ndarray] | None = None
+    invert: bool = False
+    dim: int = 8
+    think_tags: tuple[str, str] = ("<think>", "</think>")
+
+    def __post_init__(self):
+        if not (0.0 <= self.quality <= 1.0):
+            raise ValidationError(f"quality must be in [0, 1], got {self.quality}")
+        _check_dim(self.dim)
 
     def _estimate(self, prompt: str, seed: int | None, meta: dict | None) -> np.ndarray:
         if "=====Candidate " in prompt:
@@ -328,10 +325,7 @@ class ScriptedGeneratorBackend:
                 norm = np.linalg.norm(mean)
                 if norm > 1e-9:
                     return mean / norm
-        latent = None
-        uid = (meta or {}).get("user_id")
-        if uid is not None and uid in self.truth:
-            latent = self.truth[uid]
+        latent = (self.truth or {}).get((meta or {}).get("user_id"))
         if latent is None:
             latent = preference_direction(prompt)
         if latent is None:
@@ -372,23 +366,26 @@ _BLOCK_RES = {
 }
 
 
+@dataclass(frozen=True)
 class ScriptedJudgeBackend:
     """Pairwise judge that recovers the estimate and item features from the
     rendered judge prompt and answers with the oracle probability.
 
-    With ``logprob_support`` it exposes label logprobs (ln p, ln(1-p)); without,
+    It exposes label logprobs (ln p, ln(1-p)) unless ``sample_only``, when
     ``complete`` must be sampled instead. ``mode`` controls completions:
     "argmax" replies with the higher-probability item, "sample" draws from p.
     """
 
-    def __init__(self, seed: int = 0, kappa: float = 8.0, dim: int = 8, logprob_support: bool = True, mode: str = "argmax"):
-        if mode not in ("argmax", "sample"):
-            raise ValidationError(f"unknown judge mode {mode!r}")
-        self.seed = seed
-        self.kappa = kappa
-        self.dim = dim
-        self.logprob_support = logprob_support
-        self.mode = mode
+    seed: int = 0
+    kappa: float = 8.0
+    dim: int = 8
+    sample_only: bool = False
+    mode: str = "argmax"
+
+    def __post_init__(self):
+        if self.mode not in ("argmax", "sample"):
+            raise ValidationError(f"unknown judge mode {self.mode!r}")
+        _check_dim(self.dim)
 
     def _prob_item_a(self, prompt: str) -> float:
         blocks = {}
@@ -408,7 +405,7 @@ class ScriptedJudgeBackend:
         return scripted_judge(est, feat_a, feat_b, self.kappa)
 
     def choice_logprobs(self, prompt, labels, *, meta=None):
-        if not self.logprob_support:
+        if self.sample_only:
             return None
         p = min(max(self._prob_item_a(prompt), 1e-300), 1.0 - 1e-16)
         return math.log(p), math.log(1.0 - p)
@@ -430,14 +427,17 @@ class ScriptedJudgeBackend:
         return _hash_unit_vector(self.dim, "judge-embed", self.seed, text).tolist()
 
 
+@dataclass(frozen=True)
 class ScriptedEmbedderBackend:
     """History embedder: averages the (chosen - rejected) feature differences
     rendered in the text, so users with similar latents land close together.
     Text without feature vectors gets a deterministic hash direction."""
 
-    def __init__(self, seed: int = 0, dim: int = 8):
-        self.seed = seed
-        self.dim = dim
+    seed: int = 0
+    dim: int = 8
+
+    def __post_init__(self):
+        _check_dim(self.dim)
 
     def embed(self, text, *, meta=None) -> list[float]:
         direction = preference_direction(text)
@@ -455,46 +455,36 @@ class ScriptedEmbedderBackend:
         raise CapabilityError("embedder backend does not score text")
 
 
-def mock_param(params: dict, key: str, convert: Callable[[str], T], default: T) -> T:
-    """Mock URL parameter ``key`` converted by ``convert``, or ``default``
-    when absent. A value that does not convert is a ConfigError naming it."""
-    if key not in params:
-        return default
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise ValidationError(f"dim must be >= 1, got {dim}")
+
+
+# The ``mock:<kind>`` endpoint kinds that ``mock_backend`` builds.
+MOCK_KINDS = {"generator": ScriptedGeneratorBackend, "judge": ScriptedJudgeBackend, "embedder": ScriptedEmbedderBackend}
+
+
+def mock_backend(spec: str, endpoint: ModelEndpoint) -> Backend:
+    """The scripted backend of the endpoint URL ``mock:<spec>``, where spec is
+    ``<kind>?key=value&...``: ``build_config`` sets its fields from the
+    parameters, each the JSON value it spells (``8``, ``0.5``, ``true``),
+    else its text (``mode=sample``). The generator's ``truth`` names a
+    ground-truth file, and its think tags are the endpoint's."""
+    kind, _, query = spec.partition("?")
+    cls = MOCK_KINDS.get(kind)
+    if cls is None:
+        raise ConfigError(f"unknown mock backend kind {kind!r}; known: {sorted(MOCK_KINDS)}")
+    params = dict(urllib.parse.parse_qsl(query, keep_blank_values=True))
+    fixed = {}
+    if cls is ScriptedGeneratorBackend:
+        truth = params.pop("truth", None)  # a file name, never JSON; no file means no truth
+        fixed = {"truth": None if truth is None else load_truth(truth),
+                 "think_tags": (endpoint.think_open, endpoint.think_close)}
+    return build_config(cls, {key: _json_or_text(text) for key, text in params.items()}, what=f"mock:{kind}", **fixed)
+
+
+def _json_or_text(text: str):
     try:
-        return convert(params[key])
-    except ValueError as exc:
-        raise ConfigError(f"mock URL parameter {key}={params[key]!r} is not a valid {convert.__name__}") from exc
-
-
-def _truthy(value: str) -> bool:
-    return value.lower() in ("1", "true", "yes")
-
-
-def _generator_factory(params: dict, endpoint) -> ScriptedGeneratorBackend:
-    truth = load_truth(params["truth"]) if "truth" in params else {}
-    return ScriptedGeneratorBackend(
-        seed=mock_param(params, "seed", int, 0),
-        quality=mock_param(params, "quality", float, 1.0),
-        truth=truth,
-        invert=_truthy(params.get("invert", "0")),
-        dim=mock_param(params, "dim", int, 8),
-        think_tags=(endpoint.think_open, endpoint.think_close),
-    )
-
-
-def _judge_factory(params: dict, endpoint) -> ScriptedJudgeBackend:
-    return ScriptedJudgeBackend(
-        seed=mock_param(params, "seed", int, 0),
-        kappa=mock_param(params, "kappa", float, 8.0),
-        dim=mock_param(params, "dim", int, 8),
-        logprob_support=not _truthy(params.get("sample_only", "0")),
-        mode=params.get("mode", "argmax"),
-    )
-
-
-def _embedder_factory(params: dict, endpoint) -> ScriptedEmbedderBackend:
-    return ScriptedEmbedderBackend(seed=mock_param(params, "seed", int, 0), dim=mock_param(params, "dim", int, 8))
-
-
-# The ``mock:<kind>`` endpoint kinds that ``build_backend`` resolves here.
-MOCK_KINDS = {"generator": _generator_factory, "judge": _judge_factory, "embedder": _embedder_factory}
+        return json.loads(text)
+    except ValueError:
+        return text

@@ -337,7 +337,7 @@ class TestDeterminism:
 
         config = write_yaml(tmp_path / "synth.yaml", {
             "generator": {"base_url": f"mock:generator?truth={pipeline['truth']}"},
-            "judge": {"base_url": "mock:judge?sample_only=1", "judge_samples": 8},
+            "judge": {"base_url": "mock:judge?sample_only=true", "judge_samples": 8},
         })
         judge_pair = ModelClient.judge_pair
 
@@ -531,6 +531,31 @@ class TestErrorHandling:
         assert "Traceback" not in err
         assert not answered  # refused before any request
 
+    @pytest.mark.parametrize("case", ["config without judge", "empty donors"])
+    def test_stage_without_a_needed_input_is_config_error(self, pipeline, tmp_path, capsys, monkeypatch, case):
+        """A stage refuses a config that lacks an endpoint section it uses,
+        and multi-interest an empty donor corpus, before any request and
+        without leaving an output."""
+        answered = count_requests(monkeypatch)
+        out, donors = str(tmp_path / "o.jsonl"), tmp_path / "donors.jsonl"
+        donors.write_text("", encoding="utf-8")
+        argv, error = {
+            "config without judge": (
+                ["synthesize-sft", "--histories", pipeline["histories"], "--scores", pipeline["scores"],
+                 "--config", write_yaml(tmp_path / "cfg.yaml", {"generator": {"base_url": "mock:generator"}})],
+                "config is missing the 'judge' endpoint section",
+            ),
+            "empty donors": (
+                ["build-transfer", "--mode", "multi-interest", "--histories", pipeline["histories"],
+                 "--donors", str(donors)],
+                "donor corpus is empty",
+            ),
+        }[case]
+        assert run(*argv, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error (ConfigError): {error}"]
+        assert not answered
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("command", ["synthesize-sft", "stream-infer"])
     def test_zero_segments_is_validation_error(self, pipeline, tmp_path, capsys, command):
         generator, judge = {"base_url": "mock:generator"}, {"base_url": "mock:judge"}
@@ -550,18 +575,31 @@ class TestErrorHandling:
         assert "error (ValidationError)" in err and "must be >= 1" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("url", ["mock:judge?kappa=abc", "mock:embedder?dim=x", "mock:judge?seed=1.5"])
-    def test_bad_mock_url_parameter_is_config_error(self, pipeline, tmp_path, capsys, url):
+    @pytest.mark.parametrize("url, error", [
+        ("mock:judge?kappa=abc", "ConfigError): mock:judge config key 'kappa' must be float, got 'abc'"),
+        ("mock:embedder?dim=x", "ConfigError): mock:embedder config key 'dim' must be int, got 'x'"),
+        ("mock:judge?seed=1.5", "ConfigError): mock:judge config key 'seed' must be int, got 1.5"),
+        ("mock:judge?kapa=4", "ConfigError): unknown mock:judge config keys: ['kapa']"),
+        ("mock:judge?sample_only=ture", "ConfigError): mock:judge config key 'sample_only' must be bool, got 'ture'"),
+        ("mock:judge?sample_only=1", "ConfigError): mock:judge config key 'sample_only' must be bool, got 1"),
+        ("mock:judge?kappa=nan", "ConfigError): mock:judge config key 'kappa' must be float, got 'nan'"),
+        ("mock:judge?kappa=NaN", "ConfigError): mock:judge config key 'kappa' must be float, got nan"),
+        ("mock:embedder?dim=-3", "ValidationError): dim must be >= 1, got -3"),
+    ])
+    def test_bad_mock_url_parameter_is_config_error(self, pipeline, tmp_path, capsys, monkeypatch, url, error):
+        """A mock URL parameter is a config key: an unknown key, a wrong type,
+        NaN or an out-of-range value stops the run as the client is built,
+        before any request, with one line naming the key."""
+        answered = count_requests(monkeypatch)
         rc = run(
             "evaluate", "--summaries", os.path.join(pipeline["stream"], "summaries.jsonl"),
             "--instances", pipeline["cross"], "--downstream", write_yaml(tmp_path / "judge.yaml", {"base_url": url}),
             "--out", str(tmp_path / "report.json"),
         )
         assert rc == 1
-        err = capsys.readouterr().err
-        key, value = url.split("?")[1].split("=")
-        assert f"error (ConfigError): mock URL parameter {key}={value!r}" in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err.splitlines() == [f"error ({error}"]
+        assert not answered
+        assert os.listdir(tmp_path) == ["judge.yaml"]
 
     def test_too_many_chunks_names_the_user(self, pipeline, tmp_path, caplog):
         """A user too short for --chunks is skipped, named in the log and
@@ -710,7 +748,11 @@ class TestErrorHandling:
         assert f"error (ValidationError): {corpus}:1: duplicate record for user 'u0000'\n" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
-    def test_cross_domain_top_k_beyond_every_pair_fails_before_embedding(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("top_k, error", [
+        ([], "top_k 1000 exceeds the 25 available pairs"),
+        (["--top-k", "0"], "top_k must be >= 1, got 0"),
+    ])
+    def test_cross_domain_top_k_out_of_range_fails_before_embedding(self, tmp_path, monkeypatch, capsys, top_k, error):
         for lab, prefix in (("labA", "ua"), ("labB", "ub")):
             assert run("simlab-gen", "--out-dir", str(tmp_path / lab), "--users", "5", "--user-prefix", prefix) == 0
         requests = count_requests(monkeypatch)
@@ -719,9 +761,10 @@ class TestErrorHandling:
             "build-transfer", "--mode", "cross-domain", "--histories-a", str(tmp_path / "labA" / "histories.jsonl"),
             "--histories-b", str(tmp_path / "labB" / "histories.jsonl"),
             "--embedder", write_yaml(tmp_path / "embedder.yaml", {"base_url": "mock:embedder"}), "--out", str(out),
+            *top_k,
         )
         assert rc == 1
-        assert "error (ValidationError): top_k 1000 exceeds the 25 available pairs" in capsys.readouterr().err
+        assert f"error (ValidationError): {error}\n" in capsys.readouterr().err
         assert not requests
         assert not os.path.exists(out)
 

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -180,7 +182,7 @@ class TestModelEndpoint:
             ModelEndpoint(base_url="mock:generator", judge_samples=0)
         for field, value in [
             ("backoff_base", -1.0), ("backoff_base", float("inf")), ("timeout", 0.0), ("timeout", -5.0), ("max_output_tokens", 0),
-            ("temperature", -1.0), ("temperature", float("inf")),
+            ("temperature", -1.0), ("temperature", float("inf")), ("max_in_flight", 0),
         ]:
             with pytest.raises(ConfigError, match=f"^{field} must be"):
                 ModelEndpoint(base_url="mock:generator", **{field: value})
@@ -478,7 +480,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             headers = extra[0] if extra else {}
         else:
             status, payload = 200, self.server.default_payload(self.path, body)
-        data = json.dumps(payload).encode()
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         for name, value in headers.items():
             self.send_header(name, value)
@@ -528,6 +530,22 @@ def server():
     thread.join(timeout=5)
 
 
+def stream_infer(tmp_path, endpoint: dict, users=("u1",)) -> int:
+    """Exit code of ``stream-infer`` over a 4-step history for each of
+    ``users``, with ``endpoint`` as its generator and ``tmp_path / "s"`` as
+    its state directory."""
+    from prefpipe._util import write_jsonl
+    from prefpipe.cli import main
+    from prefpipe.core import InteractionTriple, UserHistory
+
+    histories = str(tmp_path / "histories.jsonl")
+    triples = tuple(InteractionTriple(index=i, chosen=f"a{i}", rejected=f"b{i}") for i in range(4))
+    write_jsonl(histories, [UserHistory(user_id=user, triples=triples).to_dict() for user in users])
+    generator = tmp_path / "generator.json"
+    generator.write_text(json.dumps(endpoint))
+    return main(["stream-infer", "--histories", histories, "--generator", str(generator), "--state-dir", str(tmp_path / "s")])
+
+
 def http_client(server, sleep=lambda s: None, **overrides):
     defaults = {"base_url": server.url, "retry_limit": 2, "backoff_base": 0.01, "timeout": 5.0}
     defaults.update(overrides)
@@ -566,23 +584,13 @@ class TestHttpBackend:
         """A 3xx aborts the run before anything follows it: the one request
         sent carried the key, and the ``.netrc`` login for the same host is
         never read."""
-        from prefpipe._util import write_jsonl
-        from prefpipe.cli import main
-        from prefpipe.core import InteractionTriple, UserHistory
-
         netrc = tmp_path / "netrc"
         netrc.write_text("machine 127.0.0.1 login netrc-user password netrc-pass\n")
         netrc.chmod(0o600)
         monkeypatch.setenv("NETRC", str(netrc))
         monkeypatch.setenv("TEST_MODEL_KEY", "sekrit")
-        histories = str(tmp_path / "histories.jsonl")
-        triples = tuple(InteractionTriple(index=i, chosen=f"a{i}", rejected=f"b{i}") for i in range(4))
-        write_jsonl(histories, [UserHistory(user_id="u1", triples=triples).to_dict()])
-        generator = tmp_path / "generator.json"
-        generator.write_text(json.dumps({"base_url": server.url, "api_key_env": "TEST_MODEL_KEY"}))
         server.queue = [(307, {}, {"Location": f"{server.url}/v2/chat/completions"})]
-        argv = ["stream-infer", "--histories", histories, "--generator", str(generator), "--state-dir", str(tmp_path / "s")]
-        assert main(argv) == 1
+        assert stream_infer(tmp_path, {"base_url": server.url, "api_key_env": "TEST_MODEL_KEY"}) == 1
         assert [r["path"] for r in server.requests] == ["/chat/completions"]
         assert server.requests[0]["headers"]["Authorization"] == "Bearer sekrit"
         err = capsys.readouterr().err
@@ -642,6 +650,40 @@ class TestHttpBackend:
         assert client.generate_summary("p").summary == "an http summary"
         assert delays == [MAX_RETRY_AFTER_S]
         assert len(server.requests) == 2
+
+    def test_refused_connection_is_retried_then_ends_the_run(self, tmp_path, capsys):
+        """Nothing listens on a closed port: each attempt is a retryable
+        BackendError, and once the retries are used up the run exits 1 and
+        leaves no state directory and no manifest."""
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        endpoint = {"base_url": f"http://127.0.0.1:{port}", "retry_limit": 2, "backoff_base": 0}
+        client = ModelClient(ModelEndpoint(**endpoint))
+        with pytest.raises(BackendError, match="failed") as exc_info:
+            client.generate_summary("p")
+        assert exc_info.value.retryable
+        assert client.stats == {"generate_calls": 1, "attempts": 3, "retries": 2, "give_ups.BackendError": 1}
+        assert stream_infer(tmp_path, endpoint) == 1
+        assert "error (BackendError): POST " in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["generator.json", "histories.jsonl"]
+
+    def test_non_json_reply_costs_its_one_request(self, server, tmp_path):
+        """A 200 reply whose body is not JSON is not retried: it fails that
+        request, so a run skips the user and counts it."""
+        server.queue = [(200, b"<html>busy</html>")]
+        with pytest.raises(BackendError, match="non-JSON body") as exc_info:
+            http_client(server).generate_summary("p")
+        assert not exc_info.value.retryable and exc_info.value.per_item
+        assert len(server.requests) == 1
+        server.requests.clear()
+        server.queue = [(200, b"not json")]
+        assert stream_infer(tmp_path, {"base_url": server.url}, users=("u1", "u2")) == 0
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        assert manifest["stats"]["skipped_by_reason"] == {"BackendError": 1}
+        # u1's one failed request, then u2's two chunks; nothing was retried
+        assert manifest["telemetry"]["generator"] == {"attempts": 3, "generate_calls": 3, "give_ups.BackendError": 1}
+        assert len(server.requests) == 3
 
     def test_client_error_fails_fast(self, server):
         server.queue = [(400, {"error": "bad request"})]

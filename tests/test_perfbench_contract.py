@@ -1,11 +1,15 @@
 """The benchmark's tracer wraps prefpipe functions and methods by name from
 outside (``perfbench/tracing.py``). A rename or a move in ``src/`` would make
 ``--trace 1`` fail at install time, or stop timing a layer without a word;
-this test catches that in the ordinary test run."""
+this test catches that in the ordinary test run. The localhost stub
+(``perfbench/stub.py``) builds and calls the scripted backends itself."""
 
 import importlib
 import json
+import math
 import os
+
+import pytest
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -78,3 +82,31 @@ def test_traced_corpus_stages_run_and_count_their_pairs(monkeypatch, tmp_path):
         tracer.uninstall()
     assert not [span for span in tracer.spans if span[7] is not None]
     assert [span[6] for span in tracer.spans if span[3] == "transferbench.match"] == [4 * 3, 4 * 3]
+
+
+def test_stub_server_builds_each_scripted_backend_and_gets_a_reply(monkeypatch):
+    """``perfbench/stub.py`` builds the three scripted backends by keyword
+    and calls them without ``meta``; a change to their fields or their
+    methods must not break the chain-http workload at start-up."""
+    from prefpipe import prompts, simlab
+
+    monkeypatch.syspath_prepend(PERFBENCH)
+    stub = importlib.import_module("stub")
+    server = stub.StubServer()
+    server.server_close()
+    backends = server.backends
+    history = "Chosen: " + simlab.render_item("a", [1.0, 0.0]) + "\nRejected: " + simlab.render_item("b", [0.0, 1.0])
+
+    def chat(role: str, prompt: str, top_logprobs: int) -> str:
+        body = {"messages": [{"role": "user", "content": prompt}], "top_logprobs": top_logprobs}
+        return stub._chat_reply(backends[role], role, body)["choices"][0]["message"]["content"]
+
+    summary = chat("generator", history, 1)
+    assert simlab.parse_estimate(summary) is not None
+    judge_prompt = prompts.render_judge_prompt(
+        simlab.render_estimate([1.0, 0.0]), None, simlab.render_item("a", [1.0, 0.0]), simlab.render_item("b", [0.0, 1.0])
+    )
+    assert chat("judge", judge_prompt, 20) == '{"selection": "Item A"}'  # from its label logprobs
+    assert chat("judge", judge_prompt, 1) == '{"selection": "Item A"}'  # a sampled completion
+    embedding = stub._embedding_reply(backends["embedder"], {"input": [history]})["data"][0]["embedding"]
+    assert embedding == pytest.approx([math.sqrt(0.5), -math.sqrt(0.5)])

@@ -419,7 +419,7 @@ class TestScriptedJudgeBackend:
         assert lose.text == '{"selection": "Item B"}'
 
     def test_sample_only_forces_sampling_path(self):
-        client = client_for(ScriptedJudgeBackend(logprob_support=False), judge_samples=4)
+        client = client_for(ScriptedJudgeBackend(sample_only=True), judge_samples=4)
         verdict = client.judge_pair(
             render_estimate([1.0, 0.0]), None, render_item("a", [2.0, 0.0]), render_item("b", [-2.0, 0.0])
         )
@@ -486,16 +486,18 @@ class TestMockKinds:
         _, truth = gen_population(seed=41, n_users=2, dim=4, history_len=2)
         path = str(tmp_path / "truth.jsonl")
         write_jsonl(path, (truth_record(uid, vec) for uid, vec in truth.items()))
-        backend = build_backend(ModelEndpoint(base_url=f"mock:generator?quality=1&seed=2&truth={path}&dim=4"))
+        url = f"mock:generator?quality=1&seed=2&truth={path}&dim=4"
+        backend = build_backend(ModelEndpoint(base_url=url, think_open="<r>", think_close="</r>"))
         assert isinstance(backend, ScriptedGeneratorBackend)
         assert backend.quality == 1.0
+        assert backend.think_tags == ("<r>", "</r>")  # the endpoint's, not a URL parameter
         assert np.array_equal(backend.truth["u0000"], truth["u0000"])
 
     def test_judge_kind_params(self):
-        backend = build_backend(ModelEndpoint(base_url="mock:judge?kappa=4&sample_only=1&mode=sample"))
+        backend = build_backend(ModelEndpoint(base_url="mock:judge?kappa=4&sample_only=true&mode=sample"))
         assert isinstance(backend, ScriptedJudgeBackend)
         assert backend.kappa == 4.0
-        assert not backend.logprob_support
+        assert backend.sample_only
         assert backend.mode == "sample"
 
     def test_embedder_kind(self):
