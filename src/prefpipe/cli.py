@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Every subcommand reads and writes explicit files (``STAGE_FILES`` declares
-both; ``main`` opens the outputs and commits them together) and drops a run
-manifest recording the resolved config, the seed, and content digests of every
+Every subcommand reads and writes explicit files (``STAGE_FILES`` declares both
+and their flags; ``main`` opens the outputs and commits them together) and drops a
+run manifest recording the resolved config, the seed, and content digests of every
 input and output, so any artifact can be traced back to exactly what produced it.
 
-Exit codes: 0 success, 1 stage failure (categorized message on stderr),
-2 usage/argument errors (argparse).
+Exit codes: 0 success, 1 stage failure (categorized message on stderr), 2 usage
+errors: argparse's, and ``_stage_files``' refusals before any file is read.
 
 Each subcommand imports the stage modules, the model transport and the YAML
 parser only when it runs, so a command loads just what it uses.
@@ -153,11 +153,8 @@ def cmd_simlab_gen(args: argparse.Namespace, skipped: Tally, clients: Clients) -
             write_score(row)
         users += 1
         score_rows += len(hist)
-    config = {
-        "users": args.users, "dim": args.dim, "history_len": args.history_len,
-        "margin": args.margin, "context_rate": args.context_rate, "kappa": args.kappa,
-        "weak_quality": args.weak_quality, "user_prefix": args.user_prefix, "dataset_tag": args.dataset_tag,
-    }
+    knobs = "users", "dim", "history_len", "margin", "context_rate", "kappa", "weak_quality", "user_prefix", "dataset_tag"
+    config = {knob: getattr(args, knob) for knob in knobs}
     return Stage(config, {"users": users, "score_rows": score_rows}, f"wrote {users} users to {args.out_dir}")
 
 
@@ -280,14 +277,15 @@ def cmd_build_transfer(args: argparse.Namespace, skipped: Tally, clients: Client
 
     config: dict = {"mode": args.mode}
     if args.mode == "cross-domain":
-        stats = _cross_domain(args, clients.build("embedder", path=args.embedder), skipped)
-        config["top_k"] = args.top_k
+        config["top_k"] = MODE_KNOBS["--top-k"][1] if args.top_k is None else args.top_k
+        stats = _cross_domain(args, config["top_k"], clients.build("embedder", path=args.embedder), skipped)
     elif args.mode == "multi-interest":
         donors = core.load_histories(args.donors)
         if not donors:
             raise ConfigError("donor corpus is empty")
         rng = random.Random(derive_seed(args.seed, "build-transfer", "pairing"))
-        noise = transferbench.NoiseConfig(intensity=args.intensity, seed=derive_seed(args.seed, "inject"))
+        config["intensity"] = MODE_KNOBS["--intensity"][1] if args.intensity is None else args.intensity
+        noise = transferbench.NoiseConfig(intensity=config["intensity"], seed=derive_seed(args.seed, "inject"))
         write_fused, write_provenance = args.outputs
         users = 0
         for result in transferbench.inject_corpus(core.iter_histories(args.histories), donors, noise, rng, skipped):
@@ -300,7 +298,6 @@ def cmd_build_transfer(args: argparse.Namespace, skipped: Tally, clients: Client
                     "source_indices": list(result.source_indices),
                 })
             users += 1
-        config["intensity"] = args.intensity
         stats = {"users": users}
     else:  # positive-only
         (write,) = args.outputs
@@ -312,20 +309,20 @@ def cmd_build_transfer(args: argparse.Namespace, skipped: Tally, clients: Client
     return Stage(config, stats, f"build-transfer {args.mode}: wrote {args.out}")
 
 
-def _cross_domain(args: argparse.Namespace, client: "ModelClient", skipped: Tally) -> dict:
+def _cross_domain(args: argparse.Namespace, top_k: int, client: "ModelClient", skipped: Tally) -> dict:
     """Count the lines of A and B, then read A, then B, once each. Each
     user's last pair is held out as the target and the rest is written to
     ``--out-histories`` and embedded; only the id, the vector and the target
     are kept for the ranking, which covers the users that were embedded."""
     from . import evalharness, transferbench
 
-    if args.top_k < 1:  # before any embedding call is spent
-        raise ValidationError(f"top_k must be >= 1, got {args.top_k}")
+    if top_k < 1:  # before any embedding call is spent
+        raise ValidationError(f"top_k must be >= 1, got {top_k}")
     # a user is one non-blank line, so this bounds the pairs before any
     # embedding call; match_users checks again, since the holdout may drop users
     available = math.prod(count_nonblank_lines(path) for path in (args.histories_a, args.histories_b))
-    if args.top_k > available:
-        raise ValidationError(f"top_k {args.top_k} exceeds the {available} available pairs")
+    if top_k > available:
+        raise ValidationError(f"top_k {top_k} exceeds the {available} available pairs")
     seen: set[str] = set()  # the ids of A, which B may not repeat
     write_instance, write_history = args.outputs
     targets: dict[str, core.InteractionTriple] = {}
@@ -349,7 +346,7 @@ def _cross_domain(args: argparse.Namespace, client: "ModelClient", skipped: Tall
     for result in embeds:
         if result is not None:
             embedded[result[0]].append(result[1])
-    pairs = transferbench.match_users(client, embedded[0], embedded[1], args.top_k)
+    pairs = transferbench.match_users(client, embedded[0], embedded[1], top_k)
     instances, stats = transferbench.swap_targets(pairs, targets, skipped)
     for inst in instances:
         write_instance(inst)
@@ -396,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simlab-gen", help="generate a synthetic corpus with ground truth and score sidecar")
-    p.add_argument("--out-dir", required=True)
     p.add_argument("--users", type=int, default=50)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--history-len", type=int, default=12)
@@ -409,10 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simlab_gen)
 
     p = sub.add_parser("synthesize-sft", help="generate-validate-merge SFT records")
-    p.add_argument("--histories", required=True)
-    p.add_argument("--scores", required=True)
-    p.add_argument("--config", required=True, help="YAML/JSON with generator/judge[/teacher] endpoints and knobs")
-    p.add_argument("--out", required=True)
     p.add_argument("--num-segments", type=int)
     p.add_argument("--tau-tract", type=float)
     p.add_argument("--max-targets", type=int)
@@ -420,93 +412,78 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synthesize_sft)
 
     p = sub.add_parser("prune", help="curriculum-filter a score sidecar into RL instances")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.add_argument("--preset", choices=sorted(curriculum.PRESET_CONFIGS))
     p.add_argument("--alpha", type=float)
     p.add_argument("--tract-low", type=float)
     p.add_argument("--tract-high", type=float)
     p.add_argument("--tail-fraction", type=float)
     p.add_argument("--tail-side", choices=["hardest", "easiest"])
-    p.add_argument("--keep-scores", help="optional path for the kept points' score sidecar lines (a valid --scores)")
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("rollout", help="two-stage rollouts with rewards, advantages, and batch export")
-    p.add_argument("--instances", required=True)
-    p.add_argument("--histories", required=True)
-    p.add_argument("--config", required=True, help="YAML/JSON with policy/judge endpoints and knobs")
-    p.add_argument("--out", required=True)
-    p.add_argument("--trees", help="optional path for full rollout tree dumps")
     p.add_argument("--gamma", type=float)
     p.add_argument("--group-size", type=int)
     p.set_defaults(func=cmd_rollout)
 
     p = sub.add_parser("loss-check", help="compute the clipped surrogate loss for an exported batch")
-    p.add_argument("--batch", required=True)
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--new-logprobs", help="JSONL rows {logprobs: [...]} aligned with the batch")
-    source.add_argument("--self-check", action="store_true", help="use the batch's own logprobs (ratio 1)")
+    p.add_argument("--self-check", action="store_true", help="use the batch's own logprobs (ratio 1), not --new-logprobs")
     p.add_argument("--clip-eps", type=float, help="ratio clip (default: rlengine.CLIP_EPS; inf disables clipping, printed as null)")
     p.set_defaults(func=cmd_loss_check)
 
     p = sub.add_parser("stream-infer", help="streaming inference over a corpus")
-    p.add_argument("--histories", required=True)
-    p.add_argument("--generator", required=True, help="endpoint config file")
     p.add_argument("--chunks", type=int, default=2)
-    p.add_argument("--state-dir", required=True)
     p.set_defaults(func=cmd_stream_infer)
 
     p = sub.add_parser("build-transfer", help="construct transfer-benchmark corpora")
     p.add_argument("--mode", required=True, choices=["cross-domain", "multi-interest", "positive-only"])
-    p.add_argument("--out", required=True)
-    p.add_argument("--histories")
-    p.add_argument("--histories-a")
-    p.add_argument("--histories-b")
-    p.add_argument("--embedder", help="endpoint config file (cross-domain)")
-    p.add_argument("--top-k", type=int, default=1000)
-    p.add_argument("--out-histories", help="optional combined trimmed corpus (cross-domain)")
-    p.add_argument("--donors", help="donor corpus (multi-interest)")
-    p.add_argument("--intensity", type=float, default=0.3)
-    p.add_argument("--provenance", help="optional injection provenance output (multi-interest)")
+    for flag, (mode, default) in MODE_KNOBS.items():
+        p.add_argument(flag, type=type(default), help=f"read by --mode {mode} alone (default {default})")
     p.set_defaults(func=cmd_build_transfer)
 
     p = sub.add_parser("evaluate", help="selection-style evaluation of stored summaries")
-    p.add_argument("--summaries", required=True)
-    p.add_argument("--instances", required=True)
-    p.add_argument("--downstream", required=True, help="endpoint config file")
-    p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--outcomes", help="optional per-instance outcome JSONL")
     p.add_argument("--strict", action="store_true", help="accept only clean JSON selections")
     p.add_argument("--label", default="eval")
     p.set_defaults(func=cmd_evaluate)
 
+    reads: dict[tuple[str, str], list[str]] = {}  # (command, flag) -> its help, then the modes that read it
+    for key, (ins, outs) in STAGE_FILES.items():
+        command, _, mode = key.partition(":")
+        for spec in ins + outs:
+            flag, _, name = spec.rstrip("?").partition("/")
+            kind = f"{'optional ' * spec.endswith('?')}{'output' if spec in outs else 'input'} {'directory' if name else 'file'}"
+            reads.setdefault((command, flag), [kind]).append(mode)
+    for (command, flag), (kind, *modes) in reads.items():
+        sub.choices[command].add_argument(flag, help=f"{kind} of --mode {', '.join(modes)}" if any(modes) else kind)
     return parser
 
 
-# Each stage's file flags, by the command its manifest records (build-transfer's
-# by mode): inputs, then outputs. A mode needs every input it lists. "--dir/name"
-# is a file the stage writes into the directory --dir names, and then the
-# manifest is <dir>/manifest.json, else <first output>.manifest.json.
+# Each stage's file flags, by the command its manifest records (build-transfer's by
+# mode): inputs, then outputs. It is their one declaration: build_parser adds each flag
+# to its subcommand. A run needs every entry without a trailing "?"; "" is not given.
+# "--dir/name" is a file the stage writes into the directory --dir names, and then
+# the manifest is <dir>/manifest.json, else <first output>.manifest.json.
 STAGE_FILES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "simlab-gen": ((), ("--out-dir/histories.jsonl", "--out-dir/truth.jsonl", "--out-dir/scores.jsonl")),
     "synthesize-sft": (("--histories", "--scores", "--config"), ("--out",)),
-    "prune": (("--scores", "--config"), ("--out", "--keep-scores")),
-    "rollout": (("--histories", "--instances", "--config"), ("--out", "--trees")),
-    "loss-check": (("--batch", "--new-logprobs"), ()),
+    "prune": (("--scores", "--config?"), ("--out", "--keep-scores?")),
+    "rollout": (("--histories", "--instances", "--config"), ("--out", "--trees?")),
+    "loss-check": (("--batch", "--new-logprobs?"), ()),
     "stream-infer": (("--histories", "--generator"), ("--state-dir/states.jsonl", "--state-dir/summaries.jsonl")),
-    "build-transfer:cross-domain": (("--histories-a", "--histories-b", "--embedder"), ("--out", "--out-histories")),
-    "build-transfer:multi-interest": (("--histories", "--donors"), ("--out", "--provenance")),
+    "build-transfer:cross-domain": (("--histories-a", "--histories-b", "--embedder"), ("--out", "--out-histories?")),
+    "build-transfer:multi-interest": (("--histories", "--donors"), ("--out", "--provenance?")),
     "build-transfer:positive-only": (("--histories",), ("--out",)),
-    "evaluate": (("--summaries", "--instances", "--downstream"), ("--out", "--outcomes")),
+    "evaluate": (("--summaries", "--instances", "--downstream"), ("--out", "--outcomes?")),
 }
+
+# build-transfer's knob flags: the one --mode that reads each, and its default there
+MODE_KNOBS = {"--top-k": ("cross-domain", 1000), "--intensity": ("multi-interest", 0.3)}
 
 
 def _given(args: argparse.Namespace, specs: tuple[str, ...]) -> list[tuple[str, str | None]]:
-    """(flag, path) for each ``STAGE_FILES`` entry of ``specs``; the path is None where the flag was not given."""
+    """(flag, path) for each ``STAGE_FILES`` entry of ``specs``; the path is None where the flag was not given or was ""."""
     found = []
     for spec in specs:
-        flag, _, name = spec.partition("/")
+        flag, _, name = spec.rstrip("?").partition("/")
         value = getattr(args, flag[2:].replace("-", "_")) or None
         found.append((flag, os.path.join(value, name) if value and name else value))
     return found
@@ -514,21 +491,27 @@ def _given(args: argparse.Namespace, specs: tuple[str, ...]) -> list[tuple[str, 
 
 def _stage_files(parser: argparse.ArgumentParser, args: argparse.Namespace) -> tuple[str, list, list, str | None, str | None]:
     """The command, input paths, output paths (one per declared output, None where not given),
-    manifest path and "--dir/name" outputs' directory (else None) of this run. Before any file is
-    read, refuses as usage errors a file flag that the mode needs and was not given or does not
-    read, and an output or manifest that names the same file as another flag; two inputs may name one file."""
-    command = f"{args.command}:{args.mode}" if "mode" in args else args.command
+    manifest path and "--dir/name" outputs' directory (else None) of this run. Before any file is read,
+    refuses as usage errors a file flag that the run needs and was not given, a flag that the mode does
+    not read, and an output or manifest that names the same file as another flag; two inputs may."""
+    mode = getattr(args, "mode", None)
+    command = f"{args.command}:{mode}" if mode else args.command
     ins, outs = STAGE_FILES[command]
     inputs, outputs = _given(args, ins), _given(args, outs)
-    if "mode" in args and not all(path for _, path in inputs):
-        parser.error(f"{args.mode} needs {', '.join(ins)}")
+    missing = [flag for spec, (flag, path) in zip(ins + outs, inputs + outputs) if not path and not spec.endswith("?")]
+    if missing:
+        parser.error(f"{mode or args.command} needs {', '.join(dict.fromkeys(missing))}")
+    if "self_check" in args and args.self_check == bool(args.new_logprobs):
+        parser.error("loss-check needs exactly one of --new-logprobs, --self-check")
     modes = [i + o for key, (i, o) in STAGE_FILES.items() if key.startswith(f"{args.command}:")]
     unread = {flag for specs in modes for flag, path in _given(args, specs) if path} - {flag for flag, _ in inputs + outputs}
+    unread |= {flag for flag, (reader, _) in MODE_KNOBS.items()
+               if reader != mode and getattr(args, flag[2:].replace("-", "_"), None) is not None}
     if unread:
-        parser.error(f"--mode {args.mode} does not read {', '.join(sorted(unread))}")
+        parser.error(f"--mode {mode} does not read {', '.join(sorted(unread))}")
     inputs = [(flag, path) for flag, path in inputs if path]
     named, manifest, directory = inputs + [(flag, path) for flag, path in outputs if path], None, None
-    if outputs:  # the first output flag is required
+    if outputs:  # the first output flag is needed
         flag, path = outputs[0]
         directory = os.path.dirname(path) if "/" in outs[0] else None
         manifest = os.path.join(directory, "manifest.json") if directory else f"{path}.manifest.json"
@@ -568,10 +551,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs < 1:
         parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     command, inputs, outputs, manifest, directory = _stage_files(parser, args)
-    logging.basicConfig(
-        level=getattr(logging, args.log_level.upper()),
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
+    logging.basicConfig(level=args.log_level.upper(), format="%(asctime)s %(name)s %(levelname)s %(message)s")
     started_at = _now()
     skipped, clients = Tally(), Clients()
     try:

@@ -385,6 +385,8 @@ class ScriptedJudgeBackend:
     def __post_init__(self):
         if self.mode not in ("argmax", "sample"):
             raise ValidationError(f"unknown judge mode {self.mode!r}")
+        if not math.isfinite(self.kappa):  # an infinite kappa turns an orthogonal pair into (nan, nan)
+            raise ValidationError(f"kappa must be finite, got {self.kappa}")
         _check_dim(self.dim)
 
     def _prob_item_a(self, prompt: str) -> float:

@@ -585,6 +585,8 @@ class TestErrorHandling:
         ("mock:judge?kappa=nan", "ConfigError): mock:judge config key 'kappa' must be float, got 'nan'"),
         ("mock:judge?kappa=NaN", "ConfigError): mock:judge config key 'kappa' must be float, got nan"),
         ("mock:embedder?dim=-3", "ValidationError): dim must be >= 1, got -3"),
+        ("mock:judge?kappa=Infinity", "ValidationError): kappa must be finite, got inf"),
+        ("mock:judge?kappa=1e999", "ValidationError): kappa must be finite, got inf"),
     ])
     def test_bad_mock_url_parameter_is_config_error(self, pipeline, tmp_path, capsys, monkeypatch, url, error):
         """A mock URL parameter is a config key: an unknown key, a wrong type,
@@ -921,16 +923,15 @@ class TestErrorHandling:
                 "--mode positive-only does not read --out-histories, --provenance",
             ),
             "missing": (
-                ["build-transfer", "--mode", "cross-domain", "--histories-a", str(lab_a / "histories.jsonl"),
-                 "--histories-b", str(lab_b / "histories.jsonl"), "--out", out],
-                "cross-domain needs --histories-a, --histories-b, --embedder",
+                ["build-transfer", "--mode", "cross-domain", "--histories-a", str(lab_a / "histories.jsonl"), "--out", out],
+                "cross-domain needs --histories-b, --embedder",
             ),
             "loss-check-both": (
                 ["loss-check", "--batch", pipeline["batch"], "--self-check", "--new-logprobs", own],
-                "argument --new-logprobs: not allowed with argument --self-check",
+                "loss-check needs exactly one of --new-logprobs, --self-check",
             ),
             "loss-check-neither": (
-                ["loss-check", "--batch", pipeline["batch"]], "one of the arguments --new-logprobs --self-check is required"
+                ["loss-check", "--batch", pipeline["batch"]], "loss-check needs exactly one of --new-logprobs, --self-check"
             ),
         }[case]
         before = {name: sha256_file(tmp_path / name) for name in os.listdir(tmp_path)}
@@ -939,6 +940,61 @@ class TestErrorHandling:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert {name: sha256_file(tmp_path / name) for name in os.listdir(tmp_path)} == before
+
+    @pytest.mark.parametrize("flag", ["--out", "--state-dir", "--out-dir", "--histories"])
+    def test_an_empty_path_is_a_missing_flag(self, pipeline, tmp_path, monkeypatch, capsys, flag):
+        """A file flag given as "" is not given: the run stops as a usage
+        error naming it, before any model request or file is made."""
+        monkeypatch.chdir(tmp_path)
+        generator = write_yaml(tmp_path / "gen.yaml", {"base_url": "mock:generator"})
+        synth = write_yaml(tmp_path / "synth.yaml", {"generator": {"base_url": "mock:generator"}, "judge": {"base_url": "mock:judge"}})
+        command, argv = {
+            "--out": ("prune", ["prune", "--scores", pipeline["scores"], "--alpha", "0.6", "--tract-low", "0.55",
+                                "--tract-high", "0.98", "--out", ""]),
+            "--state-dir": ("stream-infer", ["stream-infer", "--histories", pipeline["histories"],
+                                             "--generator", generator, "--state-dir", ""]),
+            "--out-dir": ("simlab-gen", ["simlab-gen", "--out-dir", "", "--users", "2"]),
+            "--histories": ("synthesize-sft", ["synthesize-sft", "--histories", "", "--scores", pipeline["scores"],
+                                               "--config", synth, "--out", str(tmp_path / "sft.jsonl")]),
+        }[flag]
+        answered = count_requests(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {command} needs {flag}\n" in err
+        assert "Traceback" not in err
+        assert not answered
+        assert sorted(os.listdir(tmp_path)) == ["gen.yaml", "synth.yaml"]
+
+    @pytest.mark.parametrize("mode, knobs, unread", [
+        ("positive-only", ["--top-k", "5", "--intensity", "0.9"], "--intensity, --top-k"),
+        ("multi-interest", ["--top-k", "0"], "--top-k"),
+        ("cross-domain", ["--intensity", "0.3"], "--intensity"),
+    ])
+    def test_a_knob_the_mode_does_not_read_is_usage_error(self, pipeline, tmp_path, capsys, mode, knobs, unread):
+        files = {
+            "positive-only": ["--histories", pipeline["histories"]],
+            "multi-interest": ["--histories", pipeline["histories"], "--donors", pipeline["histories"]],
+            "cross-domain": ["--histories-a", pipeline["histories"], "--histories-b", pipeline["histories"],
+                             "--embedder", str(pipeline["root"] / "embedder.yaml")],
+        }[mode]
+        with pytest.raises(SystemExit) as exc:
+            run("build-transfer", "--mode", mode, *files, *knobs, "--out", str(tmp_path / "o.jsonl"))
+        assert exc.value.code == 2
+        assert f"error: --mode {mode} does not read {unread}\n" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_a_knob_takes_its_default_in_the_mode_that_reads_it(self, pipeline, tmp_path):
+        out = str(tmp_path / "fused.jsonl")
+        lab_a, lab_b = pipeline["root"] / "labA", pipeline["root"] / "labB"
+        assert run(
+            "build-transfer", "--mode", "multi-interest", "--histories", str(lab_a / "histories.jsonl"),
+            "--donors", str(lab_b / "histories.jsonl"), "--out", out,
+        ) == 0
+        assert manifest_for(out)["config"] == {"mode": "multi-interest", "intensity": 0.3}
+        assert sha256_file(out) == sha256_file(pipeline["fused"])  # the pipeline passed --intensity 0.3
+        assert manifest_for(pipeline["cross"])["config"] == {"mode": "cross-domain", "top_k": 4}
 
     @pytest.mark.parametrize(
         "stage, missing",
@@ -1752,3 +1808,16 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "simlab-gen" in proc.stdout
+
+
+def test_file_flag_help_comes_from_the_stage_table(capsys, monkeypatch):
+    """Each file flag's help says input or output, optional or not, and
+    which build-transfer modes read it."""
+    monkeypatch.setenv("COLUMNS", "200")  # argparse would wrap a narrow terminal's lines at a hyphen
+    for command in ("prune", "build-transfer"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--keep-scores KEEP_SCORES optional output file" in help_text
+    assert "--histories HISTORIES input file of --mode multi-interest, positive-only" in help_text
+    assert "--top-k TOP_K read by --mode cross-domain alone (default 1000)" in help_text

@@ -12,10 +12,14 @@ client's counts can miss the manifest. Last, it keeps one summary step:
 ``streamer.summarize`` is the only place a (prior, segment) pair becomes a
 prompt and a ``PreferenceSummary``, and every record is written by the one
 record codec, ``_util.encode``. And the stage runner, ``cli._open_outputs``,
-is the one place in ``cli`` that opens, commits and removes an output."""
+is the one place in ``cli`` that opens, commits and removes an output, and
+``cli.STAGE_FILES`` is the one declaration of a stage's file flags."""
 
+import argparse
 import ast
 import pathlib
+
+from prefpipe.cli import STAGE_FILES, build_parser
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "prefpipe"
 
@@ -141,3 +145,37 @@ def test_only_the_stage_runner_touches_files():
         if receiver == "os" and name in ("makedirs", "mkdir", "replace", "rename", "remove", "rmdir")
     }
     assert owners == {"_open_outputs", "ManifestWriter.write"}
+
+
+def _stage_file_flags():
+    """(command, flag) for each entry of ``STAGE_FILES``."""
+    return {
+        (key.partition(":")[0], spec.rstrip("?").partition("/")[0])
+        for key, (ins, outs) in STAGE_FILES.items()
+        for spec in ins + outs
+    }
+
+
+def test_every_stage_file_flag_is_an_option_of_its_subcommand():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        (command, option)
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        for option in action.option_strings
+    }
+    assert _stage_file_flags() <= options
+
+
+def test_no_stage_file_flag_is_declared_a_second_time():
+    """``build_parser`` adds the file flags from the table, so no
+    ``add_argument`` call in ``cli`` names one in a string literal."""
+    flags = {flag for _, flag in _stage_file_flags()}
+    named = {
+        arg.value
+        for _, node in _nodes(SRC / "cli.py")
+        if _calls("add_argument")(node)
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+    }
+    assert named and not named & flags
